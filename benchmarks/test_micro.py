@@ -10,8 +10,7 @@ import pytest
 
 from repro.core.api import build_problem
 from repro.core.baselines import random_placement
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import evaluate_placement_fast
+from repro.core.cost import evaluate_placement, evaluate_placements_fast
 from repro.core.heuristic import heuristic_placement
 from repro.dwm.config import DWMConfig
 from repro.memory.spm import ScratchpadMemory
@@ -38,8 +37,8 @@ def test_scalar_evaluator(benchmark, workload):
 def test_vectorised_evaluator(benchmark, workload):
     problem, placement = workload
     scalar = evaluate_placement(problem, placement, validate=False)
-    result = benchmark(evaluate_placement_fast, problem, placement, False)
-    assert result == scalar
+    result = benchmark(evaluate_placements_fast, problem, [placement], False)
+    assert result == [scalar]
 
 
 def test_event_simulator(benchmark, workload):

@@ -27,6 +27,7 @@ from repro.core.community import (
 )
 from repro.core.cost import (
     evaluate_placement,
+    evaluate_placements_fast,
     linear_arrangement_cost,
     per_dbc_costs,
     shift_lower_bound,
@@ -35,11 +36,6 @@ from repro.core.cost import (
 from repro.core.exact_partition import (
     exact_partitioned_placement,
     partition_minimum,
-)
-from repro.core.fast_eval import (
-    evaluate_placement_auto,
-    evaluate_placement_fast,
-    evaluate_placements_fast,
 )
 from repro.core.incremental import CostEvaluator
 from repro.core.exact import (
@@ -123,8 +119,6 @@ __all__ = [
     "CostEvaluator",
     "declaration_order_placement",
     "evaluate_placement",
-    "evaluate_placement_auto",
-    "evaluate_placement_fast",
     "evaluate_placements_fast",
     "shift_lower_bound",
     "exact_partitioned_placement",

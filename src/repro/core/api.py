@@ -46,12 +46,12 @@ from repro.core.baselines import (
     random_placement,
 )
 from repro.core.community import community_placement
+from repro.core.cost import evaluate_placements_fast
 from repro.core.exact import (
     MAX_BRUTE_FORCE_ITEMS,
     exact_single_dbc_placement,
     exhaustive_placement,
 )
-from repro.core.fast_eval import evaluate_placement_auto
 from repro.core.generalized import generalized_placement
 from repro.core.heuristic import (
     grouping_only_placement,
@@ -254,7 +254,9 @@ def execute_plan(
 ) -> PlacementResult:
     """Stage 3: validate the planned placement and evaluate it exactly."""
     plan.placement.validate(problem.config, problem.items)
-    shifts = evaluate_placement_auto(problem, plan.placement, validate=False)
+    (shifts,) = evaluate_placements_fast(
+        problem, [plan.placement], validate=False
+    )
     return PlacementResult(
         method=plan.method,
         placement=plan.placement,

@@ -8,6 +8,10 @@ of times on small traces.
 
 Also provided:
 
+* :func:`evaluate_placements_fast` — exact totals of many placements of one
+  problem: the scalar walk on short traces, the vectorized engine's scan
+  (:mod:`repro.memory.batch_sim`) from ``VECTORIZED_MIN_ACCESSES`` on.
+  This is how the placement methods score their candidates.
 * :func:`linear_arrangement_cost` — the pairwise-decomposed cost
   ``Σ w(u,v)·|pos(u)−pos(v)|`` of a single-DBC order, which equals the true
   trace cost for a single DBC with a single port under the lazy policy
@@ -80,6 +84,44 @@ def evaluate_placement(
                 total += best_cost
                 heads[dbc] = best_target
     return total
+
+
+def evaluate_placements_fast(
+    problem: PlacementProblem,
+    placements: Sequence[Placement],
+    validate: bool = True,
+) -> list[int]:
+    """Exact total shift counts of many placements of one problem.
+
+    Below :data:`~repro.memory.batch_sim.VECTORIZED_MIN_ACCESSES` accesses
+    each placement is walked by :func:`evaluate_placement` (numpy setup
+    would dominate).  From there on the trace is resolved once and every
+    placement is priced by the vectorized engine's scan, so eager,
+    single-port lazy and multi-port lazy (compiled kernel) share one path.
+    Either way the totals equal :func:`evaluate_placement`'s exactly.
+    """
+    # Lazy import: batch_sim imports repro.core, which imports this module.
+    from repro.memory.batch_sim import (
+        VECTORIZED_MIN_ACCESSES,
+        _scan,
+        _slot_arrays,
+        resolve_trace,
+    )
+
+    config = problem.config
+    if validate:
+        for placement in placements:
+            placement.validate(config, problem.items)
+    if len(problem.trace) < VECTORIZED_MIN_ACCESSES:
+        return [
+            evaluate_placement(problem, placement, validate=False)
+            for placement in placements
+        ]
+    resolved = resolve_trace(problem.trace)
+    return [
+        _scan(resolved, config, *_slot_arrays(resolved, placement))[1]
+        for placement in placements
+    ]
 
 
 def per_dbc_costs(

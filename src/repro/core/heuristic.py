@@ -34,8 +34,10 @@ contribution for experiment E10.
 
 from __future__ import annotations
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
+# Not called here, but perfbench/spans.py wraps this name in each placement
+# module to time scalar scoring, and fails if it is missing.
+from repro.core.cost import evaluate_placement  # noqa: F401
+from repro.core.cost import evaluate_placements_fast
 from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
 from repro.core.ordering import greedy_chain_order, order_groups
 from repro.core.placement import Placement
@@ -110,22 +112,9 @@ def heuristic_placement(
     candidates.append(declaration_block_groups(problem))
     candidates.append(hot_spread_groups(problem, num_groups=num_groups))
     placements = [order_groups(problem, groups) for groups in candidates]
-    if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
-        # Batch evaluation shares the trace resolution across candidates.
-        costs = evaluate_placements_fast(problem, placements, validate=False)
-    else:
-        costs = [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
-    best_placement: Placement | None = None
-    best_cost: int | None = None
-    for placement, cost in zip(placements, costs):
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_placement = placement
-    assert best_placement is not None
-    return best_placement
+    costs = evaluate_placements_fast(problem, placements, validate=False)
+    # ``index`` returns the first minimum, so earlier candidates win ties.
+    return placements[costs.index(min(costs))]
 
 
 def grouping_only_placement(problem: PlacementProblem) -> Placement:

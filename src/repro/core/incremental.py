@@ -12,12 +12,13 @@ O(T_affected) per move, exact for every port count and policy:
   independent of history, so an item's contribution is
   ``freq(item)·2·dist(offset)`` and a move is O(1) per moved item;
 * **lazy, single port** — a DBC's cost is ``|t₁| + Σ|Δt|`` over its
-  restricted target subsequence (the diff decomposition proven in
-  :mod:`repro.core.fast_eval`), recomputed vectorised for the touched DBCs
-  only;
+  restricted target subsequence (the diff decomposition of
+  docs/COST_MODEL.md §5, shared with :mod:`repro.memory.batch_sim`),
+  recomputed vectorised for the touched DBCs only;
 * **lazy, multi port** — head-dependent port choice is sequential, so the
-  touched DBCs' subsequences are replayed scalar — still only the touched
-  DBCs, never the full trace.
+  touched DBCs' subsequences are replayed by the port-state automaton
+  (compiled kernel, vectorised fold, or a scalar walk for short ones) —
+  still only the touched DBCs, never the full trace.
 
 The evaluator maintains the current assignment mutably with ``apply_*`` /
 ``undo`` (no :class:`Placement` dict rebuild per candidate) and materialises

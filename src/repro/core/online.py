@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import (
-    FAST_EVAL_MIN_ACCESSES,
-    evaluate_placement_auto,
-    evaluate_placements_fast,
-)
+from repro.core.cost import evaluate_placements_fast
 from repro.core.heuristic import heuristic_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -133,19 +128,9 @@ class OnlinePlacer:
             candidate = _extend_placement(
                 heuristic_placement(sample_problem), trace, self.config
             )
-            if len(sample) >= FAST_EVAL_MIN_ACCESSES:
-                # Batch evaluation shares the window's trace resolution
-                # between the incumbent and the candidate.
-                current_cost, candidate_cost = evaluate_placements_fast(
-                    sample_problem, [placement, candidate], validate=False
-                )
-            else:
-                current_cost = evaluate_placement(
-                    sample_problem, placement, validate=False
-                )
-                candidate_cost = evaluate_placement(
-                    sample_problem, candidate, validate=False
-                )
+            current_cost, candidate_cost = evaluate_placements_fast(
+                sample_problem, [placement, candidate], validate=False
+            )
             saving = (current_cost - candidate_cost) * self.amortization_windows
             bill, _words = _predict_migration(placement, candidate, trace.items)
             if saving > self.hysteresis * bill:
@@ -218,9 +203,12 @@ def compare_static_vs_online(
     )
     oracle = heuristic_placement(problem)
     online = OnlinePlacer(config, window=window).run(trace)
+    static_first_cost, oracle_cost = evaluate_placements_fast(
+        problem, [static_first, oracle]
+    )
     return {
-        "static_first_window": evaluate_placement_auto(problem, static_first),
-        "oracle_static": evaluate_placement_auto(problem, oracle),
+        "static_first_window": static_first_cost,
+        "oracle_static": oracle_cost,
         "online": online.total_shifts,
         "online_migration": online.migration_shifts,
         "online_replacements": online.replacements,

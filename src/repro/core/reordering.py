@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.cost import evaluate_placements_fast
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
@@ -127,9 +128,7 @@ def reorder_accesses(
             issued_count_per_item.get(access.item, 0) + 1
         )
         scheduled.append(access)
-    from repro.core.fast_eval import evaluate_placement_auto
-
-    original = evaluate_placement_auto(problem, placement, validate=False)
+    (original,) = evaluate_placements_fast(problem, [placement], validate=False)
     if total > original:
         # The greedy schedule is myopic and can lose; a compiler would keep
         # the original order in that case, and so do we (total <= original

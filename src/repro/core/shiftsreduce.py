@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
+# Not called here, but perfbench/spans.py wraps this name in each placement
+# module to time scalar scoring, and fails if it is missing.
+from repro.core.cost import evaluate_placement  # noqa: F401
+from repro.core.cost import evaluate_placements_fast
 from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
 from repro.core.heuristic import (
     chain_and_cut_groups,
@@ -171,18 +173,6 @@ def shiftsreduce_placement(
         _order_groups_bidirectional(problem, groups) for groups in groupings
     ]
     placements.append(heuristic_placement(problem))
-    if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
-        costs = evaluate_placements_fast(problem, placements, validate=False)
-    else:
-        costs = [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
-    best_placement: Placement | None = None
-    best_cost: int | None = None
-    for placement, cost in zip(placements, costs):
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_placement = placement
-    assert best_placement is not None
-    return best_placement
+    costs = evaluate_placements_fast(problem, placements, validate=False)
+    # ``index`` returns the first minimum, so earlier candidates win ties.
+    return placements[costs.index(min(costs))]

@@ -27,7 +27,11 @@ totals and ``max_access_shifts`` are all bit-identical to the scalar engine
 Entry points: :func:`simulate_vectorized` for one run,
 :class:`BatchSimulator` / :func:`batch_simulate` to amortize trace
 resolution across many runs, and
-``ScratchpadMemory.simulate(engine="vectorized")`` for drop-in use.
+``ScratchpadMemory.simulate(engine="vectorized")`` for drop-in use.  The
+optimizers' candidate scoring
+(:func:`repro.core.cost.evaluate_placements_fast`) runs the same scan on
+totals only.  Both switch from the scalar walk to this engine at
+:data:`VECTORIZED_MIN_ACCESSES` accesses.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ from repro.dwm.config import DWMConfig, PortPolicy
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.model import AccessTrace
+
+#: The one scalar-vs-vectorized switch point: ``ScratchpadMemory.simulate``
+#: (``engine="auto"``) and candidate scoring use this engine at this many
+#: accesses; below it the numpy setup costs more than the scalar loop saves.
+VECTORIZED_MIN_ACCESSES = 2048
 
 
 class ResolvedTrace:
@@ -166,6 +175,50 @@ def _single_port_costs(offsets, port: int):
     return costs
 
 
+def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
+    """Per-access shift costs, in trace order.
+
+    Eager costs are stateless — every access costs twice its rest distance —
+    so they are one table gather.  Lazy head state persists per DBC, so the
+    access stream is grouped by DBC (a stable sort keeps each DBC's internal
+    order) and each group is scanned in isolation by the closed form for its
+    port count.
+    """
+    import numpy as np
+
+    ports = config.port_offsets
+    if config.port_policy is PortPolicy.EAGER:
+        rest = np.asarray(
+            [
+                2 * min(abs(offset - port) for port in ports)
+                for offset in range(config.words_per_dbc)
+            ],
+            dtype=np.int64,
+        )
+        return rest[offset_seq]
+    order = np.argsort(dbc_seq, kind="stable")
+    sorted_dbc = dbc_seq[order]
+    sorted_offsets = offset_seq[order]
+    boundaries = np.searchsorted(sorted_dbc, np.arange(config.num_dbcs + 1))
+    costs = np.empty(dbc_seq.size, dtype=np.int64)
+    num_ports = len(ports)
+    for dbc in range(config.num_dbcs):
+        low = int(boundaries[dbc])
+        high = int(boundaries[dbc + 1])
+        if high == low:
+            continue
+        group = sorted_offsets[low:high]
+        if num_ports == 1:
+            group_costs = _single_port_costs(group, ports[0])
+        elif num_ports == 2:
+            group_costs = two_port_access_costs(group, ports)
+        else:
+            group_costs = multi_port_access_costs(group, ports)
+        # Scatter the group's costs back to trace order.
+        costs[order[low:high]] = group_costs
+    return costs
+
+
 def _scan(
     resolved: ResolvedTrace,
     config: DWMConfig,
@@ -175,55 +228,16 @@ def _scan(
     """Compute (per_dbc_shifts, total_shifts, max_access_shifts)."""
     import numpy as np
 
-    ports = config.port_offsets
-    num_dbcs = config.num_dbcs
-    per_dbc = [0] * num_dbcs
-    max_access = 0
     if resolved.item_at.size == 0:
-        return per_dbc, 0, 0
+        return [0] * config.num_dbcs, 0, 0
     dbc_seq = dbc_of[resolved.item_at]
-    offset_seq = offset_of[resolved.item_at]
-    if config.port_policy is PortPolicy.EAGER:
-        # Stateless: every access costs twice its rest distance, so a table
-        # gather gives per-access costs directly and per-DBC totals are an
-        # integer scatter-add (exact, unlike float bincount weights).
-        rest = np.asarray(
-            [
-                2 * min(abs(offset - port) for port in ports)
-                for offset in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-        costs = rest[offset_seq]
-        max_access = int(costs.max())
-        totals = np.zeros(num_dbcs, dtype=np.int64)
-        np.add.at(totals, dbc_seq, costs)
-        per_dbc = [int(value) for value in totals]
-        return per_dbc, int(costs.sum()), max_access
-    # Lazy: head state persists per DBC, so group the access stream by DBC
-    # (stable sort preserves each DBC's internal order) and scan each group.
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    boundaries = np.searchsorted(sorted_dbc, np.arange(num_dbcs + 1))
-    num_ports = len(ports)
-    for dbc in range(num_dbcs):
-        low = int(boundaries[dbc])
-        high = int(boundaries[dbc + 1])
-        if high == low:
-            continue
-        group = sorted_offsets[low:high]
-        if num_ports == 1:
-            costs = _single_port_costs(group, ports[0])
-        elif num_ports == 2:
-            costs = two_port_access_costs(group, ports)
-        else:
-            costs = multi_port_access_costs(group, ports)
-        per_dbc[dbc] = int(costs.sum())
-        group_max = int(costs.max())
-        if group_max > max_access:
-            max_access = group_max
-    return per_dbc, sum(per_dbc), max_access
+    costs = _access_costs(config, dbc_seq, offset_of[resolved.item_at])
+    # Integer scatter-add keeps per-DBC totals exact (unlike float bincount
+    # weights).
+    totals = np.zeros(config.num_dbcs, dtype=np.int64)
+    np.add.at(totals, dbc_seq, costs)
+    per_dbc = totals.tolist()
+    return per_dbc, sum(per_dbc), int(costs.max())
 
 
 def per_access_costs(
@@ -254,39 +268,7 @@ def per_access_costs(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
     dbc_seq = dbc_of[resolved.item_at]
-    offset_seq = offset_of[resolved.item_at]
-    ports = config.port_offsets
-    costs = np.empty(dbc_seq.size, dtype=np.int64)
-    if config.port_policy is PortPolicy.EAGER:
-        rest = np.asarray(
-            [
-                2 * min(abs(offset - port) for port in ports)
-                for offset in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-        costs[:] = rest[offset_seq]
-        return dbc_seq, costs
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    boundaries = np.searchsorted(sorted_dbc, np.arange(config.num_dbcs + 1))
-    num_ports = len(ports)
-    for dbc in range(config.num_dbcs):
-        low = int(boundaries[dbc])
-        high = int(boundaries[dbc + 1])
-        if high == low:
-            continue
-        group = sorted_offsets[low:high]
-        if num_ports == 1:
-            group_costs = _single_port_costs(group, ports[0])
-        elif num_ports == 2:
-            group_costs = two_port_access_costs(group, ports)
-        else:
-            group_costs = multi_port_access_costs(group, ports)
-        # Scatter the group's costs back to trace order.
-        costs[order[low:high]] = group_costs
-    return dbc_seq, costs
+    return dbc_seq, _access_costs(config, dbc_seq, offset_of[resolved.item_at])
 
 
 def simulate_vectorized(

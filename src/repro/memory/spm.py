@@ -24,13 +24,10 @@ from repro.core.placement import Placement
 from repro.dwm.array import DWMArray, DWMArrayModel
 from repro.dwm.config import DWMConfig
 from repro.errors import SimulationError
+from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES, BatchSimulator
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry, trace_span
 from repro.trace.model import AccessTrace
-
-#: ``engine="auto"`` switches to the vectorized engine at this many accesses;
-#: below it the numpy setup costs more than the scalar loop saves.
-VECTORIZED_MIN_ACCESSES = 2048
 
 
 class ScratchpadMemory:
@@ -76,8 +73,6 @@ class ScratchpadMemory:
     def _batch_for(self, trace: AccessTrace):
         """Vectorized simulator with the trace resolved (identity-cached)."""
         if self._batch_trace is not trace:
-            from repro.memory.batch_sim import BatchSimulator
-
             self._batch = BatchSimulator(trace)
             self._batch_trace = trace
         return self._batch

@@ -58,7 +58,6 @@ from repro.core import kernels
 from repro.core.api import ALGORITHMS, optimize_placement
 from repro.core.cost import evaluate_placement, per_dbc_costs, shift_lower_bound
 from repro.core.exact import exhaustive_search_is_exact
-from repro.core.fast_eval import evaluate_placement_fast
 from repro.core.incremental import (
     CostEvaluator,
     multi_port_access_costs_numpy,
@@ -150,7 +149,6 @@ def check_engine_agreement(
     vectorized = spm.simulate(trace, engine="vectorized")
     dbc_seq, cost_seq = per_access_costs(trace, config, placement)
     totals = {
-        "fast_eval": int(evaluate_placement_fast(problem, placement)),
         "incremental": int(CostEvaluator(problem, placement).total),
         "simulator_scalar": int(scalar.shifts),
         "simulator_vectorized": int(vectorized.shifts),

@@ -1,11 +1,11 @@
-"""Unit tests for the vectorised evaluator and port co-design."""
+"""Unit tests for batch candidate scoring and port co-design."""
 
 import pytest
 
+from repro.core import cost, generalized, heuristic, shiftsreduce
 from repro.core.api import build_problem, optimize_placement
 from repro.core.baselines import declaration_order_placement, random_placement
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import evaluate_placement_fast
+from repro.core.cost import evaluate_placement, evaluate_placements_fast
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.ports import (
     access_histogram,
@@ -13,15 +13,36 @@ from repro.dwm.ports import (
     weighted_k_medians,
 )
 from repro.errors import OptimizationError, PlacementError
+from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES
 from repro.trace.kernels import fir_trace
 from repro.trace.synthetic import markov_trace, zipf_trace
+
+#: One trace length on each side of the scalar/vectorized switch point.
+THRESHOLD_LENGTHS = [VECTORIZED_MIN_ACCESSES - 1, VECTORIZED_MIN_ACCESSES]
+
+#: (ports, policy) geometries the batch scorer must price exactly.
+THRESHOLD_GEOMETRIES = [
+    (1, PortPolicy.LAZY),
+    (2, PortPolicy.LAZY),
+    (3, PortPolicy.LAZY),
+    (1, PortPolicy.EAGER),
+    (2, PortPolicy.EAGER),
+]
+
+
+def _threshold_problem(length, ports, policy):
+    trace = markov_trace(24, length, locality=0.8, seed=73, write_fraction=0.3)
+    config = DWMConfig.for_items(
+        trace.num_items, words_per_dbc=8, num_ports=ports, port_policy=policy
+    )
+    return build_problem(trace, config)
 
 
 class TestFastEvaluator:
     @pytest.mark.parametrize("words,ports,policy", [
         (8, 1, PortPolicy.LAZY),
         (32, 1, PortPolicy.LAZY),
-        (16, 2, PortPolicy.LAZY),       # falls back to the scalar path
+        (16, 2, PortPolicy.LAZY),
         (16, 1, PortPolicy.EAGER),
         (16, 2, PortPolicy.EAGER),
     ])
@@ -34,19 +55,41 @@ class TestFastEvaluator:
             port_policy=policy,
         )
         problem = build_problem(trace, config)
-        for seed in range(4):
+        placements = [random_placement(problem, seed) for seed in range(4)]
+        assert evaluate_placements_fast(problem, placements) == [
+            evaluate_placement(problem, placement) for placement in placements
+        ]
+
+    @pytest.mark.parametrize("ports,policy", THRESHOLD_GEOMETRIES)
+    @pytest.mark.parametrize("length", THRESHOLD_LENGTHS)
+    def test_single_placement_at_threshold(self, length, ports, policy):
+        problem = _threshold_problem(length, ports, policy)
+        for seed in range(3):
             placement = random_placement(problem, seed)
-            assert evaluate_placement_fast(problem, placement) == (
+            assert evaluate_placements_fast(problem, [placement]) == [
                 evaluate_placement(problem, placement)
-            )
+            ]
+
+    def test_multi_port_lazy_never_walks_scalar(self, monkeypatch):
+        problem = _threshold_problem(
+            VECTORIZED_MIN_ACCESSES, 2, PortPolicy.LAZY
+        )
+        placements = [random_placement(problem, seed) for seed in range(3)]
+        expected = [evaluate_placement(problem, p) for p in placements]
+
+        def scalar_walk(*args, **kwargs):
+            raise AssertionError("scored by the scalar walk")
+
+        monkeypatch.setattr(cost, "evaluate_placement", scalar_walk)
+        assert evaluate_placements_fast(problem, placements) == expected
 
     def test_agrees_on_kernel_traces(self):
         trace = fir_trace()
         problem = build_problem(trace, words_per_dbc=16)
         placement = declaration_order_placement(problem)
-        assert evaluate_placement_fast(problem, placement) == (
+        assert evaluate_placements_fast(problem, [placement]) == [
             evaluate_placement(problem, placement)
-        )
+        ]
 
     def test_validates_coverage(self):
         trace = markov_trace(5, 50, seed=1)
@@ -54,7 +97,25 @@ class TestFastEvaluator:
         from repro.core.placement import Placement
 
         with pytest.raises(PlacementError):
-            evaluate_placement_fast(problem, Placement({"v0": (0, 0)}))
+            evaluate_placements_fast(problem, [Placement({"v0": (0, 0)})])
+
+
+class TestCandidateSelection:
+    @pytest.mark.parametrize("module,method", [
+        (heuristic, heuristic.heuristic_placement),
+        (shiftsreduce, shiftsreduce.shiftsreduce_placement),
+        (generalized, generalized.generalized_placement),
+    ])
+    def test_equal_costs_pick_first_candidate(self, monkeypatch, module, method):
+        problem = build_problem(markov_trace(12, 200, seed=5), words_per_dbc=4)
+        scored = []
+
+        def tied_scores(problem, placements, validate=True):
+            scored.extend(placements)
+            return [9] + [4] * (len(placements) - 1)
+
+        monkeypatch.setattr(module, "evaluate_placements_fast", tied_scores)
+        assert method(problem) is scored[1]
 
 
 class TestWeightedKMedians:

@@ -13,13 +13,12 @@ import pytest
 
 from repro.core.api import build_problem
 from repro.core.baselines import random_placement
-from repro.core.cost import evaluate_placement, shift_lower_bound
-from repro.core.exact import exhaustive_placement
-from repro.core.fast_eval import (
-    evaluate_placement_auto,
-    evaluate_placement_fast,
+from repro.core.cost import (
+    evaluate_placement,
     evaluate_placements_fast,
+    shift_lower_bound,
 )
+from repro.core.exact import exhaustive_placement
 from repro.core.incremental import CostEvaluator
 from repro.core.local_search import (
     simulated_annealing,
@@ -29,6 +28,7 @@ from repro.core.local_search import (
 from repro.core.placement import Placement, Slot
 from repro.dwm.config import DWMConfig
 from repro.errors import PlacementError
+from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES
 from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, zipf_trace
 
@@ -216,16 +216,27 @@ class TestBatchFastEval:
         batch = evaluate_placements_fast(problem, placements)
         for placement, cost in zip(placements, batch):
             assert cost == evaluate_placement(problem, placement)
-            assert cost == evaluate_placement_fast(problem, placement)
-            assert cost == evaluate_placement_auto(problem, placement)
+
+    @pytest.mark.parametrize("ports,policy", [
+        (1, "lazy"), (2, "lazy"), (3, "lazy"), (1, "eager"), (2, "eager"),
+    ])
+    @pytest.mark.parametrize(
+        "length", [VECTORIZED_MIN_ACCESSES - 1, VECTORIZED_MIN_ACCESSES]
+    )
+    def test_batch_at_threshold(self, length, ports, policy):
+        problem = _random_problem(ports, policy, seed=23, length=length)
+        placements = [random_placement(problem, seed) for seed in range(4)]
+        assert evaluate_placements_fast(problem, placements) == [
+            evaluate_placement(problem, placement) for placement in placements
+        ]
 
     def test_auto_on_long_trace(self):
         trace = zipf_trace(32, 6000, alpha=1.2, seed=4)
         problem = build_problem(trace, words_per_dbc=16)
         placement = random_placement(problem, 0)
-        assert evaluate_placement_auto(problem, placement) == (
+        assert evaluate_placements_fast(problem, [placement]) == [
             evaluate_placement(problem, placement)
-        )
+        ]
 
 
 class TestRefinersOnEngine:

@@ -37,6 +37,19 @@ def make_case(accesses, words=4, dbcs=2, ports=(0,), policy="lazy",
     )
 
 
+def _overcounting(per_access_costs):
+    """``per_access_costs`` with a deliberate off-by-one on nonzero totals."""
+
+    def broken(*args, **kwargs):
+        dbc_seq, cost_seq = per_access_costs(*args, **kwargs)
+        if cost_seq.any():
+            cost_seq = cost_seq.copy()
+            cost_seq[0] += 1
+        return dbc_seq, cost_seq
+
+    return broken
+
+
 class TestCaseGeneration:
     def test_deterministic_for_seed(self):
         first = [generate_case(random.Random(11), i) for i in range(30)]
@@ -98,13 +111,9 @@ class TestOracles:
         placement.validate(case.config(), problem.items)
 
     def test_detects_injected_overcount(self, monkeypatch):
-        original = oracles.evaluate_placement_fast
-
-        def broken(problem, placement, **kwargs):
-            value = original(problem, placement, **kwargs)
-            return value + 1 if value > 0 else value
-
-        monkeypatch.setattr(oracles, "evaluate_placement_fast", broken)
+        monkeypatch.setattr(
+            oracles, "per_access_costs", _overcounting(oracles.per_access_costs)
+        )
         case = make_case(["a", "b", "a", "b"], words=2, dbcs=1)
         kinds = {v.kind for v in check_case(case)}
         assert "engine_total_mismatch" in kinds
@@ -160,13 +169,9 @@ class TestRunFuzz:
     def test_injected_bug_is_caught_and_shrunk(self, tmp_path, monkeypatch):
         # Acceptance criterion: a deliberate off-by-one in one engine must
         # be detected and minimized to a repro of at most 10 accesses.
-        original = oracles.evaluate_placement_fast
-
-        def broken(problem, placement, **kwargs):
-            value = original(problem, placement, **kwargs)
-            return value + 1 if value > 0 else value
-
-        monkeypatch.setattr(oracles, "evaluate_placement_fast", broken)
+        monkeypatch.setattr(
+            oracles, "per_access_costs", _overcounting(oracles.per_access_costs)
+        )
         report = run_fuzz(seed=2015, cases=30, out=tmp_path)
         assert not report.ok
         finding = report.findings[0]
