@@ -4,11 +4,12 @@ Microbenchmark of the two native-speed hot paths introduced by the
 worker-pool/kernel rework:
 
 1. **Compiled lazy kernel** — 2-port lazy ``swap_delta`` probes per second
-   through :class:`repro.core.incremental.CostEvaluator` with the selected
-   compiled backend (numba or cc) vs the pure-numpy automaton forced via
-   ``REPRO_KERNEL=numpy``.  Reproduction target: ≥3,510 evals/s on the
-   10⁵-access instance (≥10× the ~350/s pre-kernel baseline), asserted
-   whenever a compiled backend is available.  Every probed delta is checked
+   through :class:`repro.core.incremental.CostEvaluator` on the active
+   kernel tier (cc when a C compiler is available) vs the numpy tier of
+   :mod:`repro.core.kernels` forced via ``REPRO_KERNEL=numpy`` (closed-form
+   two-port walk, ``searchsorted``-mask merge).  Reproduction target:
+   ≥3,510 evals/s on the 10⁵-access instance (≥10× the ~350/s pre-kernel
+   baseline), asserted whenever the cc tier is active.  Every probed delta is checked
    against the from-scratch reference evaluator before timing.
 2. **Pool dispatch** — per-task round-trip cost of a warm persistent
    :class:`repro.analysis.pool.WorkerPool` vs the old fork-per-task model
@@ -116,7 +117,7 @@ def _measure_kernel(problem, placement, min_seconds):
         kernels.reset_backend()
     return {
         "backend": backend,
-        "compiled": kernels.compiled() is not None,
+        "compiled": kernels.describe()["compiled"],
         "kernel_evals_per_sec": selected.ops_per_second,
         "numpy_evals_per_sec": numpy_result.ops_per_second,
         "kernel_vs_numpy_speedup": speedup(selected, numpy_result),

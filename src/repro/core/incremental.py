@@ -11,14 +11,12 @@ O(T_affected) per move, exact for every port count and policy:
 * **eager** (any port count) — each access costs ``2·min_p|offset−p|``
   independent of history, so an item's contribution is
   ``freq(item)·2·dist(offset)`` and a move is O(1) per moved item;
-* **lazy, single port** — a DBC's cost is ``|t₁| + Σ|Δt|`` over its
-  restricted target subsequence (the diff decomposition of
-  docs/COST_MODEL.md §5, shared with :mod:`repro.memory.batch_sim`),
-  recomputed vectorised for the touched DBCs only;
-* **lazy, multi port** — head-dependent port choice is sequential, so the
-  touched DBCs' subsequences are replayed by the port-state automaton
-  (compiled kernel, vectorised fold, or a scalar walk for short ones) —
-  still only the touched DBCs, never the full trace.
+* **lazy** (any port count) — the touched DBCs' restricted subsequences
+  are replayed by the active kernel tier (:mod:`repro.core.kernels`: the
+  cc kernel, or the numpy tier's diff / closed form / scan) — only the
+  touched DBCs, never the full trace.  A probe prices the DBC's new
+  membership with ``lazy_merge_cost`` over its cached positions, so the
+  merged position array is built only when a move is committed.
 
 The evaluator maintains the current assignment mutably with ``apply_*`` /
 ``undo`` (no :class:`Placement` dict rebuild per candidate) and materialises
@@ -29,7 +27,7 @@ port-count combination, including after arbitrary apply/undo sequences.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from repro.core import kernels
 from repro.core.placement import Placement, Slot
@@ -37,161 +35,21 @@ from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
 from repro.errors import PlacementError
 
-#: Multi-port lazy subsequences at least this long replay through the
-#: vectorised port-state fold (numpy fallback only; the compiled kernel
-#: backend has no minimum); shorter ones use the scalar walk, which has
-#: lower constant overhead.
-MULTI_PORT_VECTOR_MIN = 256
-
-
-def two_port_access_costs(offsets, ports):
-    """Per-access shift costs of a lazy two-port replay.
-
-    Dispatches to the compiled kernel backend
-    (:func:`repro.core.kernels.compiled`) when one is active — a single
-    fused walk, bit-identical by construction — and otherwise to the
-    closed-form numpy formulation
-    (:func:`two_port_access_costs_numpy`).
-    """
-    backend = kernels.compiled()
-    if backend is not None:
-        import numpy as np
-
-        return backend.lazy_costs(offsets, np.asarray(ports, dtype=np.int64))
-    return two_port_access_costs_numpy(offsets, ports)
-
 
 def multi_port_access_costs(offsets, ports):
     """Per-access shift costs of a lazy multi-port replay (``P ≥ 2``).
 
-    Compiled-kernel dispatch with the Hillis–Steele numpy scan
-    (:func:`multi_port_access_costs_numpy`) as the fallback.
+    Dispatches to the active kernel tier (:func:`repro.core.kernels.active`):
+    the cc kernel's single fused walk, or the numpy tier's closed form
+    (two ports) / Hillis–Steele scan (``P ≥ 3``) — bit-identical either
+    way.
     """
-    backend = kernels.compiled()
-    if backend is not None:
-        import numpy as np
-
-        return backend.lazy_costs(offsets, np.asarray(ports, dtype=np.int64))
-    return multi_port_access_costs_numpy(offsets, ports)
+    return kernels.active().lazy_costs(offsets, ports)
 
 
-def two_port_access_costs_numpy(offsets, ports):
-    """Per-access shift costs of a lazy two-port replay (closed form).
-
-    Vectorised over the whole offset sequence: with two ports every step's
-    transition on the (previous-port) state is either a constant (both
-    states pick the same port — the chain converges and forgets its history)
-    or a permutation (identity or swap, i.e. an XOR by 0 or 1).  The state
-    before step ``t`` is therefore the last convergence value before ``t``
-    (or the initial state) XOR-ed with the parity of swaps in between — all
-    prefix scans, no sequential walk.  Strict ``<`` comparisons keep the
-    lower port on ties, matching :func:`repro.dwm.dbc.port_access_cost`.
-
-    Returns an int64 array of the same length as ``offsets`` whose sum is
-    the total lazy cost of the sequence.  Shared by the incremental
-    evaluator (which only needs the sum) and the vectorized simulation
-    engine (which also needs per-access maxima and per-DBC attribution).
-    """
-    import numpy as np
-
-    port_a, port_b = ports
-    head_a = offsets if port_a == 0 else offsets - port_a
-    head_b = offsets - port_b
-    out = np.empty(offsets.size, dtype=np.int64)
-    first_a = abs(int(head_a[0]))
-    first_b = abs(int(head_b[0]))
-    state = first_b < first_a  # tie → lower port
-    out[0] = first_b if state else first_a
-    if offsets.size == 1:
-        return out
-    # Step t serves access t+1; cost_qp = |head_p[t+1] − head_q[t]|.
-    cost_aa = np.abs(head_a[1:] - head_a[:-1])
-    cost_ab = np.abs(head_b[1:] - head_a[:-1])
-    cost_ba = np.abs(head_a[1:] - head_b[:-1])
-    cost_bb = np.abs(head_b[1:] - head_b[:-1])
-    pick_b0 = cost_ab < cost_aa  # next state given previous state 0
-    pick_b1 = cost_bb < cost_ba  # next state given previous state 1
-    min0 = np.where(pick_b0, cost_ab, cost_aa)
-    min1 = np.where(pick_b1, cost_bb, cost_ba)
-    const = pick_b0 == pick_b1
-    swap_flag = pick_b0 & ~const
-    inclusive = np.bitwise_xor.accumulate(swap_flag)
-    prefix = np.empty_like(inclusive)
-    prefix[0] = False
-    prefix[1:] = inclusive[:-1]
-    # vals[j] carries a const step's output back to prefix-XOR space so
-    # that state_before[t] = vals[j] ^ prefix[t] for the last const j < t.
-    vals = pick_b0 ^ inclusive
-    steps = offsets.size - 1
-    anchors = np.where(const, np.arange(steps), -1)
-    np.maximum.accumulate(anchors, out=anchors)
-    last_const = np.empty_like(anchors)
-    last_const[0] = -1
-    last_const[1:] = anchors[:-1]
-    base = np.where(last_const >= 0, vals[np.maximum(last_const, 0)], state)
-    states = base ^ prefix
-    out[1:] = np.where(states, min1, min0)
-    return out
-
-
-def multi_port_access_costs_numpy(offsets, ports):
-    """Per-access shift costs of a lazy multi-port replay (``P ≥ 2``).
-
-    After any access the head equals ``offset − p`` for exactly one port
-    ``p``, so the walk is a deterministic automaton over ``P`` states.  The
-    per-step (cost, next-state) tables over all P previous states are built
-    vectorised, then the *prefix* state sequence is recovered with a
-    Hillis–Steele scan of transition-function composition — O(k·P·log k)
-    numpy work instead of an O(k·P) interpreted walk.  Greedy tie-breaks
-    resolve to the lowest port (argmin-first), matching the reference
-    evaluator exactly.
-
-    Unlike :meth:`CostEvaluator._multi_port_vector_cost` (a pointer-doubling
-    fold that only yields the total), this returns the full per-access cost
-    vector, which the vectorized simulation engine needs for
-    ``max_access_shifts`` and per-DBC attribution.
-    """
-    import numpy as np
-
-    ports_arr = np.asarray(ports, dtype=np.int64)
-    num_ports = ports_arr.size
-    out = np.empty(offsets.size, dtype=np.int64)
-    first_costs = np.abs(int(offsets[0]) - ports_arr)
-    state = int(first_costs.argmin())
-    out[0] = int(first_costs[state])
-    if offsets.size == 1:
-        return out
-    targets = offsets[:, None] - ports_arr[None, :]  # (k, P) head candidates
-    prev = targets[:-1]
-    cur = targets[1:]
-    # costs[t, q] / nexts[t, q]: cheapest port for access t+1 given the
-    # previous access used port q; strict ``<`` keeps the lowest port on
-    # ties, matching the reference evaluator.
-    costs = np.abs(cur[:, 0, None] - prev)
-    nexts = np.zeros_like(costs)
-    for port_index in range(1, num_ports):
-        candidate = np.abs(cur[:, port_index, None] - prev)
-        better = candidate < costs
-        costs = np.where(better, candidate, costs)
-        nexts = np.where(better, port_index, nexts)
-    # Hillis–Steele prefix composition: after the scan, comp[t][q] is the
-    # state after steps 0..t given initial state q.
-    comp = nexts
-    steps = comp.shape[0]
-    distance = 1
-    while distance < steps:
-        comp = np.concatenate(
-            [
-                comp[:distance],
-                np.take_along_axis(comp[distance:], comp[:-distance], axis=1),
-            ]
-        )
-        distance *= 2
-    states = np.empty(steps, dtype=np.int64)
-    states[0] = state
-    states[1:] = comp[:-1, state]
-    out[1:] = costs[np.arange(steps), states]
-    return out
+#: Former two-port entry point; the dispatcher above covers every port
+#: count.  Kept bound because ``perfbench/spans.py`` wraps this name.
+two_port_access_costs = multi_port_access_costs
 
 
 def lazy_costs_from_state(offsets, ports, head0):
@@ -213,8 +71,8 @@ def lazy_costs_from_state(offsets, ports, head0):
       walk ended on is ``probe − max(ports) − cost(probe)``.
 
     Both paddings resolve their port strictly (no ties), so the result is
-    bit-identical under every backend (numba / cc / numpy): they all
-    compute the same forward-causal integer recurrence.
+    bit-identical under both kernel tiers (cc / numpy): they compute the
+    same forward-causal integer recurrence.
 
     ``ports`` must be ascending (as :class:`~repro.dwm.config.DWMConfig`
     normalises them).  Returns ``(costs, head_out)`` where ``costs`` has
@@ -229,12 +87,9 @@ def lazy_costs_from_state(offsets, ports, head0):
         return np.empty(0, dtype=np.int64), head0
     if len(ports) == 1:
         port = int(ports[0])
-        targets = offsets if port == 0 else offsets - port
-        costs = np.empty(targets.size, dtype=np.int64)
-        costs[0] = abs(int(targets[0]) - head0)
-        if targets.size > 1:
-            np.abs(np.diff(targets), out=costs[1:])
-        return costs, int(targets[-1])
+        costs = kernels.single_port_access_costs_numpy(offsets, port)
+        costs[0] = abs(int(offsets[0]) - port - head0)
+        return costs, int(offsets[-1]) - port
     min_port = int(ports[0])
     max_port = int(ports[-1])
     anchor = head0 + (max_port if head0 >= 0 else min_port)
@@ -243,10 +98,7 @@ def lazy_costs_from_state(offsets, ports, head0):
     padded[0] = anchor
     padded[1:-1] = offsets
     padded[-1] = probe
-    if len(ports) == 2:
-        full = two_port_access_costs(padded, ports)
-    else:
-        full = multi_port_access_costs(padded, ports)
+    full = multi_port_access_costs(padded, ports)
     head_out = probe - max_port - int(full[-1])
     return full[1:-1].copy(), head_out
 
@@ -282,10 +134,8 @@ class CostEvaluator:
         self._ports: tuple[int, ...] = config.port_offsets
         self._ports_np = np.asarray(config.port_offsets, dtype=np.int64)
         self._eager = config.port_policy is PortPolicy.EAGER
-        self._single_port = len(self._ports) == 1
-        self._port = self._ports[0]
-        #: compiled lazy-walk kernels (None → numpy/scalar fallback).
-        self._kernel = None if self._eager else kernels.compiled()
+        #: the lazy-walk kernel tier (cc or numpy).
+        self._kernel = kernels.active()
         if validate:
             placement.validate(config, problem.items)
 
@@ -420,181 +270,22 @@ class CostEvaluator:
     # ------------------------------------------------------------------
     # Per-DBC machinery
     # ------------------------------------------------------------------
-    def _merged_positions(self, members: Iterable[int]):
+    def _merged_positions(self, members: Collection[int]):
         """Ascending trace positions of all accesses to ``members``."""
         np = self._np
-        arrays = [self._positions[i] for i in members]
-        if not arrays:
+        if not members:
             return np.empty(0, dtype=np.int64)
-        if len(arrays) == 1:
-            return arrays[0]
-        merged = np.concatenate(arrays)
-        merged.sort()
-        return merged
-
-    def _item_positions_union(self, indices):
-        """Ascending trace positions of all accesses to ``indices``."""
-        np = self._np
-        if not indices:
-            return np.empty(0, dtype=np.int64)
-        if len(indices) == 1:
-            return self._positions[next(iter(indices))]
-        merged = np.concatenate([self._positions[i] for i in indices])
+        if len(members) == 1:
+            return self._positions[next(iter(members))]
+        merged = np.concatenate([self._positions[i] for i in members])
         merged.sort()
         return merged
 
     def _lazy_dbc_cost(self, positions) -> int:
         """Exact lazy-policy cost of one DBC's restricted subsequence."""
-        np = self._np
-        if positions.size == 0:
-            return 0
-        if self._kernel is not None:
-            # Fused gather + walk in native code: no intermediate arrays,
-            # one call for every port count.
-            return self._kernel.lazy_chain_cost(
-                positions, self._item_at, self._offset_np, self._ports_np
-            )
-        sequence = self._item_at[positions]
-        offsets = self._offset_np[sequence]
-        if self._single_port:
-            targets = offsets - self._port
-            cost = abs(int(targets[0]))
-            if targets.size > 1:
-                cost += int(np.abs(np.diff(targets)).sum())
-            return cost
-        # Multi-port: the chosen port depends on the running head, so the
-        # subsequence replays sequentially (ties break to lower port,
-        # matching the reference evaluator).  Long subsequences use the
-        # vectorised port-state fold instead of the scalar walk.
-        if offsets.size >= MULTI_PORT_VECTOR_MIN:
-            if len(self._ports) == 2:
-                return self._two_port_vector_cost(offsets)
-            return self._multi_port_vector_cost(offsets)
-        ports = self._ports
-        head = 0
-        total = 0
-        for offset in offsets.tolist():
-            best_cost = None
-            best_target = 0
-            for port in ports:
-                target = offset - port
-                cost = abs(target - head)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_target = target
-            total += best_cost
-            head = best_target
-        return total
-
-    def _multi_port_vector_cost(self, offsets) -> int:
-        """Vectorised multi-port lazy replay via port-state folding.
-
-        After any access the head equals ``offset − p`` for exactly one port
-        ``p``, so the walk is a deterministic automaton over ``P`` states.
-        Each step's (cost, next-state) tables over all P previous states are
-        computed vectorised, then the chain is folded by associative pairwise
-        composition (pointer doubling) — O(k·P²) numpy work and O(log k)
-        python iterations instead of an O(k·P) interpreted walk.  Greedy
-        tie-breaks resolve to the lowest port (argmin-first), matching the
-        reference evaluator exactly.
-        """
-        np = self._np
-        ports = np.asarray(self._ports, dtype=np.int64)
-        num_ports = ports.size
-        first_costs = np.abs(int(offsets[0]) - ports)
-        state = int(first_costs.argmin())
-        total = int(first_costs[state])
-        if offsets.size == 1:
-            return total
-        targets = offsets[:, None] - ports[None, :]  # (k, P) head candidates
-        prev = targets[:-1]
-        cur = targets[1:]
-        # costs[t, q] / nexts[t, q]: cheapest port for access t+1 given the
-        # previous access used port q.  Built with one pass per port (P is
-        # tiny) instead of a (k, P, P) reduction; strict ``<`` keeps the
-        # lowest port on ties, matching the reference evaluator.
-        costs = np.abs(cur[:, 0, None] - prev)
-        nexts = np.zeros_like(costs)
-        for port_index in range(1, num_ports):
-            candidate = np.abs(cur[:, port_index, None] - prev)
-            better = candidate < costs
-            costs = np.where(better, candidate, costs)
-            nexts = np.where(better, port_index, nexts)
-        # Fold the chain by pairwise composition (pointer doubling); flat
-        # gathers keep per-round numpy overhead low.
-        while nexts.shape[0] > 1:
-            length = nexts.shape[0]
-            even = length // 2 * 2
-            half = even // 2
-            paired_next = np.ascontiguousarray(nexts[:even]).reshape(
-                half, 2, num_ports
-            )
-            paired_cost = np.ascontiguousarray(costs[:even]).reshape(
-                half, 2, num_ports
-            )
-            rows = np.arange(half)[:, None]
-            first_next = paired_next[:, 0, :]
-            folded_next = paired_next[:, 1, :][rows, first_next]
-            folded_cost = (
-                paired_cost[:, 0, :] + paired_cost[:, 1, :][rows, first_next]
-            )
-            if even < length:
-                folded_next = np.concatenate([folded_next, nexts[-1:]])
-                folded_cost = np.concatenate([folded_cost, costs[-1:]])
-            nexts, costs = folded_next, folded_cost
-        return total + int(costs[0, state])
-
-    def _two_port_vector_cost(self, offsets) -> int:
-        """Closed-form vectorised replay for the two-port automaton.
-
-        With two ports every step's transition on the (previous-port) state
-        is either a constant (both states pick the same port — the chain
-        converges and forgets its history) or a permutation (identity or
-        swap, i.e. an XOR by 0 or 1).  The state before step ``t`` is
-        therefore the last convergence value before ``t`` (or the initial
-        state) XOR-ed with the parity of swaps in between — all prefix
-        scans, no sequential walk and no log-rounds fold.  Strict ``<``
-        comparisons keep the lower port on ties, matching the reference.
-        """
-        np = self._np
-        port_a, port_b = self._ports
-        head_a = offsets if port_a == 0 else offsets - port_a
-        head_b = offsets - port_b
-        first_a = abs(int(head_a[0]))
-        first_b = abs(int(head_b[0]))
-        state = first_b < first_a  # tie → lower port
-        total = first_b if state else first_a
-        if offsets.size == 1:
-            return total
-        # Step t serves access t+1; cost_qp = |head_p[t+1] − head_q[t]|.
-        cost_aa = np.abs(head_a[1:] - head_a[:-1])
-        cost_ab = np.abs(head_b[1:] - head_a[:-1])
-        cost_ba = np.abs(head_a[1:] - head_b[:-1])
-        cost_bb = np.abs(head_b[1:] - head_b[:-1])
-        pick_b0 = cost_ab < cost_aa  # next state given previous state 0
-        pick_b1 = cost_bb < cost_ba  # next state given previous state 1
-        min0 = np.where(pick_b0, cost_ab, cost_aa)
-        min1 = np.where(pick_b1, cost_bb, cost_ba)
-        const = pick_b0 == pick_b1
-        swap_flag = pick_b0 & ~const
-        inclusive = np.bitwise_xor.accumulate(swap_flag)
-        prefix = np.empty_like(inclusive)
-        prefix[0] = False
-        prefix[1:] = inclusive[:-1]
-        # vals[j] carries a const step's output back to prefix-XOR space so
-        # that state_before[t] = vals[j] ^ prefix[t] for the last const j < t.
-        vals = pick_b0 ^ inclusive
-        steps = offsets.size - 1
-        anchors = np.where(const, np.arange(steps), -1)
-        np.maximum.accumulate(anchors, out=anchors)
-        last_const = np.empty_like(anchors)
-        last_const[0] = -1
-        last_const[1:] = anchors[:-1]
-        base = np.where(
-            last_const >= 0, vals[np.maximum(last_const, 0)], state
+        return self._kernel.lazy_chain_cost(
+            positions, self._item_at, self._offset_np, self._ports_np
         )
-        states = base ^ prefix
-        return total + int(np.where(states, min1, min0).sum())
 
     def _positions_of_dbc(self, dbc: int):
         cached = self._dbc_positions.get(dbc)
@@ -625,7 +316,7 @@ class CostEvaluator:
         saved = [(i, int(self._offset_np[i])) for i in changes]
         for i, (_dbc, offset) in changes.items():
             self._offset_np[i] = offset
-        new_costs: dict[int, tuple[int, object]] = {}
+        new_costs: dict[int, tuple[int, frozenset | None]] = {}
         delta = 0
         try:
             for dbc in affected:
@@ -639,28 +330,18 @@ class CostEvaluator:
                     if changes[i][0] == dbc and self._dbc[i] != dbc
                 }
                 if outgoing or incoming:
-                    if self._kernel is not None:
-                        # Walk (base \ outgoing) ∪ incoming merged on the
-                        # fly — no concatenate/sort per probe.  The merged
-                        # positions are only materialised if the move is
-                        # actually committed (see ``_apply``).
-                        cost = self._kernel.lazy_merge_cost(
-                            self._positions_of_dbc(dbc),
-                            self._item_positions_union(outgoing),
-                            self._item_positions_union(incoming),
-                            self._item_at,
-                            self._offset_np,
-                            self._ports_np,
-                        )
-                        payload: object = frozenset(
-                            (base - outgoing) | incoming
-                        )
-                    else:
-                        positions = self._merged_positions(
-                            (base - outgoing) | incoming
-                        )
-                        cost = self._lazy_dbc_cost(positions)
-                        payload = positions
+                    # Walk (base \ outgoing) ∪ incoming without touching the
+                    # cached positions; the merged array is only
+                    # materialised if the move is committed (see ``_apply``).
+                    cost = self._kernel.lazy_merge_cost(
+                        self._positions_of_dbc(dbc),
+                        self._merged_positions(outgoing),
+                        self._merged_positions(incoming),
+                        self._item_at,
+                        self._offset_np,
+                        self._ports_np,
+                    )
+                    payload = frozenset((base - outgoing) | incoming)
                 else:
                     cost = self._lazy_dbc_cost(self._positions_of_dbc(dbc))
                     payload = None
@@ -766,14 +447,10 @@ class CostEvaluator:
             ]
             for dbc, (cost, payload) in info.items():
                 self._dbc_cost[dbc] = cost
-                if payload is None:
-                    continue
-                if isinstance(payload, frozenset):
-                    # Compiled-kernel probes defer materialisation of the
-                    # merged position array to commit time.
+                if payload is not None:
+                    # Probes defer materialising the merged position array
+                    # to commit time.
                     self._dbc_positions[dbc] = self._merged_positions(payload)
-                else:
-                    self._dbc_positions[dbc] = payload
             record = ("lazy", record_slots, record_costs, delta)
         self._reassign(changes.items())
         self._total += delta

@@ -1,37 +1,33 @@
-"""Compiled kernels for the lazy port-state automaton (optional fast path).
+"""The lazy port walk, in two interchangeable tiers.
 
 The lazy shift-cost replay is a deterministic automaton: after any access
-the head sits at ``offset − p`` for the port ``p`` chosen greedily
-(ties break to the lowest port).  The numpy formulations in
-:mod:`repro.core.incremental` vectorise this walk (closed form for two
-ports, pointer-doubling for ``P ≥ 3``), but they still materialise O(k)
-intermediates and pay ~25 numpy dispatches per chain — the dominant cost
-of incremental delta evaluation (see docs/PERFORMANCE.md).
+the head sits at ``offset − p`` for the port ``p`` chosen greedily (ties
+break to the lowest port).  This module holds the only fast
+implementations of that walk, each behind the same three entry points:
 
-This module provides the same walk as a *compiled* single pass with three
-interchangeable backends, selected lazily on first use:
-
-1. **numba** — ``@njit``-compiled from the Python reference below, used
-   when the optional ``numba`` package is importable;
-2. **cc** — an embedded C translation built with the system C compiler
+1. **cc** — an embedded C translation built with the system C compiler
    into a content-hash-cached shared library loaded via :mod:`ctypes`
    (no new dependencies; the ``.so`` is cached under
-   ``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-dwm/kernels``);
-3. **numpy** — no compiled backend: :func:`compiled` returns ``None`` and
-   callers keep their existing vectorised-numpy / scalar paths.
+   ``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-dwm/kernels``).  One fused
+   single pass per call.
+2. **numpy** — the fallback for hosts without a C compiler: position diffs
+   for one port, a closed form for two ports
+   (:func:`two_port_access_costs_numpy`) and a Hillis–Steele scan for
+   ``P ≥ 3`` (:func:`multi_port_access_costs_numpy`).
 
-All backends are **bit-identical** to the scalar reference
+:func:`active` resolves the tier lazily on first use and always returns
+one.  Both tiers are **bit-identical** to the scalar reference
 (:func:`repro.dwm.dbc.port_access_cost` greedy walk): integer math only,
 strict ``<`` tie-breaking.  Identity is policed by ``tests/test_kernels.py``
 and the ``repro fuzz`` kernel-parity oracle
-(:func:`repro.verify.oracles.check_kernel_parity`).
+(:func:`repro.verify.oracles.check_kernel_parity`), which check every
+available tier against :func:`multi_port_access_costs_numpy`.
 
 Environment knobs:
 
-* ``REPRO_NO_NUMBA=1`` — force the pure python/numpy fallback (disables
-  *both* compiled backends; the documented way to verify the fallback).
-* ``REPRO_KERNEL=auto|numba|cc|numpy`` — pin a specific backend;
-  ``numba``/``cc`` fall through to ``numpy`` when unavailable.
+* ``REPRO_KERNEL=auto|cc|numpy`` — pin a tier; ``auto`` and ``cc`` fall
+  through to ``numpy`` when no C compiler is available, and any other
+  value selects ``numpy`` with an "unknown" note.
 * ``REPRO_KERNEL_CACHE`` — directory for compiled ``.so`` artifacts.
 
 Three entry points, shared by the incremental evaluator and the batch
@@ -39,13 +35,12 @@ simulation engine:
 
 * ``lazy_costs(offsets, ports, out)`` — per-access costs of one replay;
 * ``lazy_chain_cost(positions, item_at, offset_of, ports)`` — total cost
-  of the chain ``offset_of[item_at[positions[t]]]`` (fused gather+walk,
-  no intermediates);
+  of the chain ``offset_of[item_at[positions[t]]]``;
 * ``lazy_merge_cost(base, skip, add, item_at, offset_of, ports)`` —
-  total cost of the chain over ``(base \\ skip) ∪ add`` positions merged
-  on the fly (all three inputs ascending; ``skip ⊆ base``, ``add``
-  disjoint from ``base``).  This is the delta-probe kernel: membership
-  changes never pay a concat+sort.
+  total cost of the chain over ``(base \\ skip) ∪ add`` positions (all
+  three inputs ascending; ``skip ⊆ base``, ``add`` disjoint from
+  ``base``).  This is the delta-probe kernel: cc merges on the fly, numpy
+  drops ``skip`` through a ``searchsorted`` mask and sorts in ``add``.
 """
 
 from __future__ import annotations
@@ -57,10 +52,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-#: Environment variable forcing the pure python/numpy fallback.
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
-
-#: Environment variable pinning the backend (auto|numba|cc|numpy).
+#: Environment variable pinning the tier (auto|cc|numpy).
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Environment variable overriding the compiled-artifact cache directory.
@@ -216,181 +208,204 @@ int64_t repro_lazy_merge_cost(const int64_t *base, int64_t nb,
 
 
 # ---------------------------------------------------------------------------
-# Python reference bodies (compiled by numba; also documentation of intent).
+# numpy walks
 # ---------------------------------------------------------------------------
 
-def _py_lazy_costs(offsets, ports, out):
-    head = 0
-    total = 0
-    num_ports = ports.shape[0]
-    for t in range(offsets.shape[0]):
-        offset = offsets[t]
-        best_cost = -1
-        best_target = 0
-        for p in range(num_ports):
-            target = offset - ports[p]
-            cost = target - head
-            if cost < 0:
-                cost = -cost
-            if best_cost < 0 or cost < best_cost:
-                best_cost = cost
-                best_target = target
-        total += best_cost
-        head = best_target
-        out[t] = best_cost
-    return total
+def single_port_access_costs_numpy(offsets, port: int):
+    """Per-access shift costs of a lazy single-port replay (position diffs)."""
+    import numpy as np
+
+    targets = offsets if port == 0 else offsets - port
+    costs = np.empty(targets.size, dtype=np.int64)
+    costs[0] = abs(int(targets[0]))
+    if targets.size > 1:
+        np.abs(np.diff(targets), out=costs[1:])
+    return costs
 
 
-def _py_lazy_chain_cost(positions, item_at, offset_of, ports):
-    head = 0
-    total = 0
-    num_ports = ports.shape[0]
-    for t in range(positions.shape[0]):
-        offset = offset_of[item_at[positions[t]]]
-        best_cost = -1
-        best_target = 0
-        for p in range(num_ports):
-            target = offset - ports[p]
-            cost = target - head
-            if cost < 0:
-                cost = -cost
-            if best_cost < 0 or cost < best_cost:
-                best_cost = cost
-                best_target = target
-        total += best_cost
-        head = best_target
-    return total
+def two_port_access_costs_numpy(offsets, ports):
+    """Per-access shift costs of a lazy two-port replay (closed form).
+
+    Vectorised over the whole offset sequence: with two ports every step's
+    transition on the (previous-port) state is either a constant (both
+    states pick the same port — the chain converges and forgets its history)
+    or a permutation (identity or swap, i.e. an XOR by 0 or 1).  The state
+    before step ``t`` is therefore the last convergence value before ``t``
+    (or the initial state) XOR-ed with the parity of swaps in between — all
+    prefix scans, no sequential walk.  Strict ``<`` comparisons keep the
+    lower port on ties, matching :func:`repro.dwm.dbc.port_access_cost`.
+
+    Returns an int64 array of the same length as ``offsets`` whose sum is
+    the total lazy cost of the sequence.
+    """
+    import numpy as np
+
+    port_a, port_b = ports
+    head_a = offsets if port_a == 0 else offsets - port_a
+    head_b = offsets - port_b
+    out = np.empty(offsets.size, dtype=np.int64)
+    first_a = abs(int(head_a[0]))
+    first_b = abs(int(head_b[0]))
+    state = first_b < first_a  # tie → lower port
+    out[0] = first_b if state else first_a
+    if offsets.size == 1:
+        return out
+    # Step t serves access t+1; cost_qp = |head_p[t+1] − head_q[t]|.
+    cost_aa = np.abs(head_a[1:] - head_a[:-1])
+    cost_ab = np.abs(head_b[1:] - head_a[:-1])
+    cost_ba = np.abs(head_a[1:] - head_b[:-1])
+    cost_bb = np.abs(head_b[1:] - head_b[:-1])
+    pick_b0 = cost_ab < cost_aa  # next state given previous state 0
+    pick_b1 = cost_bb < cost_ba  # next state given previous state 1
+    min0 = np.where(pick_b0, cost_ab, cost_aa)
+    min1 = np.where(pick_b1, cost_bb, cost_ba)
+    const = pick_b0 == pick_b1
+    swap_flag = pick_b0 & ~const
+    inclusive = np.bitwise_xor.accumulate(swap_flag)
+    prefix = np.empty_like(inclusive)
+    prefix[0] = False
+    prefix[1:] = inclusive[:-1]
+    # vals[j] carries a const step's output back to prefix-XOR space so
+    # that state_before[t] = vals[j] ^ prefix[t] for the last const j < t.
+    vals = pick_b0 ^ inclusive
+    steps = offsets.size - 1
+    anchors = np.where(const, np.arange(steps), -1)
+    np.maximum.accumulate(anchors, out=anchors)
+    last_const = np.empty_like(anchors)
+    last_const[0] = -1
+    last_const[1:] = anchors[:-1]
+    base = np.where(last_const >= 0, vals[np.maximum(last_const, 0)], state)
+    states = base ^ prefix
+    out[1:] = np.where(states, min1, min0)
+    return out
 
 
-def _py_lazy_merge_cost(base, skip, add, item_at, offset_of, ports):
-    ib = 0
-    is_ = 0
-    ia = 0
-    nb = base.shape[0]
-    ns = skip.shape[0]
-    na = add.shape[0]
-    head = 0
-    total = 0
-    num_ports = ports.shape[0]
-    while True:
-        while ib < nb and is_ < ns and base[ib] == skip[is_]:
-            ib += 1
-            is_ += 1
-        if ib < nb and (ia >= na or base[ib] < add[ia]):
-            pos = base[ib]
-            ib += 1
-        elif ia < na:
-            pos = add[ia]
-            ia += 1
-        else:
-            break
-        offset = offset_of[item_at[pos]]
-        best_cost = -1
-        best_target = 0
-        for p in range(num_ports):
-            target = offset - ports[p]
-            cost = target - head
-            if cost < 0:
-                cost = -cost
-            if best_cost < 0 or cost < best_cost:
-                best_cost = cost
-                best_target = target
-        total += best_cost
-        head = best_target
-    return total
+def multi_port_access_costs_numpy(offsets, ports):
+    """Per-access shift costs of a lazy multi-port replay (``P ≥ 2``).
+
+    After any access the head equals ``offset − p`` for exactly one port
+    ``p``, so the walk is a deterministic automaton over ``P`` states.  The
+    per-step (cost, next-state) tables over all P previous states are built
+    vectorised, then the *prefix* state sequence is recovered with a
+    Hillis–Steele scan of transition-function composition — O(k·P·log k)
+    numpy work instead of an O(k·P) interpreted walk.  Greedy tie-breaks
+    resolve to the lowest port (argmin-first), matching the reference
+    evaluator exactly.  Any ``P ≥ 1`` is accepted, which makes this the
+    single reference the parity checks compare every tier against.
+    """
+    import numpy as np
+
+    ports_arr = np.asarray(ports, dtype=np.int64)
+    num_ports = ports_arr.size
+    out = np.empty(offsets.size, dtype=np.int64)
+    first_costs = np.abs(int(offsets[0]) - ports_arr)
+    state = int(first_costs.argmin())
+    out[0] = int(first_costs[state])
+    if offsets.size == 1:
+        return out
+    targets = offsets[:, None] - ports_arr[None, :]  # (k, P) head candidates
+    prev = targets[:-1]
+    cur = targets[1:]
+    # costs[t, q] / nexts[t, q]: cheapest port for access t+1 given the
+    # previous access used port q; strict ``<`` keeps the lowest port on
+    # ties, matching the reference evaluator.
+    costs = np.abs(cur[:, 0, None] - prev)
+    nexts = np.zeros_like(costs)
+    for port_index in range(1, num_ports):
+        candidate = np.abs(cur[:, port_index, None] - prev)
+        better = candidate < costs
+        costs = np.where(better, candidate, costs)
+        nexts = np.where(better, port_index, nexts)
+    # Hillis–Steele prefix composition: after the scan, comp[t][q] is the
+    # state after steps 0..t given initial state q.  Each round gathers
+    # comp[t + d][comp[t][q]] through flat indices (row offsets + state),
+    # which costs less per round than ``np.take_along_axis``.
+    comp = nexts
+    steps = comp.shape[0]
+    row_starts = np.arange(0, steps * num_ports, num_ports)[:, None]
+    distance = 1
+    while distance < steps:
+        later = comp[distance:].ravel()
+        comp = np.concatenate(
+            [
+                comp[:distance],
+                later[row_starts[: steps - distance] + comp[:-distance]],
+            ]
+        )
+        distance *= 2
+    states = np.empty(steps, dtype=np.int64)
+    states[0] = state
+    states[1:] = comp[:-1, state]
+    out[1:] = costs[np.arange(steps), states]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# Tiers
 # ---------------------------------------------------------------------------
 
-class CompiledKernels:
-    """A resolved compiled backend (``numba`` or ``cc``).
+class NumpyKernels:
+    """The numpy tier: vectorised walks, no compiler needed.
 
-    All array arguments must be C-contiguous ``int64`` numpy arrays; the
-    helpers in this module's callers guarantee that (argsort outputs and
-    dense gather arrays are contiguous by construction).
+    Uses the diff for one port, the closed form for two ports (on a
+    25k-access chain the Hillis–Steele scan takes ~8× as long) and the
+    scan for ``P ≥ 3``.
     """
 
-    def __init__(self, name: str, impl) -> None:
-        import numpy as np
-
-        self._np = np
-        self.name = name
-        self._impl = impl
+    name = "numpy"
 
     def lazy_costs(self, offsets, ports, out=None):
         """Per-access costs; returns ``out`` (allocated when ``None``)."""
-        np = self._np
+        import numpy as np
+
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.size == 0:
+            costs = np.empty(0, dtype=np.int64)
+        elif len(ports) == 1:
+            costs = single_port_access_costs_numpy(offsets, ports[0])
+        elif len(ports) == 2:
+            costs = two_port_access_costs_numpy(offsets, ports)
+        else:
+            costs = multi_port_access_costs_numpy(offsets, ports)
         if out is None:
-            out = np.empty(offsets.size, dtype=np.int64)
-        ports = np.ascontiguousarray(ports, dtype=np.int64)
-        self._impl.lazy_costs(
-            np.ascontiguousarray(offsets, dtype=np.int64), ports, out
-        )
+            return costs
+        out[:] = costs
         return out
 
     def lazy_chain_cost(self, positions, item_at, offset_of, ports) -> int:
-        np = self._np
-        return int(
-            self._impl.lazy_chain_cost(
-                np.ascontiguousarray(positions, dtype=np.int64),
-                item_at,
-                offset_of,
-                np.ascontiguousarray(ports, dtype=np.int64),
-            )
-        )
+        if positions.size == 0:
+            return 0
+        return int(self.lazy_costs(offset_of[item_at[positions]], ports).sum())
 
     def lazy_merge_cost(
         self, base, skip, add, item_at, offset_of, ports
     ) -> int:
-        np = self._np
-        return int(
-            self._impl.lazy_merge_cost(
-                np.ascontiguousarray(base, dtype=np.int64),
-                np.ascontiguousarray(skip, dtype=np.int64),
-                np.ascontiguousarray(add, dtype=np.int64),
-                item_at,
-                offset_of,
-                np.ascontiguousarray(ports, dtype=np.int64),
-            )
-        )
-
-
-class _NumbaImpl:
-    """``@njit``-compiled reference bodies."""
-
-    def __init__(self, numba) -> None:
-        jit = numba.njit(cache=False, fastmath=False, nogil=True)
-        self._costs = jit(_py_lazy_costs)
-        self._chain = jit(_py_lazy_chain_cost)
-        self._merge = jit(_py_lazy_merge_cost)
         import numpy as np
 
-        # Force compilation now so selection fails here (and falls back)
-        # rather than mid-optimization.
-        one = np.zeros(1, dtype=np.int64)
-        self._costs(one, np.asarray([0], dtype=np.int64), one.copy())
-        self._chain(one, one, one, np.asarray([0], dtype=np.int64))
-        self._merge(
-            one, one[:0], one[:0], one, one, np.asarray([0], dtype=np.int64)
-        )
-
-    def lazy_costs(self, offsets, ports, out):
-        return self._costs(offsets, ports, out)
-
-    def lazy_chain_cost(self, positions, item_at, offset_of, ports):
-        return self._chain(positions, item_at, offset_of, ports)
-
-    def lazy_merge_cost(self, base, skip, add, item_at, offset_of, ports):
-        return self._merge(base, skip, add, item_at, offset_of, ports)
+        if skip.size:
+            keep = np.ones(base.size, dtype=bool)
+            keep[np.searchsorted(base, skip)] = False
+            base = base[keep]
+        if add.size:
+            base = np.concatenate([base, add])
+            # Two ascending runs: the stable sort (timsort) merges them.
+            base.sort(kind="stable")
+        return self.lazy_chain_cost(base, item_at, offset_of, ports)
 
 
-class _CcImpl:
-    """ctypes bindings over the cc-compiled shared library."""
+class CcKernels:
+    """The cc tier: ctypes bindings over the compiled shared library.
+
+    Array arguments are made C-contiguous ``int64`` here; the callers'
+    gather arrays (argsort outputs, dense per-item arrays) already are.
+    """
+
+    name = "cc"
 
     def __init__(self, library_path: Path) -> None:
         import ctypes
+
+        import numpy as np
 
         lib = ctypes.CDLL(str(library_path))
         i64 = ctypes.c_int64
@@ -404,39 +419,61 @@ class _CcImpl:
             ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
         ]
         self._lib = lib
+        self._np = np
         self.library_path = library_path
 
-    def lazy_costs(self, offsets, ports, out):
-        return self._lib.repro_lazy_costs(
+    def lazy_costs(self, offsets, ports, out=None):
+        """Per-access costs; returns ``out`` (allocated when ``None``)."""
+        np = self._np
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        ports = np.ascontiguousarray(ports, dtype=np.int64)
+        if out is None:
+            out = np.empty(offsets.size, dtype=np.int64)
+        self._lib.repro_lazy_costs(
             offsets.ctypes.data,
             offsets.size,
             ports.ctypes.data,
             ports.size,
             out.ctypes.data,
         )
+        return out
 
-    def lazy_chain_cost(self, positions, item_at, offset_of, ports):
-        return self._lib.repro_lazy_chain_cost(
-            positions.ctypes.data,
-            positions.size,
-            item_at.ctypes.data,
-            offset_of.ctypes.data,
-            ports.ctypes.data,
-            ports.size,
+    def lazy_chain_cost(self, positions, item_at, offset_of, ports) -> int:
+        np = self._np
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
+        ports = np.ascontiguousarray(ports, dtype=np.int64)
+        return int(
+            self._lib.repro_lazy_chain_cost(
+                positions.ctypes.data,
+                positions.size,
+                item_at.ctypes.data,
+                offset_of.ctypes.data,
+                ports.ctypes.data,
+                ports.size,
+            )
         )
 
-    def lazy_merge_cost(self, base, skip, add, item_at, offset_of, ports):
-        return self._lib.repro_lazy_merge_cost(
-            base.ctypes.data,
-            base.size,
-            skip.ctypes.data,
-            skip.size,
-            add.ctypes.data,
-            add.size,
-            item_at.ctypes.data,
-            offset_of.ctypes.data,
-            ports.ctypes.data,
-            ports.size,
+    def lazy_merge_cost(
+        self, base, skip, add, item_at, offset_of, ports
+    ) -> int:
+        np = self._np
+        base = np.ascontiguousarray(base, dtype=np.int64)
+        skip = np.ascontiguousarray(skip, dtype=np.int64)
+        add = np.ascontiguousarray(add, dtype=np.int64)
+        ports = np.ascontiguousarray(ports, dtype=np.int64)
+        return int(
+            self._lib.repro_lazy_merge_cost(
+                base.ctypes.data,
+                base.size,
+                skip.ctypes.data,
+                skip.size,
+                add.ctypes.data,
+                add.size,
+                item_at.ctypes.data,
+                offset_of.ctypes.data,
+                ports.ctypes.data,
+                ports.size,
+            )
         )
 
 
@@ -495,107 +532,92 @@ def _build_cc_library() -> Path | None:
     return library
 
 
+_NUMPY = NumpyKernels()
 _LOCK = threading.Lock()
-_BACKEND: CompiledKernels | None = None
-_BACKEND_NAME: str | None = None
+_BACKEND: CcKernels | NumpyKernels | None = None
 _SELECTION_NOTE = ""
 
 
-def _select() -> tuple[CompiledKernels | None, str, str]:
-    """Resolve (backend, name, note) from the environment."""
-    if os.environ.get(NO_NUMBA_ENV, "").strip():
-        return None, "numpy", f"{NO_NUMBA_ENV} set: forcing numpy fallback"
-    requested = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
-    if requested not in ("auto", "numba", "cc", "numpy"):
-        return None, "numpy", f"unknown {KERNEL_ENV}={requested!r}"
+def _requested() -> str:
+    """The ``REPRO_KERNEL`` request, stripped and lowercased (``auto``)."""
+    return os.environ.get(KERNEL_ENV, "").strip().lower() or "auto"
+
+
+def _select() -> tuple[CcKernels | NumpyKernels, str]:
+    """Resolve (tier, note) from the environment."""
+    requested = _requested()
+    if requested not in ("auto", "cc", "numpy"):
+        return _NUMPY, f"unknown {KERNEL_ENV}={requested!r}"
     if requested == "numpy":
-        return None, "numpy", f"{KERNEL_ENV}=numpy"
-    note = ""
-    if requested in ("auto", "numba"):
-        try:
-            import numba  # noqa: F401
-
-            return CompiledKernels("numba", _NumbaImpl(numba)), "numba", ""
-        except Exception as exc:  # noqa: BLE001 - any failure falls through
-            note = f"numba unavailable ({type(exc).__name__})"
-            if requested == "numba":
-                return None, "numpy", note
+        return _NUMPY, f"{KERNEL_ENV}=numpy"
     library = _build_cc_library()
-    if library is not None:
-        try:
-            return CompiledKernels("cc", _CcImpl(library)), "cc", note
-        except OSError as exc:
-            note = f"{note}; cc load failed: {exc}".strip("; ")
-    else:
-        note = f"{note}; no C compiler or compile failed".strip("; ")
-    return None, "numpy", note
+    if library is None:
+        return _NUMPY, "no C compiler or compile failed"
+    try:
+        return CcKernels(library), ""
+    except OSError as exc:
+        return _NUMPY, f"cc load failed: {exc}"
 
 
-def compiled() -> CompiledKernels | None:
-    """The active compiled backend, or ``None`` (numpy fallback).
+def active() -> CcKernels | NumpyKernels:
+    """The active lazy-walk tier: cc when built, else numpy.
 
     Resolved once per process on first call (thread-safe); use
     :func:`reset_backend` after changing the environment knobs.
     """
-    global _BACKEND, _BACKEND_NAME, _SELECTION_NOTE
-    if _BACKEND_NAME is None:
+    global _BACKEND, _SELECTION_NOTE
+    if _BACKEND is None:
         with _LOCK:
-            if _BACKEND_NAME is None:
+            if _BACKEND is None:
                 try:
                     from repro.chaos import failpoint
 
                     failpoint("kernel.compile")
-                    backend, name, note = _select()
+                    backend, note = _select()
                 except Exception as exc:  # noqa: BLE001 - degrade to numpy
                     from repro.robust import is_recoverable, record_degradation
 
                     if not is_recoverable(exc):
                         raise
-                    backend, name = None, "numpy"
+                    backend = _NUMPY
                     note = (
                         f"kernel selection failed "
                         f"({type(exc).__name__}: {exc})"
                     )
-                    record_degradation(
-                        "kernel", "compiled", "numpy", note, warn=False
-                    )
-                _BACKEND = backend
+                    record_degradation("kernel", "cc", "numpy", note, warn=False)
                 _SELECTION_NOTE = note
                 from repro.obs import get_registry
 
-                get_registry().inc("kernel.selected", backend=name)
-                _BACKEND_NAME = name
+                get_registry().inc("kernel.selected", backend=backend.name)
+                _BACKEND = backend
     return _BACKEND
 
 
 def backend_name() -> str:
-    """Active backend name: ``numba``, ``cc`` or ``numpy``."""
-    compiled()
-    return _BACKEND_NAME or "numpy"
+    """Active tier name: ``cc`` or ``numpy``."""
+    return active().name
 
 
 def reset_backend() -> None:
-    """Forget the resolved backend (test hook; next call re-selects)."""
-    global _BACKEND, _BACKEND_NAME, _SELECTION_NOTE
+    """Forget the resolved tier (test hook; next call re-selects)."""
+    global _BACKEND, _SELECTION_NOTE
     with _LOCK:
         _BACKEND = None
-        _BACKEND_NAME = None
         _SELECTION_NOTE = ""
 
 
 def describe() -> dict:
-    """Backend diagnostics for ``repro kernels`` / benchmarks."""
-    backend = compiled()
+    """Tier diagnostics for ``repro kernels`` / benchmarks."""
+    backend = active()
     info: dict = {
-        "backend": backend_name(),
-        "compiled": backend is not None,
-        "requested": os.environ.get(KERNEL_ENV, "auto") or "auto",
-        "no_numba": bool(os.environ.get(NO_NUMBA_ENV, "").strip()),
+        "backend": backend.name,
+        "compiled": backend.name == "cc",
+        "requested": _requested(),
         "compiler": _find_compiler(),
         "cache_dir": str(_kernel_cache_dir()),
     }
     if _SELECTION_NOTE:
         info["note"] = _SELECTION_NOTE
-    if backend is not None and isinstance(backend._impl, _CcImpl):
-        info["library"] = str(backend._impl.library_path)
+    if isinstance(backend, CcKernels):
+        info["library"] = str(backend.library_path)
     return info

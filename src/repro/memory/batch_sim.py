@@ -14,11 +14,10 @@ down.  This module computes the identical result with numpy:
    sequences are gathers; accesses are grouped by DBC with a stable argsort
    (DBCs are independent, so each group replays in isolation); and each
    group's shift costs come from a closed-form scan — position diffs for
-   lazy single-port, a rest-distance table for eager, and the vectorised
-   port-state automaton from :mod:`repro.core.incremental`
-   (:func:`~repro.core.incremental.two_port_access_costs` /
-   :func:`~repro.core.incremental.multi_port_access_costs`) for lazy
-   multi-port.
+   lazy single-port, a rest-distance table for eager, and the active
+   kernel tier's port-state walk
+   (:func:`~repro.core.incremental.multi_port_access_costs`, over
+   :mod:`repro.core.kernels`) for lazy multi-port.
 
 Every path produces per-access integer cost vectors, so totals, per-DBC
 totals and ``max_access_shifts`` are all bit-identical to the scalar engine
@@ -40,10 +39,10 @@ import threading
 import time
 from typing import Iterable, Sequence
 
-from repro.core.incremental import (
-    multi_port_access_costs,
-    two_port_access_costs,
-)
+from repro.core.incremental import multi_port_access_costs
+# Not called here: ``perfbench/spans.py`` wraps this name in this module.
+from repro.core.incremental import two_port_access_costs  # noqa: F401
+from repro.core.kernels import single_port_access_costs_numpy
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.memory.result import SimulationResult
@@ -163,18 +162,6 @@ def _slot_arrays(resolved: ResolvedTrace, placement: Placement):
     return dbc_of, offset_of
 
 
-def _single_port_costs(offsets, port: int):
-    """Per-access lazy costs for one DBC with a single port."""
-    import numpy as np
-
-    targets = offsets if port == 0 else offsets - port
-    costs = np.empty(targets.size, dtype=np.int64)
-    costs[0] = abs(int(targets[0]))
-    if targets.size > 1:
-        np.abs(np.diff(targets), out=costs[1:])
-    return costs
-
-
 def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
     """Per-access shift costs, in trace order.
 
@@ -209,9 +196,7 @@ def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
             continue
         group = sorted_offsets[low:high]
         if num_ports == 1:
-            group_costs = _single_port_costs(group, ports[0])
-        elif num_ports == 2:
-            group_costs = two_port_access_costs(group, ports)
+            group_costs = single_port_access_costs_numpy(group, ports[0])
         else:
             group_costs = multi_port_access_costs(group, ports)
         # Scatter the group's costs back to trace order.

@@ -60,7 +60,7 @@ DEGRADATION_CHAINS: dict[str, tuple[str, ...]] = {
     # Streaming scan mode (repro.memory.stream_sim.simulate_streaming)
     "stream": ("parallel", "sequential"),
     # Cost kernels (repro.core.kernels)
-    "kernel": ("numba", "cc", "numpy"),
+    "kernel": ("cc", "numpy"),
     # MinLA/ILP solver backends (repro.core.cpsat.solve_minla): CP-SAT when
     # the optional ortools dependency is installed, else the subset DP,
     # else budget-guarded permutation enumeration.

@@ -28,10 +28,10 @@ five oracle families and returns the (hopefully empty) list of
   lookup must be a hit and return the identical result;
 * **fault determinism** — ``injection_seed`` is stable, ``run_injection``
   is a pure function of it, and fault reports are engine-independent;
-* **kernel parity** — the compiled lazy-cost kernels (numba or cc, when
-  selected) must match the pure-numpy reference implementations
-  bit-for-bit on per-access costs, fused chain walks and merge walks,
-  across single-port, two-port and the case's own port geometry;
+* **kernel parity** — every available lazy-walk tier (the numpy tier
+  always, the cc kernel when it is built) must match the Hillis–Steele
+  numpy reference bit-for-bit on per-access costs, chain walks and merge
+  walks, across single-port, two-port and the case's own port geometry;
 * **streaming agreement** — the chunked out-of-core engine
   (:mod:`repro.memory.stream_sim`) must match the vectorized engine on
   totals, per-DBC decompositions and the per-access maximum, for
@@ -58,10 +58,8 @@ from repro.core import kernels
 from repro.core.api import ALGORITHMS, optimize_placement
 from repro.core.cost import evaluate_placement, per_dbc_costs, shift_lower_bound
 from repro.core.exact import exhaustive_search_is_exact
-from repro.core.incremental import (
-    CostEvaluator,
-    multi_port_access_costs_numpy,
-)
+from repro.core.incremental import CostEvaluator
+from repro.core.kernels import multi_port_access_costs_numpy
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.faults import FaultModel, injection_seed, run_injection
@@ -587,17 +585,26 @@ def check_kernel_parity(
     problem: PlacementProblem,
     placement: Placement,
 ) -> list[Violation]:
-    """Compiled lazy-cost kernels must match the numpy reference exactly.
+    """Every available lazy-walk tier must match the numpy reference exactly.
 
-    Skipped (vacuously clean) when no compiled backend is selected — the
-    numpy fallback *is* the reference.  Exercises a seeded random offset
-    chain against single-port, two-port and the case's own port geometry,
-    plus the fused chain-walk and merge-walk kernels against a from-scratch
-    numpy evaluation of the same (sub)chains.
+    The tiers are the numpy tier (always) and the cc kernel (when it is the
+    active tier); the reference is :func:`multi_port_access_costs_numpy`,
+    the Hillis–Steele scan, which neither tier uses for one or two ports.
+    Exercises a seeded random offset chain against single-port, two-port
+    and the case's own port geometry, plus the chain-walk and merge-walk
+    entry points against a from-scratch evaluation of the same
+    (sub)chains.
     """
-    backend = kernels.compiled()
-    if backend is None:
-        return []
+    tiers = [kernels.NumpyKernels()]
+    if kernels.backend_name() == "cc":
+        tiers.append(kernels.active())
+    violations: list[Violation] = []
+    for tier in tiers:
+        violations.extend(_check_tier_parity(case, problem, tier))
+    return violations
+
+
+def _check_tier_parity(case, problem, tier) -> list[Violation]:
     violations: list[Violation] = []
     rng = np.random.default_rng(case.seed ^ 0xC0DE)
     config = problem.config
@@ -610,27 +617,27 @@ def check_kernel_parity(
     for ports in sorted(port_sets):
         ports_arr = np.asarray(ports, dtype=np.int64)
         reference = multi_port_access_costs_numpy(offsets, ports_arr)
-        compiled_costs = backend.lazy_costs(offsets, ports_arr)
-        if not np.array_equal(reference, compiled_costs):
-            bad = int(np.argmax(reference != compiled_costs))
+        tier_costs = tier.lazy_costs(offsets, ports_arr)
+        if not np.array_equal(reference, tier_costs):
+            bad = int(np.argmax(reference != tier_costs))
             violations.append(
                 Violation(
                     kind="kernel_costs_mismatch",
                     detail=(
-                        f"{kernels.backend_name()} lazy_costs diverges from "
-                        f"numpy at access {bad} (ports {list(ports)}): "
-                        f"{int(compiled_costs[bad])} != {int(reference[bad])}"
+                        f"{tier.name} lazy_costs diverges from the numpy "
+                        f"reference at access {bad} (ports {list(ports)}): "
+                        f"{int(tier_costs[bad])} != {int(reference[bad])}"
                     ),
                     data={
-                        "backend": kernels.backend_name(),
+                        "backend": tier.name,
                         "ports": list(ports),
                         "index": bad,
                     },
                 )
             )
             continue
-        # Fused chain walk: identity item mapping makes offsets[positions]
-        # the chain the kernel should gather and price.
+        # Chain walk: identity item mapping makes offsets[positions] the
+        # chain the tier should gather and price.
         item_at = np.arange(n, dtype=np.int64)
         keep = rng.random(n) < 0.7
         positions = np.flatnonzero(keep).astype(np.int64)
@@ -639,18 +646,18 @@ def check_kernel_parity(
             if positions.size
             else 0
         )
-        chain_got = backend.lazy_chain_cost(positions, item_at, offsets, ports_arr)
+        chain_got = tier.lazy_chain_cost(positions, item_at, offsets, ports_arr)
         if chain_got != chain_ref:
             violations.append(
                 Violation(
                     kind="kernel_chain_mismatch",
                     detail=(
-                        f"{kernels.backend_name()} lazy_chain_cost "
+                        f"{tier.name} lazy_chain_cost "
                         f"{chain_got} != numpy reference {chain_ref} "
                         f"(ports {list(ports)}, {positions.size} accesses)"
                     ),
                     data={
-                        "backend": kernels.backend_name(),
+                        "backend": tier.name,
                         "ports": list(ports),
                         "got": int(chain_got),
                         "reference": chain_ref,
@@ -668,7 +675,7 @@ def check_kernel_parity(
             if merged.size
             else 0
         )
-        merge_got = backend.lazy_merge_cost(
+        merge_got = tier.lazy_merge_cost(
             base, skip, add, item_at, offsets, ports_arr
         )
         if merge_got != merge_ref:
@@ -676,12 +683,12 @@ def check_kernel_parity(
                 Violation(
                     kind="kernel_merge_mismatch",
                     detail=(
-                        f"{kernels.backend_name()} lazy_merge_cost "
+                        f"{tier.name} lazy_merge_cost "
                         f"{merge_got} != numpy reference {merge_ref} "
                         f"(ports {list(ports)}, {merged.size} accesses)"
                     ),
                     data={
-                        "backend": kernels.backend_name(),
+                        "backend": tier.name,
                         "ports": list(ports),
                         "got": int(merge_got),
                         "reference": merge_ref,

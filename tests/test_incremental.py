@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.core.api import build_problem
+from repro.core import kernels
 from repro.core.baselines import random_placement
 from repro.core.cost import (
     evaluate_placement,
@@ -42,6 +43,30 @@ GEOMETRIES = [
 ]
 
 
+def _tiered(params):
+    """``params`` once per kernel tier: the active tier keeps the plain id,
+    the forced numpy tier (``REPRO_KERNEL=numpy``) appends ``-numpy``."""
+    tiered = []
+    for values in params:
+        values = values if isinstance(values, tuple) else (values,)
+        plain = "-".join(str(value) for value in values)
+        tiered.append(pytest.param(*values, "active", id=plain))
+        tiered.append(pytest.param(*values, "numpy", id=f"{plain}-numpy"))
+    return tiered
+
+
+@pytest.fixture
+def kernel_tier(request, monkeypatch):
+    """Select the kernel tier named by the test parameter."""
+    if request.param == "numpy":
+        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    kernels.reset_backend()
+    tier = kernels.active()
+    assert request.param == "active" or tier.name == "numpy"
+    yield tier
+    kernels.reset_backend()
+
+
 def _random_problem(ports, policy, seed, num_items=24, length=400):
     trace = markov_trace(
         num_items, length, locality=0.75, seed=seed, write_fraction=0.25
@@ -53,16 +78,20 @@ def _random_problem(ports, policy, seed, num_items=24, length=400):
 
 
 class TestCostEvaluatorDeltas:
-    @pytest.mark.parametrize("ports,policy", GEOMETRIES)
-    def test_total_matches_reference(self, ports, policy):
+    @pytest.mark.parametrize(
+        "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
+    )
+    def test_total_matches_reference(self, ports, policy, kernel_tier):
         problem = _random_problem(ports, policy, seed=3)
         for seed in range(3):
             placement = random_placement(problem, seed)
             evaluator = CostEvaluator(problem, placement)
             assert evaluator.total == evaluate_placement(problem, placement)
 
-    @pytest.mark.parametrize("ports,policy", GEOMETRIES)
-    def test_swap_and_move_deltas_exact(self, ports, policy):
+    @pytest.mark.parametrize(
+        "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
+    )
+    def test_swap_and_move_deltas_exact(self, ports, policy, kernel_tier):
         problem = _random_problem(ports, policy, seed=5)
         placement = random_placement(problem, 0)
         evaluator = CostEvaluator(problem, placement)
@@ -85,8 +114,10 @@ class TestCostEvaluatorDeltas:
             reference = evaluate_placement(problem, candidate, validate=False)
             assert delta == reference - evaluator.total
 
-    @pytest.mark.parametrize("ports,policy", GEOMETRIES)
-    def test_reversal_deltas_exact(self, ports, policy):
+    @pytest.mark.parametrize(
+        "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
+    )
+    def test_reversal_deltas_exact(self, ports, policy, kernel_tier):
         problem = _random_problem(ports, policy, seed=7)
         placement = random_placement(problem, 2)
         evaluator = CostEvaluator(problem, placement)
@@ -105,8 +136,10 @@ class TestCostEvaluatorDeltas:
                     )
                     assert delta == reference - evaluator.total
 
-    @pytest.mark.parametrize("ports,policy", GEOMETRIES)
-    def test_apply_undo_sequences(self, ports, policy):
+    @pytest.mark.parametrize(
+        "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
+    )
+    def test_apply_undo_sequences(self, ports, policy, kernel_tier):
         problem = _random_problem(ports, policy, seed=11)
         placement = random_placement(problem, 1)
         evaluator = CostEvaluator(problem, placement)
@@ -143,10 +176,14 @@ class TestCostEvaluatorDeltas:
             assert evaluator.total == totals[-2 - step]
         assert evaluator.placement() == placement
 
-    @pytest.mark.parametrize("ports", [2, 4])
-    def test_long_multi_port_subsequences_use_vector_path(self, ports):
-        # Subsequences above MULTI_PORT_VECTOR_MIN replay through the
-        # vectorised port-state path (two-port closed form / P-state fold);
+    @pytest.mark.parametrize(
+        "ports,kernel_tier", _tiered([2, 4]), indirect=["kernel_tier"]
+    )
+    def test_long_multi_port_subsequences_use_vector_path(
+        self, ports, kernel_tier
+    ):
+        # Per-DBC chains of hundreds of accesses replay through the kernel
+        # tier (cc walk, or the numpy closed form / Hillis–Steele scan);
         # totals and deltas must still match the scalar reference exactly.
         trace = markov_trace(24, 6000, locality=0.8, seed=41, write_fraction=0.2)
         config = DWMConfig.for_items(

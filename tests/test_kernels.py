@@ -1,9 +1,9 @@
-"""Tests for the compiled lazy-cost kernel layer (repro.core.kernels).
+"""Tests for the lazy-walk kernel tiers (repro.core.kernels).
 
-The contract: whichever backend gets selected (numba, cc, numpy
-fallback), every kernel output is bit-identical to the pure-numpy
-reference implementations in ``repro.core.incremental`` — the compiled
-path is a wall-clock optimisation only.
+The contract: whichever tier gets selected (cc, or the numpy tier),
+every kernel output is bit-identical to the Hillis–Steele numpy reference
+``multi_port_access_costs_numpy`` — the cc tier is a wall-clock
+optimisation only.
 """
 
 from __future__ import annotations
@@ -16,26 +16,35 @@ import pytest
 from repro.core import kernels
 from repro.core.incremental import (
     multi_port_access_costs,
-    multi_port_access_costs_numpy,
     two_port_access_costs,
+)
+from repro.core.kernels import (
+    multi_port_access_costs_numpy,
     two_port_access_costs_numpy,
 )
-
-HAVE_COMPILED = kernels.compiled() is not None
 
 
 @pytest.fixture
 def backend_env(monkeypatch):
-    """Set kernel env knobs, re-select the backend, restore afterwards."""
+    """Set kernel env knobs, re-select the tier, restore afterwards."""
 
     def select(**env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         kernels.reset_backend()
-        return kernels.compiled()
+        return kernels.active()
 
     yield select
     kernels.reset_backend()
+
+
+@pytest.fixture
+def cc_tier(backend_env):
+    """The cc tier, or skip when no C compiler can build it here."""
+    tier = backend_env(REPRO_KERNEL="cc")
+    if tier.name != "cc":
+        pytest.skip("no C compiler available")
+    return tier
 
 
 def _random_chains(seed: int, count: int = 20):
@@ -53,51 +62,65 @@ def _random_chains(seed: int, count: int = 20):
 
 class TestBackendSelection:
     def test_numpy_request_disables_compiled(self, backend_env):
-        assert backend_env(REPRO_KERNEL="numpy") is None
+        assert backend_env(REPRO_KERNEL="numpy").name == "numpy"
         assert kernels.backend_name() == "numpy"
+        assert kernels.describe()["compiled"] is False
 
-    def test_no_numba_env_forces_numpy_fallback(self, backend_env):
-        assert backend_env(REPRO_NO_NUMBA="1") is None
+    def test_numba_request_selects_numpy_as_unknown(self, backend_env):
+        assert backend_env(REPRO_KERNEL="numba").name == "numpy"
         info = kernels.describe()
-        assert info["no_numba"] is True
         assert info["backend"] == "numpy"
+        assert "unknown" in info["note"]
+        assert "numba" in info["note"]
+
+    def test_request_is_parsed_once(self, backend_env):
+        expected = backend_env(REPRO_KERNEL="cc").name
+        assert backend_env(REPRO_KERNEL=" CC ").name == expected
+        info = kernels.describe()
+        assert info["requested"] == "cc"
+        assert "unknown" not in info.get("note", "")
+        backend_env(REPRO_KERNEL="")
+        assert kernels.describe()["requested"] == "auto"
 
     def test_describe_reports_selection(self, backend_env):
         backend_env(REPRO_KERNEL="auto")
         info = kernels.describe()
-        assert info["backend"] in ("numba", "cc", "numpy")
-        assert info["compiled"] == (kernels.compiled() is not None)
+        assert info["backend"] in ("cc", "numpy")
+        assert info["compiled"] == (info["backend"] == "cc")
+        assert "no_numba" not in info
         assert "cache_dir" in info
 
     def test_backend_is_cached_singleton(self):
         kernels.reset_backend()
-        first = kernels.compiled()
-        assert kernels.compiled() is first
+        first = kernels.active()
+        assert kernels.active() is first
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="no compiled backend here")
-    def test_cc_library_cached_on_disk(self, backend_env):
-        backend = backend_env(REPRO_KERNEL="cc")
-        if backend is None:
-            pytest.skip("no C compiler available")
+    def test_cc_library_cached_on_disk(self, cc_tier, backend_env):
         info = kernels.describe()
         assert os.path.exists(info["library"])
         # Re-selection must reuse the cached shared object, not recompile.
         again = backend_env(REPRO_KERNEL="cc")
         assert kernels.describe()["library"] == info["library"]
-        assert again is not None
+        assert again.name == "cc"
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="no compiled backend here")
 class TestKernelParity:
-    def test_lazy_costs_matches_numpy(self):
-        backend = kernels.compiled()
+    """The cc tier against the reference (skipped without a compiler).
+
+    :class:`TestNumpyKernelParity` runs the same checks on the numpy tier.
+    """
+
+    @pytest.fixture
+    def tier(self, cc_tier):
+        return cc_tier
+
+    def test_lazy_costs_matches_numpy(self, tier):
         for offsets, ports in _random_chains(101):
             expected = multi_port_access_costs_numpy(offsets, ports)
-            got = backend.lazy_costs(offsets, ports)
+            got = tier.lazy_costs(offsets, ports)
             np.testing.assert_array_equal(got, expected)
 
-    def test_chain_cost_matches_numpy(self):
-        backend = kernels.compiled()
+    def test_chain_cost_matches_numpy(self, tier):
         rng = np.random.default_rng(202)
         for offsets, ports in _random_chains(202):
             item_at = np.arange(offsets.size, dtype=np.int64)
@@ -109,11 +132,10 @@ class TestKernelParity:
                 if positions.size
                 else 0
             )
-            got = backend.lazy_chain_cost(positions, item_at, offsets, ports)
+            got = tier.lazy_chain_cost(positions, item_at, offsets, ports)
             assert got == expected
 
-    def test_merge_cost_matches_numpy(self):
-        backend = kernels.compiled()
+    def test_merge_cost_matches_numpy(self, tier):
         rng = np.random.default_rng(303)
         for offsets, ports in _random_chains(303):
             item_at = np.arange(offsets.size, dtype=np.int64)
@@ -128,19 +150,47 @@ class TestKernelParity:
                 if merged.size
                 else 0
             )
-            got = backend.lazy_merge_cost(
+            got = tier.lazy_merge_cost(
                 base, skip, add, item_at, offsets, ports
             )
             assert got == expected
 
-    def test_single_access_and_head_return(self):
-        backend = kernels.compiled()
+    def test_single_access_and_head_return(self, tier):
         offsets = np.array([5], dtype=np.int64)
         ports = np.array([0], dtype=np.int64)
         np.testing.assert_array_equal(
-            backend.lazy_costs(offsets, ports),
+            tier.lazy_costs(offsets, ports),
             multi_port_access_costs_numpy(offsets, ports),
         )
+
+    def test_empty_inputs_cost_nothing(self, tier):
+        empty = np.empty(0, dtype=np.int64)
+        ports = np.array([0, 7], dtype=np.int64)
+        offsets = np.array([3, 1], dtype=np.int64)
+        item_at = np.arange(2, dtype=np.int64)
+        assert tier.lazy_costs(empty, ports).size == 0
+        assert tier.lazy_chain_cost(empty, item_at, offsets, ports) == 0
+        assert tier.lazy_merge_cost(
+            np.arange(2, dtype=np.int64), np.arange(2, dtype=np.int64),
+            empty, item_at, offsets, ports,
+        ) == 0
+
+    def test_fills_caller_buffer(self, tier):
+        offsets = np.array([4, 0, 9, 9, 2], dtype=np.int64)
+        ports = np.array([1, 8], dtype=np.int64)
+        out = np.full(offsets.size, -1, dtype=np.int64)
+        assert tier.lazy_costs(offsets, ports, out) is out
+        np.testing.assert_array_equal(
+            out, multi_port_access_costs_numpy(offsets, ports)
+        )
+
+
+class TestNumpyKernelParity(TestKernelParity):
+    """The numpy tier against the reference, on every host."""
+
+    @pytest.fixture
+    def tier(self):
+        return kernels.NumpyKernels()
 
 
 class TestDispatchers:
