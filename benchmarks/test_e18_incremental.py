@@ -5,8 +5,12 @@ Measures candidate-evaluations/second of the incremental engine
 re-evaluation (:func:`repro.core.cost.evaluate_placement` on a rebuilt
 placement per candidate) on an E9-scale instance: a 10⁵-access trace.
 Reproduction target: ≥10× more evaluated moves per second, with every delta
-exactly matching the reference evaluator.  The structured numbers land in
-``results/BENCH_e18.json`` so future PRs can track the perf trajectory.
+exactly matching the reference evaluator.  The row column prices full
+``swap_deltas`` rows (one item against every other item in one kernel
+call, as local search scans them) and counts each delta in the row; every
+row is checked entry by entry against the single probes.  The structured
+numbers land in ``results/BENCH_e18.json`` so future changes can track the
+perf trajectory.
 """
 
 import json
@@ -56,6 +60,16 @@ def _measure_geometry(ports, policy, min_seconds):
         )
         exact = exact and (delta == reference - evaluator.total)
 
+    # Row probes: each entry must equal the matching single probe.
+    rows_exact = True
+    for _ in range(3):
+        item = check_rng.choice(items)
+        others = [other for other in items if other != item]
+        rows_exact = rows_exact and (
+            evaluator.swap_deltas(item, others).tolist()
+            == [evaluator.swap_delta(item, other) for other in others]
+        )
+
     incremental_rng = random.Random(42)
 
     def incremental_candidate():
@@ -70,11 +84,19 @@ def _measure_geometry(ports, policy, min_seconds):
             problem, placement.with_swapped(item_a, item_b), validate=False
         )
 
+    row_rng = random.Random(42)
+
+    def row_candidates():
+        item = row_rng.choice(items)
+        evaluator.swap_deltas(item, [other for other in items if other != item])
+
     incremental_candidate()  # warm caches before timing
     full_candidate()
+    row_candidates()
     incremental = measure_throughput(
         incremental_candidate, min_seconds=min_seconds
     )
+    rows = measure_throughput(row_candidates, min_seconds=min_seconds)
     full = measure_throughput(
         full_candidate, min_seconds=min_seconds, max_operations=50
     )
@@ -83,8 +105,10 @@ def _measure_geometry(ports, policy, min_seconds):
         "policy": policy,
         "incremental_evals_per_sec": incremental.ops_per_second,
         "full_evals_per_sec": full.ops_per_second,
+        "row_evals_per_sec": rows.ops_per_second * (len(items) - 1),
         "speedup": speedup(incremental, full),
         "deltas_exact": exact,
+        "rows_exact": rows_exact,
     }
 
 
@@ -94,14 +118,18 @@ def run_e18(min_seconds: float = 0.3) -> ExperimentOutput:
         for ports, policy in GEOMETRIES
     ]
     rendered = format_table(
-        ("geometry", "full evals/s", "incremental evals/s", "speedup", "exact"),
+        (
+            "geometry", "full evals/s", "incremental evals/s", "row evals/s",
+            "speedup", "exact",
+        ),
         [
             (
                 f"P={row['ports']},{row['policy']}",
                 f"{row['full_evals_per_sec']:,.0f}",
                 f"{row['incremental_evals_per_sec']:,.0f}",
+                f"{row['row_evals_per_sec']:,.0f}",
                 f"{row['speedup']:.1f}x",
-                "yes" if row["deltas_exact"] else "NO",
+                "yes" if row["deltas_exact"] and row["rows_exact"] else "NO",
             )
             for row in rows
         ],
@@ -131,6 +159,7 @@ def test_e18_incremental_speedup(benchmark, record_artifact, results_dir):
     )
     for row in output.data["by_geometry"].values():
         assert row["deltas_exact"]
+        assert row["rows_exact"]
         if row["ports"] == 1:
             # Reproduction target: ≥10× more candidate evaluations per
             # second than full re-evaluation on the 10⁵-access instance.

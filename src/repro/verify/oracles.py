@@ -230,18 +230,22 @@ def check_round_trip(
     applied = 0
     for _step in range(mutation_ops):
         kind = rng.choice(("swap", "move", "reversal"))
+        # Each move is also priced as one entry of a full row probe
+        # (swap_deltas / move_deltas / reversal_deltas).
         if kind == "swap" and len(items) >= 2:
             left, right = rng.sample(items, 2)
             delta = evaluator.swap_delta(left, right)
+            row_delta = evaluator.swap_deltas(left, items)[items.index(right)]
             before = evaluator.total
             evaluator.apply_swap(left, right)
         elif kind == "move":
-            free = evaluator.free_slots()
+            free = sorted(evaluator.free_slots())
             if not free:
                 continue
             item = rng.choice(items)
-            slot = rng.choice(sorted(free))
+            slot = rng.choice(free)
             delta = evaluator.move_delta(item, slot)
+            row_delta = evaluator.move_deltas(item, free)[free.index(slot)]
             before = evaluator.total
             evaluator.apply_move(item, slot)
         elif kind == "reversal":
@@ -251,11 +255,24 @@ def check_round_trip(
             dbc = rng.choice(sorted(used))
             offsets = sorted(evaluator.dbc_contents(dbc))
             delta = evaluator.reversal_delta(dbc, offsets)
+            row_delta = evaluator.reversal_deltas(dbc, offsets, first=0)[-1]
             before = evaluator.total
             evaluator.apply_reversal(dbc, offsets)
         else:
             continue
         applied += 1
+        if row_delta != delta:
+            violations.append(
+                Violation(
+                    kind="row_probe_mismatch",
+                    detail=(
+                        f"{kind} single probe delta {delta} but row probe "
+                        f"entry {int(row_delta)}"
+                    ),
+                    data={"op": kind, "delta": delta, "row": int(row_delta)},
+                )
+            )
+            break
         if evaluator.total != before + delta:
             violations.append(
                 Violation(

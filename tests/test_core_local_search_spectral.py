@@ -78,6 +78,24 @@ class TestTwoOptRefinement:
         refined = two_opt_refinement(problem, random_placement(problem, 4))
         refined.validate(problem.config, problem.items)
 
+    def test_untraced_item_keeps_its_slot(self):
+        # ``x`` is never accessed but sits between traced items; segments
+        # range over the traced offsets only and reverse around it.
+        trace = AccessTrace(list("abcabcabdcba"))
+        config = DWMConfig(words_per_dbc=4, num_dbcs=2, port_offsets=(0,))
+        problem = PlacementProblem(trace=trace, config=config)
+        from repro.core.placement import Placement, Slot
+
+        start = Placement(
+            {"c": (0, 0), "x": (0, 1), "b": (0, 2), "a": (0, 3), "d": (1, 0)}
+        )
+        refined = two_opt_refinement(problem, start)
+        assert refined["x"] == Slot(0, 1)
+        refined.validate(config, list(problem.items) + ["x"])
+        assert evaluate_placement(problem, refined) < evaluate_placement(
+            problem, start
+        )
+
 
 class TestSimulatedAnnealing:
     def test_never_worse_than_start(self, problem):

@@ -118,6 +118,20 @@ class TestOracles:
         kinds = {v.kind for v in check_case(case)}
         assert "engine_total_mismatch" in kinds
 
+    def test_detects_row_probe_off_by_one(self, monkeypatch):
+        from repro.core.incremental import CostEvaluator
+
+        for name in ("swap_deltas", "move_deltas", "reversal_deltas"):
+            row = getattr(CostEvaluator, name)
+            monkeypatch.setattr(
+                CostEvaluator,
+                name,
+                lambda self, *args, row=row, **kw: row(self, *args, **kw) + 1,
+            )
+        case = make_case(["a", "b", "c", "a", "c", "b"], words=3, dbcs=2)
+        violations = check_case(case)
+        assert {v.kind for v in violations} == {"row_probe_mismatch"}
+
 
 class TestShrink:
     def test_shrinks_to_single_access(self):
