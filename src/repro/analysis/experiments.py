@@ -1041,8 +1041,7 @@ def run_e21() -> ExperimentOutput:
     a structural invariant the benchmark gate asserts.  The footer records
     which MinLA solver backend (CP-SAT / DP) certified the probe instance.
     """
-    from repro.core.cpsat import cpsat_available
-    from repro.core.ilp import solve
+    from repro.core.cpsat import cpsat_available, solve_minla
     from repro.trace.mixes import interleave
 
     suite = dict(benchmark_suite(SWEEP_KERNELS))
@@ -1100,7 +1099,7 @@ def run_e21() -> ExperimentOutput:
     # Solver-backend footnote: which backend certifies the MinLA probe.
     probe = markov_trace(7, 80, locality=0.7, seed=24)
     problem = build_problem(probe, _default_config(probe, words_per_dbc=16))
-    solution = solve(list(problem.items), problem.affinity)
+    solution = solve_minla(list(problem.items), problem.affinity)
     data["_solver"] = {
         "cpsat_available": cpsat_available(),
         "backend": solution.backend,

@@ -279,7 +279,7 @@ def cmd_place(args) -> int:
     trace = _load_trace_arg(args.trace)
     config = _config_from_args(args, trace.num_items)
     if args.export_ilp:
-        from repro.core.ilp import build_minla_ilp
+        from repro.core.ilp import minla_lp_text
         from repro.trace.stats import affinity_graph
         from repro.trace.binio import StreamingTrace
 
@@ -290,10 +290,12 @@ def cmd_place(args) -> int:
                 "access)"
             )
 
-        model = build_minla_ilp(list(trace.items), affinity_graph(trace))
-        atomic_write_text(args.export_ilp, model.to_lp_format())
-        print(f"wrote ILP ({len(model.variables)} vars, "
-              f"{len(model.constraints)} constraints) to {args.export_ilp}",
+        text, num_vars, num_constraints = minla_lp_text(
+            list(trace.items), affinity_graph(trace)
+        )
+        atomic_write_text(args.export_ilp, text)
+        print(f"wrote ILP ({num_vars} vars, "
+              f"{num_constraints} constraints) to {args.export_ilp}",
               file=sys.stderr)
     result = optimize_placement(trace, config, method=args.method)
     baseline = optimize_placement(trace, config, method="declaration")

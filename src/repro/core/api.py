@@ -49,6 +49,8 @@ from repro.core.community import community_placement
 from repro.core.cost import evaluate_placements_fast
 from repro.core.exact import (
     MAX_BRUTE_FORCE_ITEMS,
+    MAX_PARTITION_ITEMS,
+    exact_partitioned_placement,
     exact_single_dbc_placement,
     exhaustive_placement,
 )
@@ -79,10 +81,6 @@ def _exact_dispatch(problem: PlacementProblem, **kwargs) -> Placement:
     one DBC (n ≤ 16), else the set-partition DP (n ≤ 12).  Anything else
     falls back to the guarded brute force.
     """
-    from repro.core.exact_partition import (
-        MAX_PARTITION_ITEMS,
-        exact_partitioned_placement,
-    )
     from repro.dwm.config import PortPolicy
 
     single_port_lazy = (

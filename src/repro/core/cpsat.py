@@ -1,7 +1,7 @@
 """CP-SAT backend for the MinLA placement model (optional OR-Tools).
 
-``repro.core.ilp`` keeps the paper's ILP as an explicit, exportable
-formulation; this module is the *solver* behind it.  When OR-Tools is
+``repro.core.ilp`` writes the paper's ILP as exportable LP text; this
+module is the in-process *solver* for the same model.  When OR-Tools is
 installed, :func:`solve_minla_cpsat` builds the CP-SAT position model —
 
 * ``pos[v] ∈ [0, n-1]`` position variables under ``AllDifferent``;
@@ -17,11 +17,12 @@ installed, :func:`solve_minla_cpsat` builds the CP-SAT position model —
 
 Solving is fully deterministic (one worker, fixed seed).  When OR-Tools
 is absent — it is an optional dependency — :func:`solve_minla` degrades
-along the declarative ``ilp`` chain (``cpsat → dp → enumeration``,
-:data:`repro.robust.DEGRADATION_CHAINS`), recording the downgrade through
+along the declarative ``ilp`` chain (``cpsat → dp``,
+:data:`repro.robust.DEGRADATION_CHAINS`) to the subset DP of
+:mod:`repro.core.exact`, recording the downgrade through
 :func:`repro.robust.record_degradation`, and raises a typed
-:class:`~repro.errors.OptimizationError` when the instance exceeds every
-remaining backend's budget instead of silently grinding.
+:class:`~repro.errors.OptimizationError` when the instance exceeds the
+DP's budget instead of silently grinding.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class MinlaSolution:
 
     order: tuple[str, ...]
     cost: int
-    backend: str  # "cpsat" | "dp" | "enumeration"
+    backend: str  # "cpsat" | "dp"
     certified: bool  # True iff the backend proved optimality
 
     def to_dict(self) -> dict:
@@ -177,10 +178,6 @@ def solve_minla_cpsat(
     return MinlaSolution(order, cost, "cpsat", status == cp_model.OPTIMAL)
 
 
-#: Permutation budget for the enumeration backend (8! = 40320).
-ENUMERATION_MAX_ITEMS = 8
-
-
 def solve_minla(
     items: Sequence[str],
     affinity: dict[tuple[str, str], int],
@@ -190,10 +187,9 @@ def solve_minla(
     """Solve MinLA with the best available backend (the ``ilp`` chain).
 
     Best-first: CP-SAT (optional dependency, certifies up to hundreds of
-    items), then the subset DP (``n ≤ 16``), then permutation enumeration
-    through the generic ILP formulation checker (``n ≤ 8``).  Each skipped
-    level records a degradation on the ``ilp`` chain; when no backend can
-    take the instance a typed error names the tightest budget exceeded.
+    items), then the subset DP (``n ≤ 16``).  Skipping CP-SAT records a
+    degradation on the ``ilp`` chain; an instance no available backend
+    can take raises a typed error naming both budgets.
     """
     items = list(items)
     n = len(items)
@@ -211,29 +207,13 @@ def solve_minla(
     record_degradation(
         "ilp", "cpsat", "dp", "ortools unavailable", warn=False
     )
-    if n <= MAX_DP_ITEMS:
-        order = minla_exact_order(items, affinity)
-        return MinlaSolution(
-            tuple(order),
-            linear_arrangement_cost(order, affinity),
-            "dp",
-            True,
+    if n > MAX_DP_ITEMS:
+        raise OptimizationError(
+            f"instance of {n} items exceeds every available MinLA backend: "
+            f"install ortools for CP-SAT (≤{CPSAT_MAX_ITEMS} items), or stay "
+            f"within the subset DP (≤{MAX_DP_ITEMS} items)"
         )
-    record_degradation(
-        "ilp",
-        "dp",
-        "enumeration",
-        f"{n} items exceed the subset-DP cap ({MAX_DP_ITEMS})",
-        warn=False,
-    )
-    if n <= ENUMERATION_MAX_ITEMS:
-        from repro.core.ilp import solve_by_enumeration
-
-        order, value = solve_by_enumeration(items, affinity, max_items=n)
-        return MinlaSolution(tuple(order), int(value), "enumeration", True)
-    raise OptimizationError(
-        f"instance of {n} items exceeds every available MinLA backend: "
-        f"install ortools for CP-SAT (≤{CPSAT_MAX_ITEMS} items), or stay "
-        f"within the subset DP (≤{MAX_DP_ITEMS}) / enumeration "
-        f"(≤{ENUMERATION_MAX_ITEMS}) budgets"
+    order = minla_exact_order(items, affinity)
+    return MinlaSolution(
+        tuple(order), linear_arrangement_cost(order, affinity), "dp", True
     )

@@ -1,25 +1,39 @@
 """Exact placement search for small instances (the paper's OPT column).
 
-The published paper solves small instances optimally with an ILP; no ILP
-solver is available offline, so we provide two exact substitutes that compute
-the same optima:
+The published paper solves small instances optimally with an ILP
+(:mod:`repro.core.ilp` writes that model as LP text; :mod:`repro.core.cpsat`
+solves its MinLA core in process).  This module holds the exact methods
+that compute the same optima without a solver:
 
 * :func:`minla_exact_order` — optimal linear arrangement of one DBC's items
   by dynamic programming over subsets (the prefix-cut formulation of MinLA):
   placing items left to right, the total cost ``Σ w(u,v)·|pos u − pos v|``
   equals ``Σ_k cut(prefix_k)``, so ``f(S) = cut(S) + min_{u∈S} f(S∖{u})``.
   Exact for the single-DBC / single-port / lazy-policy objective; O(2ⁿ·n).
+* :func:`exact_partitioned_placement` / :func:`exact_single_dbc_placement`
+  — the true single-port lazy optimum.  The per-DBC decomposition
+  (docs/COST_MODEL.md §2) says a placement's cost is the sum of each DBC's
+  cost on its *restricted* subsequence, which depends only on which items
+  share the DBC and how they are laid out, so the optimum factors::
+
+      OPT = min over partitions {S_1..S_g}   Σ_d  group_cost(S_d)
+      group_cost(S) = min over orders+anchors of S   cost of trace|_S
+
+  ``group_cost`` comes from the MinLA DP (plain and port-approach
+  anchored) plus an anchor sweep scored by the restricted-sequence
+  evaluator; the outer minimisation is :func:`partition_minimum`, a
+  subset-partition DP (3ⁿ submask enumeration) with a group-count bound.
 * :func:`exhaustive_placement` — true-trace-cost brute force for very small
   item counts: per item subset it enumerates every within-group order and
   every offset assignment (all ``C(L, k)`` combinations while that count
   stays under :data:`MAX_OFFSET_COMBINATIONS`, else every contiguous
-  window), then combines subset optima with a partition DP over the per-DBC
-  cost decomposition.  Exact whenever the full combination enumeration
-  applies — in particular for every single-port-lazy geometry (contiguous
-  windows are optimal there) and every eager geometry (solved directly by
-  frequency/offset pairing); see :func:`exhaustive_search_is_exact`.
+  window), then combines subset optima with the same partition DP.  Exact
+  whenever the full combination enumeration applies — in particular for
+  every single-port-lazy geometry (contiguous windows are optimal there)
+  and every eager geometry (solved directly by frequency/offset pairing);
+  see :func:`exhaustive_search_is_exact`.
 
-Both raise :class:`OptimizationError` beyond their size guards rather than
+All raise :class:`OptimizationError` beyond their size guards rather than
 silently taking hours.
 """
 
@@ -27,17 +41,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.core.cost import evaluate_placement, linear_arrangement_cost
+from repro.core.cost import linear_arrangement_cost
 from repro.core.ordering import restricted_sequence_cost
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
-from repro.dwm.config import DWMConfig
+from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import OptimizationError
+from repro.trace.stats import affinity_graph
 
 #: Hard cap for the subset DP (2^n states with an n-way min each).
 MAX_DP_ITEMS = 16
+
+#: Hard cap for the partition DP: 3^n submask enumeration plus a 2^n·2^s
+#: MinLA DP per subset.
+MAX_PARTITION_ITEMS = 12
 
 #: Hard cap for the brute-force search over grouped placements.
 MAX_BRUTE_FORCE_ITEMS = 7
@@ -74,6 +93,12 @@ def minla_exact_order(
     if n > MAX_DP_ITEMS:
         raise OptimizationError(
             f"minla_exact_order supports at most {MAX_DP_ITEMS} items, got {n}"
+        )
+    if len(set(items)) != n:
+        raise OptimizationError("minla_exact_order needs distinct items")
+    if first_item is not None and first_item not in items:
+        raise OptimizationError(
+            f"first_item {first_item!r} is not one of the items"
         )
     if approach_costs is not None and first_item is None:
         raise OptimizationError("approach_costs requires first_item")
@@ -158,6 +183,106 @@ def minla_optimal_cost(
     return linear_arrangement_cost(order, affinity)
 
 
+def partition_minimum(
+    group_cost: dict[int, int],
+    num_items: int,
+    max_groups: int,
+) -> tuple[int, list[int]]:
+    """Minimum-cost partition of items ``{0..n-1}`` into feasible groups.
+
+    ``group_cost`` maps subset bitmasks to their exact group cost; masks
+    absent from it are infeasible (e.g. oversized).  Returns the optimal
+    total and the chosen subset masks (at most ``max_groups`` of them).
+    Classic submask-enumeration DP, canonicalised so each partition is
+    counted once (every subset must contain the lowest uncovered item).
+    Raises :class:`OptimizationError` when no feasible partition exists.
+    """
+    full = (1 << num_items) - 1
+    INF = float("inf")
+    # f[g][mask] = min cost covering `mask` with exactly g groups.
+    f: list[dict[int, int | float]] = [dict() for _ in range(max_groups + 1)]
+    f[0][0] = 0
+    parent: dict[tuple[int, int], int] = {}
+    for g in range(1, max_groups + 1):
+        previous = f[g - 1]
+        current = f[g]
+        for mask, base in previous.items():
+            remaining = full ^ mask
+            if remaining == 0:
+                if mask not in current or base < current[mask]:
+                    current[mask] = base  # allow unused groups
+                    parent[(g, mask)] = 0
+                continue
+            low_bit = remaining & -remaining
+            rest = remaining ^ low_bit
+            submask = rest
+            while True:
+                subset = submask | low_bit
+                cost = group_cost.get(subset)
+                if cost is not None:
+                    candidate = base + cost
+                    covered = mask | subset
+                    if covered not in current or candidate < current[covered]:
+                        current[covered] = candidate
+                        parent[(g, covered)] = subset
+                if submask == 0:
+                    break
+                submask = (submask - 1) & rest
+    best_g: int | None = None
+    best_value: int | float = INF
+    for g in range(1, max_groups + 1):
+        value = f[g].get(full, INF)
+        if value < best_value:
+            best_value = value
+            best_g = g
+    if best_g is None:
+        raise OptimizationError(
+            "no feasible partition (a group exceeds DBC capacity)"
+        )
+    groups: list[int] = []
+    mask = full
+    g = best_g
+    while g > 0:
+        subset = parent[(g, mask)]
+        if subset:
+            groups.append(subset)
+        mask ^= subset
+        g -= 1
+    groups.reverse()
+    return int(best_value), groups
+
+
+def _partitioned_placement(
+    problem: PlacementProblem,
+    group_layout: Callable[[list[str]], tuple[int, dict[str, int]]],
+) -> Placement:
+    """Optimal placement assembled from exact per-group layouts.
+
+    Scores every subset that fits one DBC with ``group_layout`` (members →
+    exact cost and offset map on a DBC of their own), picks the
+    cheapest cover with :func:`partition_minimum`, and places each chosen
+    group on its own DBC.
+    """
+    items = list(problem.items)
+    n = len(items)
+    config = problem.config
+    group_cost: dict[int, int] = {}
+    layouts: dict[int, dict[str, int]] = {}
+    for mask in range(1, 1 << n):
+        if mask.bit_count() > config.words_per_dbc:
+            continue
+        members = [items[i] for i in range(n) if mask >> i & 1]
+        group_cost[mask], layouts[mask] = group_layout(members)
+    _, groups = partition_minimum(group_cost, n, min(config.num_dbcs, n))
+    return Placement(
+        {
+            item: Slot(dbc, offset)
+            for dbc, mask in enumerate(groups)
+            for item, offset in layouts[mask].items()
+        }
+    )
+
+
 def _offset_candidates(size: int, config: DWMConfig) -> Iterator[tuple[int, ...]]:
     """Ascending offset tuples a group of ``size`` items may occupy.
 
@@ -180,8 +305,6 @@ def exhaustive_search_is_exact(config: DWMConfig, num_items: int) -> bool:
     True for every eager or single-port geometry, and for multi-port lazy
     geometries whose offset combinations are fully enumerable.
     """
-    from repro.dwm.config import PortPolicy
-
     if config.port_policy is PortPolicy.EAGER or config.num_ports == 1:
         return True
     largest = min(num_items, config.words_per_dbc)
@@ -257,101 +380,125 @@ def exhaustive_placement(
     DP.  Exponential; guarded to ``max_items`` items.  Exact whenever
     :func:`exhaustive_search_is_exact` holds for the geometry.
     """
-    from repro.core.exact_partition import partition_minimum
-    from repro.dwm.config import PortPolicy
-
-    items = list(problem.items)
-    n = len(items)
+    n = problem.num_items
     if n > max_items:
         raise OptimizationError(
             f"exhaustive_placement supports at most {max_items} items, "
             f"got {n}"
         )
     config = problem.config
-    capacity = config.words_per_dbc
-    eager = config.port_policy is PortPolicy.EAGER
-    frequencies = dict(problem.trace.frequencies())
-    group_cost: dict[int, int] = {}
-    group_layout: dict[int, dict[str, int]] = {}
-    for mask in range(1, 1 << n):
-        if mask.bit_count() > capacity:
-            continue
-        members = [items[i] for i in range(n) if mask >> i & 1]
-        if eager:
-            cost, offsets = _eager_group_layout(members, config, frequencies)
-        else:
-            cost, offsets = _lazy_group_layout(problem, members)
-        group_cost[mask] = cost
-        group_layout[mask] = offsets
-    _, groups = partition_minimum(group_cost, n, min(config.num_dbcs, n))
-    mapping: dict[str, Slot] = {}
-    for dbc, mask in enumerate(groups):
-        for item, offset in group_layout[mask].items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+    if config.port_policy is PortPolicy.EAGER:
+        frequencies = dict(problem.trace.frequencies())
+        return _partitioned_placement(
+            problem,
+            lambda members: _eager_group_layout(members, config, frequencies),
+        )
+    return _partitioned_placement(
+        problem, lambda members: _lazy_group_layout(problem, members)
+    )
 
 
-def exact_single_dbc_placement(problem: PlacementProblem) -> Placement:
-    """Optimal single-DBC placement via the MinLA DP, port-anchored.
+def _group_cost_and_layout(
+    problem: PlacementProblem,
+    items: list[str],
+) -> tuple[int, dict[str, int]]:
+    """Exact single-port lazy cost and offset map of one group on its DBC.
 
-    Requires all items to fit in one DBC (single port, lazy policy).  The
-    trace cost of an order anchored at ``start`` is its pairwise MinLA cost
-    plus the initial port approach ``|start + index(first) − port|``.  The
-    pairwise part is anchor-independent, so minimising over starts leaves
-    ``approach(q) = min over starts of |start + q − port|`` — a function of
-    the first item's position ``q`` only — which the DP charges exactly via
-    ``approach_costs``.  The pure MinLA variant is kept as a cheap extra
-    candidate; every feasible anchor of each order (and its reversal) is
-    scored with the exact evaluator.
+    The trace cost of an order anchored at ``start`` is its pairwise MinLA
+    cost plus the initial port approach ``|start + index(first) − port|``.
+    The pairwise part is anchor-independent, so minimising over starts
+    leaves ``approach(q) = min over starts of |start + q − port|`` — a
+    function of the first item's position ``q`` only — which the DP charges
+    exactly via ``approach_costs``.  The pure MinLA order is kept as a cheap
+    extra candidate; every feasible anchor of each order (and its reversal)
+    is scored with the exact restricted-sequence evaluator.
     """
-    from repro.dwm.config import PortPolicy
-
     config = problem.config
-    if config.num_ports != 1:
-        raise OptimizationError(
-            "exact_single_dbc_placement is exact only for single-port DBCs; "
-            "use exhaustive_placement for small multi-port instances"
-        )
-    if config.port_policy is not PortPolicy.LAZY:
-        raise OptimizationError(
-            "exact_single_dbc_placement requires the lazy shift policy"
-        )
-    if problem.num_items > config.words_per_dbc:
-        raise OptimizationError(
-            f"{problem.num_items} items exceed a single DBC "
-            f"({config.words_per_dbc} words)"
-        )
-    items = list(problem.items)
-    first_item = problem.trace[0].item
+    restricted = problem.trace.restricted_to(items)
+    if len(restricted) == 0:
+        return 0, {item: index for index, item in enumerate(items)}
+    affinity = affinity_graph(restricted)
+    first_item = restricted[0].item
     port = config.port_offsets[0]
     max_start = config.words_per_dbc - len(items)
     approach = [
         max(0, q - port, port - q - max_start) for q in range(len(items))
     ]
     orders = [
-        minla_exact_order(items, problem.affinity),
+        minla_exact_order(items, affinity),
         minla_exact_order(
-            items,
-            problem.affinity,
-            first_item=first_item,
-            approach_costs=approach,
+            items, affinity, first_item=first_item, approach_costs=approach
         ),
     ]
     best_cost: int | None = None
-    best_placement: Placement | None = None
+    best_offsets: dict[str, int] | None = None
     for order in orders:
-        reversed_order = list(reversed(order))
-        for candidate_order in (order, reversed_order):
+        for candidate in (order, list(reversed(order))):
             for start in range(max_start + 1):
-                placement = Placement(
-                    {
-                        item: Slot(0, start + position)
-                        for position, item in enumerate(candidate_order)
-                    }
-                )
-                cost = evaluate_placement(problem, placement, validate=False)
+                offsets = {
+                    item: start + position
+                    for position, item in enumerate(candidate)
+                }
+                cost = restricted_sequence_cost(restricted, offsets, config)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
-                    best_placement = placement
-    assert best_placement is not None
-    return best_placement
+                    best_offsets = offsets
+    assert best_cost is not None and best_offsets is not None
+    return best_cost, best_offsets
+
+
+def _require_single_port_lazy(config: DWMConfig, method: str) -> None:
+    """Reject geometries the MinLA-based group layout is not exact for."""
+    if config.num_ports != 1:
+        raise OptimizationError(
+            f"{method} is exact only for single-port DBCs; "
+            "use exhaustive_placement for small multi-port instances"
+        )
+    if config.port_policy is not PortPolicy.LAZY:
+        raise OptimizationError(f"{method} requires the lazy shift policy")
+
+
+def exact_partitioned_placement(
+    problem: PlacementProblem,
+    max_items: int = MAX_PARTITION_ITEMS,
+) -> Placement:
+    """Exact optimal placement (single-port, lazy) via partition DP.
+
+    Contiguous within-group layouts are without loss of generality for a
+    single port (compacting an order weakly decreases every pairwise
+    distance, and the anchor sweep covers the approach term); with several
+    ports the optimum may need *gaps* to straddle ports, so multi-port
+    geometries are rejected rather than silently approximated.  Raises
+    :class:`OptimizationError` beyond ``max_items`` items, for multi-port or
+    eager geometries, or when the items cannot fit the configured capacity.
+    """
+    config = problem.config
+    _require_single_port_lazy(config, "exact_partitioned_placement")
+    n = problem.num_items
+    if n > max_items:
+        raise OptimizationError(
+            f"exact_partitioned_placement supports at most {max_items} items, "
+            f"got {n}"
+        )
+    if n > config.num_dbcs * config.words_per_dbc:
+        raise OptimizationError("items exceed array capacity")
+    return _partitioned_placement(
+        problem, lambda members: _group_cost_and_layout(problem, members)
+    )
+
+
+def exact_single_dbc_placement(problem: PlacementProblem) -> Placement:
+    """Optimal single-DBC placement via the MinLA DP, port-anchored.
+
+    Requires all items to fit in one DBC (single port, lazy policy); the
+    layout is :func:`_group_cost_and_layout` of all items on DBC 0.
+    """
+    config = problem.config
+    _require_single_port_lazy(config, "exact_single_dbc_placement")
+    if problem.num_items > config.words_per_dbc:
+        raise OptimizationError(
+            f"{problem.num_items} items exceed a single DBC "
+            f"({config.words_per_dbc} words)"
+        )
+    _, offsets = _group_cost_and_layout(problem, list(problem.items))
+    return Placement({item: Slot(0, offset) for item, offset in offsets.items()})

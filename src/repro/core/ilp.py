@@ -1,354 +1,104 @@
-"""The paper's ILP formulation of shift-minimizing placement.
+"""The paper's ILP formulation of shift-minimizing placement, as LP text.
 
 The published work formulates optimal data placement as an integer linear
-program and solves small instances with a commercial solver.  No solver is
-available offline, but the *formulation itself* is a reproduction artifact:
-this module builds it explicitly, exports it in the standard CPLEX ``.lp``
-text format (so any external solver can consume it), and verifies it against
-the exact subset-DP optimum by exhaustive enumeration on small instances.
+program and solves small instances with a commercial solver.  The
+*formulation itself* is a reproduction artifact: :func:`minla_lp_text`
+writes it in the standard CPLEX ``.lp`` text format straight from the
+affinity graph, so any external solver can consume it
+(``repro place --export-ilp``).
 
 Formulation (single DBC — the MinLA core; DESIGN.md §4):
 
-* binaries ``x[v,k]`` — item ``v`` sits at position ``k``;
-* assignment constraints — each item takes exactly one position, each
-  position at most one item;
-* continuous ``d[u,v] ≥ |pos(u) − pos(v)|`` for every affinity pair,
-  linearized as ``d[u,v] ≥ pos(u) − pos(v)`` and ``d[u,v] ≥ pos(v) − pos(u)``
-  with ``pos(v) = Σ_k k·x[v,k]``;
-* objective — minimize ``Σ w(u,v)·d[u,v]``.
+* binaries ``x_i_k`` — item ``i`` sits at position ``k``;
+* assignment constraints — each item takes exactly one position
+  (``item_i``), each position exactly one item (``pos_k``);
+* continuous ``d_a_b ∈ [0, n−1]`` for every affinity pair, tied to
+  ``|pos(a) − pos(b)|`` by the linearized rows ``absf_a_b``
+  (``d ≥ pos(a) − pos(b)``) and ``absb_a_b`` (``d ≥ pos(b) − pos(a)``)
+  with ``pos(v) = Σ_k k·x_v_k``;
+* objective — minimize ``Σ w(a,b)·d_a_b``.
 
-At any optimum each ``d[u,v]`` is tight (the objective presses it down onto
-the larger of its two bounds), so the ILP optimum equals the MinLA optimum —
-:func:`verify_formulation` checks exactly that, plus feasibility of every
-permutation assignment, with fully generic constraint evaluation.
-
-Solving is delegated to :func:`solve` (backed by the OR-Tools CP-SAT model
-in :mod:`repro.core.cpsat` when the optional dependency is installed, with
-the subset DP and the permutation enumeration below as pure-python
-fallbacks).  The enumeration path is a *formulation validator*, not a
-production solver, and is hard-capped by :data:`ENUMERATION_BUDGET`
-permutations — instances above the budget are rejected with a typed
-:class:`~repro.errors.OptimizationError` instead of enumerating for
-minutes.
+At any optimum each ``d_a_b`` is tight (the objective presses it down onto
+the larger of its two bounds), so the ILP optimum equals the MinLA optimum;
+``tests/test_ilp.py`` checks that on the exported text, permutation by
+permutation, against the subset DP.  In-process solving is
+:func:`repro.core.cpsat.solve_minla` (CP-SAT, else the subset DP).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.exact import minla_optimal_cost
 from repro.errors import OptimizationError
 
-#: Hard cap on permutation assignments the enumeration backend may check,
-#: regardless of the caller-supplied ``max_items`` (9! would already be
-#: ~360k generic constraint evaluations — minutes, not seconds).
-ENUMERATION_BUDGET = 40_320  # 8!
+
+def _row(terms: dict[str, int]) -> str:
+    """LP rendering of ``Σ coef·var`` (sorted by name, zero terms dropped)."""
+    parts = [
+        f"{'+' if m >= 0 else '-'} {'' if abs(m) == 1 else f'{abs(m):g} '}{name}"
+        for name, m in sorted(terms.items())
+        if m != 0
+    ]
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else text
 
 
-@dataclass(frozen=True)
-class Variable:
-    """One decision variable of the model."""
-
-    name: str
-    is_binary: bool = True
-    lower: float = 0.0
-    upper: float | None = None  # None = +inf (binaries implicitly 1)
-
-
-@dataclass
-class LinearExpr:
-    """A linear expression: Σ coef·var + constant."""
-
-    coefficients: dict[str, float] = field(default_factory=dict)
-    constant: float = 0.0
-
-    def add(self, variable: str, coefficient: float) -> "LinearExpr":
-        self.coefficients[variable] = (
-            self.coefficients.get(variable, 0.0) + coefficient
-        )
-        return self
-
-    def evaluate(self, assignment: dict[str, float]) -> float:
-        """Value of the expression under a full variable assignment."""
-        total = self.constant
-        for variable, coefficient in self.coefficients.items():
-            total += coefficient * assignment[variable]
-        return total
-
-    def render(self) -> str:
-        """LP-format rendering of the variable part (no constant)."""
-        parts: list[str] = []
-        for variable, coefficient in sorted(self.coefficients.items()):
-            if coefficient == 0:
-                continue
-            sign = "+" if coefficient >= 0 else "-"
-            magnitude = abs(coefficient)
-            coeff_text = "" if magnitude == 1 else f"{magnitude:g} "
-            parts.append(f"{sign} {coeff_text}{variable}")
-        if not parts:
-            return "0"
-        first = parts[0]
-        if first.startswith("+ "):
-            parts[0] = first[2:]
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """``expr (<=|>=|=) rhs``."""
-
-    name: str
-    expr: LinearExpr
-    sense: str  # "<=", ">=", "="
-    rhs: float
-
-    def holds(self, assignment: dict[str, float], tolerance: float = 1e-9) -> bool:
-        value = self.expr.evaluate(assignment)
-        if self.sense == "<=":
-            return value <= self.rhs + tolerance
-        if self.sense == ">=":
-            return value >= self.rhs - tolerance
-        return abs(value - self.rhs) <= tolerance
-
-
-@dataclass
-class ILPModel:
-    """A minimization ILP: variables, constraints, objective."""
-
-    name: str
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: LinearExpr = field(default_factory=LinearExpr)
-
-    def variable_names(self) -> list[str]:
-        return [variable.name for variable in self.variables]
-
-    def check(self, assignment: dict[str, float]) -> list[str]:
-        """Names of constraints violated by ``assignment`` (empty = feasible)."""
-        missing = [
-            variable.name
-            for variable in self.variables
-            if variable.name not in assignment
-        ]
-        if missing:
-            raise OptimizationError(
-                f"assignment misses variables: {missing[:5]}"
-            )
-        return [
-            constraint.name
-            for constraint in self.constraints
-            if not constraint.holds(assignment)
-        ]
-
-    def to_lp_format(self) -> str:
-        """Serialise in the CPLEX LP text format."""
-        lines = [f"\\ {self.name}", "Minimize", f" obj: {self.objective.render()}"]
-        lines.append("Subject To")
-        for constraint in self.constraints:
-            sense = {"<=": "<=", ">=": ">=", "=": "="}[constraint.sense]
-            lines.append(
-                f" {constraint.name}: {constraint.expr.render()} "
-                f"{sense} {constraint.rhs:g}"
-            )
-        bounded = [
-            v for v in self.variables if not v.is_binary and v.upper is not None
-        ]
-        frees = [
-            v for v in self.variables if not v.is_binary and v.upper is None
-        ]
-        if bounded or frees:
-            lines.append("Bounds")
-            for variable in bounded:
-                lines.append(
-                    f" {variable.lower:g} <= {variable.name} <= {variable.upper:g}"
-                )
-            for variable in frees:
-                lines.append(f" {variable.name} >= {variable.lower:g}")
-        binaries = [v.name for v in self.variables if v.is_binary]
-        if binaries:
-            lines.append("Binary")
-            for name in binaries:
-                lines.append(f" {name}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
-
-def _x(item_index: int, position: int) -> str:
-    return f"x_{item_index}_{position}"
-
-
-def _d(left_index: int, right_index: int) -> str:
-    return f"d_{left_index}_{right_index}"
-
-
-def build_minla_ilp(
+def minla_lp_text(
     items: Sequence[str],
     affinity: dict[tuple[str, str], int],
-    model_name: str = "dwm-placement-minla",
-) -> ILPModel:
-    """Build the single-DBC placement ILP for the given affinity instance."""
+) -> tuple[str, int, int]:
+    """The single-DBC placement ILP in CPLEX LP format.
+
+    Returns ``(text, num_vars, num_constraints)``.  Raises
+    :class:`~repro.errors.OptimizationError` for an empty item list.
+    """
     items = list(items)
     n = len(items)
     if n == 0:
         raise OptimizationError("cannot build an ILP over zero items")
     index = {item: i for i, item in enumerate(items)}
-    model = ILPModel(name=model_name)
-    # Assignment binaries.
-    for i in range(n):
-        for k in range(n):
-            model.variables.append(Variable(_x(i, k)))
-    # Each item exactly one position.
-    for i in range(n):
-        expr = LinearExpr()
-        for k in range(n):
-            expr.add(_x(i, k), 1.0)
-        model.constraints.append(Constraint(f"item_{i}", expr, "=", 1.0))
-    # Each position at most one item (exactly one, since counts match).
-    for k in range(n):
-        expr = LinearExpr()
-        for i in range(n):
-            expr.add(_x(i, k), 1.0)
-        model.constraints.append(Constraint(f"pos_{k}", expr, "=", 1.0))
-    # Distance variables and linearized absolute values.
+    rows = [
+        (f"item_{i}", {f"x_{i}_{k}": 1 for k in range(n)}, "=", 1)
+        for i in range(n)
+    ]
+    rows += [
+        (f"pos_{k}", {f"x_{i}_{k}": 1 for i in range(n)}, "=", 1)
+        for k in range(n)
+    ]
     pairs = sorted(
-        (
-            (index[left], index[right], weight)
-            for (left, right), weight in affinity.items()
-            if left in index and right in index and left != right and weight > 0
-        )
+        (index[left], index[right], weight)
+        for (left, right), weight in affinity.items()
+        if left in index and right in index and left != right and weight > 0
     )
+    objective: dict[str, int] = {}
+    distances: list[str] = []
     for i, j, weight in pairs:
         a, b = min(i, j), max(i, j)
-        d_name = _d(a, b)
-        model.variables.append(
-            Variable(d_name, is_binary=False, lower=0.0, upper=float(n - 1))
-        )
-        # d >= pos(a) - pos(b)  <=>  d - pos(a) + pos(b) >= 0
-        forward = LinearExpr().add(d_name, 1.0)
-        backward = LinearExpr().add(d_name, 1.0)
-        for k in range(n):
-            forward.add(_x(a, k), -float(k))
-            forward.add(_x(b, k), float(k))
-            backward.add(_x(a, k), float(k))
-            backward.add(_x(b, k), -float(k))
-        model.constraints.append(
-            Constraint(f"absf_{a}_{b}", forward, ">=", 0.0)
-        )
-        model.constraints.append(
-            Constraint(f"absb_{a}_{b}", backward, ">=", 0.0)
-        )
-        model.objective.add(d_name, float(weight))
-    return model
-
-
-def assignment_for_order(
-    items: Sequence[str],
-    affinity: dict[tuple[str, str], int],
-    order: Sequence[str],
-) -> dict[str, float]:
-    """The (tight) model assignment induced by a concrete linear order."""
-    items = list(items)
-    index = {item: i for i, item in enumerate(items)}
-    position = {item: k for k, item in enumerate(order)}
-    if set(order) != set(items):
-        raise OptimizationError("order must be a permutation of the items")
-    assignment: dict[str, float] = {}
-    for i, item in enumerate(items):
-        for k in range(len(items)):
-            assignment[_x(i, k)] = 1.0 if position[item] == k else 0.0
-    for (left, right), weight in affinity.items():
-        if left == right or weight <= 0:
-            continue
-        if left not in index or right not in index:
-            continue
-        a, b = sorted((index[left], index[right]))
-        assignment[_d(a, b)] = float(
-            abs(position[items[a]] - position[items[b]])
-        )
-    return assignment
-
-
-def solve_by_enumeration(
-    items: Sequence[str],
-    affinity: dict[tuple[str, str], int],
-    max_items: int = 7,
-) -> tuple[list[str], float]:
-    """Solve the ILP by enumerating all permutation assignments.
-
-    Every candidate is checked *generically* against the model's
-    constraints, and the objective is evaluated generically too — this
-    validates the formulation, not just the search.  Returns the optimal
-    order and objective value.
-    """
-    items = list(items)
-    if len(items) > max_items:
-        raise OptimizationError(
-            f"enumeration supports at most {max_items} items, got {len(items)}"
-        )
-    if math.factorial(len(items)) > ENUMERATION_BUDGET:
-        raise OptimizationError(
-            f"enumerating {len(items)}! = {math.factorial(len(items))} "
-            f"permutation assignments exceeds the enumeration budget of "
-            f"{ENUMERATION_BUDGET}; use repro.core.ilp.solve (CP-SAT / "
-            f"subset DP) for larger instances"
-        )
-    model = build_minla_ilp(items, affinity)
-    best_order: list[str] | None = None
-    best_value: float | None = None
-    for permutation in itertools.permutations(items):
-        assignment = assignment_for_order(items, affinity, permutation)
-        violated = model.check(assignment)
-        if violated:
-            raise OptimizationError(
-                f"formulation bug: permutation assignment violates {violated[:3]}"
-            )
-        value = model.objective.evaluate(assignment)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_order = list(permutation)
-    assert best_order is not None and best_value is not None
-    return best_order, best_value
-
-
-def verify_formulation(
-    items: Sequence[str],
-    affinity: dict[tuple[str, str], int],
-    max_items: int = 8,
-) -> bool:
-    """Check the ILP optimum equals the exact DP optimum on this instance.
-
-    Inherits :func:`solve_by_enumeration`'s budget guard: instances whose
-    permutation count exceeds :data:`ENUMERATION_BUDGET` are rejected with
-    a typed error up front rather than verified by brute force, no matter
-    how high the caller raises ``max_items``.
-    """
-    _order, ilp_value = solve_by_enumeration(items, affinity, max_items=max_items)
-    dp_value = minla_optimal_cost(list(items), affinity)
-    return abs(ilp_value - dp_value) < 1e-9
-
-
-def solve(
-    items: Sequence[str],
-    affinity: dict[tuple[str, str], int],
-    time_limit: float | None = None,
-    warm_start: Sequence[str] | None = None,
-):
-    """Solve the placement MinLA model with the best available backend.
-
-    Thin front over :func:`repro.core.cpsat.solve_minla`: OR-Tools CP-SAT
-    (warm-started, symmetry-broken, certifying optima into the hundreds of
-    items) when installed, the pure-python subset DP / enumeration chain
-    otherwise, with the downgrade recorded on the ``ilp`` degradation
-    chain.  Returns a :class:`repro.core.cpsat.MinlaSolution`.
-    """
-    from repro.core.cpsat import DEFAULT_TIME_LIMIT, solve_minla
-
-    return solve_minla(
-        items,
-        affinity,
-        time_limit=DEFAULT_TIME_LIMIT if time_limit is None else time_limit,
-        warm_start=warm_start,
-    )
+        d = f"d_{a}_{b}"
+        distances.append(d)
+        # absf: d - pos(a) + pos(b) >= 0;  absb: d + pos(a) - pos(b) >= 0.
+        for name, sign in ((f"absf_{a}_{b}", -1), (f"absb_{a}_{b}", 1)):
+            terms = {d: 1}
+            for k in range(n):
+                terms[f"x_{a}_{k}"] = sign * k
+                terms[f"x_{b}_{k}"] = -sign * k
+            rows.append((name, terms, ">=", 0))
+        objective[d] = objective.get(d, 0) + weight
+    lines = [
+        "\\ dwm-placement-minla",
+        "Minimize",
+        f" obj: {_row(objective)}",
+        "Subject To",
+    ]
+    lines += [
+        f" {name}: {_row(terms)} {sense} {rhs:g}"
+        for name, terms, sense, rhs in rows
+    ]
+    if distances:
+        lines.append("Bounds")
+        lines += [f" 0 <= {d} <= {n - 1:g}" for d in distances]
+    binaries = [f"x_{i}_{k}" for i in range(n) for k in range(n)]
+    lines += ["Binary", *(f" {x}" for x in binaries), "End"]
+    return "\n".join(lines) + "\n", len(binaries) + len(distances), len(rows)

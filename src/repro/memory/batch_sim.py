@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Iterable, Sequence
 
 from repro.core.incremental import multi_port_access_costs
@@ -68,7 +69,7 @@ class ResolvedTrace:
         import numpy as np
 
         start = time.perf_counter()
-        self.trace = trace
+        self._trace = weakref.ref(trace)
         self.items: tuple[str, ...] = trace.items
         index = {item: position for position, item in enumerate(self.items)}
         length = len(trace)
@@ -86,6 +87,16 @@ class ResolvedTrace:
         registry.inc("sim.resolves")
         registry.observe("sim.resolve.seconds", self.resolve_seconds)
 
+    @property
+    def trace(self) -> AccessTrace | None:
+        """The resolved trace, or ``None`` once it has been freed.
+
+        Held weakly: the trace caches its resolution (``_resolved``), and a
+        strong reference back would make a cycle that keeps both — and the
+        per-access records — alive until a full cyclic collection.
+        """
+        return self._trace()
+
     @classmethod
     def from_arrays(cls, trace: AccessTrace, items, item_at, is_write):
         """Trusted constructor from prebuilt dense arrays.
@@ -97,7 +108,7 @@ class ResolvedTrace:
         avoid.  The caller guarantees the arrays describe ``trace``.
         """
         resolved = cls.__new__(cls)
-        resolved.trace = trace
+        resolved._trace = weakref.ref(trace)
         resolved.items = tuple(items)
         resolved.item_at = item_at
         resolved.is_write = is_write

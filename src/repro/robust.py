@@ -3,8 +3,9 @@
 The stack has several places where a *better* implementation can fail for
 infrastructure reasons and a *simpler* one still produces the identical
 answer: the streaming engine falls back to the vectorized one, compiled
-kernels to numpy, pooled maps to serial maps, corrupt cache entries to
-recomputation, torn binary traces to their salvaged prefix.  Before this
+kernels to numpy, the CP-SAT MinLA solver to the subset DP, pooled maps to
+serial maps, corrupt cache entries to recomputation, torn binary traces to
+their salvaged prefix.  Before this
 module those fallbacks were scattered ad-hoc ``except`` clauses with
 inconsistent logging and no observability.  This module centralises:
 
@@ -62,9 +63,8 @@ DEGRADATION_CHAINS: dict[str, tuple[str, ...]] = {
     # Cost kernels (repro.core.kernels)
     "kernel": ("cc", "numpy"),
     # MinLA/ILP solver backends (repro.core.cpsat.solve_minla): CP-SAT when
-    # the optional ortools dependency is installed, else the subset DP,
-    # else budget-guarded permutation enumeration.
-    "ilp": ("cpsat", "dp", "enumeration"),
+    # the optional ortools dependency is installed, else the subset DP.
+    "ilp": ("cpsat", "dp"),
     # Task fan-out (repro.analysis.parallel)
     "map": ("pooled", "serial"),
     # Result cache (repro.analysis.cache)

@@ -21,8 +21,8 @@ five oracle families and returns the (hopefully empty) list of
   portfolio, so a run that prices *worse* than the heuristic is a solver
   bug, not a modelling choice;
 * **ilp solver** — on tiny instances the MinLA solver chain
-  (:func:`repro.core.ilp.solve`: CP-SAT when installed, subset DP /
-  enumeration otherwise) must report a *certified* optimum equal to the
+  (:func:`repro.core.cpsat.solve_minla`: CP-SAT when installed, the
+  subset DP otherwise) must report a *certified* optimum equal to the
   independent DP optimum, and its order must price to the cost it claims;
 * **cache equivalence** — a cold placement-cache store followed by a warm
   lookup must be a hit and return the identical result;
@@ -442,22 +442,21 @@ def check_ilp_solver(
 ) -> list[Violation]:
     """The MinLA solver chain must certify the true optimum on tiny instances.
 
-    Runs :func:`repro.core.ilp.solve` (CP-SAT when the optional ortools
-    dependency is installed, subset DP / budget-guarded enumeration
-    otherwise) against the independent DP optimum, and re-prices the
-    returned order to catch solutions whose claimed cost disagrees with
-    their own arrangement.
+    Runs :func:`repro.core.cpsat.solve_minla` (CP-SAT when the optional
+    ortools dependency is installed, the subset DP otherwise) against the
+    independent DP optimum, and re-prices the returned order to catch
+    solutions whose claimed cost disagrees with their own arrangement.
     """
     if problem.num_items > ILP_ORACLE_MAX_ITEMS:
         return []
     from repro.core.cost import linear_arrangement_cost
+    from repro.core.cpsat import solve_minla
     from repro.core.exact import minla_optimal_cost
-    from repro.core.ilp import solve
 
     violations: list[Violation] = []
     items = list(problem.items)
     affinity = problem.affinity
-    solution = solve(items, affinity)
+    solution = solve_minla(items, affinity)
     reference = minla_optimal_cost(items, affinity)
     if not solution.certified:
         violations.append(

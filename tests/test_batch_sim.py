@@ -9,6 +9,9 @@ combination, and its total must also match the reference
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.api import build_problem
@@ -21,6 +24,7 @@ from repro.memory.batch_sim import (
     BatchSimulator,
     ResolvedTrace,
     batch_simulate,
+    resolve_trace,
     simulate_vectorized,
 )
 from repro.memory.spm import VECTORIZED_MIN_ACCESSES, ScratchpadMemory
@@ -159,6 +163,22 @@ class TestBatchAPI:
         assert resolved.reads == reads
         assert resolved.writes == writes
         assert resolved.item_at.shape == (len(trace),)
+
+    def test_cached_resolution_frees_with_its_trace(self):
+        # The trace caches its resolution; the resolution must not hold the
+        # trace strongly, or the pair waits for a full cyclic collection
+        # (and forked pool workers inherit the dead records).
+        trace = markov_trace(10, 300, seed=8)
+        resolved = resolve_trace(trace)
+        assert resolved.trace is trace
+        alive = weakref.ref(trace)
+        gc.disable()
+        try:
+            del trace
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert resolved.trace is None
 
 
 class TestEngineSelection:

@@ -55,6 +55,14 @@ class TestMinlaExactOrder:
         affinity = {("a", "b"): 2}
         assert minla_optimal_cost(["a", "b"], affinity) == 2
 
+    def test_unknown_first_item_raises_typed_error(self):
+        with pytest.raises(OptimizationError, match="first_item"):
+            minla_exact_order(["a", "b"], {("a", "b"): 1}, first_item="z")
+
+    def test_duplicate_items_raise_typed_error(self):
+        with pytest.raises(OptimizationError, match="distinct"):
+            minla_exact_order(["a", "a", "b"], {("a", "b"): 1})
+
 
 class TestExactSingleDbc:
     def test_not_worse_than_heuristic(self):

@@ -20,12 +20,10 @@ from repro.core.api import build_problem
 from repro.core.cost import linear_arrangement_cost
 from repro.core.cpsat import (
     CPSAT_MAX_ITEMS,
-    MinlaSolution,
     cpsat_available,
     solve_minla,
 )
 from repro.core.exact import minla_optimal_cost
-from repro.core.ilp import solve
 from repro.dwm.config import DWMConfig
 from repro.errors import OptimizationError
 from repro.trace.stats import affinity_graph
@@ -66,14 +64,6 @@ class TestSolveMinla:
                 == solution.cost
             )
 
-    def test_ilp_solve_front_matches_backend(self):
-        items, affinity = _instance(6, seed=9)
-        front = solve(items, affinity)
-        direct = solve_minla(items, affinity)
-        assert isinstance(front, MinlaSolution)
-        assert front.cost == direct.cost
-        assert front.backend == direct.backend
-
     def test_zero_items_rejected(self):
         with pytest.raises(OptimizationError):
             solve_minla([], {})
@@ -103,12 +93,22 @@ class TestFallbackChain:
         with pytest.raises(OptimizationError, match="backend"):
             solve_minla(items, {})
 
+    @requires_no_cpsat
+    def test_past_dp_budget_raises_without_phantom_tier(self):
+        robust.reset_degradations()
+        items = [f"i{k}" for k in range(17)]
+        with pytest.raises(OptimizationError) as excinfo:
+            solve_minla(items, {})
+        message = str(excinfo.value)
+        assert "enumeration" not in message
+        assert f"≤{CPSAT_MAX_ITEMS}" in message and "≤16" in message
+        summary = robust.degradation_summary()
+        assert "ilp:dp->enumeration" not in summary
+        assert summary.get("ilp:cpsat->dp", 0) >= 1
+        robust.reset_degradations()
+
     def test_chain_declared_in_robust_table(self):
-        assert robust.DEGRADATION_CHAINS["ilp"] == (
-            "cpsat",
-            "dp",
-            "enumeration",
-        )
+        assert robust.DEGRADATION_CHAINS["ilp"] == ("cpsat", "dp")
 
 
 class TestCpsatBackend:
@@ -124,8 +124,8 @@ class TestCpsatBackend:
 
     @requires_cpsat
     def test_certifies_optimum_beyond_dp_reach(self):
-        # 24 items: far beyond the enumeration budget and past the subset
-        # DP cap; the chain optimum Σw is known in closed form.
+        # 24 items: past the subset DP cap; the chain optimum Σw is known
+        # in closed form.
         items, affinity = _chain_instance(24)
         solution = solve_minla(items, affinity, time_limit=60.0)
         assert solution.backend == "cpsat"

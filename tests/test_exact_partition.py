@@ -1,10 +1,9 @@
-"""Unit tests for the set-partition exact optimum (repro.core.exact_partition)."""
+"""Unit tests for the set-partition exact optimum (repro.core.exact)."""
 
 import pytest
 
 from repro.core.cost import evaluate_placement
-from repro.core.exact import exhaustive_placement
-from repro.core.exact_partition import exact_partitioned_placement
+from repro.core.exact import exact_partitioned_placement, exhaustive_placement
 from repro.core.heuristic import heuristic_placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
@@ -154,7 +153,7 @@ class TestFuzzerRegressions:
 
 class TestPartitionMinimum:
     def test_picks_cheapest_cover(self):
-        from repro.core.exact_partition import partition_minimum
+        from repro.core.exact import partition_minimum
 
         group_cost = {
             0b001: 5, 0b010: 7, 0b100: 1,
@@ -165,7 +164,7 @@ class TestPartitionMinimum:
         assert sorted(groups) == [0b010, 0b101]
 
     def test_group_bound_respected(self):
-        from repro.core.exact_partition import partition_minimum
+        from repro.core.exact import partition_minimum
 
         # With only singleton groups allowed to be cheap, one group must
         # cover everything when max_groups == 1.
@@ -178,7 +177,7 @@ class TestPartitionMinimum:
         assert groups == [0b111]
 
     def test_infeasible_raises(self):
-        from repro.core.exact_partition import partition_minimum
+        from repro.core.exact import partition_minimum
 
         with pytest.raises(OptimizationError):
             partition_minimum({0b001: 1}, 2, 2)  # item 1 uncoverable
