@@ -1,6 +1,6 @@
 """E19 — batch simulation throughput, parallel sweeps, warm-cache reruns.
 
-Three measurements of the PR-2 throughput stack on the evaluation workloads:
+Four measurements of the throughput stack on the evaluation workloads:
 
 1. **Simulation throughput** — simulations/second of the vectorized engine
    (:class:`repro.memory.batch_sim.BatchSimulator`, trace resolution
@@ -15,6 +15,17 @@ Three measurements of the PR-2 throughput stack on the evaluation workloads:
 3. **Persistent cache** — a cold then warm run of the E4 sweep against a
    scratch cache directory; the warm rerun must hit for every placement
    (zero misses), render identically, and not be slower.
+4. **Size sweep** — per-call time of the scalar reference against the
+   vectorized path at 128–8,192 accesses (1- and 2-port lazy), for
+   ``ScratchpadMemory.simulate`` and for candidate scoring
+   (``evaluate_placement`` against ``evaluate_placements_fast``), with
+   the trace resolution cached as the placement methods see it.  Two
+   trace shapes per size — a hot working set (48 items) and an item-heavy
+   uniform trace (as many names as accesses) — plus the two most
+   item-heavy suite kernels, ``transpose`` and ``spmv``, at their own
+   length.  This is the measurement behind sending every in-memory trace
+   to the vectorized path; rows where the scalar walk is faster are
+   recorded as measured, not gated.
 
 Structured numbers land in ``results/BENCH_e19.json`` for the perf
 trajectory; the table goes to ``results/e19.txt``.
@@ -31,10 +42,13 @@ from repro.analysis.report import format_table
 from repro.analysis.sweep import sweep
 from repro.core.api import build_problem
 from repro.core.baselines import random_placement
+from repro.core.cost import evaluate_placement, evaluate_placements_fast
 from repro.dwm.config import DWMConfig
 from repro.memory.spm import ScratchpadMemory
 from repro.perf import Stopwatch, measure_throughput, speedup
-from repro.trace.synthetic import markov_trace
+from repro.memory.batch_sim import resolve_trace
+from repro.trace.kernels import KERNELS
+from repro.trace.synthetic import markov_trace, uniform_trace
 
 #: Geometries measured; the single-port lazy row is the headline number.
 GEOMETRIES = (
@@ -48,6 +62,12 @@ NUM_ACCESSES = 100_000
 
 SWEEP_JOBS = 4
 EXPERIMENT_JOBS = 2
+
+#: Size sweep: trace lengths, lazy port counts and trace shapes.
+SWEEP_LENGTHS = (128, 512, 2_048, 8_192)
+SWEEP_PORTS = (1, 2)
+SWEEP_SHAPES = ("hot", "item-heavy")
+SWEEP_KERNELS = ("transpose", "spmv")
 
 
 def _strip_runtime(records):
@@ -171,6 +191,81 @@ def _measure_cache():
     }
 
 
+def _sweep_trace(shape, length):
+    if shape == "hot":
+        return markov_trace(48, length, locality=0.85, seed=19)
+    if shape == "item-heavy":
+        return uniform_trace(length, length, seed=19)
+    return KERNELS[shape](seed=1)
+
+
+def _per_call_us(operation, min_seconds):
+    operation()  # first call pays one-off setup (slot arrays, kernels)
+    return 1e6 / measure_throughput(operation, min_seconds=min_seconds).ops_per_second
+
+
+def _measure_size_point(shape, length, ports, min_seconds):
+    trace = _sweep_trace(shape, length)
+    config = DWMConfig.for_items(
+        trace.num_items, words_per_dbc=16, num_ports=ports
+    )
+    problem = build_problem(trace, config)
+    placement = random_placement(problem, 0)
+    spm = ScratchpadMemory(config, placement)
+    resolve_trace(trace)
+
+    scalar_result = spm.simulate(trace, engine="scalar")
+    vectorized_result = spm.simulate(trace, engine="vectorized")
+    simulate_exact = (
+        scalar_result.shifts == vectorized_result.shifts
+        and scalar_result.per_dbc_shifts == vectorized_result.per_dbc_shifts
+        and scalar_result.max_access_shifts == vectorized_result.max_access_shifts
+    )
+    score_exact = evaluate_placements_fast(problem, [placement]) == [
+        evaluate_placement(problem, placement)
+    ]
+
+    simulate_scalar = _per_call_us(
+        lambda: spm.simulate(trace, engine="scalar"), min_seconds
+    )
+    simulate_vectorized = _per_call_us(
+        lambda: spm.simulate(trace, engine="vectorized"), min_seconds
+    )
+    score_scalar = _per_call_us(
+        lambda: evaluate_placement(problem, placement, validate=False),
+        min_seconds,
+    )
+    score_vectorized = _per_call_us(
+        lambda: evaluate_placements_fast(problem, [placement], validate=False),
+        min_seconds,
+    )
+    return {
+        "shape": shape,
+        "accesses": len(trace),
+        "items": trace.num_items,
+        "ports": ports,
+        "simulate_scalar_us": simulate_scalar,
+        "simulate_vectorized_us": simulate_vectorized,
+        "simulate_speedup": simulate_scalar / simulate_vectorized,
+        "simulate_exact": simulate_exact,
+        "score_scalar_us": score_scalar,
+        "score_vectorized_us": score_vectorized,
+        "score_speedup": score_scalar / score_vectorized,
+        "score_exact": score_exact,
+    }
+
+
+def _measure_size_sweep(min_seconds):
+    points = [
+        (shape, length) for shape in SWEEP_SHAPES for length in SWEEP_LENGTHS
+    ] + [(kernel, None) for kernel in SWEEP_KERNELS]
+    return [
+        _measure_size_point(shape, length, ports, min_seconds)
+        for shape, length in points
+        for ports in SWEEP_PORTS
+    ]
+
+
 def run_e19(min_seconds: float = 0.3) -> ExperimentOutput:
     simulation_rows = [
         _measure_geometry(ports, policy, min_seconds)
@@ -178,6 +273,7 @@ def run_e19(min_seconds: float = 0.3) -> ExperimentOutput:
     ]
     parallel = _measure_parallel()
     cache = _measure_cache()
+    size_sweep = _measure_size_sweep(min_seconds / 2)
 
     table_rows = [
         (
@@ -226,6 +322,35 @@ def run_e19(min_seconds: float = 0.3) -> ExperimentOutput:
             f"{NUM_ACCESSES:,}-access trace (E19, {parallel['cpu_count']} CPU)"
         ),
     )
+    sweep_rows = [
+        (
+            row["shape"],
+            f"{row['accesses']:,}",
+            str(row["items"]),
+            f"P={row['ports']}",
+            f"{row['simulate_scalar_us']:.0f}",
+            f"{row['simulate_vectorized_us']:.0f}",
+            f"{row['simulate_speedup']:.2f}x",
+            f"{row['score_scalar_us']:.0f}",
+            f"{row['score_vectorized_us']:.0f}",
+            f"{row['score_speedup']:.2f}x",
+            "yes" if row["simulate_exact"] and row["score_exact"] else "NO",
+        )
+        for row in size_sweep
+    ]
+    rendered += "\n\n" + format_table(
+        (
+            "trace", "accesses", "items", "ports",
+            "sim scalar us", "sim vector us", "sim speedup",
+            "score scalar us", "score vector us", "score speedup",
+            "identical",
+        ),
+        sweep_rows,
+        title=(
+            "Scalar reference vs vectorized path per call, lazy, "
+            "16 words/DBC, resolution cached (E19 size sweep)"
+        ),
+    )
     data = {
         "num_items": NUM_ITEMS,
         "num_accesses": NUM_ACCESSES,
@@ -234,6 +359,10 @@ def run_e19(min_seconds: float = 0.3) -> ExperimentOutput:
         },
         "parallel": parallel,
         "cache": cache,
+        "size_sweep": {
+            f"{row['shape']}-{row['accesses']}-{row['ports']}p": row
+            for row in size_sweep
+        },
         "headline_speedup": simulation_rows[0]["speedup"],
     }
     return ExperimentOutput("e19", "Batch simulation throughput", data, rendered)
@@ -264,6 +393,9 @@ def test_e19_batch_sim(benchmark, record_artifact, results_dir):
         # Only assertable with real parallel hardware; on smaller hosts the
         # measured number is still recorded in BENCH_e19.json.
         assert parallel["sweep_speedup"] >= 2.5
+    for row in output.data["size_sweep"].values():
+        assert row["simulate_exact"]
+        assert row["score_exact"]
     cache = output.data["cache"]
     assert cache["rendered_identical"]
     assert cache["warm_misses"] == 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -1085,7 +1086,7 @@ def main(argv: list[str] | None = None) -> int:
     # (or a batch-scheduler timeout) gets the same journal-flush/pool/shm
     # teardown as Ctrl-C.  REPRO_CHAOS activates the failpoint plan for
     # this process and every pool worker it spawns.
-    robust.install_sigterm_handler()
+    previous_sigterm = robust.install_sigterm_handler()
     try:
         ensure_installed_from_env()
         return args.func(args)
@@ -1126,6 +1127,13 @@ def main(argv: list[str] | None = None) -> int:
         # Atomic writes guarantee no partial artifact survives the failure.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous_sigterm is not None:
+            # An in-process caller keeps its own handler.  Fork-pool workers
+            # it starts later would otherwise inherit ours, and one that
+            # gets Pool.terminate()'s SIGTERM just before it blocks on the
+            # task-queue lock never runs the handler and never exits.
+            signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,6 @@ from repro.core.baselines import (
     frequency_placement,
     random_placement,
 )
-from repro.core.community import community_placement
 from repro.core.cost import evaluate_placements_fast
 from repro.core.exact import (
     MAX_BRUTE_FORCE_ITEMS,
@@ -126,7 +125,6 @@ ALGORITHMS: dict[str, Callable[..., Placement]] = {
     "grouping_only": lambda problem, **kw: grouping_only_placement(problem),
     "ordering_only": lambda problem, **kw: ordering_only_placement(problem),
     "spectral": lambda problem, **kw: spectral_placement(problem),
-    "community": lambda problem, **kw: community_placement(problem),
     "shiftsreduce": lambda problem, **kw: shiftsreduce_placement(
         problem, num_groups=kw.get("num_groups")
     ),

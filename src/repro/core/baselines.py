@@ -13,6 +13,7 @@ import random
 
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
+from repro.dwm.dbc import port_access_cost
 from repro.errors import CapacityError
 
 
@@ -34,7 +35,7 @@ def _port_proximity_offsets(config) -> list[int]:
     return sorted(
         range(config.words_per_dbc),
         key=lambda offset: (
-            min(abs(offset - port) for port in config.port_offsets),
+            port_access_cost(offset, 0, config.port_offsets)[0],
             offset,
         ),
     )

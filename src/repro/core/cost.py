@@ -1,17 +1,18 @@
 """Analytical shift-cost evaluation of a placement against a trace.
 
-:func:`evaluate_placement` is the reference cost function used by every
-optimizer: it walks the trace once maintaining a head state per DBC, exactly
-mirroring :class:`repro.dwm.dbc.HeadModel` (tests assert the two agree).  It
-is written dictionary-light so that local-search loops can call it thousands
-of times on small traces.
+:func:`evaluate_placement` is the scalar reference cost: it walks the trace
+once with :func:`repro.dwm.dbc.port_access_cost`, keeping a head state per
+DBC exactly as :class:`repro.dwm.dbc.HeadModel` does (tests assert the two
+agree).  :func:`per_dbc_costs` is the same walk, attributed per DBC.  It is
+a reference, not a hot path: the optimizers score through the vectorized
+engine.
 
 Also provided:
 
 * :func:`evaluate_placements_fast` — exact totals of many placements of one
-  problem: the scalar walk on short traces, the vectorized engine's scan
-  (:mod:`repro.memory.batch_sim`) from ``VECTORIZED_MIN_ACCESSES`` on.
-  This is how the placement methods score their candidates.
+  problem through the vectorized engine's scan
+  (:mod:`repro.memory.batch_sim`), on every trace length.  This is how the
+  placement methods score their candidates.
 * :func:`linear_arrangement_cost` — the pairwise-decomposed cost
   ``Σ w(u,v)·|pos(u)−pos(v)|`` of a single-DBC order, which equals the true
   trace cost for a single DBC with a single port under the lazy policy
@@ -28,6 +29,7 @@ from typing import Sequence
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import PlacementError
 
 
@@ -38,52 +40,11 @@ def evaluate_placement(
 ) -> int:
     """Total shift operations of running the trace under ``placement``.
 
-    Exactly reproduces the event-driven simulator's shift count (the two are
-    differentially tested); this function is the optimizer-facing hot path.
+    The scalar reference: the sum of :func:`per_dbc_costs`.  The event
+    simulator and the vectorized engine are differentially tested against
+    it.
     """
-    config = problem.config
-    if validate:
-        placement.validate(config, problem.items)
-    ports = config.port_offsets
-    eager = config.port_policy is PortPolicy.EAGER
-    # Pre-resolve every item to (dbc, offset) once.
-    slot_of: dict[str, tuple[int, int]] = {}
-    for item in problem.items:
-        slot = placement[item]
-        slot_of[item] = (slot.dbc, slot.offset)
-    heads: dict[int, int] = {}
-    total = 0
-    if len(ports) == 1:
-        port = ports[0]
-        for access in problem.trace:
-            dbc, offset = slot_of[access.item]
-            target = offset - port
-            head = heads.get(dbc, 0)
-            if eager:
-                total += 2 * abs(target)
-            else:
-                total += abs(target - head)
-                heads[dbc] = target
-    else:
-        for access in problem.trace:
-            dbc, offset = slot_of[access.item]
-            head = heads.get(dbc, 0)
-            best_cost = None
-            best_target = 0
-            for port in ports:
-                target = offset - port
-                cost = abs(target - head)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_target = target
-            if eager:
-                # Cheapest approach from rest, then return to rest.
-                approach = min(abs(offset - port) for port in ports)
-                total += 2 * approach
-            else:
-                total += best_cost
-                heads[dbc] = best_target
-    return total
+    return sum(per_dbc_costs(problem, placement, validate).values())
 
 
 def evaluate_placements_fast(
@@ -93,30 +54,18 @@ def evaluate_placements_fast(
 ) -> list[int]:
     """Exact total shift counts of many placements of one problem.
 
-    Below :data:`~repro.memory.batch_sim.VECTORIZED_MIN_ACCESSES` accesses
-    each placement is walked by :func:`evaluate_placement` (numpy setup
-    would dominate).  From there on the trace is resolved once and every
-    placement is priced by the vectorized engine's scan, so eager,
+    The trace is resolved once (the resolution is cached on the trace) and
+    every placement is priced by the vectorized engine's scan, so eager,
     single-port lazy and multi-port lazy (compiled kernel) share one path.
-    Either way the totals equal :func:`evaluate_placement`'s exactly.
+    The totals equal :func:`evaluate_placement`'s exactly.
     """
     # Lazy import: batch_sim imports repro.core, which imports this module.
-    from repro.memory.batch_sim import (
-        VECTORIZED_MIN_ACCESSES,
-        _scan,
-        _slot_arrays,
-        resolve_trace,
-    )
+    from repro.memory.batch_sim import _scan, _slot_arrays, resolve_trace
 
     config = problem.config
     if validate:
         for placement in placements:
             placement.validate(config, problem.items)
-    if len(problem.trace) < VECTORIZED_MIN_ACCESSES:
-        return [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
     resolved = resolve_trace(problem.trace)
     return [
         _scan(resolved, config, *_slot_arrays(resolved, placement))[1]
@@ -127,31 +76,35 @@ def evaluate_placements_fast(
 def per_dbc_costs(
     problem: PlacementProblem,
     placement: Placement,
+    validate: bool = True,
 ) -> dict[int, int]:
-    """Shift cost attributed to each DBC (sums to the total)."""
+    """Shift cost attributed to each DBC (sums to the total).
+
+    Walks the trace one access at a time with
+    :func:`~repro.dwm.dbc.port_access_cost`, keeping one head per DBC
+    exactly as :class:`~repro.dwm.dbc.HeadModel` does.  Under the eager
+    policy the head never leaves rest, so each access costs twice its
+    nearest-port distance.
+    """
     config = problem.config
-    placement.validate(config, problem.items)
+    if validate:
+        placement.validate(config, problem.items)
     ports = config.port_offsets
     eager = config.port_policy is PortPolicy.EAGER
+    slot_of: dict[str, tuple[int, int]] = {}
+    for item in problem.items:
+        slot = placement[item]
+        slot_of[item] = (slot.dbc, slot.offset)
     heads: dict[int, int] = {}
     costs: dict[int, int] = {}
     for access in problem.trace:
-        slot = placement[access.item]
-        head = heads.get(slot.dbc, 0)
-        best_cost = None
-        best_target = 0
-        for port in ports:
-            target = slot.offset - port
-            cost = abs(target - head)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_target = target
+        dbc, offset = slot_of[access.item]
+        cost, _port, head = port_access_cost(offset, heads.get(dbc, 0), ports)
         if eager:
-            approach = min(abs(slot.offset - port) for port in ports)
-            costs[slot.dbc] = costs.get(slot.dbc, 0) + 2 * approach
+            cost *= 2
         else:
-            costs[slot.dbc] = costs.get(slot.dbc, 0) + best_cost
-            heads[slot.dbc] = best_target
+            heads[dbc] = head
+        costs[dbc] = costs.get(dbc, 0) + cost
     return costs
 
 
@@ -212,7 +165,7 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
         # Distance multiset: each per-DBC offset distance repeated num_dbcs
         # times; pair ascending distances with descending frequencies.
         per_dbc = sorted(
-            2 * min(abs(offset - port) for port in config.port_offsets)
+            2 * port_access_cost(offset, 0, config.port_offsets)[0]
             for offset in range(config.words_per_dbc)
         )
         frequencies = sorted(

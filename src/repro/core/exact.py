@@ -44,10 +44,11 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from repro.core.cost import linear_arrangement_cost
-from repro.core.ordering import restricted_sequence_cost
+from repro.core.ordering import proximity_offsets, restricted_sequence_cost
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import OptimizationError
 from repro.trace.stats import affinity_graph
 
@@ -325,17 +326,11 @@ def _eager_group_layout(
     of history, so pairing descending frequencies with ascending offset
     costs is exact (rearrangement inequality).
     """
-    ranked = sorted(members, key=lambda item: (-frequencies.get(item, 0), item))
-    ports = config.port_offsets
-    by_cost = sorted(
-        range(config.words_per_dbc),
-        key=lambda offset: (min(abs(offset - port) for port in ports), offset),
-    )
-    offsets = {item: by_cost[rank] for rank, item in enumerate(ranked)}
+    offsets = proximity_offsets(members, config, frequencies)
     cost = sum(
         frequencies.get(item, 0)
         * 2
-        * min(abs(offset - port) for port in ports)
+        * port_access_cost(offset, 0, config.port_offsets)[0]
         for item, offset in offsets.items()
     )
     return cost, offsets

@@ -41,6 +41,7 @@ from repro.core import kernels
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import PlacementError
 
 
@@ -96,7 +97,7 @@ def lazy_costs_from_state(offsets, ports, head0):
     if len(ports) == 1:
         port = int(ports[0])
         costs = kernels.single_port_access_costs_numpy(offsets, port)
-        costs[0] = abs(int(offsets[0]) - port - head0)
+        costs[0] = port_access_cost(int(offsets[0]), head0, ports)[0]
         return costs, int(offsets[-1]) - port
     min_port = int(ports[0])
     max_port = int(ports[-1])
@@ -193,7 +194,7 @@ class CostEvaluator:
 
         # Eager: 2 * distance-to-nearest-port per offset, precomputed.
         self._eager_dist: list[int] = [
-            2 * min(abs(o - p) for p in self._ports)
+            2 * port_access_cost(o, 0, self._ports)[0]
             for o in range(config.words_per_dbc)
         ]
         self._eager_dist_np = np.asarray(self._eager_dist, dtype=np.int64)

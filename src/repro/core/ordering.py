@@ -19,6 +19,7 @@ from typing import Sequence
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig
+from repro.dwm.dbc import port_access_cost
 from repro.errors import OptimizationError
 from repro.trace.model import AccessTrace
 from repro.trace.stats import affinity_graph
@@ -148,7 +149,7 @@ def proximity_offsets(
     by_proximity = sorted(
         range(config.words_per_dbc),
         key=lambda offset: (
-            min(abs(offset - port) for port in config.port_offsets),
+            port_access_cost(offset, 0, config.port_offsets)[0],
             offset,
         ),
     )

@@ -25,6 +25,7 @@ from repro.core.cost import evaluate_placements_fast
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import OptimizationError
 from repro.trace.model import AccessTrace
 
@@ -82,20 +83,13 @@ def reorder_accesses(
     def access_cost(index: int) -> tuple[int, int]:
         """(cost, new_head) of issuing access ``index`` now."""
         slot = slot_of[accesses[index].item]
-        head = heads.get(slot.dbc, 0)
-        best_cost = None
-        best_target = 0
-        for port in ports:
-            target = slot.offset - port
-            cost = abs(target - head)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_target = target
+        cost, _port, target = port_access_cost(
+            slot.offset, heads.get(slot.dbc, 0), ports
+        )
         if eager:
-            approach = min(abs(slot.offset - port) for port in ports)
-            return 2 * approach, 0
-        assert best_cost is not None
-        return best_cost, best_target
+            # The head is always at rest: approach, then return.
+            return 2 * cost, 0
+        return cost, target
 
     position = 0
     while pending or next_index < len(accesses):

@@ -213,21 +213,28 @@ class DWMConfig:
 
     @property
     def max_shift_distance(self) -> int:
-        """Worst-case shifts for a single access (lazy policy)."""
-        worst = 0
-        for offset in range(self.words_per_dbc):
-            best = min(abs(offset - p) for p in self.port_offsets)
-            worst = max(worst, best)
-        # Head may start at the far end from a previous access.
-        return self.words_per_dbc - 1
+        """Worst-case shifts for a single access under the port policy.
+
+        Lazy: the head may rest where the previous access left it, so an
+        access can cost up to ``words_per_dbc - 1``.  Eager: every access
+        goes out from rest and back, ``2 * max_o min_p |o - p|``; the
+        farthest offset lies at a tape end or midway between two ports.
+        """
+        if self.port_policy is PortPolicy.LAZY:
+            return self.words_per_dbc - 1
+        ports = self.port_offsets
+        gaps = [(right - left) // 2 for left, right in zip(ports, ports[1:])]
+        return 2 * max(ports[0], self.words_per_dbc - 1 - ports[-1], *gaps)
 
     def nearest_port(self, offset: int) -> int:
         """Port offset closest to ``offset`` (ties break toward lower port)."""
+        from repro.dwm.dbc import port_access_cost
+
         if not 0 <= offset < self.words_per_dbc:
             raise ConfigError(
                 f"offset {offset} outside DBC range 0..{self.words_per_dbc - 1}"
             )
-        return min(self.port_offsets, key=lambda p: (abs(offset - p), p))
+        return port_access_cost(offset, 0, self.port_offsets)[1]
 
     def resized(self, **changes) -> "DWMConfig":
         """Return a copy with the given fields replaced.

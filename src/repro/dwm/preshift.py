@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.dwm.config import PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dwm <- core)
@@ -130,18 +131,6 @@ def simulate_preshift(
     placement.validate(config, problem.items)
     ports = config.port_offsets
 
-    def target_for(offset: int, head: int) -> tuple[int, int]:
-        best_cost = None
-        best_target = 0
-        for port in ports:
-            target = offset - port
-            cost = abs(target - head)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_target = target
-        assert best_cost is not None
-        return best_cost, best_target
-
     predictor = NextOffsetPredictor()
     heads: dict[int, int] = {}
     baseline_heads: dict[int, int] = {}
@@ -156,12 +145,14 @@ def simulate_preshift(
         dbc, offset = slot.dbc, slot.offset
         # Baseline (no speculation) demand cost, for the comparison column.
         base_head = baseline_heads.get(dbc, 0)
-        base_cost, base_target = target_for(offset, base_head)
+        base_cost, _port, base_target = port_access_cost(
+            offset, base_head, ports
+        )
         baseline_demand += base_cost
         baseline_heads[dbc] = base_target
         # Speculative controller.
         head = heads.get(dbc, 0)
-        cost, target = target_for(offset, head)
+        cost, _port, target = port_access_cost(offset, head, ports)
         demand_shifts += cost
         heads[dbc] = target
         predicted = pending_prediction.pop(dbc, None)
@@ -172,8 +163,8 @@ def simulate_preshift(
         predictor.observe(dbc, offset)
         next_offset = predictor.predict(dbc)
         if next_offset is not None and next_offset != offset:
-            speculative_cost, speculative_target = target_for(
-                next_offset, heads[dbc]
+            speculative_cost, _port, speculative_target = port_access_cost(
+                next_offset, heads[dbc], ports
             )
             speculative_shifts += speculative_cost
             heads[dbc] = speculative_target

@@ -1,9 +1,10 @@
 """Vectorized batch simulation engine for DWM scratchpads.
 
-The scalar engine (:meth:`ScratchpadMemory.simulate`) replays a trace one
-access at a time through :class:`~repro.dwm.array.DWMArrayModel`, allocating
-an ``AccessResult`` per access — exact, but interpreted Python all the way
-down.  This module computes the identical result with numpy:
+The scalar engine (``ScratchpadMemory.simulate(engine="scalar")``) replays
+a trace one access at a time through
+:class:`~repro.dwm.array.DWMArrayModel`, allocating an ``AccessResult`` per
+access — exact, but interpreted Python all the way down.  This module
+computes the identical result with numpy:
 
 1. **Resolve once** (:class:`ResolvedTrace`): the trace is lowered to dense
    arrays — item index and read/write flag per access.  This is the only
@@ -25,12 +26,11 @@ totals and ``max_access_shifts`` are all bit-identical to the scalar engine
 
 Entry points: :func:`simulate_vectorized` for one run,
 :class:`BatchSimulator` / :func:`batch_simulate` to amortize trace
-resolution across many runs, and
-``ScratchpadMemory.simulate(engine="vectorized")`` for drop-in use.  The
-optimizers' candidate scoring
-(:func:`repro.core.cost.evaluate_placements_fast`) runs the same scan on
-totals only.  Both switch from the scalar walk to this engine at
-:data:`VECTORIZED_MIN_ACCESSES` accesses.
+resolution across many runs, and ``ScratchpadMemory.simulate`` (whose
+``"auto"`` engine is this one for every in-memory trace).  The optimizers'
+candidate scoring (:func:`repro.core.cost.evaluate_placements_fast`) runs
+the same scan on totals only.  The scalar walk is the reference these
+paths are tested against, not a fast path for short traces.
 """
 
 from __future__ import annotations
@@ -46,14 +46,10 @@ from repro.core.incremental import two_port_access_costs  # noqa: F401
 from repro.core.kernels import single_port_access_costs_numpy
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.model import AccessTrace
-
-#: The one scalar-vs-vectorized switch point: ``ScratchpadMemory.simulate``
-#: (``engine="auto"``) and candidate scoring use this engine at this many
-#: accesses; below it the numpy setup costs more than the scalar loop saves.
-VECTORIZED_MIN_ACCESSES = 2048
 
 
 class ResolvedTrace:
@@ -173,6 +169,19 @@ def _slot_arrays(resolved: ResolvedTrace, placement: Placement):
     return dbc_of, offset_of
 
 
+def rest_table(config: DWMConfig):
+    """Eager per-offset cost table: twice the nearest-port distance."""
+    import numpy as np
+
+    return np.asarray(
+        [
+            2 * port_access_cost(offset, 0, config.port_offsets)[0]
+            for offset in range(config.words_per_dbc)
+        ],
+        dtype=np.int64,
+    )
+
+
 def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
     """Per-access shift costs, in trace order.
 
@@ -186,14 +195,7 @@ def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
 
     ports = config.port_offsets
     if config.port_policy is PortPolicy.EAGER:
-        rest = np.asarray(
-            [
-                2 * min(abs(offset - port) for port in ports)
-                for offset in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-        return rest[offset_seq]
+        return rest_table(config)[offset_seq]
     order = np.argsort(dbc_seq, kind="stable")
     sorted_dbc = dbc_seq[order]
     sorted_offsets = offset_seq[order]
@@ -277,7 +279,7 @@ def simulate_vectorized(
 ) -> SimulationResult:
     """Run ``trace`` through the vectorized engine.
 
-    Bit-identical to ``ScratchpadMemory.simulate`` (scalar engine); see the
+    Bit-identical to ``ScratchpadMemory.simulate(engine="scalar")``; see the
     module docstring.  Pass a prebuilt ``resolved`` (for the same trace) to
     skip trace resolution; ``validate=False`` skips placement validation
     when the caller has already checked coverage.

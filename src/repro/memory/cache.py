@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dwm.config import DWMConfig
-from repro.dwm.dbc import HeadModel
+from repro.dwm.dbc import HeadModel, port_access_cost
 from repro.errors import ConfigError
 from repro.trace.model import AccessTrace
 
@@ -136,7 +136,7 @@ class DWMCache:
         slot_order = sorted(
             range(config.words_per_dbc),
             key=lambda offset: (
-                min(abs(offset - port) for port in config.port_offsets),
+                port_access_cost(offset, 0, config.port_offsets)[0],
                 offset,
             ),
         )[: self.geometry.ways]

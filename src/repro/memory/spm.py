@@ -4,10 +4,11 @@
 to a DWM array and runs access traces against it.  Two engines share the
 same cost semantics:
 
-* :meth:`simulate` — counters-only engine; picks between the scalar
-  per-access replay over :class:`~repro.dwm.array.DWMArrayModel` and the
-  vectorized engine (:mod:`repro.memory.batch_sim`) via its ``engine``
-  argument (``"auto"``/``"scalar"``/``"vectorized"``).
+* :meth:`simulate` — counters-only engine; its ``engine`` argument picks
+  the vectorized engine (:mod:`repro.memory.batch_sim`, the ``"auto"``
+  choice for every in-memory trace), the streaming engine, or the scalar
+  per-access replay over :class:`~repro.dwm.array.DWMArrayModel` — the
+  reference, and the last tier ``"auto"`` degrades to.
 * :meth:`simulate_functional` — full engine over
   :class:`~repro.dwm.array.DWMArray`, additionally storing and checking word
   values (writes store a value, reads return the last value written).  Used
@@ -24,7 +25,7 @@ from repro.core.placement import Placement
 from repro.dwm.array import DWMArray, DWMArrayModel
 from repro.dwm.config import DWMConfig
 from repro.errors import SimulationError
-from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES, BatchSimulator
+from repro.memory.batch_sim import BatchSimulator
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry, trace_span
 from repro.trace.model import AccessTrace
@@ -93,10 +94,10 @@ class ScratchpadMemory:
         counts), ``"streaming"`` scans fixed-size windows through
         :mod:`repro.memory.stream_sim` in bounded memory (``chunk_size``
         accesses per window; ``jobs > 1`` fans chunk scans over the
-        persistent worker pool), and ``"auto"`` picks vectorized for
-        in-memory traces of at least :data:`VECTORIZED_MIN_ACCESSES`
-        accesses — or streaming when ``trace`` is a
-        :class:`~repro.trace.binio.StreamingTrace`.
+        persistent worker pool), and ``"auto"`` picks vectorized for every
+        in-memory trace — or streaming when ``trace`` is a
+        :class:`~repro.trace.binio.StreamingTrace` — and degrades along
+        streaming → vectorized → scalar on a recoverable failure.
 
         ``fault_model`` (a :class:`repro.dwm.faults.FaultModel`) switches on
         Monte-Carlo shift-fault injection: a seeded fault schedule is drawn
@@ -174,11 +175,7 @@ class ScratchpadMemory:
                     trace = trace.to_trace()
                 engine = "auto"
         if engine == "auto":
-            engine = (
-                "vectorized"
-                if len(trace) >= VECTORIZED_MIN_ACCESSES
-                else "scalar"
-            )
+            engine = "vectorized"
         registry = get_registry()
         registry.inc("sim.runs", engine=engine)
         registry.inc("sim.accesses", len(trace), engine=engine)

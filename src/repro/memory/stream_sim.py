@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from repro.core.incremental import lazy_costs_from_state
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
+from repro.dwm.dbc import port_access_cost
 from repro.errors import SimulationError
+from repro.memory.batch_sim import rest_table
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.binio import StreamingTrace, open_binary
@@ -91,20 +93,6 @@ class ChunkState:
     dbcs: dict
 
 
-def _rest_table(config: DWMConfig):
-    """Eager per-offset cost table: twice the nearest-port distance."""
-    import numpy as np
-
-    ports = config.port_offsets
-    return np.asarray(
-        [
-            2 * min(abs(offset - port) for port in ports)
-            for offset in range(config.words_per_dbc)
-        ],
-        dtype=np.int64,
-    )
-
-
 def _dbc_groups(dbc_seq, offset_seq):
     """Yield ``(dbc, offsets)`` for each DBC present, in ascending DBC
     order, each group's offsets in stream order (stable sort)."""
@@ -144,7 +132,7 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
     dbc_seq = dbc_of[item_at]
     offset_seq = offset_of[item_at]
     if config.port_policy is PortPolicy.EAGER:
-        costs = _rest_table(config)[offset_seq]
+        costs = rest_table(config)[offset_seq]
         totals = np.zeros(config.num_dbcs, dtype=np.int64)
         maxes = np.zeros(config.num_dbcs, dtype=np.int64)
         counts = np.zeros(config.num_dbcs, dtype=np.int64)
@@ -178,19 +166,10 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
 
 
 def _boundary_port(offset: int, ports: tuple[int, ...], head: int) -> tuple[int, int]:
-    """Greedy port choice serving ``offset`` from ``head``.
-
-    Returns ``(port_index, cost)``; ties resolve to the lowest port, the
-    convention every engine in the repo shares (``ports`` is ascending).
-    """
-    best_cost = None
-    best_index = 0
-    for index, port in enumerate(ports):
-        cost = abs(offset - port - head)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_index = index
-    return best_index, best_cost
+    """``(port_index, cost)`` of serving ``offset`` from ``head`` — the
+    greedy step of :func:`~repro.dwm.dbc.port_access_cost`."""
+    cost, port, _target = port_access_cost(offset, head, ports)
+    return ports.index(port), cost
 
 
 def merge_states(left: ChunkState, right: ChunkState) -> ChunkState:
@@ -376,7 +355,7 @@ def simulate_streaming(
         max_access = 0
         heads: dict[int, int] = {}
         rest = (
-            _rest_table(config)
+            rest_table(config)
             if config.port_policy is PortPolicy.EAGER
             else None
         )

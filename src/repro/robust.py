@@ -210,22 +210,23 @@ def run_with_fallbacks(
     raise AssertionError("unreachable")
 
 
-def install_sigterm_handler() -> None:
+def install_sigterm_handler():
     """Route ``SIGTERM`` through the ``KeyboardInterrupt`` cleanup path.
 
     The CLI already tears everything down on ``KeyboardInterrupt`` (flush
     journals, shut pools, unlink shm); converting SIGTERM to the same
     exception gives e.g. a container runtime's ``docker stop`` the same
-    guarantees.  No-op outside the main thread or where SIGTERM does not
-    exist.
+    guarantees.  Returns the handler it replaced, for the caller to put
+    back; ``None`` (and no change) outside the main thread or where
+    SIGTERM does not exist.
     """
     if threading.current_thread() is not threading.main_thread():
-        return
+        return None
     sigterm = getattr(signal, "SIGTERM", None)
     if sigterm is None:
-        return
+        return None
 
     def _handler(signum, frame):
         raise KeyboardInterrupt
 
-    signal.signal(sigterm, _handler)
+    return signal.signal(sigterm, _handler)

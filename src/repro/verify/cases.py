@@ -8,8 +8,7 @@ the shrinker mutates and the artifact/regression-snippet writers emit.
 
 :func:`generate_case` samples the space the repo's engines must agree on:
 every port policy, 1–3 ports, tiny geometries (where the brute-force
-optimum oracle is affordable) plus occasional long multi-port traces that
-cross the incremental engine's vectorisation threshold.
+optimum oracle is affordable) plus occasional long multi-port traces.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ CASE_METHODS = (
     "grouping_only",
     "ordering_only",
     "spectral",
-    "community",
     "annealing",
     "shiftsreduce",
     "generalized",

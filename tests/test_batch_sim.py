@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro import robust
 from repro.core.api import build_problem
 from repro.core.baselines import random_placement
 from repro.core.cost import evaluate_placement
@@ -27,7 +28,7 @@ from repro.memory.batch_sim import (
     resolve_trace,
     simulate_vectorized,
 )
-from repro.memory.spm import VECTORIZED_MIN_ACCESSES, ScratchpadMemory
+from repro.memory.spm import ScratchpadMemory
 from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, pingpong_trace, zipf_trace
 
@@ -182,17 +183,48 @@ class TestBatchAPI:
 
 
 class TestEngineSelection:
-    def test_auto_uses_scalar_below_threshold(self, tiny_trace, small_config):
+    def test_auto_uses_vectorized_on_short_trace(self, tiny_trace, small_config):
         placement = Placement({"a": (0, 0), "b": (1, 3), "c": (0, 7)})
         result = ScratchpadMemory(small_config, placement).simulate(tiny_trace)
-        assert result.details["engine"] == "scalar"
-
-    def test_auto_uses_vectorized_above_threshold(self):
-        trace = markov_trace(16, VECTORIZED_MIN_ACCESSES, seed=1)
-        config = _config_for(trace, 16, 1, "lazy")
-        placement = random_placement(build_problem(trace, config), seed=0)
-        result = ScratchpadMemory(config, placement).simulate(trace)
         assert result.details["engine"] == "vectorized"
+
+    def test_auto_falls_back_to_scalar_on_recoverable_failure(
+        self, tiny_trace, small_config, monkeypatch
+    ):
+        placement = Placement({"a": (0, 0), "b": (1, 3), "c": (0, 7)})
+        expected = ScratchpadMemory(small_config, placement).simulate(
+            tiny_trace, engine="scalar"
+        )
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("no room for the scan")
+
+        monkeypatch.setattr(BatchSimulator, "simulate", out_of_memory)
+        robust.reset_degradations()
+        try:
+            with pytest.warns(RuntimeWarning, match="vectorized -> scalar"):
+                result = ScratchpadMemory(small_config, placement).simulate(
+                    tiny_trace
+                )
+            summary = robust.degradation_summary()
+        finally:
+            robust.reset_degradations()
+        assert result.details["engine"] == "scalar"
+        _assert_identical(expected, result)
+        assert summary == {"engine:vectorized->scalar": 1}
+
+    def test_auto_propagates_simulation_error(
+        self, tiny_trace, small_config, monkeypatch
+    ):
+        placement = Placement({"a": (0, 0), "b": (1, 3), "c": (0, 7)})
+
+        def inconsistent(*args, **kwargs):
+            raise SimulationError("scan disagrees with itself")
+
+        monkeypatch.setattr(BatchSimulator, "simulate", inconsistent)
+        spm = ScratchpadMemory(small_config, placement)
+        with pytest.raises(SimulationError, match="disagrees"):
+            spm.simulate(tiny_trace)
 
     def test_unknown_engine_rejected(self, tiny_trace, small_config):
         placement = Placement({"a": (0, 0), "b": (1, 3), "c": (0, 7)})

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import signal
 
 import pytest
 
@@ -12,6 +13,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_restores_the_callers_sigterm_handler(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    code, _out, _err = run_cli(
+        capsys, "trace", "generate", "fir", "-o", str(tmp_path / "fir.jsonl")
+    )
+    assert code == 0
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestTraceGenerate:

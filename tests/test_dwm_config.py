@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dwm.config import DWMConfig, PortPolicy, uniform_port_offsets
+from repro.dwm.dbc import HeadModel
 from repro.errors import ConfigError
 
 
@@ -138,6 +139,36 @@ class TestDWMConfigDerived:
     def test_max_shift_distance(self):
         config = DWMConfig(words_per_dbc=8)
         assert config.max_shift_distance == 7
+        # Eager goes out from rest and back: offset 0 under port 4 costs 8.
+        one_port = DWMConfig(
+            words_per_dbc=8, port_offsets=(4,), port_policy="eager"
+        )
+        assert one_port.max_shift_distance == 8
+        two_ports = DWMConfig(
+            words_per_dbc=8, port_offsets=(2, 6), port_policy="eager"
+        )
+        assert two_ports.max_shift_distance == 4
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager"])
+    @pytest.mark.parametrize(
+        "ports", [(0,), (4,), (7,), (2, 6), (0, 7), (1, 3, 6)]
+    )
+    def test_max_shift_distance_bounds_every_access(self, ports, policy):
+        config = DWMConfig(
+            words_per_dbc=8, port_offsets=ports, port_policy=policy
+        )
+        worst = 0
+        for first in range(8):
+            for second in range(8):
+                model = HeadModel(config)
+                worst = max(
+                    worst,
+                    model.access(first).shifts,
+                    model.access(second).shifts,
+                )
+        assert worst <= config.max_shift_distance
+        if policy == "eager":
+            assert worst == config.max_shift_distance
 
     def test_describe_mentions_geometry(self):
         text = DWMConfig(words_per_dbc=8, num_dbcs=2).describe()

@@ -13,15 +13,14 @@ from repro.dwm.ports import (
     weighted_k_medians,
 )
 from repro.errors import OptimizationError, PlacementError
-from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES
 from repro.trace.kernels import fir_trace
 from repro.trace.synthetic import markov_trace, zipf_trace
 
-#: One trace length on each side of the scalar/vectorized switch point.
-THRESHOLD_LENGTHS = [VECTORIZED_MIN_ACCESSES - 1, VECTORIZED_MIN_ACCESSES]
+#: Trace lengths from one access up; every length is scored by the scan.
+LENGTHS = [1, 128, 2047, 2048]
 
 #: (ports, policy) geometries the batch scorer must price exactly.
-THRESHOLD_GEOMETRIES = [
+GEOMETRIES = [
     (1, PortPolicy.LAZY),
     (2, PortPolicy.LAZY),
     (3, PortPolicy.LAZY),
@@ -30,7 +29,7 @@ THRESHOLD_GEOMETRIES = [
 ]
 
 
-def _threshold_problem(length, ports, policy):
+def _markov_problem(length, ports, policy):
     trace = markov_trace(24, length, locality=0.8, seed=73, write_fraction=0.3)
     config = DWMConfig.for_items(
         trace.num_items, words_per_dbc=8, num_ports=ports, port_policy=policy
@@ -60,10 +59,10 @@ class TestFastEvaluator:
             evaluate_placement(problem, placement) for placement in placements
         ]
 
-    @pytest.mark.parametrize("ports,policy", THRESHOLD_GEOMETRIES)
-    @pytest.mark.parametrize("length", THRESHOLD_LENGTHS)
+    @pytest.mark.parametrize("ports,policy", GEOMETRIES)
+    @pytest.mark.parametrize("length", LENGTHS)
     def test_single_placement_at_threshold(self, length, ports, policy):
-        problem = _threshold_problem(length, ports, policy)
+        problem = _markov_problem(length, ports, policy)
         for seed in range(3):
             placement = random_placement(problem, seed)
             assert evaluate_placements_fast(problem, [placement]) == [
@@ -71,9 +70,7 @@ class TestFastEvaluator:
             ]
 
     def test_multi_port_lazy_never_walks_scalar(self, monkeypatch):
-        problem = _threshold_problem(
-            VECTORIZED_MIN_ACCESSES, 2, PortPolicy.LAZY
-        )
+        problem = _markov_problem(128, 2, PortPolicy.LAZY)
         placements = [random_placement(problem, seed) for seed in range(3)]
         expected = [evaluate_placement(problem, p) for p in placements]
 

@@ -29,7 +29,6 @@ from repro.core.local_search import (
 from repro.core.placement import Placement, Slot
 from repro.dwm.config import DWMConfig
 from repro.errors import PlacementError
-from repro.memory.batch_sim import VECTORIZED_MIN_ACCESSES
 from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, zipf_trace
 
@@ -358,9 +357,7 @@ class TestBatchFastEval:
     @pytest.mark.parametrize("ports,policy", [
         (1, "lazy"), (2, "lazy"), (3, "lazy"), (1, "eager"), (2, "eager"),
     ])
-    @pytest.mark.parametrize(
-        "length", [VECTORIZED_MIN_ACCESSES - 1, VECTORIZED_MIN_ACCESSES]
-    )
+    @pytest.mark.parametrize("length", [1, 128, 2047, 2048])
     def test_batch_at_threshold(self, length, ports, policy):
         problem = _random_problem(ports, policy, seed=23, length=length)
         placements = [random_placement(problem, seed) for seed in range(4)]

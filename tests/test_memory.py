@@ -44,9 +44,19 @@ class TestScratchpadSimulation:
             spm.simulate(problem.trace)
 
     def test_max_access_shifts_bounded(self, problem):
-        placement = random_placement(problem, 0)
-        sim = ScratchpadMemory(problem.config, placement).simulate(problem.trace)
-        assert 0 <= sim.max_access_shifts <= problem.config.max_shift_distance
+        eager = PlacementProblem(
+            trace=problem.trace,
+            config=DWMConfig(
+                words_per_dbc=8,
+                num_dbcs=2,
+                port_offsets=(4,),
+                port_policy=PortPolicy.EAGER,
+            ),
+        )
+        for case in (problem, eager):
+            placement = random_placement(case, 0)
+            sim = ScratchpadMemory(case.config, placement).simulate(case.trace)
+            assert 0 <= sim.max_access_shifts <= case.config.max_shift_distance
 
 
 class TestDifferentialSimVsEvaluator:
