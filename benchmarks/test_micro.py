@@ -13,6 +13,7 @@ from repro.core.baselines import random_placement
 from repro.core.cost import evaluate_placement, evaluate_placements_fast
 from repro.core.heuristic import heuristic_placement
 from repro.dwm.config import DWMConfig
+from repro.memory.batch_sim import resolve_trace
 from repro.memory.spm import ScratchpadMemory
 from repro.trace.synthetic import markov_trace
 
@@ -22,7 +23,7 @@ def workload():
     trace = markov_trace(64, 20000, locality=0.8, seed=99)
     config = DWMConfig.for_items(trace.num_items, words_per_dbc=32)
     problem = build_problem(trace, config)
-    problem.index_sequence  # warm the cached views
+    resolve_trace(problem.trace)  # warm the cached views
     problem.affinity
     placement = random_placement(problem, 0)
     return problem, placement

@@ -13,7 +13,7 @@ import random
 
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import proximity_order
 from repro.errors import CapacityError
 
 
@@ -28,17 +28,6 @@ def random_placement(problem: PlacementProblem, seed: int = 0) -> Placement:
     items = list(problem.items)
     rng.shuffle(items)
     return Placement.from_order(items, problem.config)
-
-
-def _port_proximity_offsets(config) -> list[int]:
-    """DBC offsets sorted by distance to the nearest port (closest first)."""
-    return sorted(
-        range(config.words_per_dbc),
-        key=lambda offset: (
-            port_access_cost(offset, 0, config.port_offsets)[0],
-            offset,
-        ),
-    )
 
 
 def frequency_placement(
@@ -62,7 +51,7 @@ def frequency_placement(
         raise CapacityError(
             f"{len(hot)} items exceed capacity {config.capacity_words}"
         )
-    proximity = _port_proximity_offsets(config)
+    proximity = proximity_order(config)
     mapping: dict[str, Slot] = {}
     if distribute == "round_robin":
         num_dbcs = min(config.num_dbcs, max(1, problem.min_dbcs_needed))

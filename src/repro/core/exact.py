@@ -20,9 +20,11 @@ that compute the same optima without a solver:
       group_cost(S) = min over orders+anchors of S   cost of trace|_S
 
   ``group_cost`` comes from the MinLA DP (plain and port-approach
-  anchored) plus an anchor sweep scored by the restricted-sequence
-  evaluator; the outer minimisation is :func:`partition_minimum`, a
-  subset-partition DP (3ⁿ submask enumeration) with a group-count bound.
+  anchored) plus an anchor sweep, each layout priced exactly by
+  :class:`~repro.core.ordering.GroupTrace` (the kernel tier over the
+  group's positions in the resolved trace); the outer minimisation is
+  :func:`partition_minimum`, a subset-partition DP (3ⁿ submask
+  enumeration) with a group-count bound.
 * :func:`exhaustive_placement` — true-trace-cost brute force for very small
   item counts: per item subset it enumerates every within-group order and
   every offset assignment (all ``C(L, k)`` combinations while that count
@@ -44,13 +46,12 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from repro.core.cost import linear_arrangement_cost
-from repro.core.ordering import proximity_offsets, restricted_sequence_cost
+from repro.core.ordering import GroupTrace, proximity_offsets
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import rest_table
 from repro.errors import OptimizationError
-from repro.trace.stats import affinity_graph
 
 #: Hard cap for the subset DP (2^n states with an n-way min each).
 MAX_DP_ITEMS = 16
@@ -327,10 +328,9 @@ def _eager_group_layout(
     costs is exact (rearrangement inequality).
     """
     offsets = proximity_offsets(members, config, frequencies)
+    rest = rest_table(config).tolist()
     cost = sum(
-        frequencies.get(item, 0)
-        * 2
-        * port_access_cost(offset, 0, config.port_offsets)[0]
+        frequencies.get(item, 0) * rest[offset]
         for item, offset in offsets.items()
     )
     return cost, offsets
@@ -342,15 +342,13 @@ def _lazy_group_layout(
 ) -> tuple[int, dict[str, int]]:
     """Optimal lazy layout of one group by order × offset enumeration."""
     config = problem.config
-    restricted = problem.trace.restricted_to(members)
-    if len(restricted) == 0:
-        return 0, {item: index for index, item in enumerate(members)}
+    view = GroupTrace(problem, members)
     best_cost: int | None = None
     best_offsets: dict[str, int] | None = None
     for order in itertools.permutations(members):
         for chosen in _offset_candidates(len(members), config):
             offsets = dict(zip(order, chosen))
-            cost = restricted_sequence_cost(restricted, offsets, config)
+            cost = view.cost(offsets)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_offsets = offsets
@@ -369,10 +367,10 @@ def exhaustive_placement(
     A placement's cost is the sum of each DBC's cost on its *restricted*
     subsequence (docs/COST_MODEL.md §2), so the search solves each item
     subset exactly — every within-group order crossed with every offset
-    assignment from :func:`_offset_candidates`, scored by the exact
-    restricted-sequence evaluator (eager groups are solved directly by
-    frequency/offset pairing) — and combines subset optima with a partition
-    DP.  Exponential; guarded to ``max_items`` items.  Exact whenever
+    assignment from :func:`_offset_candidates`, priced exactly by
+    :meth:`~repro.core.ordering.GroupTrace.cost` (eager groups are solved
+    directly by frequency/offset pairing) — and combines subset optima with
+    a partition DP.  Exponential; guarded to ``max_items`` items.  Exact whenever
     :func:`exhaustive_search_is_exact` holds for the geometry.
     """
     n = problem.num_items
@@ -406,14 +404,12 @@ def _group_cost_and_layout(
     function of the first item's position ``q`` only — which the DP charges
     exactly via ``approach_costs``.  The pure MinLA order is kept as a cheap
     extra candidate; every feasible anchor of each order (and its reversal)
-    is scored with the exact restricted-sequence evaluator.
+    is priced exactly by :meth:`~repro.core.ordering.GroupTrace.cost`.
     """
     config = problem.config
-    restricted = problem.trace.restricted_to(items)
-    if len(restricted) == 0:
-        return 0, {item: index for index, item in enumerate(items)}
-    affinity = affinity_graph(restricted)
-    first_item = restricted[0].item
+    view = GroupTrace(problem, items)
+    affinity = view.affinity
+    first_item = view.first_touch[0]
     port = config.port_offsets[0]
     max_start = config.words_per_dbc - len(items)
     approach = [
@@ -425,21 +421,15 @@ def _group_cost_and_layout(
             items, affinity, first_item=first_item, approach_costs=approach
         ),
     ]
-    best_cost: int | None = None
-    best_offsets: dict[str, int] | None = None
-    for order in orders:
-        for candidate in (order, list(reversed(order))):
-            for start in range(max_start + 1):
-                offsets = {
-                    item: start + position
-                    for position, item in enumerate(candidate)
-                }
-                cost = restricted_sequence_cost(restricted, offsets, config)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_offsets = offsets
-    assert best_cost is not None and best_offsets is not None
-    return best_cost, best_offsets
+    layouts = [
+        {item: start + position for position, item in enumerate(candidate)}
+        for order in orders
+        for candidate in (order, order[::-1])
+        for start in range(max_start + 1)
+    ]
+    costs = [view.cost(offsets) for offsets in layouts]
+    best = costs.index(min(costs))
+    return costs[best], layouts[best]
 
 
 def _require_single_port_lazy(config: DWMConfig, method: str) -> None:

@@ -18,12 +18,13 @@ parametric strategies:
 * the single-port anchored chain itself, kept as a candidate so the
   generalization never loses to the specialization it extends.
 
-Per group the cheapest strategy wins by exact evaluation of the restricted
-subsequence (sound by the per-DBC cost decomposition); across grouping
-candidates the cheapest full placement wins, with the paper heuristic's
-placement kept in the candidate set so ``generalized ≤ heuristic`` is a
-structural guarantee (the repo's portfolio idiom).  All tie-breaks are
-total, so the construction is byte-deterministic.
+Per group the cheapest strategy wins by its exact cost, which the kernel
+tier computes over the group's positions in the resolved trace (sound by
+the per-DBC cost decomposition); across grouping candidates the cheapest
+full placement wins, with the paper heuristic's placement kept in the
+candidate set so ``generalized ≤ heuristic`` is a structural guarantee
+(the repo's portfolio idiom).  All tie-breaks are total, so the
+construction is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ from repro.core.heuristic import (
     hot_spread_groups,
 )
 from repro.core.ordering import (
+    GroupTrace,
     anchored_offsets,
     greedy_chain_order,
+    layout_groups,
     proximity_offsets,
-    restricted_sequence_cost,
     weighted_median_index,
 )
-from repro.core.placement import Placement, Slot
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig
 from repro.errors import OptimizationError
-from repro.trace.stats import affinity_graph
 
 __all__ = ["multi_port_chain_offsets", "generalized_placement"]
 
@@ -107,39 +108,19 @@ def _order_groups_generalized(
     groups: Sequence[Sequence[str]],
 ) -> Placement:
     """Assemble a placement choosing the best port-aware layout per group."""
+    config = problem.config
     frequencies = dict(problem.trace.frequencies())
-    mapping: dict[str, Slot] = {}
-    for dbc, group in enumerate(groups):
-        group = list(group)
-        if not group:
-            continue
-        if dbc >= problem.config.num_dbcs:
-            raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
-            )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        chain = greedy_chain_order(group, affinity)
-        candidates = [
-            multi_port_chain_offsets(chain, problem.config, frequencies),
-            multi_port_chain_offsets(
-                list(reversed(chain)), problem.config, frequencies
-            ),
-            proximity_offsets(group, problem.config, frequencies),
-            anchored_offsets(chain, problem.config, frequencies),
+
+    def candidates(view: GroupTrace) -> list[dict[str, int]]:
+        chain = greedy_chain_order(view.items, view.affinity)
+        return [
+            multi_port_chain_offsets(chain, config, frequencies),
+            multi_port_chain_offsets(chain[::-1], config, frequencies),
+            proximity_offsets(view.items, config, frequencies),
+            anchored_offsets(chain, config, frequencies),
         ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
-        for item, offset in best_offsets.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+
+    return layout_groups(problem, groups, candidates)
 
 
 def generalized_placement(

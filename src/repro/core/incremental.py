@@ -41,7 +41,7 @@ from repro.core import kernels
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import port_access_cost, rest_table
 from repro.errors import PlacementError
 
 
@@ -152,8 +152,10 @@ class CostEvaluator:
         self._items = items
         self._index = problem.item_index
         n = len(items)
-        trace_len = len(problem.trace)
-        item_at = np.fromiter(problem.index_sequence, np.int64, trace_len)
+        # Lazy import: batch_sim imports this module.
+        from repro.memory.batch_sim import resolve_trace
+
+        item_at = resolve_trace(problem.trace).item_at
         self._item_at = item_at
         order = np.argsort(item_at, kind="stable").astype(np.int64, copy=False)
         boundaries = np.searchsorted(item_at[order], np.arange(n + 1)).astype(
@@ -192,12 +194,9 @@ class CostEvaluator:
         }
         self._occupied.update(self._extra.values())
 
-        # Eager: 2 * distance-to-nearest-port per offset, precomputed.
-        self._eager_dist: list[int] = [
-            2 * port_access_cost(o, 0, self._ports)[0]
-            for o in range(config.words_per_dbc)
-        ]
-        self._eager_dist_np = np.asarray(self._eager_dist, dtype=np.int64)
+        # Eager: 2 * distance-to-nearest-port per offset.
+        self._eager_dist_np = rest_table(config)
+        self._eager_dist: list[int] = self._eager_dist_np.tolist()
         self._freq_np = np.diff(boundaries)
         self._item_cost: list[int] = [0] * n
         self._dbc_cost: dict[int, int] = {}

@@ -6,30 +6,106 @@ lazy policy) is the Minimum Linear Arrangement objective over the group's
 *restricted to the group's items*, because only those accesses move this
 DBC's head.  The ordering phase therefore:
 
-1. restricts the trace to the group and rebuilds affinities,
+1. views the group's accesses in the problem's resolved trace
+   (:class:`GroupTrace`: positions, first-touch order, restricted
+   affinities),
 2. grows a linear chain greedily (heaviest edge first, fragments merged at
    endpoints — the classic greedy-matching construction for MinLA/TSP-path),
 3. anchors the chain so its access-weighted median sits on a port.
+
+:func:`layout_groups` is the one per-group loop: every method that lays
+out groups (this module's :func:`order_groups`, ShiftsReduce, the
+generalized strategies) passes it its candidate layouts, and each group
+keeps the candidate the kernel tier prices cheapest on its positions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
+from repro.core import kernels
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
-from repro.dwm.config import DWMConfig
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.config import DWMConfig, PortPolicy
+from repro.dwm.dbc import proximity_order, rest_table
 from repro.errors import OptimizationError
-from repro.trace.model import AccessTrace
-from repro.trace.stats import affinity_graph
 
 
-def restricted_affinity(
-    trace: AccessTrace, group: Sequence[str]
-) -> dict[tuple[str, str], int]:
-    """Affinity graph of the trace restricted to ``group``'s items."""
-    return affinity_graph(trace.restricted_to(group))
+class GroupTrace:
+    """One group's accesses, read from the problem's resolved trace.
+
+    ``positions`` are the trace positions of the group's accesses
+    (ascending), so the group's restricted subsequence is
+    ``item_at[positions]`` without building a sub-trace.  Only these
+    accesses move the group's DBC head, so by the per-DBC decomposition
+    (docs/COST_MODEL.md §2) :meth:`cost` prices a layout of the group
+    exactly.
+    """
+
+    def __init__(self, problem: PlacementProblem, group: Sequence[str]) -> None:
+        import numpy as np
+
+        # Lazy import: batch_sim imports repro.core, which imports this module.
+        from repro.memory.batch_sim import resolve_trace
+
+        resolved = resolve_trace(problem.trace)
+        index = problem.item_index
+        self.items = list(group)
+        self._names = problem.items
+        self._codes = np.asarray([index[item] for item in self.items], np.int64)
+        member_mask = np.zeros(len(index), dtype=bool)
+        member_mask[self._codes] = True
+        self._item_at = resolved.item_at
+        self.positions = np.flatnonzero(member_mask[self._item_at])
+        self._seq = self._item_at[self.positions]
+        config = problem.config
+        self._ports = np.asarray(config.port_offsets, dtype=np.int64)
+        self._rest = (
+            rest_table(config) if config.port_policy is PortPolicy.EAGER else None
+        )
+        self._offset_of = np.zeros(len(index), dtype=np.int64)
+
+    @cached_property
+    def first_touch(self) -> list[str]:
+        """The group's accessed items in first-access order."""
+        import numpy as np
+
+        codes, first = np.unique(self._seq, return_index=True)
+        return [self._names[code] for code in codes[np.argsort(first)].tolist()]
+
+    @cached_property
+    def affinity(self) -> dict[tuple[str, str], int]:
+        """Consecutive-pair counts of the restricted subsequence.
+
+        Keyed like :func:`repro.trace.stats.affinity_graph` (unordered name
+        pairs, self-pairs dropped).  Restriction makes accesses adjacent
+        that had other items between them, so this is not a submatrix of
+        the full trace's affinity.
+        """
+        import numpy as np
+
+        left, right = self._seq[:-1], self._seq[1:]
+        differ = left != right
+        low = np.minimum(left, right)[differ]
+        high = np.maximum(left, right)[differ]
+        size = len(self._names)
+        keys, counts = np.unique(low * size + high, return_counts=True)
+        affinity: dict[tuple[str, str], int] = {}
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            a, b = self._names[key // size], self._names[key % size]
+            affinity[(a, b) if a <= b else (b, a)] = count
+        return affinity
+
+    def cost(self, offsets: dict[str, int]) -> int:
+        """Exact shift cost of the group's DBC with the group at ``offsets``."""
+        offset_of = self._offset_of
+        offset_of[self._codes] = [offsets[item] for item in self.items]
+        if self._rest is not None:
+            return int(self._rest[offset_of[self._seq]].sum())
+        return kernels.active().lazy_chain_cost(
+            self.positions, self._item_at, offset_of, self._ports
+        )
 
 
 def greedy_chain_order(
@@ -146,50 +222,36 @@ def proximity_offsets(
     ranked = sorted(
         group, key=lambda item: (-frequencies.get(item, 0), item)
     )
-    by_proximity = sorted(
-        range(config.words_per_dbc),
-        key=lambda offset: (
-            port_access_cost(offset, 0, config.port_offsets)[0],
-            offset,
-        ),
-    )
+    by_proximity = proximity_order(config)
     return {item: by_proximity[rank] for rank, item in enumerate(ranked)}
 
 
-def restricted_sequence_cost(
-    trace: AccessTrace,
-    offsets: dict[str, int],
-    config: DWMConfig,
-) -> int:
-    """Exact shift cost of one DBC given its restricted trace and offsets.
+def layout_groups(
+    problem: PlacementProblem,
+    groups: Sequence[Sequence[str]],
+    candidates: Callable[[GroupTrace], Sequence[dict[str, int]]],
+) -> Placement:
+    """Lay out group ``g`` on DBC ``g`` with its cheapest candidate layout.
 
-    Mirrors the single-DBC walk of the full evaluator; used to select the
-    better of several candidate orders for the same group.
+    ``candidates(view)`` lists offset maps for one group; each is priced
+    exactly by :meth:`GroupTrace.cost`, and the first cheapest wins (the
+    per-DBC cost decomposition makes this choice globally exact).  Empty
+    groups are skipped.
     """
-    from repro.dwm.config import PortPolicy
-
-    ports = config.port_offsets
-    eager = config.port_policy is PortPolicy.EAGER
-    head = 0
-    total = 0
-    for access in trace:
-        offset = offsets.get(access.item)
-        if offset is None:
+    mapping: dict[str, Slot] = {}
+    for dbc, group in enumerate(groups):
+        if not group:
             continue
-        best_cost = None
-        best_target = 0
-        for port in ports:
-            target = offset - port
-            cost = abs(target - head)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_target = target
-        if eager:
-            total += 2 * min(abs(offset - port) for port in ports)
-        else:
-            total += best_cost
-            head = best_target
-    return total
+        if dbc >= problem.config.num_dbcs:
+            raise OptimizationError(
+                f"group index {dbc} exceeds array DBC count "
+                f"{problem.config.num_dbcs}"
+            )
+        view = GroupTrace(problem, group)
+        best = min(candidates(view), key=view.cost)
+        for item, offset in best.items():
+            mapping[item] = Slot(dbc, offset)
+    return Placement(mapping)
 
 
 def order_groups(
@@ -198,41 +260,20 @@ def order_groups(
 ) -> Placement:
     """Run the ordering phase on every group and assemble a placement.
 
-    For each group two candidate layouts are generated — the greedy chain
-    (anchored) and the port-proximity star — and the cheaper one is chosen
-    by exact evaluation of the group's restricted subsequence (the per-DBC
-    cost decomposition makes this selection globally exact).  Empty groups
-    are skipped; group ``g`` lands on DBC ``g``.
+    Each group's candidates are the anchored greedy chain, the
+    port-proximity star, and the first-touch order anchored and packed
+    from offset 0; :func:`layout_groups` keeps the cheapest.
     """
+    config = problem.config
     frequencies = dict(problem.trace.frequencies())
-    mapping: dict[str, Slot] = {}
-    for dbc, group in enumerate(groups):
-        group = list(group)
-        if not group:
-            continue
-        if dbc >= problem.config.num_dbcs:
-            raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
-            )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        chain_order = greedy_chain_order(group, affinity)
-        first_touch_order = list(restricted.items)
-        candidates = [
-            anchored_offsets(chain_order, problem.config, frequencies),
-            proximity_offsets(group, problem.config, frequencies),
-            anchored_offsets(first_touch_order, problem.config, frequencies),
-            {item: index for index, item in enumerate(first_touch_order)},
+
+    def candidates(view: GroupTrace) -> list[dict[str, int]]:
+        chain = greedy_chain_order(view.items, view.affinity)
+        return [
+            anchored_offsets(chain, config, frequencies),
+            proximity_offsets(view.items, config, frequencies),
+            anchored_offsets(view.first_touch, config, frequencies),
+            {item: index for index, item in enumerate(view.first_touch)},
         ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
-        for item, offset in best_offsets.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+
+    return layout_groups(problem, groups, candidates)

@@ -14,7 +14,7 @@ from functools import cached_property
 from repro.dwm.config import DWMConfig
 from repro.errors import CapacityError, TraceError
 from repro.trace.model import AccessTrace
-from repro.trace.stats import AffinityMatrix, affinity_graph, hot_items
+from repro.trace.stats import affinity_graph, hot_items
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,6 @@ class PlacementProblem:
         return affinity_graph(self.trace)
 
     @cached_property
-    def affinity_matrix(self) -> AffinityMatrix:
-        """Index-based affinity representation for numeric algorithms."""
-        return AffinityMatrix.from_trace(self.trace)
-
-    @cached_property
     def hot_order(self) -> tuple[str, ...]:
         """Items by descending access frequency."""
         return tuple(hot_items(self.trace))
@@ -65,12 +60,6 @@ class PlacementProblem:
     def item_index(self) -> dict[str, int]:
         """Item name → dense index (first-touch order)."""
         return {item: i for i, item in enumerate(self.items)}
-
-    @cached_property
-    def index_sequence(self) -> tuple[int, ...]:
-        """The trace as dense item indices (hot path for evaluators)."""
-        index = self.item_index
-        return tuple(index[access.item] for access in self.trace)
 
     @property
     def min_dbcs_needed(self) -> int:

@@ -35,11 +35,10 @@ from repro.core.heuristic import (
     heuristic_placement,
     hot_spread_groups,
 )
-from repro.core.ordering import anchored_offsets, restricted_sequence_cost
-from repro.core.placement import Placement, Slot
+from repro.core.ordering import GroupTrace, anchored_offsets, layout_groups
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.errors import OptimizationError
-from repro.trace.stats import affinity_graph
 
 __all__ = ["bidirectional_order", "shiftsreduce_placement"]
 
@@ -113,40 +112,21 @@ def _order_groups_bidirectional(
 ) -> Placement:
     """Assemble a placement with the bidirectional construction per group.
 
-    Mirrors :func:`repro.core.ordering.order_groups`: each group's chain
-    (and its reversal) is anchored so the weighted median sits on a port,
-    and the cheaper layout wins by exact evaluation of the group's
-    restricted subsequence.
+    Each group's chain (and its reversal) is anchored so the weighted
+    median sits on a port; :func:`repro.core.ordering.layout_groups` keeps
+    the cheaper layout.
     """
+    config = problem.config
     frequencies = dict(problem.trace.frequencies())
-    mapping: dict[str, Slot] = {}
-    for dbc, group in enumerate(groups):
-        group = list(group)
-        if not group:
-            continue
-        if dbc >= problem.config.num_dbcs:
-            raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
-            )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        order = bidirectional_order(group, affinity, frequencies)
-        candidates = [
-            anchored_offsets(order, problem.config, frequencies),
-            anchored_offsets(list(reversed(order)), problem.config, frequencies),
+
+    def candidates(view: GroupTrace) -> list[dict[str, int]]:
+        order = bidirectional_order(view.items, view.affinity, frequencies)
+        return [
+            anchored_offsets(order, config, frequencies),
+            anchored_offsets(order[::-1], config, frequencies),
         ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
-        for item, offset in best_offsets.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+
+    return layout_groups(problem, groups, candidates)
 
 
 def shiftsreduce_placement(

@@ -60,6 +60,30 @@ def port_access_cost(
     return best
 
 
+def rest_table(config: DWMConfig):
+    """Eager per-offset cost table: twice the nearest-port distance.
+
+    Under the eager policy the head returns to rest after every access, so
+    an access to offset ``o`` always costs ``rest_table(config)[o]``.
+    """
+    import numpy as np
+
+    return np.asarray(
+        [
+            2 * port_access_cost(offset, 0, config.port_offsets)[0]
+            for offset in range(config.words_per_dbc)
+        ],
+        dtype=np.int64,
+    )
+
+
+def proximity_order(config: DWMConfig) -> list[int]:
+    """DBC offsets from the nearest port outwards (ties: lower offset first)."""
+    import numpy as np
+
+    return np.argsort(rest_table(config), kind="stable").tolist()
+
+
 class HeadModel:
     """Counters-only DBC model: head state + shift accounting.
 

@@ -46,7 +46,7 @@ from repro.core.incremental import two_port_access_costs  # noqa: F401
 from repro.core.kernels import single_port_access_costs_numpy
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import rest_table
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.model import AccessTrace
@@ -167,19 +167,6 @@ def _slot_arrays(resolved: ResolvedTrace, placement: Placement):
         dbc_of[position] = slot.dbc
         offset_of[position] = slot.offset
     return dbc_of, offset_of
-
-
-def rest_table(config: DWMConfig):
-    """Eager per-offset cost table: twice the nearest-port distance."""
-    import numpy as np
-
-    return np.asarray(
-        [
-            2 * port_access_cost(offset, 0, config.port_offsets)[0]
-            for offset in range(config.words_per_dbc)
-        ],
-        dtype=np.int64,
-    )
 
 
 def _access_costs(config: DWMConfig, dbc_seq, offset_seq):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dwm.config import DWMConfig
-from repro.dwm.dbc import HeadModel, port_access_cost
+from repro.dwm.dbc import HeadModel, proximity_order
 from repro.errors import ConfigError
 from repro.trace.model import AccessTrace
 
@@ -133,13 +133,7 @@ class DWMCache:
         self._heads = [HeadModel(config) for _ in range(self.geometry.num_sets)]
         # Rank the first `ways` offsets of each DBC by port proximity so the
         # cheapest slot is rank 0.
-        slot_order = sorted(
-            range(config.words_per_dbc),
-            key=lambda offset: (
-                port_access_cost(offset, 0, config.port_offsets)[0],
-                offset,
-            ),
-        )[: self.geometry.ways]
+        slot_order = proximity_order(config)[: self.geometry.ways]
         self._sets = [
             _CacheSet(self.geometry.ways, slot_order)
             for _ in range(self.geometry.num_sets)

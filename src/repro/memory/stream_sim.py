@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from repro.core.incremental import lazy_costs_from_state
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import port_access_cost, rest_table
 from repro.errors import SimulationError
-from repro.memory.batch_sim import rest_table
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.binio import StreamingTrace, open_binary

@@ -9,7 +9,6 @@ from repro.trace.model import (
     TraceRecorder,
 )
 from repro.trace.stats import (
-    AffinityMatrix,
     TraceStats,
     affinity_graph,
     compute_stats,
@@ -64,7 +63,6 @@ __all__ = [
     "open_binary",
     "pack",
     "save_binary",
-    "AffinityMatrix",
     "GENERATORS",
     "KERNELS",
     "SWEEP_KERNELS",

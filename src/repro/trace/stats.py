@@ -15,8 +15,7 @@ the working-set size.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.trace.model import AccessTrace
 
@@ -154,64 +153,6 @@ def compute_stats(trace: AccessTrace) -> TraceStats:
         max_item_frequency=top_count,
         top_item=top_item,
     )
-
-
-@dataclass
-class AffinityMatrix:
-    """Dense integer affinity matrix over an item index.
-
-    Convenience representation for numpy-based algorithms (spectral ordering,
-    exact DP): ``index[item]`` maps names to rows, ``matrix[i][j]`` holds the
-    adjacency count.  Built lazily from the pair dictionary to avoid a hard
-    numpy dependency at trace level.
-    """
-
-    items: tuple[str, ...]
-    index: Mapping[str, int]
-    pair_weights: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    @classmethod
-    def from_trace(cls, trace: AccessTrace) -> "AffinityMatrix":
-        items = trace.items
-        index = {item: i for i, item in enumerate(items)}
-        pair_weights: dict[tuple[int, int], int] = defaultdict(int)
-        for (left, right), weight in affinity_graph(trace).items():
-            i, j = index[left], index[right]
-            if i > j:
-                i, j = j, i
-            pair_weights[(i, j)] += weight
-        return cls(items=items, index=index, pair_weights=dict(pair_weights))
-
-    @property
-    def num_items(self) -> int:
-        return len(self.items)
-
-    def weight(self, i: int, j: int) -> int:
-        """Affinity between item indices ``i`` and ``j`` (0 if none)."""
-        if i > j:
-            i, j = j, i
-        return self.pair_weights.get((i, j), 0)
-
-    def to_numpy(self):
-        """Dense symmetric numpy matrix of the affinity weights."""
-        import numpy as np
-
-        n = self.num_items
-        matrix = np.zeros((n, n), dtype=float)
-        for (i, j), weight in self.pair_weights.items():
-            matrix[i, j] = weight
-            matrix[j, i] = weight
-        return matrix
-
-    def neighbor_weights(self, i: int) -> dict[int, int]:
-        """All nonzero affinities incident to item index ``i``."""
-        result: dict[int, int] = {}
-        for (a, b), weight in self.pair_weights.items():
-            if a == i:
-                result[b] = result.get(b, 0) + weight
-            elif b == i:
-                result[a] = result.get(a, 0) + weight
-        return result
 
 
 def hot_items(trace: AccessTrace) -> list[str]:

@@ -6,7 +6,8 @@ five oracle families and returns the (hopefully empty) list of
 
 * **engine agreement** — scalar reference vs vectorized vs incremental vs
   simulator engines vs the fault-injection cost stream, on totals, per-DBC
-  decompositions, and the per-access maximum;
+  decompositions (plus the planner's per-group pricing,
+  :class:`~repro.core.ordering.GroupTrace`), and the per-access maximum;
 * **round trips** — seeded swap/move/reversal mutation scripts through
   :class:`~repro.core.incremental.CostEvaluator`: probed deltas must match
   applied deltas, running totals must match from-scratch evaluation, and
@@ -60,6 +61,7 @@ from repro.core.cost import evaluate_placement, per_dbc_costs, shift_lower_bound
 from repro.core.exact import exhaustive_search_is_exact
 from repro.core.incremental import CostEvaluator
 from repro.core.kernels import multi_port_access_costs_numpy
+from repro.core.ordering import GroupTrace
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.faults import FaultModel, injection_seed, run_injection
@@ -175,6 +177,16 @@ def check_engine_agreement(
     for dbc, cost in zip(dbc_seq.tolist(), cost_seq.tolist()):
         stream_per_dbc[dbc] += cost
     views["fault_cost_stream"] = tuple(stream_per_dbc)
+    members: dict[int, dict[str, int]] = {}
+    for item in problem.items:
+        slot = placement[item]
+        members.setdefault(slot.dbc, {})[item] = slot.offset
+    views["group_trace"] = tuple(
+        GroupTrace(problem, list(members[dbc])).cost(members[dbc])
+        if dbc in members
+        else 0
+        for dbc in range(config.num_dbcs)
+    )
     for engine, per_dbc in views.items():
         expected = tuple(
             per_dbc_reference.get(dbc, 0) for dbc in range(config.num_dbcs)

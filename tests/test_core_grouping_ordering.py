@@ -1,25 +1,28 @@
 """Unit tests for the grouping and ordering phases of the heuristic."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.cost import per_dbc_costs
 from repro.core.grouping import (
     greedy_min_affinity_grouping,
     intra_group_affinity,
     refine_grouping,
 )
 from repro.core.ordering import (
+    GroupTrace,
     anchored_offsets,
     greedy_chain_order,
     order_groups,
     proximity_offsets,
-    restricted_affinity,
-    restricted_sequence_cost,
     weighted_median_index,
 )
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.dwm.config import DWMConfig
+from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import CapacityError, OptimizationError
 from repro.trace.model import AccessTrace
+from repro.trace.stats import affinity_graph
 from repro.trace.synthetic import pingpong_trace
 
 
@@ -179,32 +182,78 @@ class TestProximityOffsets:
         assert len(set(offsets.values())) == 8
 
 
+def _dbc_cost(problem, group_offsets, dbc=0):
+    """Reference cost of one DBC: the scalar walk, other items on DBC 1."""
+    others = [item for item in problem.items if item not in group_offsets]
+    mapping = {item: (dbc, offset) for item, offset in group_offsets.items()}
+    mapping.update({item: (1 - dbc, index) for index, item in enumerate(others)})
+    return per_dbc_costs(problem, Placement(mapping)).get(dbc, 0)
+
+
 class TestRestrictedAffinity:
     def test_restriction_creates_second_order_pairs(self):
         trace = AccessTrace(["a", "x", "b", "x", "a"])
-        affinity = restricted_affinity(trace, ["a", "b"])
+        config = DWMConfig(words_per_dbc=8, num_dbcs=1)
+        view = GroupTrace(PlacementProblem(trace=trace, config=config), ["a", "b"])
         # Restricted sequence is a b a: pairs (a,b) twice.
-        assert affinity == {("a", "b"): 2}
+        assert view.affinity == {("a", "b"): 2}
 
 
 class TestRestrictedSequenceCost:
     def test_matches_full_evaluator_single_group(self):
         from repro.core.cost import evaluate_placement
-        from repro.core.placement import Placement
 
         trace = AccessTrace(["a", "b", "c", "a", "b"])
         config = DWMConfig(words_per_dbc=8, num_dbcs=1, port_offsets=(0,))
         problem = PlacementProblem(trace=trace, config=config)
         offsets = {"a": 0, "b": 3, "c": 5}
         placement = Placement({item: (0, o) for item, o in offsets.items()})
-        assert restricted_sequence_cost(trace, offsets, config) == (
-            evaluate_placement(problem, placement)
-        )
+        view = GroupTrace(problem, ["a", "b", "c"])
+        assert view.cost(offsets) == evaluate_placement(problem, placement)
 
     def test_skips_foreign_items(self):
-        config = DWMConfig(words_per_dbc=8, num_dbcs=1, port_offsets=(0,))
+        config = DWMConfig(words_per_dbc=8, num_dbcs=2, port_offsets=(0,))
         trace = AccessTrace(["a", "zzz", "a"])
-        assert restricted_sequence_cost(trace, {"a": 2}, config) == 2
+        view = GroupTrace(PlacementProblem(trace=trace, config=config), ["a"])
+        assert view.positions.tolist() == [0, 2]
+        assert view.cost({"a": 2}) == 2
+
+
+_ITEMS = "abcdef"
+
+
+class TestGroupTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sequence=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=40),
+        picks=st.lists(st.booleans(), min_size=len(_ITEMS), max_size=len(_ITEMS)),
+    )
+    def test_matches_restricted_trace(self, sequence, picks):
+        trace = AccessTrace(sequence)
+        group = [item for item, pick in zip(trace.items, picks) if pick]
+        config = DWMConfig(words_per_dbc=8, num_dbcs=1)
+        view = GroupTrace(PlacementProblem(trace=trace, config=config), group)
+        restricted = trace.restricted_to(group)
+        assert view.affinity == affinity_graph(restricted)
+        assert view.first_touch == list(restricted.items)
+        assert view.positions.size == len(restricted)
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    @pytest.mark.parametrize("num_ports", [1, 2, 3])
+    def test_cost_matches_per_dbc_reference(self, num_ports, policy):
+        import random
+
+        rng = random.Random(num_ports * 7 + len(policy.value))
+        trace = AccessTrace([rng.choice("abcdefgh") for _ in range(300)])
+        config = DWMConfig.with_uniform_ports(
+            words_per_dbc=12, num_dbcs=2, num_ports=num_ports, port_policy=policy
+        )
+        problem = PlacementProblem(trace=trace, config=config)
+        group = [item for item in problem.items if item in "aceg"]
+        view = GroupTrace(problem, group)
+        for _ in range(5):
+            offsets = dict(zip(group, rng.sample(range(12), len(group))))
+            assert view.cost(offsets) == _dbc_cost(problem, offsets)
 
 
 class TestOrderGroups:
@@ -247,5 +296,6 @@ class TestOrderGroups:
 
         frequencies = dict(trace.frequencies())
         star = proximity_offsets(list(problem.items), config, frequencies)
-        star_cost = restricted_sequence_cost(trace, star, config)
+        star_placement = Placement({item: (0, o) for item, o in star.items()})
+        star_cost = per_dbc_costs(problem, star_placement)[0]
         assert evaluate_placement(problem, placement) <= star_cost

@@ -41,8 +41,14 @@ class TestPlacementProblem:
         assert problem.hot_order == ("b", "a")
 
     def test_index_sequence(self, tiny_trace, small_config):
+        # Evaluators read the dense index sequence from the trace's one
+        # resolution, numbered like the problem's items.
+        from repro.memory.batch_sim import resolve_trace
+
         problem = PlacementProblem(trace=tiny_trace, config=small_config)
-        assert problem.index_sequence == (0, 1, 0, 2, 1)
+        resolved = resolve_trace(problem.trace)
+        assert resolved.items == problem.items
+        assert resolved.item_at.tolist() == [0, 1, 0, 2, 1]
 
     def test_min_dbcs_needed(self):
         config = DWMConfig(words_per_dbc=2, num_dbcs=4)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.trace.model import AccessTrace
 from repro.trace.stats import (
-    AffinityMatrix,
     affinity_graph,
     compute_stats,
     hot_items,
@@ -96,39 +95,6 @@ class TestComputeStats:
     def test_empty_reuse_stats_zero(self):
         stats = compute_stats(AccessTrace(["a", "b"]))
         assert stats.mean_reuse_distance == 0.0
-
-
-class TestAffinityMatrix:
-    def test_from_trace_weights(self):
-        trace = AccessTrace(["a", "b", "a", "c"])
-        matrix = AffinityMatrix.from_trace(trace)
-        ia, ib, ic = (matrix.index[x] for x in "abc")
-        assert matrix.weight(ia, ib) == 2
-        assert matrix.weight(ia, ic) == 1
-        assert matrix.weight(ib, ic) == 0
-
-    def test_weight_symmetric(self):
-        trace = AccessTrace(["a", "b"])
-        matrix = AffinityMatrix.from_trace(trace)
-        assert matrix.weight(0, 1) == matrix.weight(1, 0)
-
-    def test_to_numpy(self):
-        import numpy as np
-
-        trace = AccessTrace(["a", "b", "a"])
-        dense = AffinityMatrix.from_trace(trace).to_numpy()
-        assert dense.shape == (2, 2)
-        assert np.allclose(dense, dense.T)
-        assert dense[0, 1] == 2
-
-    def test_neighbor_weights(self):
-        trace = AccessTrace(["a", "b", "a", "c"])
-        matrix = AffinityMatrix.from_trace(trace)
-        neighbors = matrix.neighbor_weights(matrix.index["a"])
-        assert neighbors == {matrix.index["b"]: 2, matrix.index["c"]: 1}
-
-    def test_num_items(self, tiny_trace):
-        assert AffinityMatrix.from_trace(tiny_trace).num_items == 3
 
 
 class TestHotItems:
