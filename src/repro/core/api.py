@@ -116,21 +116,13 @@ ALGORITHMS: dict[str, Callable[..., Placement]] = {
     "frequency": lambda problem, **kw: frequency_placement(
         problem, distribute=kw.get("distribute", "round_robin")
     ),
-    "heuristic": lambda problem, **kw: heuristic_placement(
-        problem,
-        refine_groups=kw.get("refine_groups", True),
-        num_groups=kw.get("num_groups"),
-    ),
+    "heuristic": lambda problem, **kw: heuristic_placement(problem),
     "heuristic+ls": _heuristic_with_ls,
     "grouping_only": lambda problem, **kw: grouping_only_placement(problem),
     "ordering_only": lambda problem, **kw: ordering_only_placement(problem),
     "spectral": lambda problem, **kw: spectral_placement(problem),
-    "shiftsreduce": lambda problem, **kw: shiftsreduce_placement(
-        problem, num_groups=kw.get("num_groups")
-    ),
-    "generalized": lambda problem, **kw: generalized_placement(
-        problem, num_groups=kw.get("num_groups")
-    ),
+    "shiftsreduce": lambda problem, **kw: shiftsreduce_placement(problem),
+    "generalized": lambda problem, **kw: generalized_placement(problem),
     "annealing": lambda problem, **kw: simulated_annealing(
         problem,
         heuristic_placement(problem),
@@ -216,16 +208,34 @@ def resolve_placement(
     return problem
 
 
+#: Types of the method kwargs some algorithm reads.  Other keys are ignored,
+#: because sweeps forward one kwargs dict to every method.
+_KWARG_TYPES = dict(seed=int, max_evaluations=int, max_items=int, distribute=str)
+
+
 def plan_placement(
     problem: PlacementProblem,
     method: str = "heuristic",
     **kwargs,
 ) -> PlacementPlan:
-    """Stage 2: run the placement algorithm (the compute-heavy stage)."""
+    """Stage 2: run the placement algorithm (the compute-heavy stage).
+
+    Raises :class:`~repro.errors.OptimizationError` for an unknown method
+    or a kwarg of the wrong type (``bool`` is not an ``int`` here).
+    """
     if method not in ALGORITHMS:
         raise OptimizationError(
             f"unknown method {method!r}; available: {sorted(ALGORITHMS)}"
         )
+    for key, value in kwargs.items():
+        expected = _KWARG_TYPES.get(key)
+        if expected is not None and (
+            not isinstance(value, expected) or isinstance(value, bool)
+        ):
+            raise OptimizationError(
+                f"{key} must be {expected.__name__}, got "
+                f"{type(value).__name__} {value!r:.40}"
+            )
     from repro.obs.metrics import get_registry
     from repro.obs.tracing import trace_span
 

@@ -168,9 +168,7 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
             2 * port_access_cost(offset, 0, config.port_offsets)[0]
             for offset in range(config.words_per_dbc)
         )
-        frequencies = sorted(
-            problem.trace.frequencies().values(), reverse=True
-        )
+        frequencies = sorted(problem.frequencies.values(), reverse=True)
         total = 0
         rank = 0
         for distance in per_dbc:

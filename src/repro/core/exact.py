@@ -381,7 +381,7 @@ def exhaustive_placement(
         )
     config = problem.config
     if config.port_policy is PortPolicy.EAGER:
-        frequencies = dict(problem.trace.frequencies())
+        frequencies = problem.frequencies
         return _partitioned_placement(
             problem,
             lambda members: _eager_group_layout(members, config, frequencies),

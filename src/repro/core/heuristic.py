@@ -44,10 +44,7 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 
 
-def chain_and_cut_groups(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> list[list[str]]:
+def chain_and_cut_groups(problem: PlacementProblem) -> list[list[str]]:
     """Global affinity chain cut into balanced contiguous blocks.
 
     The chain keeps strongly-affine (e.g. streaming) items consecutive; the
@@ -55,20 +52,12 @@ def chain_and_cut_groups(
     be anchored near a port.
     """
     config = problem.config
-    if num_groups is None:
-        num_groups = min(config.num_dbcs, problem.num_items)
+    num_groups = min(config.num_dbcs, problem.num_items)
     chain = greedy_chain_order(list(problem.items), problem.affinity)
-    size = -(-len(chain) // num_groups)  # ceil division
-    size = min(size, config.words_per_dbc)
-    groups = [chain[start : start + size] for start in range(0, len(chain), size)]
-    # The ceil split can yield at most num_groups blocks of `size` unless
-    # size was clamped by capacity; re-check the group count.
-    if len(groups) > config.num_dbcs:
-        size = config.words_per_dbc
-        groups = [
-            chain[start : start + size] for start in range(0, len(chain), size)
-        ]
-    return groups
+    # At most num_groups blocks of the ceil size, and at most num_dbcs once
+    # capacity clamps it (the problem guarantees items <= num_dbcs * L).
+    size = min(-(-len(chain) // num_groups), config.words_per_dbc)
+    return [chain[start : start + size] for start in range(0, len(chain), size)]
 
 
 def declaration_block_groups(problem: PlacementProblem) -> list[list[str]]:
@@ -78,40 +67,45 @@ def declaration_block_groups(problem: PlacementProblem) -> list[list[str]]:
     return [items[start : start + length] for start in range(0, len(items), length)]
 
 
-def hot_spread_groups(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> list[list[str]]:
+def hot_spread_groups(problem: PlacementProblem) -> list[list[str]]:
     """Hottest items dealt round-robin across DBCs (hot-spread grouping).
 
     Gives every DBC a hot core near its port; wins on popularity-skewed
     patterns with little pairwise structure (e.g. table lookups around a hot
     accumulator).
     """
-    config = problem.config
-    if num_groups is None:
-        num_groups = min(config.num_dbcs, problem.num_items)
+    num_groups = min(problem.config.num_dbcs, problem.num_items)
     groups: list[list[str]] = [[] for _ in range(num_groups)]
     for index, item in enumerate(problem.hot_order):
         groups[index % num_groups].append(item)
     return groups
 
 
+def grouping_portfolio(problem: PlacementProblem) -> list[list[list[str]]]:
+    """The four candidate groupings, earlier ones winning cost ties.
+
+    The heuristic, ShiftsReduce and the generalized method build it once
+    per plan.
+    """
+    return [
+        refine_grouping(greedy_min_affinity_grouping(problem), problem),
+        chain_and_cut_groups(problem),
+        declaration_block_groups(problem),
+        hot_spread_groups(problem),
+    ]
+
+
 def heuristic_placement(
     problem: PlacementProblem,
-    refine_groups: bool = True,
-    num_groups: int | None = None,
+    portfolio: list[list[list[str]]] | None = None,
 ) -> Placement:
-    """Full grouping + ordering heuristic with candidate selection."""
-    candidates: list[list[list[str]]] = []
-    interference = greedy_min_affinity_grouping(problem, num_groups=num_groups)
-    if refine_groups:
-        interference = refine_grouping(interference, problem)
-    candidates.append(interference)
-    candidates.append(chain_and_cut_groups(problem, num_groups=num_groups))
-    candidates.append(declaration_block_groups(problem))
-    candidates.append(hot_spread_groups(problem, num_groups=num_groups))
-    placements = [order_groups(problem, groups) for groups in candidates]
+    """Full grouping + ordering heuristic with candidate selection.
+
+    ``portfolio`` is ``grouping_portfolio(problem)`` if the caller has it.
+    """
+    if portfolio is None:
+        portfolio = grouping_portfolio(problem)
+    placements = [order_groups(problem, groups) for groups in portfolio]
     costs = evaluate_placements_fast(problem, placements, validate=False)
     # ``index`` returns the first minimum, so earlier candidates win ties.
     return placements[costs.index(min(costs))]
@@ -146,7 +140,4 @@ def ordering_only_placement(problem: PlacementProblem) -> Placement:
     Items fill DBCs in first-touch order blocks of ``L`` (as the declaration
     baseline would), then each block is chain-ordered and port-anchored.
     """
-    length = problem.config.words_per_dbc
-    items = list(problem.items)
-    groups = [items[start : start + length] for start in range(0, len(items), length)]
-    return order_groups(problem, groups)
+    return order_groups(problem, declaration_block_groups(problem))

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from repro.core import kernels
 from repro.core.placement import Placement, Slot
-from repro.core.problem import PlacementProblem
+from repro.core.problem import PlacementProblem, pair_counts
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import proximity_order, rest_table
 from repro.errors import OptimizationError
@@ -46,17 +46,13 @@ class GroupTrace:
     def __init__(self, problem: PlacementProblem, group: Sequence[str]) -> None:
         import numpy as np
 
-        # Lazy import: batch_sim imports repro.core, which imports this module.
-        from repro.memory.batch_sim import resolve_trace
-
-        resolved = resolve_trace(problem.trace)
         index = problem.item_index
         self.items = list(group)
         self._names = problem.items
         self._codes = np.asarray([index[item] for item in self.items], np.int64)
         member_mask = np.zeros(len(index), dtype=bool)
         member_mask[self._codes] = True
-        self._item_at = resolved.item_at
+        self._item_at = problem.item_at
         self.positions = np.flatnonzero(member_mask[self._item_at])
         self._seq = self._item_at[self.positions]
         config = problem.config
@@ -78,24 +74,12 @@ class GroupTrace:
     def affinity(self) -> dict[tuple[str, str], int]:
         """Consecutive-pair counts of the restricted subsequence.
 
-        Keyed like :func:`repro.trace.stats.affinity_graph` (unordered name
-        pairs, self-pairs dropped).  Restriction makes accesses adjacent
-        that had other items between them, so this is not a submatrix of
-        the full trace's affinity.
+        Keyed like :attr:`PlacementProblem.affinity` (unordered name pairs,
+        self-pairs dropped).  Restriction makes accesses adjacent that had
+        other items between them, so this is not a submatrix of the full
+        trace's affinity.
         """
-        import numpy as np
-
-        left, right = self._seq[:-1], self._seq[1:]
-        differ = left != right
-        low = np.minimum(left, right)[differ]
-        high = np.maximum(left, right)[differ]
-        size = len(self._names)
-        keys, counts = np.unique(low * size + high, return_counts=True)
-        affinity: dict[tuple[str, str], int] = {}
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            a, b = self._names[key // size], self._names[key % size]
-            affinity[(a, b) if a <= b else (b, a)] = count
-        return affinity
+        return pair_counts(self._seq, self._names)
 
     def cost(self, offsets: dict[str, int]) -> int:
         """Exact shift cost of the group's DBC with the group at ``offsets``."""
@@ -265,7 +249,7 @@ def order_groups(
     from offset 0; :func:`layout_groups` keeps the cheapest.
     """
     config = problem.config
-    frequencies = dict(problem.trace.frequencies())
+    frequencies = problem.frequencies
 
     def candidates(view: GroupTrace) -> list[dict[str, int]]:
         chain = greedy_chain_order(view.items, view.affinity)

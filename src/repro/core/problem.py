@@ -3,18 +3,39 @@
 :class:`PlacementProblem` bundles everything an algorithm needs — the access
 trace, the DWM geometry, the affinity graph, item frequencies — behind one
 object so the individual optimizers stay small.  Construction validates that
-the trace fits the configured array.
+the trace fits the configured array.  The derived tables are built once, from
+the trace's resolved item codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from repro.dwm.config import DWMConfig
 from repro.errors import CapacityError, TraceError
 from repro.trace.model import AccessTrace
-from repro.trace.stats import affinity_graph, hot_items
+
+
+def pair_counts(codes, names: Sequence[str]) -> dict[tuple[str, str], int]:
+    """Counts of consecutive differing codes, keyed by ``names[code]`` pairs.
+
+    Keys are ``(a, b)`` with ``a <= b``, in first-occurrence order, exactly
+    as :func:`repro.trace.stats.affinity_graph` builds them from a trace.
+    """
+    import numpy as np
+
+    left, right = codes[:-1], codes[1:]
+    size = len(names)
+    keys = (np.minimum(left, right) * size + np.maximum(left, right))[left != right]
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    affinity: dict[tuple[str, str], int] = {}
+    for key, count in zip(unique[order].tolist(), counts[order].tolist()):
+        a, b = names[key // size], names[key % size]
+        affinity[(a, b) if a <= b else (b, a)] = count
+    return affinity
 
 
 @dataclass(frozen=True)
@@ -46,15 +67,48 @@ class PlacementProblem:
     def num_items(self) -> int:
         return len(self.items)
 
+    @property
+    def item_at(self):
+        """Per-access item codes (indices into :attr:`items`)."""
+        # Lazy import: batch_sim imports repro.core, which imports this module.
+        from repro.memory.batch_sim import resolve_trace
+
+        return resolve_trace(self.trace).item_at
+
     @cached_property
-    def affinity(self) -> dict[tuple[str, str], int]:
-        """Unordered adjacent-pair counts (self-pairs excluded)."""
-        return affinity_graph(self.trace)
+    def frequencies(self) -> dict[str, int]:
+        """Access count per item, in first-touch order."""
+        import numpy as np
+
+        counts = np.bincount(self.item_at, minlength=self.num_items)
+        return dict(zip(self.items, counts.tolist()))
 
     @cached_property
     def hot_order(self) -> tuple[str, ...]:
-        """Items by descending access frequency."""
-        return tuple(hot_items(self.trace))
+        """Items by descending access frequency (ties: first touch)."""
+        frequencies = self.frequencies
+        return tuple(sorted(self.items, key=lambda item: -frequencies[item]))
+
+    @cached_property
+    def affinity(self) -> dict[tuple[str, str], int]:
+        """Unordered adjacent-pair counts (self-pairs excluded).
+
+        Equal to :func:`repro.trace.stats.affinity_graph` of the trace, key
+        order included.
+        """
+        return pair_counts(self.item_at, self.items)
+
+    @cached_property
+    def neighbors(self) -> dict[str, dict[str, int]]:
+        """Item → {neighbour: affinity weight}, every item present.
+
+        Iterates in first-touch, then :attr:`affinity` order, never by hash.
+        """
+        neighbors: dict[str, dict[str, int]] = {item: {} for item in self.items}
+        for (left, right), weight in self.affinity.items():
+            neighbors[left][right] = weight
+            neighbors[right][left] = weight
+        return neighbors
 
     @cached_property
     def item_index(self) -> dict[str, int]:

@@ -28,13 +28,7 @@ from typing import Sequence
 # module to time scalar scoring, and fails if it is missing.
 from repro.core.cost import evaluate_placement  # noqa: F401
 from repro.core.cost import evaluate_placements_fast
-from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
-from repro.core.heuristic import (
-    chain_and_cut_groups,
-    declaration_block_groups,
-    heuristic_placement,
-    hot_spread_groups,
-)
+from repro.core.heuristic import grouping_portfolio, heuristic_placement
 from repro.core.ordering import GroupTrace, anchored_offsets, layout_groups
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -117,7 +111,7 @@ def _order_groups_bidirectional(
     the cheaper layout.
     """
     config = problem.config
-    frequencies = dict(problem.trace.frequencies())
+    frequencies = problem.frequencies
 
     def candidates(view: GroupTrace) -> list[dict[str, int]]:
         order = bidirectional_order(view.items, view.affinity, frequencies)
@@ -129,10 +123,7 @@ def _order_groups_bidirectional(
     return layout_groups(problem, groups, candidates)
 
 
-def shiftsreduce_placement(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> Placement:
+def shiftsreduce_placement(problem: PlacementProblem) -> Placement:
     """Full ShiftsReduce placement: grouping portfolio + bidirectional order.
 
     The candidate set is every grouping of the repo portfolio laid out
@@ -141,18 +132,9 @@ def shiftsreduce_placement(
     instance (E21's acceptance gate).  ShiftsReduce candidates are listed
     first, so they win cost ties.
     """
-    groupings: list[list[list[str]]] = [
-        refine_grouping(
-            greedy_min_affinity_grouping(problem, num_groups=num_groups), problem
-        ),
-        chain_and_cut_groups(problem, num_groups=num_groups),
-        declaration_block_groups(problem),
-        hot_spread_groups(problem, num_groups=num_groups),
-    ]
-    placements = [
-        _order_groups_bidirectional(problem, groups) for groups in groupings
-    ]
-    placements.append(heuristic_placement(problem))
+    portfolio = grouping_portfolio(problem)
+    placements = [_order_groups_bidirectional(problem, groups) for groups in portfolio]
+    placements.append(heuristic_placement(problem, portfolio))
     costs = evaluate_placements_fast(problem, placements, validate=False)
     # ``index`` returns the first minimum, so earlier candidates win ties.
     return placements[costs.index(min(costs))]

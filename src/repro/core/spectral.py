@@ -18,19 +18,17 @@ from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 
 
-def _connected_components(
-    items: tuple[str, ...],
-    affinity: dict[tuple[str, str], int],
-) -> list[list[str]]:
-    """Connected components of the affinity graph, first-touch ordered."""
-    neighbors: dict[str, set[str]] = {item: set() for item in items}
-    for (left, right), _weight in affinity.items():
-        if left != right and left in neighbors and right in neighbors:
-            neighbors[left].add(right)
-            neighbors[right].add(left)
+def _connected_components(problem: PlacementProblem) -> list[list[str]]:
+    """Connected components of the affinity graph, first-touch ordered.
+
+    Walks :attr:`PlacementProblem.neighbors`, whose iteration order is
+    fixed, so the components (and the Fiedler orders built on them) do not
+    depend on string hashing.
+    """
+    neighbors = problem.neighbors
     seen: set[str] = set()
     components: list[list[str]] = []
-    for item in items:
+    for item in problem.items:
         if item in seen:
             continue
         stack = [item]
@@ -79,8 +77,8 @@ def spectral_placement(problem: PlacementProblem) -> Placement:
     blocks of ``L`` doubles as a (weak) grouping; each block is port-anchored
     like the heuristic's chains.
     """
-    frequencies = dict(problem.trace.frequencies())
-    components = _connected_components(problem.items, problem.affinity)
+    frequencies = problem.frequencies
+    components = _connected_components(problem)
     components.sort(
         key=lambda component: -sum(frequencies.get(item, 0) for item in component)
     )

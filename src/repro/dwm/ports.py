@@ -97,7 +97,7 @@ def weighted_k_medians(
 def access_histogram(problem, placement) -> dict[int, dict[int, int]]:
     """Per-DBC histogram of access counts by offset under a placement."""
     histogram: dict[int, dict[int, int]] = {}
-    frequencies = problem.trace.frequencies()
+    frequencies = problem.frequencies
     for item, slot in placement.items():
         per_dbc = histogram.setdefault(slot.dbc, {})
         per_dbc[slot.offset] = per_dbc.get(slot.offset, 0) + frequencies.get(item, 0)

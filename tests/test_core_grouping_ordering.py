@@ -20,7 +20,7 @@ from repro.core.ordering import (
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
-from repro.errors import CapacityError, OptimizationError
+from repro.errors import OptimizationError
 from repro.trace.model import AccessTrace
 from repro.trace.stats import affinity_graph
 from repro.trace.synthetic import pingpong_trace
@@ -56,16 +56,6 @@ class TestGreedyGrouping:
             item: index for index, group in enumerate(groups) for item in group
         }
         assert group_of["a"] != group_of["b"]
-
-    def test_too_few_groups_raises(self):
-        problem = self.make_problem(["a", "b", "c"], words=1, dbcs=3)
-        with pytest.raises(CapacityError):
-            greedy_min_affinity_grouping(problem, num_groups=2)
-
-    def test_invalid_num_groups_raises(self):
-        problem = self.make_problem(["a", "b"])
-        with pytest.raises(OptimizationError):
-            greedy_min_affinity_grouping(problem, num_groups=0)
 
 
 class TestRefineGrouping:

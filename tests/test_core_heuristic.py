@@ -133,12 +133,3 @@ class TestAblationVariants:
             locality_problem, ordering_only_placement(locality_problem)
         )
         assert combined <= ordering
-
-
-class TestHeuristicNumGroups:
-    def test_explicit_num_groups_respected(self):
-        trace = markov_trace(12, 200, seed=2)
-        config = DWMConfig(words_per_dbc=16, num_dbcs=4, port_offsets=(0,))
-        problem = PlacementProblem(trace=trace, config=config)
-        placement = heuristic_placement(problem, num_groups=2)
-        assert len(placement.dbcs_used()) <= 2

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.problem and repro.core.cost."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cost import (
     evaluate_placement,
@@ -13,6 +14,7 @@ from repro.core.problem import PlacementProblem, PlacementResult
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import CapacityError, PlacementError, TraceError
 from repro.trace.model import AccessTrace
+from repro.trace.stats import affinity_graph, hot_items
 
 
 class TestPlacementProblem:
@@ -49,6 +51,31 @@ class TestPlacementProblem:
         resolved = resolve_trace(problem.trace)
         assert resolved.items == problem.items
         assert resolved.item_at.tolist() == [0, 1, 0, 2, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "x1", "x10"]),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_derived_tables_match_the_trace(self, sequence):
+        # The tables come from the resolved codes but must equal what the
+        # trace-level helpers compute, dict key order included.
+        trace = AccessTrace(sequence)
+        config = DWMConfig(words_per_dbc=4, num_dbcs=3)
+        problem = PlacementProblem(trace=trace, config=config)
+        expected = affinity_graph(trace)
+        assert list(problem.affinity.items()) == list(expected.items())
+        assert problem.frequencies == dict(trace.frequencies())
+        assert list(problem.hot_order) == hot_items(trace)
+        for item in problem.items:
+            assert problem.neighbors[item] == {
+                (right if left == item else left): weight
+                for (left, right), weight in expected.items()
+                if item in (left, right)
+            }
 
     def test_min_dbcs_needed(self):
         config = DWMConfig(words_per_dbc=2, num_dbcs=4)

@@ -11,6 +11,10 @@ Companion to the CLI byte-identity tests in ``tests/test_cli.py``.
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +94,43 @@ def test_eager_policy_is_deterministic_too(method):
     first = plan_placement(problem, method=method).placement.as_dict()
     for _ in range(3):
         assert plan_placement(problem, method=method).placement.as_dict() == first
+
+
+#: Prints the spectral placement of the ``lms`` kernel (seed 106, 16-word
+#: DBCs, one port), on which a hash-ordered component walk used to give
+#: different placements under different string-hash seeds.
+_SPECTRAL_SCRIPT = """
+import json
+from repro.core.api import build_problem, plan_placement
+from repro.dwm.config import DWMConfig
+from repro.trace.kernels import KERNELS
+
+trace = KERNELS["lms"](seed=106)
+config = DWMConfig.for_items(trace.num_items, words_per_dbc=16, num_ports=1)
+placement = plan_placement(build_problem(trace, config), "spectral").placement
+print(json.dumps({item: list(slot) for item, slot in placement.as_dict().items()},
+                 sort_keys=True))
+"""
+
+
+def test_spectral_placement_ignores_string_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for hash_seed in ("0", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        completed = subprocess.run(
+            [sys.executable, "-c", _SPECTRAL_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1

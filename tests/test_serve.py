@@ -311,6 +311,18 @@ class TestTypedErrors:
             with pytest.raises(BadRequest):
                 client.optimize(uploaded["trace_id"], method="not-a-method")
 
+    def test_wrongly_typed_kwargs_400(self):
+        with running_server() as (_, client):
+            uploaded = client.upload_trace("typed", make_accesses())
+            for kwargs in ({"max_evaluations": "x"}, {"seed": True}):
+                with pytest.raises(BadRequest):
+                    client.optimize(
+                        uploaded["trace_id"],
+                        method="heuristic+ls",
+                        config=CONFIG,
+                        kwargs=kwargs,
+                    )
+
 
 class TestRtbTraces:
     def test_rtb_upload_and_streaming_simulate(self, tmp_path):
