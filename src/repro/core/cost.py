@@ -60,7 +60,7 @@ def evaluate_placements_fast(
     The totals equal :func:`evaluate_placement`'s exactly.
     """
     # Lazy import: batch_sim imports repro.core, which imports this module.
-    from repro.memory.batch_sim import _scan, _slot_arrays, resolve_trace
+    from repro.memory.batch_sim import _scan, resolve_trace, slot_arrays
 
     config = problem.config
     if validate:
@@ -68,7 +68,7 @@ def evaluate_placements_fast(
             placement.validate(config, problem.items)
     resolved = resolve_trace(problem.trace)
     return [
-        _scan(resolved, config, *_slot_arrays(resolved, placement))[1]
+        _scan(resolved, config, *slot_arrays(resolved.items, placement))[1]
         for placement in placements
     ]
 

@@ -21,7 +21,7 @@ parametric strategies:
 Per group the cheapest strategy wins by its exact cost, which the kernel
 tier computes over the group's positions in the resolved trace (sound by
 the per-DBC cost decomposition); across grouping candidates the cheapest
-full placement wins, with the paper heuristic's placement kept in the
+sum of group costs wins, with the paper heuristic's layouts kept in the
 candidate set so ``generalized ≤ heuristic`` is a structural guarantee
 (the repo's portfolio idiom).  All tie-breaks are total, so the
 construction is byte-deterministic.
@@ -31,16 +31,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# Not called here, but perfbench/spans.py wraps this name in each placement
-# module to time scalar scoring, and fails if it is missing.
-from repro.core.cost import evaluate_placement  # noqa: F401
-from repro.core.cost import evaluate_placements_fast
-from repro.core.heuristic import grouping_portfolio, heuristic_placement
+# Not called here, but perfbench/spans.py wraps these names in each placement
+# module to time scoring, and fails if either is missing.
+from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
+from repro.core.heuristic import portfolio_placement
 from repro.core.ordering import (
     GroupTrace,
     anchored_offsets,
-    greedy_chain_order,
-    layout_groups,
     proximity_offsets,
     weighted_median_index,
 )
@@ -97,38 +94,27 @@ def multi_port_chain_offsets(
     return offsets
 
 
-def _order_groups_generalized(
-    problem: PlacementProblem,
-    groups: Sequence[Sequence[str]],
-) -> Placement:
-    """Assemble a placement choosing the best port-aware layout per group."""
-    config = problem.config
-    frequencies = problem.frequencies
-
-    def candidates(view: GroupTrace) -> list[dict[str, int]]:
-        chain = greedy_chain_order(view.items, view.affinity)
-        return [
-            multi_port_chain_offsets(chain, config, frequencies),
-            multi_port_chain_offsets(chain[::-1], config, frequencies),
-            proximity_offsets(view.items, config, frequencies),
-            anchored_offsets(chain, config, frequencies),
-        ]
-
-    return layout_groups(problem, groups, candidates)
+def port_aware_layouts(view: GroupTrace) -> list[dict[str, int]]:
+    """The group's chain split over the ports (both ways), proximity, anchored chain."""
+    config = view.config
+    frequencies = view.frequencies
+    chain = view.chain
+    return [
+        multi_port_chain_offsets(chain, config, frequencies),
+        multi_port_chain_offsets(chain[::-1], config, frequencies),
+        proximity_offsets(view.items, config, frequencies),
+        anchored_offsets(chain, config, frequencies),
+    ]
 
 
 def generalized_placement(problem: PlacementProblem) -> Placement:
     """Full generalized placement: grouping portfolio + port-aware layouts.
 
     The candidate set is every grouping of the repo portfolio laid out
-    with the port-parametric strategies, plus the paper heuristic's own
-    placement as a guard candidate, making ``generalized ≤ heuristic`` a
-    structural guarantee on every instance (E21's acceptance gate).
-    Generalized candidates are listed first, so they win cost ties.
+    with the port-parametric strategies, then the same groupings laid out
+    by the paper heuristic as guard candidates, making
+    ``generalized ≤ heuristic`` a structural guarantee on every instance
+    (E21's acceptance gate).  Generalized candidates are listed first, so
+    they win cost ties.
     """
-    portfolio = grouping_portfolio(problem)
-    placements = [_order_groups_generalized(problem, groups) for groups in portfolio]
-    placements.append(heuristic_placement(problem, portfolio))
-    costs = evaluate_placements_fast(problem, placements, validate=False)
-    # ``index`` returns the first minimum, so earlier candidates win ties.
-    return placements[costs.index(min(costs))]
+    return portfolio_placement(problem, port_aware_layouts)

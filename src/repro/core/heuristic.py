@@ -22,9 +22,9 @@ Pipeline (see DESIGN.md §4):
 3. **Ordering** — per DBC, MinLA-style chain construction on the *restricted*
    affinity graph, anchored on a port (:mod:`repro.core.ordering`), applied
    to every candidate.
-4. **Selection** — candidates are scored with the exact trace-cost evaluator
-   and the cheapest placement wins (three evaluations; still linear time in
-   the trace).
+4. **Selection** — a placement's total is the sum of the group costs the
+   ordering phase already computed (per-DBC decomposition), so the cheapest
+   candidate wins without re-scoring the trace (:func:`portfolio_placement`).
 5. Optional **local refinement** (:mod:`repro.core.local_search`).
 
 :func:`heuristic_placement` is the full algorithm; the ablation variants
@@ -34,12 +34,17 @@ contribution for experiment E10.
 
 from __future__ import annotations
 
-# Not called here, but perfbench/spans.py wraps this name in each placement
-# module to time scalar scoring, and fails if it is missing.
-from repro.core.cost import evaluate_placement  # noqa: F401
-from repro.core.cost import evaluate_placements_fast
+# Not called here, but perfbench/spans.py wraps these names in each placement
+# module to time scoring, and fails if either is missing.
+from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
 from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
-from repro.core.ordering import greedy_chain_order, order_groups
+from repro.core.ordering import (
+    Family,
+    greedy_chain_order,
+    heuristic_layouts,
+    layout_groups,
+    order_groups,
+)
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 
@@ -95,20 +100,27 @@ def grouping_portfolio(problem: PlacementProblem) -> list[list[list[str]]]:
     ]
 
 
-def heuristic_placement(
-    problem: PlacementProblem,
-    portfolio: list[list[list[str]]] | None = None,
-) -> Placement:
-    """Full grouping + ordering heuristic with candidate selection.
+def portfolio_placement(problem: PlacementProblem, *families: Family) -> Placement:
+    """Cheapest layout of the grouping portfolio by ``families``, then the heuristic's.
 
-    ``portfolio`` is ``grouping_portfolio(problem)`` if the caller has it.
+    Each portfolio group is laid out once per family (one trace view per
+    group) and each candidate priced by its summed group costs.  The first
+    strict minimum wins, scanning family by family and, inside each family,
+    in portfolio order.
     """
-    if portfolio is None:
-        portfolio = grouping_portfolio(problem)
-    placements = [order_groups(problem, groups) for groups in portfolio]
-    costs = evaluate_placements_fast(problem, placements, validate=False)
-    # ``index`` returns the first minimum, so earlier candidates win ties.
-    return placements[costs.index(min(costs))]
+    per_grouping = [
+        layout_groups(problem, groups, *families, heuristic_layouts)
+        for groups in grouping_portfolio(problem)
+    ]
+    candidates = [pair for per_family in zip(*per_grouping) for pair in per_family]
+    # ``min`` returns the first minimum, so earlier candidates win ties.
+    placement, _total = min(candidates, key=lambda candidate: candidate[1])
+    return placement
+
+
+def heuristic_placement(problem: PlacementProblem) -> Placement:
+    """Full grouping + ordering heuristic with candidate selection."""
+    return portfolio_placement(problem)
 
 
 def grouping_only_placement(problem: PlacementProblem) -> Placement:

@@ -15,8 +15,9 @@ DBC's head.  The ordering phase therefore:
 
 :func:`layout_groups` is the one per-group loop: every method that lays
 out groups (this module's :func:`order_groups`, ShiftsReduce, the
-generalized strategies) passes it its candidate layouts, and each group
-keeps the candidate the kernel tier prices cheapest on its positions.
+generalized strategies) passes it *families* of candidate layouts, and each
+group keeps the candidate the kernel tier prices cheapest on its positions;
+the sum of those costs is the placement's exact total.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class GroupTrace:
 
         index = problem.item_index
         self.items = list(group)
+        self.config = problem.config
+        self.frequencies = problem.frequencies
         self._names = problem.items
         self._codes = np.asarray([index[item] for item in self.items], np.int64)
         member_mask = np.zeros(len(index), dtype=bool)
@@ -80,6 +83,11 @@ class GroupTrace:
         trace's affinity.
         """
         return pair_counts(self._seq, self._names)
+
+    @cached_property
+    def chain(self) -> list[str]:
+        """The greedy affinity chain of the group's restricted affinities."""
+        return greedy_chain_order(self.items, self.affinity)
 
     def cost(self, offsets: dict[str, int]) -> int:
         """Exact shift cost of the group's DBC with the group at ``offsets``."""
@@ -210,19 +218,25 @@ def proximity_offsets(
     return {item: by_proximity[rank] for rank, item in enumerate(ranked)}
 
 
+#: One group's candidate layouts (offset maps), earlier ones winning ties.
+Family = Callable[[GroupTrace], Sequence[dict[str, int]]]
+
+
 def layout_groups(
     problem: PlacementProblem,
     groups: Sequence[Sequence[str]],
-    candidates: Callable[[GroupTrace], Sequence[dict[str, int]]],
-) -> Placement:
-    """Lay out group ``g`` on DBC ``g`` with its cheapest candidate layout.
+    *families: Family,
+) -> list[tuple[Placement, int]]:
+    """Lay out group ``g`` on DBC ``g`` by each family: ``(placement, total)`` each.
 
-    ``candidates(view)`` lists offset maps for one group; each is priced
-    exactly by :meth:`GroupTrace.cost`, and the first cheapest wins (the
-    per-DBC cost decomposition makes this choice globally exact).  Empty
-    groups are skipped.
+    One trace view per group is shared by every family.  A family's
+    candidates are priced exactly by :meth:`GroupTrace.cost` and the first
+    cheapest wins; by the per-DBC cost decomposition this choice is globally
+    exact and ``total`` is the placement's shift count.  Empty groups are
+    skipped.
     """
-    mapping: dict[str, Slot] = {}
+    mappings: list[dict[str, Slot]] = [{} for _ in families]
+    totals = [0] * len(families)
     for dbc, group in enumerate(groups):
         if not group:
             continue
@@ -232,10 +246,26 @@ def layout_groups(
                 f"{problem.config.num_dbcs}"
             )
         view = GroupTrace(problem, group)
-        best = min(candidates(view), key=view.cost)
-        for item, offset in best.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+        for index, family in enumerate(families):
+            layouts = family(view)
+            costs = [view.cost(layout) for layout in layouts]
+            cost = min(costs)
+            totals[index] += cost
+            for item, offset in layouts[costs.index(cost)].items():
+                mappings[index][item] = Slot(dbc, offset)
+    return [(Placement(mapping), total) for mapping, total in zip(mappings, totals)]
+
+
+def heuristic_layouts(view: GroupTrace) -> list[dict[str, int]]:
+    """Anchored greedy chain, proximity star, first-touch anchored and packed."""
+    config = view.config
+    frequencies = view.frequencies
+    return [
+        anchored_offsets(view.chain, config, frequencies),
+        proximity_offsets(view.items, config, frequencies),
+        anchored_offsets(view.first_touch, config, frequencies),
+        {item: index for index, item in enumerate(view.first_touch)},
+    ]
 
 
 def order_groups(
@@ -244,20 +274,7 @@ def order_groups(
 ) -> Placement:
     """Run the ordering phase on every group and assemble a placement.
 
-    Each group's candidates are the anchored greedy chain, the
-    port-proximity star, and the first-touch order anchored and packed
-    from offset 0; :func:`layout_groups` keeps the cheapest.
+    Each group keeps the cheapest of its :func:`heuristic_layouts`.
     """
-    config = problem.config
-    frequencies = problem.frequencies
-
-    def candidates(view: GroupTrace) -> list[dict[str, int]]:
-        chain = greedy_chain_order(view.items, view.affinity)
-        return [
-            anchored_offsets(chain, config, frequencies),
-            proximity_offsets(view.items, config, frequencies),
-            anchored_offsets(view.first_touch, config, frequencies),
-            {item: index for index, item in enumerate(view.first_touch)},
-        ]
-
-    return layout_groups(problem, groups, candidates)
+    ((placement, _total),) = layout_groups(problem, groups, heuristic_layouts)
+    return placement

@@ -13,7 +13,7 @@ algorithm picks the cheaper end.
 Multi-DBC instances reuse the repo's grouping portfolio (the grouping and
 ordering phases decompose per DBC, see ``repro.core.heuristic``), with the
 bidirectional construction replacing the ordering phase.  Selection keeps
-the paper heuristic's placement in the candidate set, which makes
+the paper heuristic's layouts in the candidate set, which makes
 ``shiftsreduce ≤ heuristic`` a structural guarantee — the same idiom that
 makes ``heuristic ≤ declaration`` hold (its candidate set contains the
 declaration layout).  Every tie-break is total (weights, then heat, then
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# Not called here, but perfbench/spans.py wraps this name in each placement
-# module to time scalar scoring, and fails if it is missing.
-from repro.core.cost import evaluate_placement  # noqa: F401
-from repro.core.cost import evaluate_placements_fast
-from repro.core.heuristic import grouping_portfolio, heuristic_placement
-from repro.core.ordering import GroupTrace, anchored_offsets, layout_groups
+# Not called here, but perfbench/spans.py wraps these names in each placement
+# module to time scoring, and fails if either is missing.
+from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
+from repro.core.heuristic import portfolio_placement
+from repro.core.ordering import GroupTrace, anchored_offsets
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.errors import OptimizationError
@@ -48,7 +47,10 @@ def bidirectional_order(
     by maximum attachment weight to the placed set and appended to the end
     that increases the arrangement objective least.  Ties resolve by total
     degree, then access frequency, then first-touch rank — a total order,
-    so the result is independent of dict/set iteration order.
+    so the result is independent of dict/set iteration order.  Each unplaced
+    item keeps its attachment weight ``A`` and moment ``B = Σ w·pos`` to the
+    placed set, so the end costs are ``B − A·(left − 1)`` and
+    ``A·(right + 1) − B`` and the whole chain takes O(k²).
     """
     items = list(items)
     if len(set(items)) != len(items):
@@ -58,83 +60,65 @@ def bidirectional_order(
     frequencies = frequencies or {}
     member = set(items)
     rank = {item: position for position, item in enumerate(items)}
-    weight: dict[tuple[str, str], int] = {}
+    neighbours: dict[str, dict[str, int]] = {item: {} for item in items}
     degree = {item: 0 for item in items}
     for (left, right), value in affinity.items():
         if left in member and right in member and left != right and value > 0:
-            weight[(left, right)] = weight.get((left, right), 0) + value
-            weight[(right, left)] = weight.get((right, left), 0) + value
+            neighbours[left][right] = neighbours[left].get(right, 0) + value
+            neighbours[right][left] = neighbours[right].get(left, 0) + value
             degree[left] += value
             degree[right] += value
 
     def tie_key(item: str) -> tuple[int, int, int]:
         return (degree[item], frequencies.get(item, 0), -rank[item])
 
-    seed = max(items, key=tie_key)
-    position = {seed: 0}
+    # Attachment weight and moment of each unplaced item to the placed set.
+    attach = {item: 0 for item in items}
+    moment = {item: 0 for item in items}
+    remaining = set(items)
+    position: dict[str, int] = {}
     left_end = right_end = 0
-    remaining = [item for item in items if item != seed]
+
+    def place(item: str, at: int) -> None:
+        position[item] = at
+        remaining.remove(item)
+        for other, value in neighbours[item].items():
+            if other in remaining:
+                attach[other] += value
+                moment[other] += value * at
+
+    place(max(items, key=tie_key), 0)
     while remaining:
-        best = max(
-            remaining,
-            key=lambda item: (
-                sum(weight.get((item, placed), 0) for placed in position),
-            )
-            + tie_key(item),
-        )
-        left_cost = sum(
-            weight.get((best, placed), 0) * (q - (left_end - 1))
-            for placed, q in position.items()
-        )
-        right_cost = sum(
-            weight.get((best, placed), 0) * ((right_end + 1) - q)
-            for placed, q in position.items()
-        )
+        best = max(remaining, key=lambda item: (attach[item],) + tie_key(item))
+        left_cost = moment[best] - attach[best] * (left_end - 1)
+        right_cost = attach[best] * (right_end + 1) - moment[best]
         if left_cost < right_cost:
             left_end -= 1
-            position[best] = left_end
+            place(best, left_end)
         else:
             right_end += 1
-            position[best] = right_end
-        remaining.remove(best)
+            place(best, right_end)
     return sorted(position, key=position.get)
 
 
-def _order_groups_bidirectional(
-    problem: PlacementProblem,
-    groups: Sequence[Sequence[str]],
-) -> Placement:
-    """Assemble a placement with the bidirectional construction per group.
-
-    Each group's chain (and its reversal) is anchored so the weighted
-    median sits on a port; :func:`repro.core.ordering.layout_groups` keeps
-    the cheaper layout.
-    """
-    config = problem.config
-    frequencies = problem.frequencies
-
-    def candidates(view: GroupTrace) -> list[dict[str, int]]:
-        order = bidirectional_order(view.items, view.affinity, frequencies)
-        return [
-            anchored_offsets(order, config, frequencies),
-            anchored_offsets(order[::-1], config, frequencies),
-        ]
-
-    return layout_groups(problem, groups, candidates)
+def bidirectional_layouts(view: GroupTrace) -> list[dict[str, int]]:
+    """The group's bidirectional chain and its reversal, median on a port."""
+    config = view.config
+    frequencies = view.frequencies
+    order = bidirectional_order(view.items, view.affinity, frequencies)
+    return [
+        anchored_offsets(order, config, frequencies),
+        anchored_offsets(order[::-1], config, frequencies),
+    ]
 
 
 def shiftsreduce_placement(problem: PlacementProblem) -> Placement:
     """Full ShiftsReduce placement: grouping portfolio + bidirectional order.
 
     The candidate set is every grouping of the repo portfolio laid out
-    bidirectionally, plus the paper heuristic's own placement as a guard
-    candidate, so ``shiftsreduce ≤ heuristic`` holds structurally on every
-    instance (E21's acceptance gate).  ShiftsReduce candidates are listed
-    first, so they win cost ties.
+    bidirectionally, then the same groupings laid out by the paper
+    heuristic as guard candidates, so ``shiftsreduce ≤ heuristic`` holds
+    structurally on every instance (E21's acceptance gate).  ShiftsReduce
+    candidates are listed first, so they win cost ties.
     """
-    portfolio = grouping_portfolio(problem)
-    placements = [_order_groups_bidirectional(problem, groups) for groups in portfolio]
-    placements.append(heuristic_placement(problem, portfolio))
-    costs = evaluate_placements_fast(problem, placements, validate=False)
-    # ``index`` returns the first minimum, so earlier candidates win ties.
-    return placements[costs.index(min(costs))]
+    return portfolio_placement(problem, bidirectional_layouts)

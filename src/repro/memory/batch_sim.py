@@ -155,17 +155,17 @@ def resolve_trace(trace: AccessTrace) -> ResolvedTrace:
         return resolved
 
 
-def _slot_arrays(resolved: ResolvedTrace, placement: Placement):
-    """Per-item (dbc, offset) lookup arrays for one placement."""
+def slot_arrays(items: Sequence[str], placement: Placement):
+    """Per-item (dbc, offset) lookup arrays for one placement, in ``items`` order.
+
+    Raises :class:`~repro.errors.PlacementError` for an unplaced item.
+    """
     import numpy as np
 
-    count = len(resolved.items)
-    dbc_of = np.empty(count, dtype=np.int64)
-    offset_of = np.empty(count, dtype=np.int64)
-    for position, item in enumerate(resolved.items):
-        slot = placement[item]
-        dbc_of[position] = slot.dbc
-        offset_of[position] = slot.offset
+    slots = [placement[item] for item in items]
+    count = len(slots)
+    dbc_of = np.fromiter((slot.dbc for slot in slots), np.int64, count)
+    offset_of = np.fromiter((slot.offset for slot in slots), np.int64, count)
     return dbc_of, offset_of
 
 
@@ -248,7 +248,7 @@ def per_access_costs(
         resolved = resolve_trace(trace)
     if validate:
         placement.validate(config, resolved.items)
-    dbc_of, offset_of = _slot_arrays(resolved, placement)
+    dbc_of, offset_of = slot_arrays(resolved.items, placement)
     if resolved.item_at.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
@@ -283,7 +283,7 @@ def simulate_vectorized(
     if validate:
         placement.validate(config, resolved.items)
     start = time.perf_counter()
-    dbc_of, offset_of = _slot_arrays(resolved, placement)
+    dbc_of, offset_of = slot_arrays(resolved.items, placement)
     per_dbc, total, max_access = _scan(resolved, config, dbc_of, offset_of)
     scan_seconds = time.perf_counter() - start
     get_registry().observe("sim.scan.seconds", scan_seconds, engine="vectorized")

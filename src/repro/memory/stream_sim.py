@@ -41,6 +41,7 @@ from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import port_access_cost, rest_table
 from repro.errors import SimulationError
+from repro.memory.batch_sim import resolve_trace, slot_arrays
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.binio import StreamingTrace, open_binary
@@ -271,24 +272,8 @@ def _chunk_arrays(trace, start: int, stop: int):
     """Dense (item_at, is_write) for one window of either trace kind."""
     if isinstance(trace, StreamingTrace):
         return trace.chunk_arrays(start, stop)
-    from repro.memory.batch_sim import resolve_trace
-
     resolved = resolve_trace(trace)
     return resolved.item_at[start:stop], resolved.is_write[start:stop]
-
-
-def _slot_arrays_for(items, placement: Placement):
-    """Per-item (dbc, offset) lookup arrays (streaming-trace variant of
-    :func:`repro.memory.batch_sim._slot_arrays`)."""
-    import numpy as np
-
-    dbc_of = np.empty(len(items), dtype=np.int64)
-    offset_of = np.empty(len(items), dtype=np.int64)
-    for position, item in enumerate(items):
-        slot = placement[item]
-        dbc_of[position] = slot.dbc
-        offset_of[position] = slot.offset
-    return dbc_of, offset_of
 
 
 #: Worker-process cache of opened binary traces, keyed by path; workers
@@ -341,7 +326,7 @@ def simulate_streaming(
     items = tuple(trace.items)
     if validate:
         placement.validate(config, items)
-    dbc_of, offset_of = _slot_arrays_for(items, placement)
+    dbc_of, offset_of = slot_arrays(items, placement)
     total_accesses = len(trace)
     chunks = _chunk_bounds(total_accesses, chunk_size)
     parallel = bool(jobs and jobs > 1 and len(chunks) > 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import kernels
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig
 from repro.trace.model import AccessTrace
@@ -35,6 +36,22 @@ def _many_cpus(monkeypatch):
     from repro.analysis import parallel
 
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
+
+
+@pytest.fixture
+def kernel_tier(request, monkeypatch):
+    """Select the kernel tier named by the (indirect) test parameter.
+
+    ``"active"`` keeps the default selection; ``"numpy"`` forces the numpy
+    tier as ``REPRO_KERNEL=numpy`` does.
+    """
+    if request.param == "numpy":
+        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    kernels.reset_backend()
+    tier = kernels.active()
+    assert request.param == "active" or tier.name == "numpy"
+    yield tier
+    kernels.reset_backend()
 
 
 @pytest.fixture

@@ -20,13 +20,14 @@ from repro.core.baselines import random_placement
 from repro.core.cost import evaluate_placement
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig
-from repro.errors import SimulationError
+from repro.errors import PlacementError, SimulationError
 from repro.memory.batch_sim import (
     BatchSimulator,
     ResolvedTrace,
     batch_simulate,
     resolve_trace,
     simulate_vectorized,
+    slot_arrays,
 )
 from repro.memory.spm import ScratchpadMemory
 from repro.trace.model import AccessTrace
@@ -269,3 +270,11 @@ class TestValidationCaching:
         spm = ScratchpadMemory(small_config, incomplete)
         with pytest.raises(Exception):
             spm.simulate(tiny_trace, engine="vectorized")
+
+    def test_slot_arrays_follow_items_and_reject_missing(self):
+        placement = Placement({"a": (1, 3), "b": (0, 5)})
+        dbc_of, offset_of = slot_arrays(("b", "a"), placement)
+        assert dbc_of.tolist() == [0, 1] and offset_of.tolist() == [5, 3]
+        assert str(dbc_of.dtype) == "int64"
+        with pytest.raises(PlacementError):
+            slot_arrays(("a", "c"), placement)

@@ -3,27 +3,33 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cost import per_dbc_costs
+from repro.core.cost import evaluate_placement, per_dbc_costs
+from repro.core.generalized import port_aware_layouts
 from repro.core.grouping import (
     greedy_min_affinity_grouping,
     intra_group_affinity,
     refine_grouping,
 )
+from repro.core.heuristic import grouping_portfolio
 from repro.core.ordering import (
     GroupTrace,
     anchored_offsets,
     greedy_chain_order,
+    heuristic_layouts,
+    layout_groups,
     order_groups,
     proximity_offsets,
     weighted_median_index,
 )
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
+from repro.core.shiftsreduce import bidirectional_layouts
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import OptimizationError
 from repro.trace.model import AccessTrace
 from repro.trace.stats import affinity_graph
-from repro.trace.synthetic import pingpong_trace
+from repro.trace.synthetic import markov_trace, pingpong_trace
+from tests.test_fast_eval_ports import GEOMETRIES
 
 
 class TestIntraGroupAffinity:
@@ -191,8 +197,6 @@ class TestRestrictedAffinity:
 
 class TestRestrictedSequenceCost:
     def test_matches_full_evaluator_single_group(self):
-        from repro.core.cost import evaluate_placement
-
         trace = AccessTrace(["a", "b", "c", "a", "b"])
         config = DWMConfig(words_per_dbc=8, num_dbcs=1, port_offsets=(0,))
         problem = PlacementProblem(trace=trace, config=config)
@@ -254,8 +258,6 @@ class TestOrderGroups:
         # Put each item alone on a DBC: every access after the first is free.
         groups = [[item] for item in problem.items]
         placement = order_groups(problem, groups)
-        from repro.core.cost import evaluate_placement
-
         assert evaluate_placement(problem, placement) == 0
 
     def test_empty_groups_skipped(self, locality_problem):
@@ -282,10 +284,26 @@ class TestOrderGroups:
         config = DWMConfig(words_per_dbc=8, num_dbcs=1)
         problem = PlacementProblem(trace=trace, config=config)
         placement = order_groups(problem, [list(problem.items)])
-        from repro.core.cost import evaluate_placement
-
         frequencies = dict(trace.frequencies())
         star = proximity_offsets(list(problem.items), config, frequencies)
         star_placement = Placement({item: (0, o) for item, o in star.items()})
         star_cost = per_dbc_costs(problem, star_placement)[0]
         assert evaluate_placement(problem, placement) <= star_cost
+
+    @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
+    @pytest.mark.parametrize("num_ports,policy", GEOMETRIES)
+    def test_family_totals_match_reference(self, num_ports, policy, kernel_tier):
+        # A placement's total is the sum of its groups' layout costs (the
+        # per-DBC decomposition), for every family on every grouping.
+        trace = markov_trace(24, 400, locality=0.7, seed=num_ports)
+        config = DWMConfig.for_items(
+            trace.num_items, words_per_dbc=8, num_ports=num_ports,
+            port_policy=policy,
+        )
+        problem = PlacementProblem(trace=trace, config=config)
+        families = (heuristic_layouts, bidirectional_layouts, port_aware_layouts)
+        for groups in grouping_portfolio(problem):
+            results = layout_groups(problem, groups, *families)
+            assert len(results) == len(families)
+            for placement, total in results:
+                assert total == evaluate_placement(problem, placement)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import cost, generalized, heuristic, shiftsreduce
+from repro.core import cost, generalized, heuristic, ordering, shiftsreduce
 from repro.core.api import build_problem, optimize_placement
 from repro.core.baselines import declaration_order_placement, random_placement
 from repro.core.cost import evaluate_placement, evaluate_placements_fast
+from repro.core.placement import Placement, Slot
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.ports import (
     access_histogram,
@@ -91,8 +92,6 @@ class TestFastEvaluator:
     def test_validates_coverage(self):
         trace = markov_trace(5, 50, seed=1)
         problem = build_problem(trace, words_per_dbc=8)
-        from repro.core.placement import Placement
-
         with pytest.raises(PlacementError):
             evaluate_placements_fast(problem, [Placement({"v0": (0, 0)})])
 
@@ -104,15 +103,26 @@ class TestCandidateSelection:
         (generalized, generalized.generalized_placement),
     ])
     def test_equal_costs_pick_first_candidate(self, monkeypatch, module, method):
-        problem = build_problem(markov_trace(12, 200, seed=5), words_per_dbc=4)
-        scored = []
-
-        def tied_scores(problem, placements, validate=True):
-            scored.extend(placements)
-            return [9] + [4] * (len(placements) - 1)
-
-        monkeypatch.setattr(module, "evaluate_placements_fast", tied_scores)
-        assert method(problem) is scored[1]
+        # With every layout tied, the method's own family wins over the
+        # heuristic guard, the first grouping wins, and so does each
+        # group's first candidate.  On two ports the three families' first
+        # layouts all differ.
+        problem = build_problem(
+            markov_trace(12, 200, seed=5), words_per_dbc=8, num_ports=2
+        )
+        monkeypatch.setattr(ordering.GroupTrace, "cost", lambda self, offsets: 4)
+        family = {
+            heuristic: ordering.heuristic_layouts,
+            shiftsreduce: shiftsreduce.bidirectional_layouts,
+            generalized: generalized.port_aware_layouts,
+        }[module]
+        expected = {}
+        for dbc, group in enumerate(heuristic.grouping_portfolio(problem)[0]):
+            if group:
+                first = family(ordering.GroupTrace(problem, group))[0]
+                for item, offset in first.items():
+                    expected[item] = Slot(dbc, offset)
+        assert method(problem) == Placement(expected)
 
 
 class TestWeightedKMedians:

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.core.api import build_problem
-from repro.core import kernels
 from repro.core.baselines import random_placement
 from repro.core.cost import (
     evaluate_placement,
@@ -52,18 +51,6 @@ def _tiered(params):
         tiered.append(pytest.param(*values, "active", id=plain))
         tiered.append(pytest.param(*values, "numpy", id=f"{plain}-numpy"))
     return tiered
-
-
-@pytest.fixture
-def kernel_tier(request, monkeypatch):
-    """Select the kernel tier named by the test parameter."""
-    if request.param == "numpy":
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    kernels.reset_backend()
-    tier = kernels.active()
-    assert request.param == "active" or tier.name == "numpy"
-    yield tier
-    kernels.reset_backend()
 
 
 def _random_problem(ports, policy, seed, num_items=24, length=400):

@@ -13,7 +13,7 @@ placements slot for slot.
 
 Regenerate (only when the placements are meant to change)::
 
-    PYTHONPATH=src python tests/test_portfolio_golden.py
+    PYTHONPATH=src python -m tests.test_portfolio_golden
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ from repro.core.heuristic import heuristic_placement
 from repro.core.shiftsreduce import shiftsreduce_placement
 from repro.dwm.config import DWMConfig
 from repro.trace.kernels import KERNELS
-
-try:  # run as a test module or as a script
-    from tests.test_grouping_golden import LARGE_TRACES, _large_trace
-except ImportError:  # pragma: no cover - script entry point
-    from test_grouping_golden import LARGE_TRACES, _large_trace
+from tests.test_grouping_golden import LARGE_TRACES, _large_trace
 
 GOLDEN = Path(__file__).parent / "golden" / "portfolio_v1.json"
 

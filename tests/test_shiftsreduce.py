@@ -1,6 +1,7 @@
 """Unit tests for the ShiftsReduce bidirectional placement."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.api import build_problem, optimize_placement
 from repro.core.cost import evaluate_placement
@@ -11,7 +12,78 @@ from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, pingpong_trace, zipf_trace
 
 
+def _bidirectional_order_reference(items, affinity, frequencies=None):
+    """The literal O(k³) definition: re-sum over the placed set each step."""
+    items = list(items)
+    if len(items) <= 1:
+        return items
+    frequencies = frequencies or {}
+    member = set(items)
+    rank = {item: position for position, item in enumerate(items)}
+    weight = {}
+    degree = {item: 0 for item in items}
+    for (left, right), value in affinity.items():
+        if left in member and right in member and left != right and value > 0:
+            weight[(left, right)] = weight.get((left, right), 0) + value
+            weight[(right, left)] = weight.get((right, left), 0) + value
+            degree[left] += value
+            degree[right] += value
+
+    def tie_key(item):
+        return (degree[item], frequencies.get(item, 0), -rank[item])
+
+    seed = max(items, key=tie_key)
+    position = {seed: 0}
+    left_end = right_end = 0
+    remaining = [item for item in items if item != seed]
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda item: (
+                sum(weight.get((item, placed), 0) for placed in position),
+            )
+            + tie_key(item),
+        )
+        left_cost = sum(
+            weight.get((best, placed), 0) * (q - (left_end - 1))
+            for placed, q in position.items()
+        )
+        right_cost = sum(
+            weight.get((best, placed), 0) * ((right_end + 1) - q)
+            for placed, q in position.items()
+        )
+        if left_cost < right_cost:
+            left_end -= 1
+            position[best] = left_end
+        else:
+            right_end += 1
+            position[best] = right_end
+        remaining.remove(best)
+    return sorted(position, key=position.get)
+
+
+_NAMES = "abcdefghij"
+
+
 class TestBidirectionalOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(st.sampled_from(_NAMES), unique=True, max_size=len(_NAMES)),
+        edges=st.dictionaries(
+            st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
+            st.integers(min_value=0, max_value=4),
+            max_size=30,
+        ),
+        heat=st.dictionaries(
+            st.sampled_from(_NAMES), st.integers(min_value=0, max_value=3)
+        ),
+    )
+    def test_matches_reference_definition(self, items, edges, heat):
+        # Small weights force ties in attachment, degree and heat.
+        assert bidirectional_order(items, edges, heat) == (
+            _bidirectional_order_reference(items, edges, heat)
+        )
+
     def test_trivial_sizes(self):
         assert bidirectional_order([], {}) == []
         assert bidirectional_order(["a"], {}) == ["a"]

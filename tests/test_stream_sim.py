@@ -23,7 +23,7 @@ from repro.core.api import build_problem
 from repro.core.baselines import declaration_order_placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import SimulationError
-from repro.memory.batch_sim import simulate_vectorized
+from repro.memory.batch_sim import simulate_vectorized, slot_arrays
 from repro.memory.spm import ScratchpadMemory
 from repro.memory.stream_sim import (
     ChunkState,
@@ -32,7 +32,6 @@ from repro.memory.stream_sim import (
     scan_chunk,
     simulate_streaming,
     _chunk_arrays,
-    _slot_arrays_for,
 )
 from repro.trace.binio import open_binary, save_binary
 from repro.trace.synthetic import markov_trace
@@ -117,7 +116,7 @@ class TestBitIdentity:
 class TestMergeAlgebra:
     def _states(self, trace, config, placement, cuts):
         items = tuple(trace.items)
-        dbc_of, offset_of = _slot_arrays_for(items, placement)
+        dbc_of, offset_of = slot_arrays(items, placement)
         bounds = list(zip([0] + cuts, cuts + [len(trace)]))
         return [
             scan_chunk(
