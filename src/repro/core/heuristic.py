@@ -114,8 +114,8 @@ def portfolio_placement(problem: PlacementProblem, *families: Family) -> Placeme
     ]
     candidates = [pair for per_family in zip(*per_grouping) for pair in per_family]
     # ``min`` returns the first minimum, so earlier candidates win ties.
-    placement, _total = min(candidates, key=lambda candidate: candidate[1])
-    return placement
+    mapping, _total = min(candidates, key=lambda candidate: candidate[1])
+    return Placement(mapping)
 
 
 def heuristic_placement(problem: PlacementProblem) -> Placement:

@@ -41,7 +41,7 @@ from repro.core import kernels
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
-from repro.dwm.dbc import port_access_cost, rest_table
+from repro.dwm.dbc import rest_table
 from repro.errors import PlacementError
 
 
@@ -60,56 +60,9 @@ def multi_port_access_costs(offsets, ports):
 #: count.  Kept bound because ``perfbench/spans.py`` wraps this name.
 two_port_access_costs = multi_port_access_costs
 
-
-def lazy_costs_from_state(offsets, ports, head0):
-    """Per-access lazy costs of a replay that starts with the head at
-    ``head0`` instead of the fresh position 0.
-
-    This is the boundary-state primitive of the streaming engine
-    (:mod:`repro.memory.stream_sim`): a chunk's DBC subsequence is priced
-    exactly as if it continued the previous chunk's walk, without the
-    kernels growing a ``head0`` parameter.  The trick is pure arithmetic
-    on the access sequence (docs/STREAMING.md §3):
-
-    * **prepend** a synthetic access ``head0 + max(ports)`` (or
-      ``head0 + min(ports)`` when ``head0 < 0``) — the greedy argmin
-      provably serves it through that extreme port, leaving the head at
-      exactly ``head0``; its cost is dropped;
-    * **append** a probe access larger than every other target — the
-      argmin provably serves it through ``max(ports)``, so the head the
-      walk ended on is ``probe − max(ports) − cost(probe)``.
-
-    Both paddings resolve their port strictly (no ties), so the result is
-    bit-identical under both kernel tiers (cc / numpy): they compute the
-    same forward-causal integer recurrence.
-
-    ``ports`` must be ascending (as :class:`~repro.dwm.config.DWMConfig`
-    normalises them).  Returns ``(costs, head_out)`` where ``costs`` has
-    one entry per offset and ``head_out`` is the head position after the
-    last access (``head0`` itself for an empty sequence).
-    """
-    import numpy as np
-
-    offsets = np.asarray(offsets, dtype=np.int64)
-    head0 = int(head0)
-    if offsets.size == 0:
-        return np.empty(0, dtype=np.int64), head0
-    if len(ports) == 1:
-        port = int(ports[0])
-        costs = kernels.single_port_access_costs_numpy(offsets, port)
-        costs[0] = port_access_cost(int(offsets[0]), head0, ports)[0]
-        return costs, int(offsets[-1]) - port
-    min_port = int(ports[0])
-    max_port = int(ports[-1])
-    anchor = head0 + (max_port if head0 >= 0 else min_port)
-    probe = max(int(offsets.max()), head0, anchor) + max_port + 1
-    padded = np.empty(offsets.size + 2, dtype=np.int64)
-    padded[0] = anchor
-    padded[1:-1] = offsets
-    padded[-1] = probe
-    full = multi_port_access_costs(padded, ports)
-    head_out = probe - max_port - int(full[-1])
-    return full[1:-1].copy(), head_out
+#: The numpy tier's head-carrying replay; bound here because
+#: ``perfbench/spans.py`` wraps this name.
+lazy_costs_from_state = kernels.lazy_costs_from_state
 
 
 class CostEvaluator:

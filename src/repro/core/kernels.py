@@ -30,12 +30,25 @@ Environment knobs:
   value selects ``numpy`` with an "unknown" note.
 * ``REPRO_KERNEL_CACHE`` — directory for compiled ``.so`` artifacts.
 
-Three entry points, shared by the incremental evaluator and the batch
-simulation engine:
+Four walk entry points, shared by the incremental evaluator, the planner
+and the simulation engines:
 
+* ``lazy_scan(codes, dbc_of, offset_of, ports, state, out)`` — one
+  interleaved pass over a window of accesses in trace order, access ``t``
+  on DBC ``dbc_of[codes[t]]`` at ``offset_of[codes[t]]``, advancing a
+  :class:`ScanState` that keeps one head per DBC.  ``codes`` are int64
+  item indices or raw ``uint32`` ``.rtb`` records, whose write bit the
+  scan masks and counts.  *Carried* states price every access (per-DBC
+  totals and maxima, per-access costs into ``out``) and carry the heads
+  to the next window; *conditioned* states keep ``P`` lanes per DBC,
+  one per port that may have served the DBC's first access — the chunk
+  summary of :mod:`repro.memory.stream_sim`'s merge mode.  The cc tier
+  never sorts by DBC; the numpy tier groups the window by DBC with a
+  stable sort and walks each group with :func:`lazy_costs_from_state`;
 * ``lazy_costs(offsets, ports, out)`` — per-access costs of one replay;
 * ``lazy_chain_cost(positions, item_at, offset_of, ports)`` — total cost
-  of the chain ``offset_of[item_at[positions[t]]]``;
+  of the chain ``offset_of[item_at[positions[t]]]`` (``bind_chain`` binds
+  its arrays once for repeated pricing of the same chain);
 * ``lazy_merge_cost(base, skip, add, item_at, offset_of, ports)`` —
   total cost of the chain over ``(base \\ skip) ∪ add`` positions (all
   three inputs ascending; ``skip ⊆ base``, ``add`` disjoint from
@@ -54,6 +67,7 @@ own chain and merge walks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -77,98 +91,76 @@ static inline int64_t iabs64(int64_t v) {
     return (v + m) ^ m;
 }
 
-/* One branchless automaton step for the common P=2 case: pick the port
-   minimising |offset - port - head|, strict < keeps the lower port on
-   ties (take1 only when c1 < c0). */
-#define STEP2(offset)                                                      \
-    do {                                                                   \
-        int64_t t0 = (offset) - p0;                                        \
-        int64_t t1 = (offset) - p1;                                        \
-        int64_t c0 = iabs64(t0 - head);                                    \
-        int64_t c1 = iabs64(t1 - head);                                    \
-        int64_t take1 = -(int64_t)(c1 < c0);                               \
-        cost = (c1 & take1) | (c0 & ~take1);                               \
-        head = (t1 & take1) | (t0 & ~take1);                               \
-        total += cost;                                                     \
-    } while (0)
-
-/* Generic branchless step for P >= 3 (inner min is mask-selected). */
-#define STEPN(offset)                                                      \
-    do {                                                                   \
-        int64_t best_cost = iabs64((offset) - ports[0] - head);            \
-        int64_t best_target = (offset) - ports[0];                         \
-        int64_t p;                                                         \
-        for (p = 1; p < num_ports; ++p) {                                  \
-            int64_t target = (offset) - ports[p];                          \
-            int64_t c = iabs64(target - head);                             \
-            int64_t take = -(int64_t)(c < best_cost);                      \
-            best_cost = (c & take) | (best_cost & ~take);                  \
-            best_target = (target & take) | (best_target & ~take);         \
-        }                                                                  \
-        cost = best_cost;                                                  \
-        total += best_cost;                                                \
-        head = best_target;                                                \
-    } while (0)
-
-/* Per-access lazy costs of one replay.  Head starts at 0.  Returns the
-   total; fills `out` (may be NULL) with per-access costs. */
-int64_t repro_lazy_costs(const int64_t *offsets, int64_t n,
-                         const int64_t *ports, int64_t num_ports,
-                         int64_t *out)
+/* The greedy port step from *head, branchless (strict < keeps the lower
+   port on ties): returns the cost and moves the head.  Every walk below
+   inlines it with num_ports a constant where it can, so the compiler
+   unrolls the port loop. */
+static inline __attribute__((always_inline))
+int64_t lazy_step(int64_t offset, int64_t *head,
+                  const int64_t *ports, int64_t num_ports)
 {
-    int64_t head = 0, total = 0, cost, t;
-    if (num_ports == 1) {
-        int64_t port = ports[0];
-        for (t = 0; t < n; ++t) {
-            int64_t target = offsets[t] - port;
-            cost = iabs64(target - head);
-            total += cost;
-            head = target;
-            if (out) out[t] = cost;
-        }
-        return total;
+    int64_t h = *head, p;
+    int64_t best_target = offset - ports[0];
+    int64_t best_cost = iabs64(best_target - h);
+    for (p = 1; p < num_ports; ++p) {
+        int64_t target = offset - ports[p];
+        int64_t c = iabs64(target - h);
+        int64_t take = -(int64_t)(c < best_cost);
+        best_cost = (c & take) | (best_cost & ~take);
+        best_target = (target & take) | (best_target & ~take);
     }
-    if (num_ports == 2) {
-        int64_t p0 = ports[0], p1 = ports[1];
-        for (t = 0; t < n; ++t) {
-            STEP2(offsets[t]);
-            if (out) out[t] = cost;
-        }
-        return total;
-    }
-    for (t = 0; t < n; ++t) {
-        STEPN(offsets[t]);
-        if (out) out[t] = cost;
-    }
+    *head = best_target;
+    return best_cost;
+}
+
+/* FN(args..., num_ports), with num_ports a literal for one and two
+   ports so each call site gets its own unrolled copy. */
+#define BY_PORTS(FN, ...)                                                  \
+    (num_ports == 1   ? FN(__VA_ARGS__, 1)                                 \
+     : num_ports == 2 ? FN(__VA_ARGS__, 2)                                 \
+                      : FN(__VA_ARGS__, num_ports))
+
+static inline __attribute__((always_inline))
+int64_t chain_impl(const int64_t *positions, int64_t n,
+                   const int64_t *item_at, const int64_t *offset_of,
+                   const int64_t *ports, int64_t num_ports)
+{
+    int64_t head = 0, total = 0, t;
+    for (t = 0; t < n; ++t)
+        total += lazy_step(offset_of[item_at[positions[t]]], &head, ports,
+                           num_ports);
     return total;
 }
 
-/* Fused gather + walk: the replayed offset sequence is
+/* Fused gather + walk from head 0: the replayed offset sequence is
    offset_of[item_at[positions[t]]].  No intermediates. */
 int64_t repro_lazy_chain_cost(const int64_t *positions, int64_t n,
                               const int64_t *item_at,
                               const int64_t *offset_of,
                               const int64_t *ports, int64_t num_ports)
 {
-    int64_t head = 0, total = 0, cost, t;
-    if (num_ports == 2) {
-        int64_t p0 = ports[0], p1 = ports[1];
-        for (t = 0; t < n; ++t) {
-            STEP2(offset_of[item_at[positions[t]]]);
+    return BY_PORTS(chain_impl, positions, n, item_at, offset_of, ports);
+}
+
+static inline __attribute__((always_inline))
+int64_t merge_impl(const int64_t *base, int64_t nb,
+                   const int64_t *skip, int64_t ns,
+                   const int64_t *add, int64_t na,
+                   const int64_t *item_at, const int64_t *offset_of,
+                   const int64_t *ports, int64_t num_ports)
+{
+    int64_t ib = 0, is = 0, ia = 0, head = 0, total = 0;
+    for (;;) {
+        int64_t pos;
+        while (ib < nb && is < ns && base[ib] == skip[is]) { ++ib; ++is; }
+        if (ib < nb && (ia >= na || base[ib] < add[ia])) {
+            pos = base[ib++];
+        } else if (ia < na) {
+            pos = add[ia++];
+        } else {
+            break;
         }
-        return total;
-    }
-    if (num_ports == 1) {
-        int64_t port = ports[0];
-        for (t = 0; t < n; ++t) {
-            int64_t target = offset_of[item_at[positions[t]]] - port;
-            total += iabs64(target - head);
-            head = target;
-        }
-        return total;
-    }
-    for (t = 0; t < n; ++t) {
-        STEPN(offset_of[item_at[positions[t]]]);
+        total += lazy_step(offset_of[item_at[pos]], &head, ports, num_ports);
     }
     return total;
 }
@@ -183,35 +175,96 @@ int64_t repro_lazy_merge_cost(const int64_t *base, int64_t nb,
                               const int64_t *offset_of,
                               const int64_t *ports, int64_t num_ports)
 {
-    int64_t ib = 0, is = 0, ia = 0;
-    int64_t head = 0, total = 0, cost;
-    int two = (num_ports == 2);
-    int64_t p0 = ports[0], p1 = two ? ports[1] : 0;
-    for (;;) {
-        int64_t pos;
-        while (ib < nb && is < ns && base[ib] == skip[is]) { ++ib; ++is; }
-        if (ib < nb && (ia >= na || base[ib] < add[ia])) {
-            pos = base[ib++];
-        } else if (ia < na) {
-            pos = add[ia++];
+    return BY_PORTS(merge_impl, base, nb, skip, ns, add, na, item_at,
+                    offset_of, ports);
+}
+
+/* The interleaved scan body, inlined once per (records, num_ports,
+   conditioned) combination the dispatcher below names, so the
+   per-access loop has no mode tests left in it. */
+static inline __attribute__((always_inline))
+int64_t lazy_scan_impl(const void *codes, int64_t n, int records,
+                       int conditioned,
+                       const int64_t *restrict dbc_of, int64_t num_items,
+                       const int64_t *restrict offset_of,
+                       const int64_t *restrict ports,
+                       int64_t *restrict heads, int64_t *restrict totals,
+                       int64_t *restrict maxes, int64_t *restrict counts,
+                       int64_t *restrict first, int64_t *restrict out,
+                       int64_t num_ports)
+{
+    const uint32_t *raw = (const uint32_t *)codes;
+    const int64_t *items = (const int64_t *)codes;
+    int64_t writes = 0, t, q;
+    for (t = 0; t < n; ++t) {
+        int64_t code, d, offset;
+        if (records) {
+            uint32_t word = raw[t];
+            writes += word >> 31;
+            code = (int64_t)(word & 0x7fffffffu);
         } else {
-            break;
+            code = items[t];
+        }
+        if ((uint64_t)code >= (uint64_t)num_items) return -1 - t;
+        d = dbc_of[code];
+        offset = offset_of[code];
+        if (!conditioned) {
+            int64_t cost = lazy_step(offset, heads + d, ports, num_ports);
+            totals[d] += cost;
+            if (cost > maxes[d]) maxes[d] = cost;
+            if (out) out[t] = cost;
+            continue;
         }
         {
-            int64_t offset = offset_of[item_at[pos]];
-            if (two) {
-                STEP2(offset);
-            } else if (num_ports == 1) {
-                int64_t target = offset - p0;
-                total += iabs64(target - head);
-                head = target;
-            } else {
-                STEPN(offset);
+            int64_t *lane_heads = heads + d * num_ports;
+            int64_t *lane_totals = totals + d * num_ports;
+            int64_t *lane_maxes = maxes + d * num_ports;
+            if (counts[d]++ == 0) {
+                first[d] = offset;
+                for (q = 0; q < num_ports; ++q)
+                    lane_heads[q] = offset - ports[q];
+                continue;
+            }
+            for (q = 0; q < num_ports; ++q) {
+                int64_t cost = lazy_step(offset, lane_heads + q, ports,
+                                         num_ports);
+                lane_totals[q] += cost;
+                if (cost > lane_maxes[q]) lane_maxes[q] = cost;
             }
         }
     }
-    (void)cost;
-    return total;
+    return writes;
+}
+
+/* One interleaved lazy scan of a window of accesses in trace order.
+   codes[t] names access t's item: a uint32 .rtb record when records != 0
+   (bit 31 is the write flag, masked here and counted), else an int64
+   item index.  The item sits on DBC dbc_of[code] at offset_of[code].
+   Carried (conditioned == 0): heads/totals/maxes hold one entry per DBC;
+   every access is priced from its DBC's head and out[t] (may be NULL)
+   receives its cost.  Conditioned: P = num_ports lanes per DBC at
+   d * P + p; a DBC's first access (counts[d] == 0) records first[d] and
+   puts lane p's head at first[d] - ports[p], unpriced; every later access
+   is priced on every lane; counts[d] counts DBC d's accesses (carried
+   scans leave counts alone).  The mode is the conditioned flag, never
+   the lane count: a
+   one-port conditioned scan still leaves its first accesses unpriced.
+   Returns the number of writes, or -1 - t when access t names an item
+   outside [0, num_items). */
+int64_t repro_lazy_scan(const void *codes, int64_t n, int64_t records,
+                        const int64_t *dbc_of, int64_t num_items,
+                        const int64_t *offset_of,
+                        const int64_t *ports, int64_t num_ports,
+                        int64_t conditioned,
+                        int64_t *heads, int64_t *totals, int64_t *maxes,
+                        int64_t *counts, int64_t *first, int64_t *out)
+{
+#define SCAN(RECORDS, COND)                                                \
+    BY_PORTS(lazy_scan_impl, codes, n, RECORDS, COND, dbc_of, num_items,   \
+             offset_of, ports, heads, totals, maxes, counts, first, out)
+    if (conditioned) return records ? SCAN(1, 1) : SCAN(0, 1);
+    return records ? SCAN(1, 0) : SCAN(0, 0);
+#undef SCAN
 }
 
 /* Row probes: one call prices a whole row of local-search candidates
@@ -463,6 +516,70 @@ def multi_port_access_costs_numpy(offsets, ports):
     return out
 
 
+def _numpy_lazy_costs(offsets, ports):
+    """Per-access lazy costs from head 0: the diff for one port, the closed
+    form for two (on a 25k-access chain the scan takes ~8× as long), the
+    Hillis–Steele scan for ``P ≥ 3``."""
+    import numpy as np
+
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if len(ports) == 1:
+        return single_port_access_costs_numpy(offsets, ports[0])
+    if len(ports) == 2:
+        return two_port_access_costs_numpy(offsets, ports)
+    return multi_port_access_costs_numpy(offsets, ports)
+
+
+def lazy_costs_from_state(offsets, ports, head0):
+    """Per-access lazy costs of a replay that starts with the head at
+    ``head0`` instead of the fresh position 0, on the numpy walks.
+
+    The numpy tier's :meth:`~NumpyKernels.lazy_scan` continues each DBC's
+    walk with it, without the walks growing a ``head0`` parameter.  The
+    trick is pure arithmetic on the access sequence:
+
+    * **prepend** a synthetic access ``head0 + max(ports)`` (or
+      ``head0 + min(ports)`` when ``head0 < 0``) — the greedy argmin
+      provably serves it through that extreme port, leaving the head at
+      exactly ``head0``; its cost is dropped;
+    * **append** a probe access larger than every other target — the
+      argmin provably serves it through ``max(ports)``, so the head the
+      walk ended on is ``probe − max(ports) − cost(probe)``.
+
+    Both paddings resolve their port strictly (no ties), so the result is
+    the same forward-causal integer recurrence the cc scan runs.
+
+    ``ports`` must be ascending (as :class:`~repro.dwm.config.DWMConfig`
+    normalises them).  Returns ``(costs, head_out)`` where ``costs`` has
+    one entry per offset and ``head_out`` is the head position after the
+    last access (``head0`` itself for an empty sequence).
+    """
+    import numpy as np
+
+    offsets = np.asarray(offsets, dtype=np.int64)
+    head0 = int(head0)
+    if offsets.size == 0:
+        return np.empty(0, dtype=np.int64), head0
+    if len(ports) == 1:
+        port = int(ports[0])
+        costs = single_port_access_costs_numpy(offsets, port)
+        costs[0] = abs(int(offsets[0]) - port - head0)
+        return costs, int(offsets[-1]) - port
+    min_port = int(ports[0])
+    max_port = int(ports[-1])
+    anchor = head0 + (max_port if head0 >= 0 else min_port)
+    probe = max(int(offsets.max()), head0, anchor) + max_port + 1
+    padded = np.empty(offsets.size + 2, dtype=np.int64)
+    padded[0] = anchor
+    padded[1:-1] = offsets
+    padded[-1] = probe
+    full = _numpy_lazy_costs(padded, ports)
+    head_out = probe - max_port - int(full[-1])
+    return full[1:-1].copy(), head_out
+
+
 # ---------------------------------------------------------------------------
 # Row-probe layout
 # ---------------------------------------------------------------------------
@@ -507,41 +624,130 @@ class RowLayout:
 
 
 # ---------------------------------------------------------------------------
+# Interleaved scan state
+# ---------------------------------------------------------------------------
+
+class ScanState:
+    """Per-DBC automaton state that :meth:`lazy_scan` reads and advances.
+
+    **Carried** (``lanes=None``): ``heads``, ``totals`` and ``maxes`` hold
+    one entry per DBC — the head after the DBC's last access (0 before its
+    first), its summed cost and its largest single-access cost.
+    **Conditioned** (``lanes=P``): each of those is ``(num_dbcs, P)``; lane
+    ``p`` assumes port ``p`` served the DBC's first access, whose offset is
+    ``first[d]`` and which no lane prices; ``counts[d]`` is the number of
+    DBC ``d``'s accesses scanned so far (0 until its first access; carried
+    scans leave it alone).  All arrays are C-contiguous ``int64``; feeding
+    consecutive windows to one state scans their concatenation.
+    """
+
+    __slots__ = ("conditioned", "heads", "totals", "maxes", "counts", "first")
+
+    def __init__(self, num_dbcs: int, lanes: int | None = None) -> None:
+        import numpy as np
+
+        shape = num_dbcs if lanes is None else (num_dbcs, lanes)
+        self.conditioned = lanes is not None
+        self.heads = np.zeros(shape, dtype=np.int64)
+        self.totals = np.zeros(shape, dtype=np.int64)
+        self.maxes = np.zeros(shape, dtype=np.int64)
+        self.counts = np.zeros(num_dbcs, dtype=np.int64)
+        self.first = np.zeros(num_dbcs, dtype=np.int64)
+
+
+def _check_scan(dbc_of, ports, state: ScanState, out, n: int) -> None:
+    """Reject inputs the compiled scan would index out of bounds with."""
+    num_dbcs = state.counts.size
+    if dbc_of.size and (int(dbc_of.min()) < 0 or int(dbc_of.max()) >= num_dbcs):
+        raise IndexError(f"DBC index outside the scan state's {num_dbcs} DBCs")
+    if state.conditioned:
+        if state.heads.shape != (num_dbcs, len(ports)):
+            raise ValueError("conditioned scan state needs one lane per port")
+        if out is not None:
+            raise ValueError("a conditioned scan prices no single access")
+    elif out is not None and (
+        out.shape != (n,) or out.dtype != "int64" or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous int64 array of {n} costs")
+
+
+# ---------------------------------------------------------------------------
 # Tiers
 # ---------------------------------------------------------------------------
 
 class NumpyKernels:
-    """The numpy tier: vectorised walks, no compiler needed.
-
-    Uses the diff for one port, the closed form for two ports (on a
-    25k-access chain the Hillis–Steele scan takes ~8× as long) and the
-    scan for ``P ≥ 3``.
-    """
+    """The numpy tier: vectorised walks (:func:`_numpy_lazy_costs`), no
+    compiler needed."""
 
     name = "numpy"
 
     def lazy_costs(self, offsets, ports, out=None):
         """Per-access costs; returns ``out`` (allocated when ``None``)."""
-        import numpy as np
-
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if offsets.size == 0:
-            costs = np.empty(0, dtype=np.int64)
-        elif len(ports) == 1:
-            costs = single_port_access_costs_numpy(offsets, ports[0])
-        elif len(ports) == 2:
-            costs = two_port_access_costs_numpy(offsets, ports)
-        else:
-            costs = multi_port_access_costs_numpy(offsets, ports)
+        costs = _numpy_lazy_costs(offsets, ports)
         if out is None:
             return costs
         out[:] = costs
         return out
 
+    def lazy_scan(self, codes, dbc_of, offset_of, ports, state, out=None) -> int:
+        """Advance ``state`` over one window; returns its write count.
+
+        The one place the DBC grouping survives: a stable sort by DBC
+        keeps each DBC's accesses in trace order, and each group is walked
+        from its carried head (or, conditioned, from each lane's).
+        """
+        import numpy as np
+
+        from repro.trace.binio import split_records
+
+        items, writes = split_records(codes)
+        _check_scan(dbc_of, ports, state, out, items.size)
+        if items.size == 0:
+            return writes
+        dbc_seq = dbc_of[items]
+        order = np.argsort(dbc_seq, kind="stable")
+        sorted_dbc = dbc_seq[order]
+        sorted_offsets = offset_of[items][order]
+        dbcs, starts = np.unique(sorted_dbc, return_index=True)
+        bounds = np.append(starts, sorted_dbc.size).tolist()
+        for position, d in enumerate(dbcs.tolist()):
+            low, high = bounds[position], bounds[position + 1]
+            group = sorted_offsets[low:high]
+            if not state.conditioned:
+                costs, state.heads[d] = lazy_costs_from_state(
+                    group, ports, state.heads[d]
+                )
+                state.totals[d] += costs.sum()
+                state.maxes[d] = max(state.maxes[d], costs.max())
+                if out is not None:
+                    out[order[low:high]] = costs
+                continue
+            seen = int(state.counts[d])
+            state.counts[d] = seen + group.size
+            if seen == 0:
+                state.first[d] = group[0]
+                state.heads[d] = int(group[0]) - np.asarray(ports, np.int64)
+                group = group[1:]
+            for lane in range(len(ports)):
+                costs, state.heads[d, lane] = lazy_costs_from_state(
+                    group, ports, state.heads[d, lane]
+                )
+                if costs.size:
+                    state.totals[d, lane] += costs.sum()
+                    state.maxes[d, lane] = max(state.maxes[d, lane], costs.max())
+        return writes
+
     def lazy_chain_cost(self, positions, item_at, offset_of, ports) -> int:
         if positions.size == 0:
             return 0
         return int(self.lazy_costs(offset_of[item_at[positions]], ports).sum())
+
+    def bind_chain(self, positions, item_at, offset_of, ports):
+        """A no-argument :meth:`lazy_chain_cost` over fixed arrays; each
+        call prices ``offset_of``'s current contents."""
+        return functools.partial(
+            self.lazy_chain_cost, positions, item_at, offset_of, ports
+        )
 
     def lazy_merge_cost(
         self, base, skip, add, item_at, offset_of, ports
@@ -661,10 +867,13 @@ class CcKernels:
         lib = ctypes.CDLL(str(library_path))
         i64 = ctypes.c_int64
         ptr = ctypes.c_void_p
-        lib.repro_lazy_costs.restype = i64
-        lib.repro_lazy_costs.argtypes = [ptr, i64, ptr, i64, ptr]
         lib.repro_lazy_chain_cost.restype = i64
         lib.repro_lazy_chain_cost.argtypes = [ptr, i64, ptr, ptr, ptr, i64]
+        lib.repro_lazy_scan.restype = i64
+        lib.repro_lazy_scan.argtypes = [
+            ptr, i64, i64, ptr, i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+            ptr, ptr,
+        ]
         lib.repro_lazy_merge_cost.restype = i64
         lib.repro_lazy_merge_cost.argtypes = [
             ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
@@ -690,18 +899,21 @@ class CcKernels:
         self.library_path = library_path
 
     def lazy_costs(self, offsets, ports, out=None):
-        """Per-access costs; returns ``out`` (allocated when ``None``)."""
+        """Per-access costs; returns ``out`` (allocated when ``None``).
+
+        A one-DBC :meth:`lazy_scan` in which access ``t`` is item ``t``.
+        """
         np = self._np
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        ports = np.ascontiguousarray(ports, dtype=np.int64)
         if out is None:
             out = np.empty(offsets.size, dtype=np.int64)
-        self._lib.repro_lazy_costs(
-            offsets.ctypes.data,
-            offsets.size,
-            ports.ctypes.data,
-            ports.size,
-            out.ctypes.data,
+        self.lazy_scan(
+            np.arange(offsets.size, dtype=np.int64),
+            np.zeros(offsets.size, dtype=np.int64),
+            offsets,
+            ports,
+            ScanState(1),
+            out,
         )
         return out
 
@@ -719,6 +931,74 @@ class CcKernels:
                 ports.size,
             )
         )
+
+    def bind_chain(self, positions, item_at, offset_of, ports):
+        """A no-argument :meth:`lazy_chain_cost` over fixed arrays.
+
+        The arrays are converted and their addresses read once; the walk
+        reads ``offset_of`` in place, so the caller rewrites its entries
+        between calls and each call prices the current contents.
+        """
+        np = self._np
+        arrays = [
+            np.ascontiguousarray(array, dtype=np.int64)
+            for array in (positions, item_at, offset_of, ports)
+        ]
+        if arrays[2] is not offset_of:
+            raise ValueError("offset_of must be C-contiguous int64")
+        positions, item_at, offset_of, ports = arrays
+        walk = functools.partial(
+            self._lib.repro_lazy_chain_cost,
+            positions.ctypes.data,
+            positions.size,
+            item_at.ctypes.data,
+            offset_of.ctypes.data,
+            ports.ctypes.data,
+            ports.size,
+        )
+
+        def cost(_arrays=arrays) -> int:  # the default keeps them alive
+            return walk()
+
+        return cost
+
+    def lazy_scan(self, codes, dbc_of, offset_of, ports, state, out=None) -> int:
+        """Advance ``state`` over one window in one pass; returns its write
+        count (uint32 records count their write bits; int64 codes none)."""
+        np = self._np
+        codes = np.ascontiguousarray(codes)
+        records = codes.dtype == np.uint32
+        if not records:
+            codes = np.ascontiguousarray(codes, dtype=np.int64)
+        dbc_of = np.ascontiguousarray(dbc_of, dtype=np.int64)
+        offset_of = np.ascontiguousarray(offset_of, dtype=np.int64)
+        ports = np.ascontiguousarray(ports, dtype=np.int64)
+        _check_scan(dbc_of, ports, state, out, codes.size)
+        if offset_of.size != dbc_of.size:
+            raise ValueError("dbc_of and offset_of must cover the same items")
+        writes = self._lib.repro_lazy_scan(
+            codes.ctypes.data,
+            codes.size,
+            int(records),
+            dbc_of.ctypes.data,
+            dbc_of.size,
+            offset_of.ctypes.data,
+            ports.ctypes.data,
+            ports.size,
+            int(state.conditioned),
+            state.heads.ctypes.data,
+            state.totals.ctypes.data,
+            state.maxes.ctypes.data,
+            state.counts.ctypes.data,
+            state.first.ctypes.data,
+            None if out is None else out.ctypes.data,
+        )
+        if writes < 0:
+            raise IndexError(
+                f"access {-1 - writes} names an item outside the "
+                f"{dbc_of.size} placed items"
+            )
+        return int(writes)
 
     def lazy_merge_cost(
         self, base, skip, add, item_at, offset_of, ports

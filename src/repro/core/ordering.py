@@ -89,15 +89,20 @@ class GroupTrace:
         """The greedy affinity chain of the group's restricted affinities."""
         return greedy_chain_order(self.items, self.affinity)
 
+    @cached_property
+    def _walk(self) -> Callable[[], int]:
+        """The lazy chain walk over this group's arrays, bound once."""
+        return kernels.active().bind_chain(
+            self.positions, self._item_at, self._offset_of, self._ports
+        )
+
     def cost(self, offsets: dict[str, int]) -> int:
         """Exact shift cost of the group's DBC with the group at ``offsets``."""
         offset_of = self._offset_of
         offset_of[self._codes] = [offsets[item] for item in self.items]
         if self._rest is not None:
             return int(self._rest[offset_of[self._seq]].sum())
-        return kernels.active().lazy_chain_cost(
-            self.positions, self._item_at, offset_of, self._ports
-        )
+        return self._walk()
 
 
 def greedy_chain_order(
@@ -226,13 +231,14 @@ def layout_groups(
     problem: PlacementProblem,
     groups: Sequence[Sequence[str]],
     *families: Family,
-) -> list[tuple[Placement, int]]:
-    """Lay out group ``g`` on DBC ``g`` by each family: ``(placement, total)`` each.
+) -> list[tuple[dict[str, Slot], int]]:
+    """Lay out group ``g`` on DBC ``g`` by each family: ``(mapping, total)`` each.
 
     One trace view per group is shared by every family.  A family's
     candidates are priced exactly by :meth:`GroupTrace.cost` and the first
     cheapest wins; by the per-DBC cost decomposition this choice is globally
-    exact and ``total`` is the placement's shift count.  Empty groups are
+    exact and ``total`` is the shift count of ``Placement(mapping)``, which
+    the caller builds only for the mapping it keeps.  Empty groups are
     skipped.
     """
     mappings: list[dict[str, Slot]] = [{} for _ in families]
@@ -253,7 +259,7 @@ def layout_groups(
             totals[index] += cost
             for item, offset in layouts[costs.index(cost)].items():
                 mappings[index][item] = Slot(dbc, offset)
-    return [(Placement(mapping), total) for mapping, total in zip(mappings, totals)]
+    return list(zip(mappings, totals))
 
 
 def heuristic_layouts(view: GroupTrace) -> list[dict[str, int]]:
@@ -276,5 +282,5 @@ def order_groups(
 
     Each group keeps the cheapest of its :func:`heuristic_layouts`.
     """
-    ((placement, _total),) = layout_groups(problem, groups, heuristic_layouts)
-    return placement
+    ((mapping, _total),) = layout_groups(problem, groups, heuristic_layouts)
+    return Placement(mapping)

@@ -11,17 +11,16 @@ computes the identical result with numpy:
    O(accesses) Python loop, and it is independent of config and placement,
    so it amortizes across every (config, placement) pair simulated against
    the same trace.
-2. **Scan per run**: for a given placement the per-access (dbc, offset)
-   sequences are gathers; accesses are grouped by DBC with a stable argsort
-   (DBCs are independent, so each group replays in isolation); and each
-   group's shift costs come from a closed-form scan — position diffs for
-   lazy single-port, a rest-distance table for eager, and the active
-   kernel tier's port-state walk
-   (:func:`~repro.core.incremental.multi_port_access_costs`, over
-   :mod:`repro.core.kernels`) for lazy multi-port.
+2. **Scan per run**: for a given placement, eager costs are stateless —
+   a rest-distance table gathered at each access's offset.  Lazy costs
+   come from one call to the active kernel tier's interleaved scan
+   (:meth:`~repro.core.kernels.CcKernels.lazy_scan`): it walks the
+   accesses in trace order with one head per DBC, so the DBCs are never
+   sorted apart, and accumulates per-DBC totals and maxima (and the
+   per-access costs, when asked).
 
-Every path produces per-access integer cost vectors, so totals, per-DBC
-totals and ``max_access_shifts`` are all bit-identical to the scalar engine
+Both paths are integer-exact, so totals, per-DBC totals and
+``max_access_shifts`` are all bit-identical to the scalar engine
 (differential-tested in ``tests/test_batch_sim.py``).
 
 Entry points: :func:`simulate_vectorized` for one run,
@@ -40,10 +39,10 @@ import time
 import weakref
 from typing import Iterable, Sequence
 
-from repro.core.incremental import multi_port_access_costs
-# Not called here: ``perfbench/spans.py`` wraps this name in this module.
+from repro.core import kernels
+# Not called here: ``perfbench/spans.py`` wraps these names in this module.
+from repro.core.incremental import multi_port_access_costs  # noqa: F401
 from repro.core.incremental import two_port_access_costs  # noqa: F401
-from repro.core.kernels import single_port_access_costs_numpy
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import rest_table
@@ -169,39 +168,17 @@ def slot_arrays(items: Sequence[str], placement: Placement):
     return dbc_of, offset_of
 
 
-def _access_costs(config: DWMConfig, dbc_seq, offset_seq):
-    """Per-access shift costs, in trace order.
-
-    Eager costs are stateless — every access costs twice its rest distance —
-    so they are one table gather.  Lazy head state persists per DBC, so the
-    access stream is grouped by DBC (a stable sort keeps each DBC's internal
-    order) and each group is scanned in isolation by the closed form for its
-    port count.
-    """
-    import numpy as np
-
-    ports = config.port_offsets
-    if config.port_policy is PortPolicy.EAGER:
-        return rest_table(config)[offset_seq]
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    boundaries = np.searchsorted(sorted_dbc, np.arange(config.num_dbcs + 1))
-    costs = np.empty(dbc_seq.size, dtype=np.int64)
-    num_ports = len(ports)
-    for dbc in range(config.num_dbcs):
-        low = int(boundaries[dbc])
-        high = int(boundaries[dbc + 1])
-        if high == low:
-            continue
-        group = sorted_offsets[low:high]
-        if num_ports == 1:
-            group_costs = single_port_access_costs_numpy(group, ports[0])
-        else:
-            group_costs = multi_port_access_costs(group, ports)
-        # Scatter the group's costs back to trace order.
-        costs[order[low:high]] = group_costs
-    return costs
+def _lazy_scan(
+    resolved: ResolvedTrace, config: DWMConfig, dbc_of, offset_of, out=None
+):
+    """The lazy per-DBC totals and maxima of one run, as a carried
+    :class:`~repro.core.kernels.ScanState`; ``out`` receives the
+    per-access costs in trace order when given."""
+    state = kernels.ScanState(config.num_dbcs)
+    kernels.active().lazy_scan(
+        resolved.item_at, dbc_of, offset_of, config.port_offsets, state, out
+    )
+    return state
 
 
 def _scan(
@@ -215,14 +192,18 @@ def _scan(
 
     if resolved.item_at.size == 0:
         return [0] * config.num_dbcs, 0, 0
-    dbc_seq = dbc_of[resolved.item_at]
-    costs = _access_costs(config, dbc_seq, offset_of[resolved.item_at])
-    # Integer scatter-add keeps per-DBC totals exact (unlike float bincount
-    # weights).
-    totals = np.zeros(config.num_dbcs, dtype=np.int64)
-    np.add.at(totals, dbc_seq, costs)
+    if config.port_policy is PortPolicy.EAGER:
+        costs = rest_table(config)[offset_of[resolved.item_at]]
+        # Integer scatter-add keeps per-DBC totals exact (unlike float
+        # bincount weights).
+        totals = np.zeros(config.num_dbcs, dtype=np.int64)
+        np.add.at(totals, dbc_of[resolved.item_at], costs)
+        max_access = int(costs.max())
+    else:
+        state = _lazy_scan(resolved, config, dbc_of, offset_of)
+        totals, max_access = state.totals, int(state.maxes.max())
     per_dbc = totals.tolist()
-    return per_dbc, sum(per_dbc), int(costs.max())
+    return per_dbc, sum(per_dbc), max_access
 
 
 def per_access_costs(
@@ -253,7 +234,11 @@ def per_access_costs(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
     dbc_seq = dbc_of[resolved.item_at]
-    return dbc_seq, _access_costs(config, dbc_seq, offset_of[resolved.item_at])
+    if config.port_policy is PortPolicy.EAGER:
+        return dbc_seq, rest_table(config)[offset_of[resolved.item_at]]
+    costs = np.empty(resolved.item_at.size, dtype=np.int64)
+    _lazy_scan(resolved, config, dbc_of, offset_of, costs)
+    return dbc_seq, costs
 
 
 def simulate_vectorized(

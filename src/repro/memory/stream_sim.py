@@ -8,18 +8,23 @@ in bounded memory.
 
 The per-DBC cost scan is a deterministic port automaton, so everything a
 chunk needs from its past is one integer per DBC: the head position.
-Three scan modes share the same per-chunk kernels
-(:func:`~repro.core.incremental.lazy_costs_from_state`, and the rest-
-distance table for eager policies):
+Every lazy scan below is one call per chunk to the active kernel tier's
+interleaved scan (:meth:`~repro.core.kernels.CcKernels.lazy_scan`), which
+walks the window in trace order with one head per DBC — on a binary trace
+straight over the mapped ``uint32`` records, masking the write bit and
+counting writes in the same pass.  Eager costs are a rest-distance table
+gather.  Three scan modes:
 
-* **sequential** (default) — chunks scanned in order, carrying the exact
-  per-DBC head between chunks; one kernel call per chunk-DBC group.
+* **sequential** (default) — chunks scanned in order into one carried
+  :class:`~repro.core.kernels.ScanState`, which holds the exact per-DBC
+  head between chunks.
 * **merge** — each chunk is summarised *independently* into a
   :class:`ChunkState` whose lazy per-DBC entries are conditioned on the
   one unknown bit of context: which port serves the chunk's first access
-  to that DBC (``P`` possibilities).  :func:`merge_states` composes two
-  summaries by pricing the boundary access, which makes the summary an
-  associative monoid — chunks can be folded in any order.
+  to that DBC (``P`` possibilities — the scan's ``P`` lanes per DBC).
+  :func:`merge_states` composes two summaries by pricing the boundary
+  access, which makes the summary an associative monoid — chunks can be
+  folded in any order.
 * **parallel** — the merge-mode map fanned out over the persistent
   worker pool (:mod:`repro.analysis.pool`), followed by the same cheap
   sequential stitch.  Workers re-map binary traces by path, so task
@@ -36,7 +41,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.incremental import lazy_costs_from_state
+from repro.core import kernels
+# Not called here: ``perfbench/spans.py`` wraps this name in this module.
+from repro.core.incremental import lazy_costs_from_state  # noqa: F401
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import port_access_cost, rest_table
@@ -44,11 +51,12 @@ from repro.errors import SimulationError
 from repro.memory.batch_sim import resolve_trace, slot_arrays
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
-from repro.trace.binio import StreamingTrace, open_binary
+from repro.trace.binio import StreamingTrace, open_binary, split_records
 
-#: Default window length (accesses per chunk).  At 4 bytes per record a
-#: chunk's decoded arrays cost ~9 bytes/access, so the default keeps the
-#: working set around a couple of MiB.
+#: Default window length (accesses per chunk).  The lazy scan reads a
+#: binary trace's 4-byte records in place, so a window costs its 1 MiB of
+#: mapped pages plus the per-DBC state; the eager gather decodes the window
+#: into a few int64 arrays (~8 MiB).
 DEFAULT_CHUNK_SIZE = 1 << 18
 
 
@@ -93,26 +101,14 @@ class ChunkState:
     dbcs: dict
 
 
-def _dbc_groups(dbc_seq, offset_seq):
-    """Yield ``(dbc, offsets)`` for each DBC present, in ascending DBC
-    order, each group's offsets in stream order (stable sort)."""
-    import numpy as np
-
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    uniq, starts = np.unique(sorted_dbc, return_index=True)
-    bounds = np.append(starts, sorted_dbc.size)
-    for position, dbc in enumerate(uniq.tolist()):
-        yield int(dbc), sorted_offsets[starts[position] : bounds[position + 1]]
-
-
-def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
+def scan_chunk(codes, writes: int, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
     """Summarise one window into a mergeable :class:`ChunkState`.
 
-    Independent of every other chunk: lazy DBC groups are priced once per
-    possible first-access port (``P`` kernel calls per group), eager ones
-    once in total.
+    ``codes`` are the window's raw ``uint32`` records or int64 item
+    indices, and ``writes`` counts the writes the codes do not carry (see
+    :func:`_window`).  Independent of every other chunk: the lazy policy is
+    one conditioned kernel scan (``P`` lanes per DBC), the eager one a
+    table gather.
     """
     import numpy as np
 
@@ -120,19 +116,12 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
 
     failpoint("stream.scan")
     ports = config.port_offsets
-    state = ChunkState(
-        policy=config.port_policy.value,
-        ports=ports,
-        accesses=int(item_at.size),
-        writes=int(is_write.sum()),
-        dbcs={},
-    )
-    if state.accesses == 0:
-        return state
-    dbc_seq = dbc_of[item_at]
-    offset_seq = offset_of[item_at]
+    dbcs: dict = {}
     if config.port_policy is PortPolicy.EAGER:
-        costs = rest_table(config)[offset_seq]
+        items, record_writes = split_records(codes)
+        writes += record_writes
+        dbc_seq = dbc_of[items]
+        costs = rest_table(config)[offset_of[items]]
         totals = np.zeros(config.num_dbcs, dtype=np.int64)
         maxes = np.zeros(config.num_dbcs, dtype=np.int64)
         counts = np.zeros(config.num_dbcs, dtype=np.int64)
@@ -140,29 +129,29 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
         np.maximum.at(maxes, dbc_seq, costs)
         np.add.at(counts, dbc_seq, 1)
         for dbc in np.flatnonzero(counts).tolist():
-            state.dbcs[dbc] = EagerDBCState(
+            dbcs[dbc] = EagerDBCState(
                 count=int(counts[dbc]),
                 total=int(totals[dbc]),
                 max_cost=int(maxes[dbc]),
             )
-        return state
-    for dbc, group in _dbc_groups(dbc_seq, offset_seq):
-        first = int(group[0])
-        rest = group[1:]
-        totals, maxes, heads = [], [], []
-        for port in ports:
-            costs, head_out = lazy_costs_from_state(rest, ports, first - port)
-            totals.append(int(costs.sum()) if costs.size else 0)
-            maxes.append(int(costs.max()) if costs.size else 0)
-            heads.append(head_out)
-        state.dbcs[dbc] = LazyDBCState(
-            first_offset=first,
-            count=int(group.size),
-            totals=tuple(totals),
-            maxes=tuple(maxes),
-            heads=tuple(heads),
-        )
-    return state
+    else:
+        state = kernels.ScanState(config.num_dbcs, len(ports))
+        writes += kernels.active().lazy_scan(codes, dbc_of, offset_of, ports, state)
+        for dbc in np.flatnonzero(state.counts).tolist():
+            dbcs[dbc] = LazyDBCState(
+                first_offset=int(state.first[dbc]),
+                count=int(state.counts[dbc]),
+                totals=tuple(state.totals[dbc].tolist()),
+                maxes=tuple(state.maxes[dbc].tolist()),
+                heads=tuple(state.heads[dbc].tolist()),
+            )
+    return ChunkState(
+        policy=config.port_policy.value,
+        ports=ports,
+        accesses=int(codes.size),
+        writes=int(writes),
+        dbcs=dbcs,
+    )
 
 
 def _boundary_port(offset: int, ports: tuple[int, ...], head: int) -> tuple[int, int]:
@@ -268,12 +257,17 @@ def _chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
     ]
 
 
-def _chunk_arrays(trace, start: int, stop: int):
-    """Dense (item_at, is_write) for one window of either trace kind."""
+def _window(trace, start: int, stop: int):
+    """``(codes, writes)`` of one window of either trace kind.
+
+    A binary trace gives its mapped ``uint32`` records undecoded (the scan
+    counts their write bits, so ``writes`` is 0); an in-memory trace its
+    resolved item indices and their write count.
+    """
     if isinstance(trace, StreamingTrace):
-        return trace.chunk_arrays(start, stop)
+        return trace.chunk_records(start, stop), 0
     resolved = resolve_trace(trace)
-    return resolved.item_at[start:stop], resolved.is_write[start:stop]
+    return resolved.item_at[start:stop], int(resolved.is_write[start:stop].sum())
 
 
 #: Worker-process cache of opened binary traces, keyed by path; workers
@@ -291,10 +285,10 @@ def _scan_chunk_task(task):
         if stream is None:
             stream = open_binary(path)
             _WORKER_STREAMS[path] = stream
-        item_at, is_write = stream.chunk_arrays(start, stop)
+        codes, writes = stream.chunk_records(start, stop), 0
     else:
-        _kind, item_at, is_write, config, dbc_of, offset_of = task
-    return scan_chunk(item_at, is_write, config, dbc_of, offset_of)
+        _kind, codes, writes, config, dbc_of, offset_of = task
+    return scan_chunk(codes, writes, config, dbc_of, offset_of)
 
 
 # ---------------------------------------------------------------------------
@@ -334,45 +328,22 @@ def simulate_streaming(
     scan_start = time.perf_counter()
     stitch_seconds = 0.0
     writes = 0
-    if mode == "sequential":
-        per_dbc = [0] * config.num_dbcs
-        max_access = 0
-        heads: dict[int, int] = {}
-        rest = (
-            rest_table(config)
-            if config.port_policy is PortPolicy.EAGER
-            else None
-        )
+    if mode == "sequential" and config.port_policy is PortPolicy.LAZY:
+        from repro.chaos import failpoint
+
+        tier = kernels.active()
+        state = kernels.ScanState(config.num_dbcs)
         for start, stop in chunks:
-            from repro.chaos import failpoint
-
             failpoint("stream.scan")
-            item_at, is_write = _chunk_arrays(trace, start, stop)
-            writes += int(is_write.sum())
-            dbc_seq = dbc_of[item_at]
-            offset_seq = offset_of[item_at]
-            if rest is not None:
-                import numpy as np
-
-                costs = rest[offset_seq]
-                totals = np.zeros(config.num_dbcs, dtype=np.int64)
-                np.add.at(totals, dbc_seq, costs)
-                per_dbc = [
-                    old + int(new) for old, new in zip(per_dbc, totals)
-                ]
-                if costs.size:
-                    max_access = max(max_access, int(costs.max()))
-                continue
-            for dbc, group in _dbc_groups(dbc_seq, offset_seq):
-                costs, head_out = lazy_costs_from_state(
-                    group, config.port_offsets, heads.get(dbc, 0)
-                )
-                heads[dbc] = head_out
-                per_dbc[dbc] += int(costs.sum())
-                group_max = int(costs.max())
-                if group_max > max_access:
-                    max_access = group_max
+            codes, chunk_writes = _window(trace, start, stop)
+            writes += chunk_writes + tier.lazy_scan(
+                codes, dbc_of, offset_of, config.port_offsets, state
+            )
+        per_dbc = state.totals.tolist()
+        max_access = int(state.maxes.max())
     else:
+        # Eager summaries are exact partial sums, so the sequential eager
+        # scan is this same map and fold.
         if parallel:
             from repro.analysis.pool import get_pool
 
@@ -383,13 +354,7 @@ def simulate_streaming(
                 ]
             else:
                 tasks = [
-                    (
-                        "arrays",
-                        *_chunk_arrays(trace, start, stop),
-                        config,
-                        dbc_of,
-                        offset_of,
-                    )
+                    ("arrays", *_window(trace, start, stop), config, dbc_of, offset_of)
                     for start, stop in chunks
                 ]
             try:
@@ -409,20 +374,10 @@ def simulate_streaming(
                     "sequential",
                     f"{type(exc).__name__}: {exc}",
                 )
-                states = [
-                    scan_chunk(
-                        *_chunk_arrays(trace, start, stop),
-                        config,
-                        dbc_of,
-                        offset_of,
-                    )
-                    for start, stop in chunks
-                ]
-        else:
+                parallel = False
+        if not parallel:
             states = [
-                scan_chunk(
-                    *_chunk_arrays(trace, start, stop), config, dbc_of, offset_of
-                )
+                scan_chunk(*_window(trace, start, stop), config, dbc_of, offset_of)
                 for start, stop in chunks
             ]
         stitch_start = time.perf_counter()
@@ -433,8 +388,8 @@ def simulate_streaming(
             writes=0,
             dbcs={},
         )
-        for state in states:
-            folded = merge_states(folded, state)
+        for chunk_state in states:
+            folded = merge_states(folded, chunk_state)
         per_dbc, _total, max_access = finalize_state(folded, config)
         writes = folded.writes
         stitch_seconds = time.perf_counter() - stitch_start

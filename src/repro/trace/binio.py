@@ -371,21 +371,31 @@ class StreamingTrace:
         )
 
     # -- windowed access ------------------------------------------------
-    def chunk_arrays(self, start: int, stop: int):
-        """Dense ``(item_at, is_write)`` arrays for accesses [start, stop).
+    def chunk_records(self, start: int, stop: int):
+        """The raw ``uint32`` records of accesses [start, stop).
 
-        ``item_at`` is int64 (indices into :attr:`items`), ``is_write``
-        bool.  This is the only decode path; everything else builds on it.
+        A read-only view of the mapped file, nothing decoded: bit 31 is the
+        write flag, bits 0–30 the item index.  The streaming engine's lazy
+        scan reads these in place; every other reader decodes them through
+        :meth:`chunk_arrays`.
         """
-        import numpy as np
-
         failpoint("binio.read")
         if not 0 <= start <= stop <= self._num_accesses:
             raise TraceError(
                 f"window [{start}, {stop}) outside trace of "
                 f"{self._num_accesses} accesses"
             )
-        raw = np.asarray(self._records[start:stop])
+        return self._records[start:stop]
+
+    def chunk_arrays(self, start: int, stop: int):
+        """Dense ``(item_at, is_write)`` arrays for accesses [start, stop).
+
+        ``item_at`` is int64 (indices into :attr:`items`), ``is_write``
+        bool: :meth:`chunk_records`, decoded.
+        """
+        import numpy as np
+
+        raw = np.asarray(self.chunk_records(start, stop))
         item_at = (raw & _ITEM_MASK).astype(np.int64)
         is_write = (raw >> 31).astype(np.bool_)
         return item_at, is_write
@@ -478,3 +488,15 @@ class StreamingTrace:
 def open_binary(path: str | Path) -> StreamingTrace:
     """Open a binary trace file for streaming access."""
     return StreamingTrace(path)
+
+
+def split_records(codes):
+    """``(item indices, writes)`` of a window given either way: raw
+    ``uint32`` records are masked and their write bits counted; int64
+    item indices pass through with 0 writes."""
+    import numpy as np
+
+    if codes.dtype == np.uint32:
+        writes = int(np.count_nonzero(codes > _ITEM_MASK))
+        return (codes & _ITEM_MASK).astype(np.int64), writes
+    return codes, 0

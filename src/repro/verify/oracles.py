@@ -64,6 +64,7 @@ from repro.core.kernels import multi_port_access_costs_numpy
 from repro.core.ordering import GroupTrace
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
+from repro.dwm.dbc import port_access_cost
 from repro.dwm.faults import FaultModel, injection_seed, run_injection
 from repro.memory.batch_sim import per_access_costs
 from repro.memory.spm import ScratchpadMemory
@@ -618,21 +619,23 @@ def check_kernel_parity(
     The tiers are the numpy tier (always) and the cc kernel (when it is the
     active tier); the reference is :func:`multi_port_access_costs_numpy`,
     the Hillis–Steele scan, which neither tier uses for one or two ports.
-    Exercises a seeded random offset chain against single-port, two-port
-    and the case's own port geometry, plus the chain-walk and merge-walk
-    entry points against a from-scratch evaluation of the same
-    (sub)chains.
+    Exercises a seeded random offset chain against one-, two- and
+    three-port sets and the case's own port geometry, plus the chain-walk
+    and merge-walk entry points against a from-scratch evaluation of the
+    same (sub)chains, and the interleaved ``lazy_scan`` (carried and
+    conditioned, over ``.rtb`` records) against the reference per DBC
+    group of the case's own trace and placement.
     """
     tiers = [kernels.NumpyKernels()]
     if kernels.backend_name() == "cc":
         tiers.append(kernels.active())
     violations: list[Violation] = []
     for tier in tiers:
-        violations.extend(_check_tier_parity(case, problem, tier))
+        violations.extend(_check_tier_parity(case, problem, placement, tier))
     return violations
 
 
-def _check_tier_parity(case, problem, tier) -> list[Violation]:
+def _check_tier_parity(case, problem, placement, tier) -> list[Violation]:
     violations: list[Violation] = []
     rng = np.random.default_rng(case.seed ^ 0xC0DE)
     config = problem.config
@@ -642,7 +645,10 @@ def _check_tier_parity(case, problem, tier) -> list[Violation]:
     port_sets = {(0,), tuple(config.port_offsets)}
     if length >= 2:
         port_sets.add((0, length - 1))
+    if length >= 3:
+        port_sets.add((0, length // 2, length - 1))
     for ports in sorted(port_sets):
+        violations.extend(_check_scan_parity(problem, placement, tier, ports, rng))
         ports_arr = np.asarray(ports, dtype=np.int64)
         reference = multi_port_access_costs_numpy(offsets, ports_arr)
         tier_costs = tier.lazy_costs(offsets, ports_arr)
@@ -724,6 +730,66 @@ def _check_tier_parity(case, problem, tier) -> list[Violation]:
                 )
             )
     return violations
+
+
+def _check_scan_parity(problem, placement, tier, ports, rng) -> list[Violation]:
+    """``lazy_scan`` on the case's own trace, read as uint32 records with
+    random write bits and split into two windows, against the reference
+    per DBC group: carried per-access costs and exit totals, and the
+    conditioned lane a fresh head selects."""
+    from repro.memory.batch_sim import slot_arrays
+
+    item_at = problem.item_at
+    num_dbcs = problem.config.num_dbcs
+    dbc_of, offset_of = slot_arrays(problem.items, placement)
+    is_write = rng.random(item_at.size) < 0.3
+    records = item_at.astype(np.uint32) | (is_write.astype(np.uint32) << 31)
+    cut = int(rng.integers(0, item_at.size + 1))
+    ports_arr = np.asarray(ports, dtype=np.int64)
+    carried = kernels.ScanState(num_dbcs)
+    lanes = kernels.ScanState(num_dbcs, len(ports))
+    costs = np.empty(item_at.size, dtype=np.int64)
+    writes = 0
+    for low, high in ((0, cut), (cut, item_at.size)):
+        window = records[low:high]
+        writes += tier.lazy_scan(
+            window, dbc_of, offset_of, ports_arr, carried, costs[low:high]
+        )
+        tier.lazy_scan(window, dbc_of, offset_of, ports_arr, lanes)
+    problems = []
+    if writes != int(is_write.sum()):
+        problems.append(f"counted {writes} writes, records hold {is_write.sum()}")
+    dbc_seq = dbc_of[item_at]
+    for d in range(num_dbcs):
+        positions = np.flatnonzero(dbc_seq == d)
+        if not positions.size:
+            if lanes.counts[d]:
+                problems.append(f"DBC {d} counted accesses it never had")
+            continue
+        seq = offset_of[item_at[positions]]
+        reference = multi_port_access_costs_numpy(seq, ports_arr)
+        if not np.array_equal(costs[positions], reference):
+            problems.append(f"DBC {d} carried per-access costs differ")
+        if carried.totals[d] != reference.sum() or carried.maxes[d] != reference.max():
+            problems.append(f"DBC {d} carried total/max differ")
+        first_cost, port, _head = port_access_cost(int(seq[0]), 0, ports)
+        lane = ports.index(port)
+        if lanes.first[d] != seq[0] or lanes.counts[d] != seq.size:
+            problems.append(f"DBC {d} conditioned first offset/count differ")
+        elif first_cost + lanes.totals[d, lane] != reference.sum():
+            problems.append(f"DBC {d} conditioned lane {lane} total differs")
+    if not problems:
+        return []
+    return [
+        Violation(
+            kind="kernel_scan_mismatch",
+            detail=(
+                f"{tier.name} lazy_scan (ports {list(ports)}, windows split "
+                f"at {cut}): {problems[0]}"
+            ),
+            data={"backend": tier.name, "ports": list(ports), "problems": problems},
+        )
+    ]
 
 
 def check_streaming_agreement(

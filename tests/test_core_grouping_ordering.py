@@ -305,5 +305,5 @@ class TestOrderGroups:
         for groups in grouping_portfolio(problem):
             results = layout_groups(problem, groups, *families)
             assert len(results) == len(families)
-            for placement, total in results:
-                assert total == evaluate_placement(problem, placement)
+            for mapping, total in results:
+                assert total == evaluate_placement(problem, Placement(mapping))

@@ -22,6 +22,7 @@ from repro.core.kernels import (
     multi_port_access_costs_numpy,
     two_port_access_costs_numpy,
 )
+from repro.dwm.dbc import port_access_cost
 
 
 @pytest.fixture
@@ -183,6 +184,177 @@ class TestKernelParity:
         np.testing.assert_array_equal(
             out, multi_port_access_costs_numpy(offsets, ports)
         )
+
+
+    # lazy_scan: one interleaved pass over many DBCs, checked per DBC group
+    # against the reference (carried) and the scalar port step (lanes).
+
+    def test_scan_carried_matches_per_group_reference(self, tier):
+        rng = np.random.default_rng(606)
+        for ports in ([0], [2, 9], [1, 6, 11]):
+            ports = np.array(ports, dtype=np.int64)
+            window = _scan_instance(rng)
+            item_at, dbc_of, offset_of, num_dbcs = window
+            ref_costs, ref_totals, ref_maxes, ref_heads = _scan_reference(
+                window, ports
+            )
+            state = kernels.ScanState(num_dbcs)
+            cut = item_at.size // 3
+            out = np.full(item_at.size, -1, dtype=np.int64)
+            # Three windows, the middle one empty: heads carry across.
+            for low, high in ((0, cut), (cut, cut), (cut, item_at.size)):
+                writes = tier.lazy_scan(
+                    item_at[low:high], dbc_of, offset_of, ports, state,
+                    out[low:high],
+                )
+                assert writes == 0
+            np.testing.assert_array_equal(out, ref_costs)
+            np.testing.assert_array_equal(state.totals, ref_totals)
+            np.testing.assert_array_equal(state.maxes, ref_maxes)
+            np.testing.assert_array_equal(state.heads, ref_heads)
+
+    @pytest.mark.parametrize("num_ports", [1, 2, 3])
+    def test_scan_conditioned_lanes(self, tier, num_ports):
+        rng = np.random.default_rng(707 + num_ports)
+        ports = np.array([1, 6, 11][:num_ports], dtype=np.int64)
+        window = _scan_instance(rng)
+        item_at, dbc_of, offset_of, num_dbcs = window
+        _costs, ref_totals, _maxes, _heads = _scan_reference(window, ports)
+        state = kernels.ScanState(num_dbcs, num_ports)
+        cut = item_at.size // 2
+        tier.lazy_scan(item_at[:cut], dbc_of, offset_of, ports, state)
+        tier.lazy_scan(item_at[cut:], dbc_of, offset_of, ports, state)
+        dbc_seq = dbc_of[item_at]
+        for d in range(num_dbcs):
+            seq = offset_of[item_at[dbc_seq == d]].tolist()
+            assert state.counts[d] == len(seq)
+            if not seq:
+                assert not state.totals[d].any() and not state.heads[d].any()
+                continue
+            assert state.first[d] == seq[0]
+            for lane, port in enumerate(ports.tolist()):
+                total, worst, head = _scalar_walk(seq[1:], ports, seq[0] - port)
+                assert state.totals[d, lane] == total
+                assert state.maxes[d, lane] == worst
+                assert state.heads[d, lane] == head
+            # From the fresh head the first access picks a lane; that lane's
+            # total completes the reference group cost.
+            cost, port, _target = port_access_cost(seq[0], 0, tuple(ports))
+            lane = ports.tolist().index(port)
+            assert cost + state.totals[d, lane] == ref_totals[d]
+
+    def test_scan_dbc_touched_once(self, tier):
+        ports = np.array([0, 5], dtype=np.int64)
+        dbc_of = np.array([0, 1, 1], dtype=np.int64)
+        offset_of = np.array([1, 7, 2], dtype=np.int64)
+        item_at = np.array([1, 0, 2, 1], dtype=np.int64)
+        carried = kernels.ScanState(2)
+        out = np.empty(4, dtype=np.int64)
+        tier.lazy_scan(item_at, dbc_of, offset_of, ports, carried, out)
+        assert carried.totals[0] == carried.maxes[0] == out[1] == 1  # port 0
+        assert carried.heads[0] == 1
+        lanes = kernels.ScanState(2, 2)
+        tier.lazy_scan(item_at, dbc_of, offset_of, ports, lanes)
+        assert lanes.first[0] == 1 and lanes.counts[0] == 1
+        np.testing.assert_array_equal(lanes.heads[0], [1, -4])
+        np.testing.assert_array_equal(lanes.totals[0], [0, 0])
+
+    def test_scan_empty_window(self, tier):
+        ports = np.array([0], dtype=np.int64)
+        dbc_of = np.array([0, 1], dtype=np.int64)
+        offset_of = np.array([3, 1], dtype=np.int64)
+        for codes in (np.empty(0, np.int64), np.empty(0, np.uint32)):
+            for state in (kernels.ScanState(2), kernels.ScanState(2, 1)):
+                out = np.empty(0, np.int64) if not state.conditioned else None
+                assert tier.lazy_scan(codes, dbc_of, offset_of, ports, state, out) == 0
+                assert not state.counts.any() and not state.totals.any()
+
+    def test_scan_reads_records_with_write_bit(self, tier):
+        rng = np.random.default_rng(808)
+        ports = np.array([2, 9], dtype=np.int64)
+        window = _scan_instance(rng)
+        item_at, dbc_of, offset_of, num_dbcs = window
+        writes = rng.random(item_at.size) < 0.3
+        records = item_at.astype(np.uint32) | (writes.astype(np.uint32) << 31)
+        for lanes in (None, 2):
+            from_items = kernels.ScanState(num_dbcs, lanes)
+            from_records = kernels.ScanState(num_dbcs, lanes)
+            assert tier.lazy_scan(item_at, dbc_of, offset_of, ports, from_items) == 0
+            assert tier.lazy_scan(
+                records, dbc_of, offset_of, ports, from_records
+            ) == int(writes.sum())
+            for name in ("heads", "totals", "maxes", "counts", "first"):
+                np.testing.assert_array_equal(
+                    getattr(from_records, name), getattr(from_items, name)
+                )
+
+    def test_scan_rejects_out_of_range_indices(self, tier):
+        ports = np.array([0], dtype=np.int64)
+        dbc_of = np.array([0, 1], dtype=np.int64)
+        offset_of = np.array([3, 1], dtype=np.int64)
+        with pytest.raises(IndexError):
+            tier.lazy_scan(
+                np.array([0, 1, 2], dtype=np.uint32), dbc_of, offset_of,
+                ports, kernels.ScanState(2),
+            )
+        with pytest.raises(IndexError):
+            tier.lazy_scan(
+                np.array([0, 1], dtype=np.int64), dbc_of, offset_of,
+                ports, kernels.ScanState(1),
+            )
+
+    def test_bind_chain_prices_current_offsets(self, tier):
+        positions = np.array([0, 2, 3], dtype=np.int64)
+        item_at = np.array([0, 1, 1, 0], dtype=np.int64)
+        offset_of = np.zeros(2, dtype=np.int64)
+        ports = np.array([0, 4], dtype=np.int64)
+        walk = tier.bind_chain(positions, item_at, offset_of, ports)
+        for layout in ([1, 6], [5, 2], [0, 0]):
+            offset_of[:] = layout
+            assert walk() == tier.lazy_chain_cost(
+                positions, item_at, offset_of, ports
+            )
+
+
+def _scan_instance(rng):
+    """``(item_at, dbc_of, offset_of, num_dbcs)``: items on four DBCs of
+    length 12, one DBC left untouched."""
+    num_items, num_dbcs = 20, 4
+    dbc_of = rng.integers(0, num_dbcs - 1, size=num_items).astype(np.int64)
+    offset_of = rng.integers(0, 12, size=num_items).astype(np.int64)
+    item_at = rng.integers(0, num_items, size=300).astype(np.int64)
+    return item_at, dbc_of, offset_of, num_dbcs
+
+
+def _scan_reference(window, ports):
+    """Per-access costs, per-DBC totals, maxima and exit heads of a carried
+    scan from fresh heads, one DBC group at a time."""
+    item_at, dbc_of, offset_of, num_dbcs = window
+    dbc_seq = dbc_of[item_at]
+    costs = np.zeros(item_at.size, dtype=np.int64)
+    totals = np.zeros(num_dbcs, dtype=np.int64)
+    maxes = np.zeros(num_dbcs, dtype=np.int64)
+    heads = np.zeros(num_dbcs, dtype=np.int64)
+    for d in range(num_dbcs):
+        positions = np.flatnonzero(dbc_seq == d)
+        if not positions.size:
+            continue
+        seq = offset_of[item_at[positions]]
+        costs[positions] = multi_port_access_costs_numpy(seq, ports)
+        totals[d] = costs[positions].sum()
+        maxes[d] = costs[positions].max()
+        heads[d] = _scalar_walk(seq.tolist(), ports, 0)[2]
+    return costs, totals, maxes, heads
+
+
+def _scalar_walk(offsets, ports, head):
+    """``(total, max, exit head)`` of the scalar port step from ``head``."""
+    total = worst = 0
+    for offset in offsets:
+        cost, _port, head = port_access_cost(offset, head, tuple(ports.tolist()))
+        total += cost
+        worst = max(worst, cost)
+    return total, worst, head
 
 
 class TestNumpyKernelParity(TestKernelParity):

@@ -31,7 +31,7 @@ from repro.memory.stream_sim import (
     merge_states,
     scan_chunk,
     simulate_streaming,
-    _chunk_arrays,
+    _window,
 )
 from repro.trace.binio import open_binary, save_binary
 from repro.trace.synthetic import markov_trace
@@ -86,11 +86,20 @@ class TestBitIdentity:
         path = tmp_path / "t.rtb"
         save_binary(trace, path)
         reference = simulate_vectorized(trace, config, placement)
-        result = simulate_streaming(
-            open_binary(path), config, placement, chunk_size=97
-        )
-        assert result.shifts == reference.shifts
-        assert result.per_dbc_shifts == reference.per_dbc_shifts
+        for force_merge in (False, True):
+            result = simulate_streaming(
+                open_binary(path), config, placement, chunk_size=97,
+                force_merge=force_merge,
+            )
+            assert result.shifts == reference.shifts
+            assert result.per_dbc_shifts == reference.per_dbc_shifts
+            assert result.max_access_shifts == reference.max_access_shifts
+            # The scan counts the records' write bits itself.
+            assert (result.reads, result.writes) == (
+                reference.reads,
+                reference.writes,
+            )
+        assert reference.writes > 0
         assert result.details["engine"] == "streaming"
         assert result.details["num_chunks"] == (500 + 96) // 97
 
@@ -120,7 +129,7 @@ class TestMergeAlgebra:
         bounds = list(zip([0] + cuts, cuts + [len(trace)]))
         return [
             scan_chunk(
-                *_chunk_arrays(trace, start, stop), config, dbc_of, offset_of
+                *_window(trace, start, stop), config, dbc_of, offset_of
             )
             for start, stop in bounds
             if stop > start
