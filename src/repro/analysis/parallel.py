@@ -38,6 +38,7 @@ serial ones.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import warnings
 from dataclasses import dataclass
@@ -152,13 +153,6 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
-def _pool_context():
-    """Multiprocessing context: ``REPRO_MP_START`` > fork > spawn."""
-    import multiprocessing
-
-    return multiprocessing.get_context(_pool_start_method())
-
-
 def _worker_init() -> None:
     """Per-worker setup: no nested pools; rebuild env-configured state.
 
@@ -166,6 +160,10 @@ def _worker_init() -> None:
     so process-global state (like the placement cache installed by the CLI)
     must be reconstructed from the environment.
     """
+    # A forked worker inherits the CLI's SIGTERM handler, whose
+    # KeyboardInterrupt prints a traceback when the pool terminates it.
+    if hasattr(signal, "SIGTERM"):
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     os.environ[JOBS_ENV] = "1"
     from repro.analysis.cache import ensure_configured_from_env
     from repro.chaos import ensure_installed_from_env

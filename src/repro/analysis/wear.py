@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost import evaluate_placement, per_dbc_costs
 from repro.core.heuristic import heuristic_placement
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
 from repro.errors import OptimizationError
+from repro.memory.batch_sim import simulate_vectorized, slot_arrays
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,21 @@ def wear_report(
     problem: PlacementProblem,
     placement: Placement,
 ) -> WearReport:
-    """Compute the wear exposure of running the trace under a placement."""
+    """Compute the wear exposure of running the trace under a placement:
+    per-DBC shifts from the vectorized engine, writes by ``bincount``."""
+    import numpy as np
+
     config = problem.config
-    shift_costs = per_dbc_costs(problem, placement)
-    per_dbc_shifts = [shift_costs.get(dbc, 0) for dbc in range(config.num_dbcs)]
-    per_dbc_writes = [0] * config.num_dbcs
-    for access in problem.trace:
-        if access.is_write:
-            per_dbc_writes[placement[access.item].dbc] += 1
+    resolved = problem.resolved
+    result = simulate_vectorized(problem.trace, config, placement, resolved=resolved)
+    dbc_of, _offset_of = slot_arrays(resolved.items, placement)
+    writes = np.bincount(
+        dbc_of[resolved.item_at[resolved.is_write]], minlength=config.num_dbcs
+    )
     return WearReport(
-        per_dbc_shifts=tuple(per_dbc_shifts),
-        per_dbc_writes=tuple(per_dbc_writes),
-        total_shifts=sum(per_dbc_shifts),
+        per_dbc_shifts=result.per_dbc_shifts,
+        per_dbc_writes=tuple(writes.tolist()),
+        total_shifts=result.shifts,
     )
 
 
@@ -105,21 +108,16 @@ def wear_aware_placement(
     """
     if max_shift_overhead < 0:
         raise OptimizationError("max_shift_overhead must be >= 0")
-    placement = heuristic_placement(problem)
-    base_cost = evaluate_placement(problem, placement)
-    budget = base_cost * (1.0 + max_shift_overhead)
-    best = placement
+    best = heuristic_placement(problem)
     best_report = wear_report(problem, best)
+    budget = best_report.total_shifts * (1.0 + max_shift_overhead)
     config = problem.config
     for _ in range(max_rounds):
-        report = wear_report(problem, best)
-        if report.max_mean_shift_ratio <= 1.05:
+        if best_report.max_mean_shift_ratio <= 1.05:
             break
-        hot = report.hottest_dbc
-        cold = min(
-            range(config.num_dbcs),
-            key=lambda i: report.per_dbc_shifts[i],
-        )
+        hot = best_report.hottest_dbc
+        shifts = best_report.per_dbc_shifts
+        cold = min(range(config.num_dbcs), key=lambda i: shifts[i])
         if hot == cold:
             break
         hot_contents = best.dbc_contents(hot)
@@ -147,10 +145,9 @@ def wear_aware_placement(
             candidate = Placement(
                 {item: Slot(*slot) for item, slot in mapping.items()}
             )
-            cost = evaluate_placement(problem, candidate, validate=False)
             candidate_report = wear_report(problem, candidate)
             if (
-                cost <= budget
+                candidate_report.total_shifts <= budget
                 and candidate_report.max_mean_shift_ratio
                 < best_report.max_mean_shift_ratio
             ):

@@ -22,9 +22,10 @@ Local search prices candidates a row at a time: ``swap_deltas``,
 ``move_deltas`` and ``reversal_deltas`` return one exact delta per
 candidate as an ``int64`` array, equal entry for entry to the single
 probes ``swap_delta`` / ``move_delta`` / ``reversal_delta``.  Lazy rows
-are one kernel call over a per-DBC position CSR (built on first use and
-dropped whenever the assignment changes); eager rows are numpy
-expressions over the per-offset distance table.
+are one kernel call over the trace's per-item position index and a
+per-DBC position CSR (built on first use and dropped whenever the
+assignment changes); eager rows are numpy expressions over the per-offset
+distance table.
 
 The evaluator maintains the current assignment mutably with ``apply_*`` /
 ``undo`` (no :class:`Placement` dict rebuild per candidate) and materialises
@@ -35,7 +36,7 @@ port-count combination, including after arbitrary apply/undo sequences.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core import kernels
 from repro.core.placement import Placement, Slot
@@ -71,8 +72,8 @@ class CostEvaluator:
     Parameters
     ----------
     problem:
-        The placement problem (trace + geometry).  The trace is resolved
-        once into per-item access-position arrays.
+        The placement problem (trace + geometry).  Positions and access
+        counts come from its resolved trace's shared position index.
     placement:
         Starting placement.  Items of the placement that the problem's trace
         never touches are tracked for occupancy (they block slots) but
@@ -90,10 +91,8 @@ class CostEvaluator:
         import numpy as np
 
         self._np = np
-        self._problem = problem
         config = problem.config
         self._config = config
-        self._ports: tuple[int, ...] = config.port_offsets
         self._ports_np = np.asarray(config.port_offsets, dtype=np.int64)
         self._eager = config.port_policy is PortPolicy.EAGER
         #: the lazy-walk kernel tier (cc or numpy).
@@ -105,37 +104,23 @@ class CostEvaluator:
         self._items = items
         self._index = problem.item_index
         n = len(items)
-        # Lazy import: batch_sim imports this module.
-        from repro.memory.batch_sim import resolve_trace
-
-        item_at = resolve_trace(problem.trace).item_at
-        self._item_at = item_at
-        order = np.argsort(item_at, kind="stable").astype(np.int64, copy=False)
-        boundaries = np.searchsorted(item_at[order], np.arange(n + 1)).astype(
-            np.int64, copy=False
-        )
-        # Per-item position CSR: item i's positions are
-        # order[boundaries[i]:boundaries[i + 1]].
-        self._order = order
-        self._boundaries = boundaries
-        #: trace positions of each item's accesses, ascending.
-        self._positions: list = [
-            order[boundaries[i] : boundaries[i + 1]] for i in range(n)
-        ]
-        self._freq = [int(boundaries[i + 1] - boundaries[i]) for i in range(n)]
+        self._resolved = problem.resolved
+        self._item_at = self._resolved.item_at
+        #: access counts per item (eager weights); the list keeps probes fast.
+        self._counts = np.diff(self._resolved.item_positions[1])
+        self._count_list: list[int] = self._counts.tolist()
 
         # Current assignment (dense per-item arrays; _offset_np mirrors
         # _offset for vectorised gathers).
         self._dbc: list[int] = [0] * n
         self._offset: list[int] = [0] * n
-        self._offset_np = np.zeros(n, dtype=np.int64)
         self._members: dict[int, set[int]] = {}
         for i, item in enumerate(items):
             slot = placement[item]
             self._dbc[i] = slot.dbc
             self._offset[i] = slot.offset
-            self._offset_np[i] = slot.offset
             self._members.setdefault(slot.dbc, set()).add(i)
+        self._offset_np = np.asarray(self._offset, dtype=np.int64)
         #: placement entries outside the trace: occupancy only, zero cost.
         self._extra: dict[str, tuple[int, int]] = {
             item: (slot.dbc, slot.offset)
@@ -150,8 +135,7 @@ class CostEvaluator:
         # Eager: 2 * distance-to-nearest-port per offset.
         self._eager_dist_np = rest_table(config)
         self._eager_dist: list[int] = self._eager_dist_np.tolist()
-        self._freq_np = np.diff(boundaries)
-        self._item_cost: list[int] = [0] * n
+        self._item_cost: list[int] = []  # eager only
         self._dbc_cost: dict[int, int] = {}
         self._dbc_positions: dict[int, object] = {}
         self._undo: list = []
@@ -167,21 +151,13 @@ class CostEvaluator:
         self.applied_moves = 0
 
         if self._eager:
-            total = 0
-            for i in range(n):
-                cost = self._freq[i] * self._eager_dist[self._offset[i]]
-                self._item_cost[i] = cost
-                total += cost
-            self._total = total
+            costs = self._counts * self._eager_dist_np[self._offset_np]
+            self._item_cost = costs.tolist()
+            self._total = sum(self._item_cost)
         else:
-            total = 0
-            for dbc, members in self._members.items():
-                positions = self._merged_positions(members)
-                self._dbc_positions[dbc] = positions
-                cost = self._lazy_dbc_cost(positions)
-                self._dbc_cost[dbc] = cost
-                total += cost
-            self._total = total
+            for dbc in self._members:
+                self._dbc_cost[dbc] = self._lazy_dbc_cost(self._positions_of_dbc(dbc))
+            self._total = sum(self._dbc_cost.values())
 
     # ------------------------------------------------------------------
     # Inspection
@@ -244,17 +220,6 @@ class CostEvaluator:
     # ------------------------------------------------------------------
     # Per-DBC machinery
     # ------------------------------------------------------------------
-    def _merged_positions(self, members: Collection[int]):
-        """Ascending trace positions of all accesses to ``members``."""
-        np = self._np
-        if not members:
-            return np.empty(0, dtype=np.int64)
-        if len(members) == 1:
-            return self._positions[next(iter(members))]
-        merged = np.concatenate([self._positions[i] for i in members])
-        merged.sort()
-        return merged
-
     def _lazy_dbc_cost(self, positions) -> int:
         """Exact lazy-policy cost of one DBC's restricted subsequence."""
         return self._kernel.lazy_chain_cost(
@@ -264,7 +229,7 @@ class CostEvaluator:
     def _positions_of_dbc(self, dbc: int):
         cached = self._dbc_positions.get(dbc)
         if cached is None:
-            cached = self._merged_positions(self._members.get(dbc, ()))
+            cached = self._resolved.positions_of(self._members.get(dbc, ()))
             self._dbc_positions[dbc] = cached
         return cached
 
@@ -278,7 +243,7 @@ class CostEvaluator:
             delta = 0
             new_item_costs: dict[int, int] = {}
             for i, (_dbc, offset) in changes.items():
-                cost = self._freq[i] * self._eager_dist[offset]
+                cost = self._count_list[i] * self._eager_dist[offset]
                 new_item_costs[i] = cost
                 delta += cost - self._item_cost[i]
             return delta, new_item_costs
@@ -309,8 +274,8 @@ class CostEvaluator:
                     # materialised if the move is committed (see ``_apply``).
                     cost = self._kernel.lazy_merge_cost(
                         self._positions_of_dbc(dbc),
-                        self._merged_positions(outgoing),
-                        self._merged_positions(incoming),
+                        self._resolved.positions_of(outgoing),
+                        self._resolved.positions_of(incoming),
                         self._item_at,
                         self._offset_np,
                         self._ports_np,
@@ -419,8 +384,8 @@ class CostEvaluator:
                 item_at=self._item_at,
                 offset_of=self._offset_np,
                 ports=self._ports_np,
-                item_pos=self._order,
-                item_start=self._boundaries,
+                item_pos=self._resolved.item_positions[0],
+                item_start=self._resolved.item_positions[1],
                 item_dbc=np.asarray(self._dbc, dtype=np.int64),
                 dbc_pos=np.concatenate(chunks),
                 dbc_start=dbc_start,
@@ -456,7 +421,7 @@ class CostEvaluator:
         partners = np.asarray(self._trace_indices(candidates), dtype=np.int64)
         self.delta_evaluations += partners.size
         if self._eager:
-            freq, dist, cost = self._freq_np, self._eager_dist_np, self._item_costs()
+            freq, dist, cost = self._counts, self._eager_dist_np, self._item_costs()
             offsets = self._offset_np
             return (
                 freq[a] * dist[offsets[partners]]
@@ -483,7 +448,7 @@ class CostEvaluator:
         self.delta_evaluations += len(targets)
         if self._eager:
             cost = self._item_costs()
-            return self._freq_np[a] * self._eager_dist_np[slot_offset] - cost[a]
+            return self._counts[a] * self._eager_dist_np[slot_offset] - cost[a]
         return self._kernel.lazy_move_row(
             self._row_layout(), a, slot_dbc, slot_offset
         )
@@ -507,7 +472,7 @@ class CostEvaluator:
             return self._kernel.lazy_reversal_row(
                 self._row_layout(), dbc, seg_items, seg_offsets, first
             )
-        freq = self._freq_np[seg_items]
+        freq = self._counts[seg_items]
         dist = self._eager_dist_np[seg_offsets]
         ends = np.arange(first, len(offsets))[:, None]
         starts = np.arange(len(offsets))[None, :]
@@ -547,7 +512,7 @@ class CostEvaluator:
                 if payload is not None:
                     # Probes defer materialising the merged position array
                     # to commit time.
-                    self._dbc_positions[dbc] = self._merged_positions(payload)
+                    self._dbc_positions[dbc] = self._resolved.positions_of(payload)
             record = ("lazy", record_slots, record_costs, delta)
         self._reassign(changes.items())
         self._total += delta

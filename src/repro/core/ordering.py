@@ -37,11 +37,11 @@ class GroupTrace:
     """One group's accesses, read from the problem's resolved trace.
 
     ``positions`` are the trace positions of the group's accesses
-    (ascending), so the group's restricted subsequence is
-    ``item_at[positions]`` without building a sub-trace.  Only these
-    accesses move the group's DBC head, so by the per-DBC decomposition
-    (docs/COST_MODEL.md §2) :meth:`cost` prices a layout of the group
-    exactly.
+    (ascending, from the resolved trace's position index), so the group's
+    restricted subsequence is ``item_at[positions]`` without building a
+    sub-trace.  Only these accesses move the group's DBC head, so by the
+    per-DBC decomposition (docs/COST_MODEL.md §2) :meth:`cost` prices a
+    layout of the group exactly.
     """
 
     def __init__(self, problem: PlacementProblem, group: Sequence[str]) -> None:
@@ -49,16 +49,15 @@ class GroupTrace:
 
         index = problem.item_index
         self.items = list(group)
-        self.config = problem.config
+        config = self.config = problem.config
         self.frequencies = problem.frequencies
         self._names = problem.items
         self._codes = np.asarray([index[item] for item in self.items], np.int64)
-        member_mask = np.zeros(len(index), dtype=bool)
-        member_mask[self._codes] = True
-        self._item_at = problem.item_at
-        self.positions = np.flatnonzero(member_mask[self._item_at])
+        resolved = problem.resolved
+        self._item_positions = resolved.item_positions
+        self._item_at = resolved.item_at
+        self.positions = resolved.positions_of(self._codes)
         self._seq = self._item_at[self.positions]
-        config = problem.config
         self._ports = np.asarray(config.port_offsets, dtype=np.int64)
         self._rest = (
             rest_table(config) if config.port_policy is PortPolicy.EAGER else None
@@ -67,10 +66,13 @@ class GroupTrace:
 
     @cached_property
     def first_touch(self) -> list[str]:
-        """The group's accessed items in first-access order."""
+        """The group's accessed items in first-access order (by first
+        position: a sampled ``.rtb`` trace's codes are in file order)."""
         import numpy as np
 
-        codes, first = np.unique(self._seq, return_index=True)
+        item_pos, item_start = self._item_positions
+        codes = self._codes[item_start[self._codes + 1] > item_start[self._codes]]
+        first = item_pos[item_start[codes]]
         return [self._names[code] for code in codes[np.argsort(first)].tolist()]
 
     @cached_property

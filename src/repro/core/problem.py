@@ -4,7 +4,7 @@
 trace, the DWM geometry, the affinity graph, item frequencies — behind one
 object so the individual optimizers stay small.  Construction validates that
 the trace fits the configured array.  The derived tables are built once, from
-the trace's resolved item codes.
+the trace's resolved item codes and its one per-item position index.
 """
 
 from __future__ import annotations
@@ -68,20 +68,24 @@ class PlacementProblem:
         return len(self.items)
 
     @property
-    def item_at(self):
-        """Per-access item codes (indices into :attr:`items`)."""
+    def resolved(self):
+        """The trace's shared :class:`~repro.memory.batch_sim.ResolvedTrace`."""
         # Lazy import: batch_sim imports repro.core, which imports this module.
         from repro.memory.batch_sim import resolve_trace
 
-        return resolve_trace(self.trace).item_at
+        return resolve_trace(self.trace)
+
+    @property
+    def item_at(self):
+        """Per-access item codes (indices into :attr:`items`)."""
+        return self.resolved.item_at
 
     @cached_property
     def frequencies(self) -> dict[str, int]:
-        """Access count per item, in first-touch order."""
+        """Access count per item, in first-touch order (position index)."""
         import numpy as np
 
-        counts = np.bincount(self.item_at, minlength=self.num_items)
-        return dict(zip(self.items, counts.tolist()))
+        return dict(zip(self.items, np.diff(self.resolved.item_positions[1]).tolist()))
 
     @cached_property
     def hot_order(self) -> tuple[str, ...]:

@@ -37,7 +37,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Collection, Iterable, Sequence
 
 from repro.core import kernels
 # Not called here: ``perfbench/spans.py`` wraps these names in this module.
@@ -91,6 +92,38 @@ class ResolvedTrace:
         per-access records — alive until a full cyclic collection.
         """
         return self._trace()
+
+    @cached_property
+    def item_positions(self):
+        """The trace's one per-item position index ``(item_pos, item_start)``.
+
+        ``item_pos[item_start[i]:item_start[i + 1]]`` are item ``i``'s trace
+        positions, ascending (one stable argsort of :attr:`item_at`), so
+        ``np.diff(item_start)`` are the access counts.  Both are read-only,
+        C-contiguous ``int64``.
+        """
+        import numpy as np
+
+        item_pos = np.argsort(self.item_at, kind="stable").astype(np.int64, copy=False)
+        counts = np.bincount(self.item_at, minlength=len(self.items))
+        item_start = np.concatenate(([0], np.cumsum(counts)))
+        # Shared by every consumer of the trace: a write would corrupt them all.
+        item_pos.flags.writeable = item_start.flags.writeable = False
+        return item_pos, item_start
+
+    def positions_of(self, codes: Collection[int]):
+        """Ascending trace positions of the items ``codes``; one item's are
+        its slice of :attr:`item_positions` itself, not a copy."""
+        import numpy as np
+
+        item_pos, item_start = self.item_positions
+        if len(codes) == 1:
+            (code,) = codes
+            return item_pos[item_start[code] : item_start[code + 1]]
+        slices = [item_pos[item_start[c] : item_start[c + 1]] for c in codes]
+        merged = np.concatenate(slices or [item_pos[:0]])
+        merged.sort()
+        return merged
 
     @classmethod
     def from_arrays(cls, trace: AccessTrace, items, item_at, is_write):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro import robust
@@ -181,6 +182,59 @@ class TestBatchAPI:
         finally:
             gc.enable()
         assert resolved.trace is None
+
+
+def _index_traces():
+    from repro.trace.kernels import benchmark_suite
+
+    traces = list(benchmark_suite().values())
+    traces.append(markov_trace(40, 3000, seed=21))
+    # Dense rebuild whose item order is not first-touch order, as a sampled
+    # streaming trace's is.
+    items = ("z", "y", "x", "w")
+    item_at = np.asarray([2, 0, 2, 3, 1, 0, 2, 3], dtype=np.int64)
+    traces.append(
+        AccessTrace._from_dense(items, item_at, np.zeros(8, dtype=np.bool_))
+    )
+    return traces
+
+
+class TestPositionIndex:
+    @pytest.mark.parametrize("trace", _index_traces(), ids=lambda t: t.name)
+    def test_csr_is_each_items_positions(self, trace):
+        resolved = resolve_trace(trace)
+        item_pos, item_start = resolved.item_positions
+        for array in (item_pos, item_start):
+            assert array.dtype == np.int64 and array.flags.c_contiguous
+        assert item_start.size == len(resolved.items) + 1
+        for code in range(len(resolved.items)):
+            expected = np.flatnonzero(resolved.item_at == code)
+            got = item_pos[item_start[code] : item_start[code + 1]]
+            assert got.tolist() == expected.tolist()
+            assert resolved.positions_of([code]).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("trace", _index_traces(), ids=lambda t: t.name)
+    def test_positions_of_is_the_member_mask(self, trace):
+        resolved = resolve_trace(trace)
+        rng = np.random.default_rng(len(trace))
+        size = len(resolved.items)
+        for count in (0, 1, 2, size // 2, size):
+            codes = rng.choice(size, count, replace=False)
+            mask = np.zeros(size, dtype=bool)
+            mask[codes] = True
+            expected = np.flatnonzero(mask[resolved.item_at])
+            assert resolved.positions_of(codes).tolist() == expected.tolist()
+
+    def test_built_once_per_resolution(self):
+        trace = markov_trace(12, 400, seed=3)
+        resolved = resolve_trace(trace)
+        item_pos, _item_start = resolved.item_positions
+        assert resolve_trace(trace).item_positions[0] is item_pos
+        # One item's positions are its slice of the index, not a copy, and
+        # the shared index refuses writes.
+        assert resolved.positions_of([0]).base is item_pos
+        with pytest.raises(ValueError):
+            resolved.positions_of([0])[0] = 0
 
 
 class TestEngineSelection:

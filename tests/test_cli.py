@@ -1,7 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -604,6 +608,25 @@ class TestTracePackAndStreaming:
             line for line in out.splitlines() if line.strip().startswith("shifts ")
         ).split()[-1]
         assert pick(binary_out) == pick(text_out)
+
+    def test_pooled_simulate_prints_no_worker_traceback(
+        self, packed, tmp_path, capsys
+    ):
+        """Pool workers take SIGTERM's default action, so the pool's
+        teardown at exit prints no ``KeyboardInterrupt`` traceback."""
+        placement = tmp_path / "p.json"
+        run_cli(capsys, "place", str(packed), "-o", str(placement),
+                "--words-per-dbc", "8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "simulate", str(packed),
+             str(placement), "--jobs", "2", "--chunk-size", "64"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0
+        assert "streaming" in done.stdout
+        assert "Traceback" not in done.stderr
 
     def test_export_ilp_rejects_binary(self, packed, tmp_path, capsys):
         code, _out, err = run_cli(

@@ -232,6 +232,35 @@ class TestGroupTrace:
         assert view.first_touch == list(restricted.items)
         assert view.positions.size == len(restricted)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_positions_and_first_touch_match_their_definitions(self, dense):
+        import numpy as np
+
+        if dense:
+            # Item order is not first-touch order, as in a sampled
+            # streaming trace; the unaccessed item "v" is in no sequence.
+            items = ("z", "y", "x", "w", "v")
+            item_at = np.asarray([2, 0, 2, 3, 1, 0, 2, 3, 1, 2], dtype=np.int64)
+            trace = AccessTrace._from_dense(
+                items, item_at, np.zeros(item_at.size, dtype=np.bool_)
+            )
+        else:
+            trace = markov_trace(10, 500, seed=17)
+        config = DWMConfig(words_per_dbc=16, num_dbcs=1)
+        problem = PlacementProblem(trace=trace, config=config)
+        names = problem.items
+        item_at = problem.item_at
+        for group in (names[:1], names[::2], names[1::3], names[::-1]):
+            view = GroupTrace(problem, list(group))
+            mask = np.zeros(len(names), dtype=bool)
+            mask[[names.index(item) for item in group]] = True
+            positions = np.flatnonzero(mask[item_at])
+            codes, first = np.unique(item_at[positions], return_index=True)
+            assert view.positions.tolist() == positions.tolist()
+            assert view.first_touch == [
+                names[code] for code in codes[np.argsort(first)].tolist()
+            ]
+
     @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
     @pytest.mark.parametrize("num_ports", [1, 2, 3])
     def test_cost_matches_per_dbc_reference(self, num_ports, policy):

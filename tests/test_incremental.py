@@ -332,6 +332,36 @@ class TestRowProbes:
             evaluator.reversal_deltas(0, [0, 1, 2], first=-1)
 
 
+class TestSharedPositionIndex:
+    def test_evaluators_and_group_views_share_one_index(self):
+        from repro.core.ordering import GroupTrace
+
+        trace = markov_trace(22, 400, locality=0.75, seed=4)
+        lazy, eager = (
+            build_problem(
+                trace,
+                DWMConfig.for_items(
+                    trace.num_items, words_per_dbc=8, num_ports=2,
+                    port_policy=policy,
+                ),
+            )
+            for policy in ("lazy", "eager")
+        )
+        item_pos, item_start = lazy.resolved.item_positions
+        first = CostEvaluator(lazy, random_placement(lazy, seed=1))
+        second = CostEvaluator(lazy, random_placement(lazy, seed=2))
+        for evaluator in (first, second):
+            layout = evaluator._row_layout()
+            assert layout.item_pos is item_pos
+            assert layout.item_start is item_start
+        # Another geometry over the same trace reads the same index.
+        view = GroupTrace(eager, [eager.items[0]])
+        assert view.positions.base is item_pos
+        assert eager.frequencies == dict(
+            zip(trace.items, [int(n) for n in item_start[1:] - item_start[:-1]])
+        )
+
+
 class TestBatchFastEval:
     @pytest.mark.parametrize("ports,policy", GEOMETRIES)
     def test_batch_matches_reference(self, ports, policy):

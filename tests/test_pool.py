@@ -13,9 +13,11 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 
 import pytest
 
+from repro import robust
 from repro.analysis import pool as pool_mod
 from repro.analysis.checkpoint import CheckpointJournal, run_checkpointed, task_key
 from repro.analysis.parallel import MP_START_ENV, TaskFailure
@@ -51,6 +53,10 @@ def _crash_once(task):
 
 def _interrupt_task(value):
     raise KeyboardInterrupt
+
+
+def _sigterm_disposition(_task):
+    return signal.getsignal(signal.SIGTERM)
 
 
 def _handle_info(handle):
@@ -123,6 +129,21 @@ class TestPoolLifecycle:
         replacement = pool_mod.get_pool(2)
         assert replacement is not pool
         assert replacement.run(_triple, [4]) == [12]
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGTERM"), reason="no SIGTERM on this platform"
+    )
+    def test_workers_take_the_default_sigterm_action(self, fresh_pools):
+        """A worker started under the CLI's SIGTERM handler must not keep
+        it: the handler raises KeyboardInterrupt, which prints a traceback
+        when the pool terminates the worker."""
+        previous = robust.install_sigterm_handler()
+        try:
+            pool = pool_mod.get_pool(2)
+            dispositions = pool.run(_sigterm_disposition, [0, 1])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert dispositions == [signal.SIG_DFL, signal.SIG_DFL]
 
     def test_worker_keyboard_interrupt_is_a_failure_not_a_hang(
         self, fresh_pools

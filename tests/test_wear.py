@@ -9,9 +9,9 @@ from repro.analysis.wear import (
     wear_report,
 )
 from repro.core.api import build_problem, optimize_placement
-from repro.core.cost import evaluate_placement
+from repro.core.cost import evaluate_placement, per_dbc_costs
 from repro.core.problem import PlacementProblem
-from repro.dwm.config import DWMConfig
+from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import OptimizationError
 from repro.trace.model import AccessTrace
 from repro.trace.kernels import fir_trace
@@ -63,6 +63,31 @@ class TestWearReportFromTrace:
         report = wear_report(problem, placement)
         assert report.total_shifts == evaluate_placement(problem, placement)
         assert sum(report.per_dbc_shifts) == report.total_shifts
+
+    @pytest.mark.parametrize(
+        "num_ports, policy",
+        [(1, PortPolicy.EAGER), (1, PortPolicy.LAZY), (2, PortPolicy.LAZY),
+         (3, PortPolicy.LAZY)],
+    )
+    def test_matches_the_scalar_reference(self, num_ports, policy):
+        trace = markov_trace(20, 600, locality=0.7, seed=52, write_fraction=0.3)
+        config = DWMConfig.with_uniform_ports(
+            words_per_dbc=8, num_dbcs=3, num_ports=num_ports, port_policy=policy
+        )
+        problem = PlacementProblem(trace=trace, config=config)
+        placement = optimize_placement(trace, config, method="heuristic").placement
+        report = wear_report(problem, placement)
+        reference = per_dbc_costs(problem, placement)
+        assert report.per_dbc_shifts == tuple(
+            reference.get(dbc, 0) for dbc in range(config.num_dbcs)
+        )
+        assert report.total_shifts == sum(reference.values())
+        writes = [0] * config.num_dbcs
+        for access in trace:
+            if access.is_write:
+                writes[placement[access.item].dbc] += 1
+        assert report.per_dbc_writes == tuple(writes)
+        assert sum(writes) > 0
 
     def test_write_attribution(self):
         trace = AccessTrace([("a", "W"), ("b", "W"), ("a", "R")])
