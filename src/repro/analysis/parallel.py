@@ -23,8 +23,8 @@ the boundary as :mod:`repro.memory.shm` handles so the per-task pickle
 stays small.
 
 Shared policy: the job count resolves as ``--jobs`` flag > ``REPRO_JOBS``
-env var > serial, capped at the host's logical CPU count (a one-time
-warning reports oversubscription), and the start method as
+env var > serial, capped at the number of CPUs the process may run on (a
+one-time warning reports oversubscription), and the start method as
 ``REPRO_MP_START`` > fork > spawn.  Workers run with ``REPRO_JOBS=1`` so
 a parallel experiment that internally calls a sweep does not fork a pool
 per worker, and rebuild env-configured state (the placement cache) on
@@ -98,13 +98,22 @@ class TaskFailure:
         )
 
 
+def allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, ascending: its affinity mask
+    where the platform reports one (``taskset``, cgroup cpusets), else
+    every logical CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _cpu_count() -> int:
-    """Logical CPU count (monkeypatchable seam for tests)."""
-    return os.cpu_count() or 1
+    """Allowed CPU count (monkeypatchable seam for tests)."""
+    return len(allowed_cpus())
 
 
 def _cap_jobs(jobs: int, source: str) -> int:
-    """Clamp ``jobs`` to the host CPU count, warning once on excess."""
+    """Clamp ``jobs`` to the allowed CPU count, warning once on excess."""
     cap = _cpu_count()
     if jobs > cap:
         _warn_once(
@@ -119,7 +128,7 @@ def _cap_jobs(jobs: int, source: str) -> int:
 def resolve_jobs(jobs: int | None = None) -> int:
     """Effective worker count: explicit argument > ``REPRO_JOBS`` > 1.
 
-    The result is capped at the host's logical CPU count — workers beyond
+    The result is capped at the allowed CPU count — workers beyond
     that only add contention — with a one-time :class:`RuntimeWarning`
     naming the oversubscribing source.  Non-numeric or non-positive values
     resolve to 1 (serial) rather than erroring — the environment variable

@@ -20,7 +20,13 @@ semantics on top of persistence:
 * **failure isolation** — exhausted tasks yield
   :class:`~repro.analysis.parallel.TaskFailure` records in place;
 * **checkpointing** — ``on_result`` fires in the parent per success, so
-  journals see completions exactly as before.
+  journals see completions exactly as before;
+* **placement** — each worker of a pool of 2 to (allowed CPUs) workers is
+  pinned to its own allowed CPU, and a replacement takes the CPU its dead
+  worker freed.  A pipe send wakes its reader with a synchronous hint, so
+  unpinned workers are queued on the parent's CPU and a batch of equal
+  tasks runs one after another; one-worker and oversubscribed pools are
+  left unpinned.
 
 Two failure channels deliberately escape to the caller:
 :class:`PoolDispatchError` (the function or a task cannot be pickled into
@@ -34,6 +40,7 @@ propagating so no workers or segments outlive the batch.
 from __future__ import annotations
 
 import atexit
+import os
 import pickle
 import time
 from collections import deque
@@ -118,6 +125,12 @@ class WorkerPool:
         self._workers: dict[int, _Worker] = {}
         self._next_wid = 0
         self._closed = False
+        from repro.analysis.parallel import allowed_cpus
+
+        cpus = allowed_cpus()
+        pinnable = hasattr(os, "sched_setaffinity") and 2 <= size <= len(cpus)
+        self._cpus = cpus if pinnable else []
+        self._cpu_of: dict[int, int] = {}
         for _ in range(size):
             self._spawn()
 
@@ -133,24 +146,36 @@ class WorkerPool:
         # Stamp the chaos generation before creating the process so the
         # child (fork or spawn) sees its own spawn index — kill failpoints
         # use it to avoid crash-looping replacement workers.
-        import os as _os
-
         from repro.chaos import GENERATION_ENV
 
-        _os.environ[GENERATION_ENV] = str(self._next_wid)
+        os.environ[GENERATION_ENV] = str(self._next_wid)
         proc = self._ctx.Process(
             target=_pool_worker_main, args=(child_conn,), daemon=True
         )
         proc.start()
-        _os.environ.pop(GENERATION_ENV, None)
+        os.environ.pop(GENERATION_ENV, None)
         child_conn.close()
         wid = self._next_wid
         self._next_wid += 1
         self._workers[wid] = _Worker(proc, parent_conn)
+        self._pin(wid, proc.pid)
         get_registry().inc("pool.workers.spawned")
         return wid
 
+    def _pin(self, wid: int, pid: int) -> None:
+        """Pin a new worker to the first allowed CPU no live worker holds."""
+        taken = set(self._cpu_of.values())
+        for cpu in self._cpus:
+            if cpu not in taken:
+                try:
+                    os.sched_setaffinity(pid, {cpu})
+                except OSError:
+                    return
+                self._cpu_of[wid] = cpu
+                return
+
     def _retire(self, wid: int, terminate: bool = False) -> None:
+        self._cpu_of.pop(wid, None)
         worker = self._workers.pop(wid, None)
         if worker is None:
             return

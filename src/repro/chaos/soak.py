@@ -22,7 +22,8 @@ Everything is derived from the soak seed, so ``repro chaos soak --seed
 temporarily widens :func:`repro.analysis.parallel._cpu_count` so the
 pooled paths are actually exercised (the 1-CPU cap would otherwise
 silently serialize every workload and the pool/shm failpoints would
-never fire).
+never fire).  Worker pinning reads the real affinity mask, not this cap,
+so the widened pools are pinned only where there are CPUs to pin them to.
 """
 
 from __future__ import annotations

@@ -41,10 +41,12 @@ and the simulation engines:
   scan masks and counts.  *Carried* states price every access (per-DBC
   totals and maxima, per-access costs into ``out``) and carry the heads
   to the next window; *conditioned* states keep ``P`` lanes per DBC,
-  one per port that may have served the DBC's first access — the chunk
-  summary of :mod:`repro.memory.stream_sim`'s merge mode.  The cc tier
-  never sorts by DBC; the numpy tier groups the window by DBC with a
-  stable sort and walks each group with :func:`lazy_costs_from_state`;
+  one per port that may have served the DBC's first access — the span
+  summary of :mod:`repro.memory.stream_sim`'s merge and parallel modes.
+  The cc tier never sorts by DBC, and steps a DBC's lanes once while
+  their heads are equal (lanes that met never part); the numpy tier
+  groups the window by DBC with a stable sort and walks each lane of
+  each group with :func:`lazy_costs_from_state`;
 * ``lazy_costs(offsets, ports, out)`` — per-access costs of one replay;
 * ``lazy_chain_cost(positions, item_at, offset_of, ports)`` — total cost
   of the chain ``offset_of[item_at[positions[t]]]`` (``bind_chain`` binds
@@ -219,10 +221,25 @@ int64_t lazy_scan_impl(const void *codes, int64_t n, int records,
             int64_t *lane_heads = heads + d * num_ports;
             int64_t *lane_totals = totals + d * num_ports;
             int64_t *lane_maxes = maxes + d * num_ports;
+            int converged = 1;
             if (counts[d]++ == 0) {
                 first[d] = offset;
                 for (q = 0; q < num_ports; ++q)
                     lane_heads[q] = offset - ports[q];
+                continue;
+            }
+            for (q = 1; q < num_ports; ++q)
+                converged &= lane_heads[q] == lane_heads[0];
+            if (converged) {
+                /* Lanes whose heads met stay equal and pay equal costs
+                   from here on: step once, charge every lane. */
+                int64_t cost = lazy_step(offset, lane_heads, ports,
+                                         num_ports);
+                for (q = 0; q < num_ports; ++q) {
+                    lane_heads[q] = lane_heads[0];
+                    lane_totals[q] += cost;
+                    if (cost > lane_maxes[q]) lane_maxes[q] = cost;
+                }
                 continue;
             }
             for (q = 0; q < num_ports; ++q) {
@@ -245,9 +262,10 @@ int64_t lazy_scan_impl(const void *codes, int64_t n, int records,
    receives its cost.  Conditioned: P = num_ports lanes per DBC at
    d * P + p; a DBC's first access (counts[d] == 0) records first[d] and
    puts lane p's head at first[d] - ports[p], unpriced; every later access
-   is priced on every lane; counts[d] counts DBC d's accesses (carried
-   scans leave counts alone).  The mode is the conditioned flag, never
-   the lane count: a
+   is priced on every lane, with one port step for all of them once their
+   heads have met (the lanes of a deterministic automaton never part
+   again); counts[d] counts DBC d's accesses (carried scans leave counts
+   alone).  The mode is the conditioned flag, never the lane count: a
    one-port conditioned scan still leaves its first accesses unpriced.
    Returns the number of writes, or -1 - t when access t names an item
    outside [0, num_items). */

@@ -24,7 +24,7 @@ from repro.memory.stream_sim import (
     ChunkState,
     finalize_state,
     merge_states,
-    scan_chunk,
+    scan_span,
     simulate_streaming,
 )
 from repro.memory.sram import SRAMScratchpad
@@ -40,7 +40,7 @@ __all__ = [
     "ChunkState",
     "finalize_state",
     "merge_states",
-    "scan_chunk",
+    "scan_span",
     "simulate_streaming",
     "CacheGeometry",
     "CacheResult",

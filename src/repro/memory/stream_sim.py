@@ -21,14 +21,19 @@ gather.  Three scan modes:
 * **merge** — each chunk is summarised *independently* into a
   :class:`ChunkState` whose lazy per-DBC entries are conditioned on the
   one unknown bit of context: which port serves the chunk's first access
-  to that DBC (``P`` possibilities — the scan's ``P`` lanes per DBC).
+  to that DBC (``P`` possibilities — the scan's ``P`` lanes per DBC, which
+  the compiled scan steps once they have converged on one head).
   :func:`merge_states` composes two summaries by pricing the boundary
   access, which makes the summary an associative monoid — chunks can be
   folded in any order.
-* **parallel** — the merge-mode map fanned out over the persistent
-  worker pool (:mod:`repro.analysis.pool`), followed by the same cheap
-  sequential stitch.  Workers re-map binary traces by path, so task
-  payloads stay tiny.
+* **parallel** — the same summary, one per contiguous *span* of chunks:
+  the chunks are cut into ``min(jobs, chunks)`` balanced spans in trace
+  order, each worker of the persistent pool (:mod:`repro.analysis.pool`)
+  scans its span window by window into one conditioned state
+  (:func:`scan_span`), and the parent folds the ``jobs`` summaries with
+  the same cheap sequential stitch.  Workers re-map binary traces by
+  path, so task payloads stay tiny; an in-memory trace ships one slice
+  per span.
 
 All three are bit-identical to the in-memory vectorized engine on
 totals, per-DBC decompositions and ``max_access_shifts`` (fuzzed by the
@@ -101,12 +106,14 @@ class ChunkState:
     dbcs: dict
 
 
-def scan_chunk(codes, writes: int, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
-    """Summarise one window into a mergeable :class:`ChunkState`.
+def scan_span(windows, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
+    """Summarise consecutive windows into one mergeable :class:`ChunkState`.
 
-    ``codes`` are the window's raw ``uint32`` records or int64 item
-    indices, and ``writes`` counts the writes the codes do not carry (see
-    :func:`_window`).  Independent of every other chunk: the lazy policy is
+    ``windows`` yields ``(codes, writes)`` pairs in trace order: a window's
+    raw ``uint32`` records or int64 item indices, and the writes the codes
+    do not carry (see :func:`_window`).  They are scanned one at a time
+    into one state, which scans their concatenation, so a span holds one
+    window at a time.  Independent of every other span: the lazy policy is
     one conditioned kernel scan (``P`` lanes per DBC), the eager one a
     table gather.
     """
@@ -114,20 +121,33 @@ def scan_chunk(codes, writes: int, config: DWMConfig, dbc_of, offset_of) -> Chun
 
     from repro.chaos import failpoint
 
-    failpoint("stream.scan")
     ports = config.port_offsets
-    dbcs: dict = {}
-    if config.port_policy is PortPolicy.EAGER:
-        items, record_writes = split_records(codes)
-        writes += record_writes
-        dbc_seq = dbc_of[items]
-        costs = rest_table(config)[offset_of[items]]
+    eager = config.port_policy is PortPolicy.EAGER
+    accesses = writes = 0
+    if eager:
+        rest = rest_table(config)
         totals = np.zeros(config.num_dbcs, dtype=np.int64)
         maxes = np.zeros(config.num_dbcs, dtype=np.int64)
         counts = np.zeros(config.num_dbcs, dtype=np.int64)
-        np.add.at(totals, dbc_seq, costs)
-        np.maximum.at(maxes, dbc_seq, costs)
-        np.add.at(counts, dbc_seq, 1)
+    else:
+        tier = kernels.active()
+        state = kernels.ScanState(config.num_dbcs, len(ports))
+    for codes, window_writes in windows:
+        failpoint("stream.scan")
+        accesses += int(codes.size)
+        writes += window_writes
+        if eager:
+            items, record_writes = split_records(codes)
+            writes += record_writes
+            dbc_seq = dbc_of[items]
+            costs = rest[offset_of[items]]
+            np.add.at(totals, dbc_seq, costs)
+            np.maximum.at(maxes, dbc_seq, costs)
+            np.add.at(counts, dbc_seq, 1)
+        else:
+            writes += tier.lazy_scan(codes, dbc_of, offset_of, ports, state)
+    dbcs: dict = {}
+    if eager:
         for dbc in np.flatnonzero(counts).tolist():
             dbcs[dbc] = EagerDBCState(
                 count=int(counts[dbc]),
@@ -135,8 +155,6 @@ def scan_chunk(codes, writes: int, config: DWMConfig, dbc_of, offset_of) -> Chun
                 max_cost=int(maxes[dbc]),
             )
     else:
-        state = kernels.ScanState(config.num_dbcs, len(ports))
-        writes += kernels.active().lazy_scan(codes, dbc_of, offset_of, ports, state)
         for dbc in np.flatnonzero(state.counts).tolist():
             dbcs[dbc] = LazyDBCState(
                 first_offset=int(state.first[dbc]),
@@ -148,7 +166,7 @@ def scan_chunk(codes, writes: int, config: DWMConfig, dbc_of, offset_of) -> Chun
     return ChunkState(
         policy=config.port_policy.value,
         ports=ports,
-        accesses=int(codes.size),
+        accesses=accesses,
         writes=int(writes),
         dbcs=dbcs,
     )
@@ -270,25 +288,46 @@ def _window(trace, start: int, stop: int):
     return resolved.item_at[start:stop], int(resolved.is_write[start:stop].sum())
 
 
+def _spans(chunks: list, parts: int) -> list[list[tuple[int, int]]]:
+    """``chunks`` cut into ``parts`` contiguous runs in trace order, whose
+    lengths differ by at most one chunk."""
+    size, extra = divmod(len(chunks), parts)
+    cuts = [part * size + min(part, extra) for part in range(parts + 1)]
+    return [chunks[low:high] for low, high in zip(cuts, cuts[1:])]
+
+
+def _span_windows(trace, span: list[tuple[int, int]]):
+    """The ``(codes, writes)`` windows of one span of chunks.
+
+    A binary trace yields one window per chunk, read as it is scanned; an
+    in-memory trace gives the span as one slice of its resolved arrays.
+    """
+    if isinstance(trace, StreamingTrace):
+        return (_window(trace, start, stop) for start, stop in span)
+    return [_window(trace, span[0][0], span[-1][1])]
+
+
 #: Worker-process cache of opened binary traces, keyed by path; workers
 #: are persistent (:mod:`repro.analysis.pool`), so each file is mapped
-#: once per worker regardless of how many chunks it scans.
+#: once per worker regardless of how many spans it scans.
 _WORKER_STREAMS: dict[str, StreamingTrace] = {}
 
 
-def _scan_chunk_task(task):
-    """Pool task: summarise one chunk (runs in a worker process)."""
-    kind = task[0]
-    if kind == "file":
-        _kind, path, start, stop, config, dbc_of, offset_of = task
-        stream = _WORKER_STREAMS.get(path)
+def _scan_span_task(task):
+    """Pool task: summarise one span of chunks (runs in a worker process).
+
+    ``source`` is a binary trace's path, re-mapped once per worker and
+    read chunk by chunk, or the span's one in-memory window.
+    """
+    source, span, config, dbc_of, offset_of = task
+    if isinstance(source, str):
+        stream = _WORKER_STREAMS.get(source)
         if stream is None:
-            stream = open_binary(path)
-            _WORKER_STREAMS[path] = stream
-        codes, writes = stream.chunk_records(start, stop), 0
+            stream = _WORKER_STREAMS[source] = open_binary(source)
+        windows = _span_windows(stream, span)
     else:
-        _kind, codes, writes, config, dbc_of, offset_of = task
-    return scan_chunk(codes, writes, config, dbc_of, offset_of)
+        windows = [source]
+    return scan_span(windows, config, dbc_of, offset_of)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +349,11 @@ def simulate_streaming(
     ``trace`` may be a :class:`~repro.trace.binio.StreamingTrace` (the
     out-of-core case) or a plain :class:`~repro.trace.model.AccessTrace`
     (windowed over its resolved arrays — used by the conformance oracles).
-    ``jobs > 1`` fans the per-chunk scans out over the persistent worker
-    pool and stitches the summaries sequentially; ``force_merge`` uses the
-    same map+stitch path in-process (testing hook for the merge algebra).
+    ``jobs > 1`` cuts the chunks into ``min(jobs, chunks)`` contiguous
+    spans, scans one span per task on the persistent worker pool and
+    stitches the span summaries sequentially; ``force_merge`` uses the
+    same map+stitch path in-process with one span per chunk (testing hook
+    for the merge algebra).
     Results are bit-identical to :func:`~repro.memory.batch_sim.simulate_vectorized`
     in every mode.
     """
@@ -342,31 +383,32 @@ def simulate_streaming(
         per_dbc = state.totals.tolist()
         max_access = int(state.maxes.max())
     else:
-        # Eager summaries are exact partial sums, so the sequential eager
-        # scan is this same map and fold.
+        # Parallel mode scans one span per worker; merge mode one span per
+        # chunk, so the fold is exercised.  Eager summaries are exact
+        # partial sums, so the sequential eager scan is one span of every
+        # chunk.
         if parallel:
             from repro.analysis.pool import get_pool
 
-            if isinstance(trace, StreamingTrace):
-                tasks = [
-                    ("file", str(trace.path), start, stop, config, dbc_of, offset_of)
-                    for start, stop in chunks
-                ]
-            else:
-                tasks = [
-                    ("arrays", *_window(trace, start, stop), config, dbc_of, offset_of)
-                    for start, stop in chunks
-                ]
+            spans = _spans(chunks, min(jobs, len(chunks)))
+            path = str(trace.path) if isinstance(trace, StreamingTrace) else None
+            tasks = [
+                (
+                    path or _span_windows(trace, span)[0],
+                    span, config, dbc_of, offset_of,
+                )
+                for span in spans
+            ]
             try:
                 states = get_pool(jobs).run(
-                    _scan_chunk_task, tasks, propagate=True
+                    _scan_span_task, tasks, propagate=True
                 )
             except Exception as exc:
                 from repro.robust import is_recoverable, record_degradation
 
                 if not is_recoverable(exc):
                     raise
-                # Pool infrastructure failed; the chunk algebra is pure, so
+                # Pool infrastructure failed; the span algebra is pure, so
                 # rescanning in-process yields bit-identical results.
                 record_degradation(
                     "stream",
@@ -375,10 +417,14 @@ def simulate_streaming(
                     f"{type(exc).__name__}: {exc}",
                 )
                 parallel = False
+        elif force_merge:
+            spans = [[chunk] for chunk in chunks]
+        else:
+            spans = [chunks] if chunks else []
         if not parallel:
             states = [
-                scan_chunk(*_window(trace, start, stop), config, dbc_of, offset_of)
-                for start, stop in chunks
+                scan_span(_span_windows(trace, span), config, dbc_of, offset_of)
+                for span in spans
             ]
         stitch_start = time.perf_counter()
         folded = ChunkState(

@@ -316,6 +316,54 @@ class TestKernelParity:
             )
 
 
+class TestCollapsedConditionedScan:
+    """The cc tier's conditioned scan steps converged lanes once; it must
+    match the numpy tier, which prices every lane separately, window by
+    window."""
+
+    PORTS = {1: [3], 2: [0, 8], 3: [0, 5, 10], 4: [0, 4, 8, 12]}
+
+    @staticmethod
+    def _windows(rng):
+        """Four windows over DBCs of length 16: DBC 0 hit often (its lanes
+        meet mid-window), DBC 1 hit once per window, DBC 2 first hit in
+        window 2, DBC 3 never."""
+        dbc_of = np.repeat(np.arange(3, dtype=np.int64), 6)
+        offset_of = rng.integers(0, 16, size=dbc_of.size).astype(np.int64)
+        windows = []
+        for w in range(4):
+            codes = list(rng.integers(0, 6, size=60)) + [int(rng.integers(6, 12))]
+            if w >= 2:
+                codes += list(rng.integers(12, 18, size=20))
+            rng.shuffle(codes)
+            windows.append(np.array(codes, dtype=np.int64))
+        return windows, dbc_of, offset_of
+
+    @pytest.mark.parametrize("num_ports", [1, 2, 3, 4])
+    def test_matches_numpy_tier_across_windows(self, cc_tier, num_ports):
+        ports = np.array(self.PORTS[num_ports], dtype=np.int64)
+        numpy_tier = kernels.NumpyKernels()
+        for seed in range(5):
+            windows, dbc_of, offset_of = self._windows(
+                np.random.default_rng(900 + seed)
+            )
+            got = kernels.ScanState(4, num_ports)
+            want = kernels.ScanState(4, num_ports)
+            for w, codes in enumerate(windows):
+                cc_tier.lazy_scan(codes, dbc_of, offset_of, ports, got)
+                numpy_tier.lazy_scan(codes, dbc_of, offset_of, ports, want)
+                for name in ("totals", "maxes", "heads", "counts", "first"):
+                    np.testing.assert_array_equal(
+                        getattr(got, name), getattr(want, name), err_msg=name
+                    )
+                if num_ports > 1 and w == 0:
+                    # DBC 1 enters window 1 with its lanes still apart;
+                    # DBC 0's have met within window 0.
+                    assert len(set(want.heads[1].tolist())) == num_ports
+                    assert len(set(want.heads[0].tolist())) == 1
+            assert want.counts[2] == 40 and not want.counts[3]
+
+
 def _scan_instance(rng):
     """``(item_at, dbc_of, offset_of, num_dbcs)``: items on four DBCs of
     length 12, one DBC left untouched."""

@@ -13,9 +13,11 @@ import os
 
 import pytest
 
+from repro.analysis import parallel as parallel_mod
 from repro.analysis.experiments import run_experiments
 from repro.analysis.parallel import (
     JOBS_ENV,
+    allowed_cpus,
     parallel_map,
     resolve_jobs,
 )
@@ -25,6 +27,9 @@ from repro.analysis.dse import explore
 from repro.trace.synthetic import markov_trace
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+#: The real CPU-count seam, taken before the autouse fixture widens it.
+_CPU_COUNT = parallel_mod._cpu_count
 
 
 def _square(value: int) -> int:
@@ -96,6 +101,21 @@ class TestResolveJobs:
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             assert resolve_jobs(8) == 2  # second call: capped, silent
+
+    def test_cap_reads_the_affinity_mask(self, monkeypatch):
+        # Under ``taskset -c 3,5`` the cap is 2 on any host, and the pool
+        # pins to those same CPUs.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {5, 3}, raising=False
+        )
+        assert allowed_cpus() == [3, 5]
+        assert _CPU_COUNT() == 2
+
+    def test_cap_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert allowed_cpus() == list(range(6))
+        assert _CPU_COUNT() == 6
 
     def test_within_cap_no_warning(self, monkeypatch):
         import warnings as warnings_mod

@@ -153,6 +153,50 @@ class TestPoolLifecycle:
         assert isinstance(results[0], TaskFailure)
 
 
+def _allowed() -> set[int]:
+    return set(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else set()
+
+
+def _affinities(pool) -> dict[int, set[int]]:
+    return {
+        wid: set(os.sched_getaffinity(worker.proc.pid))
+        for wid, worker in pool._workers.items()
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_allowed()) < 2,
+    reason="needs sched_setaffinity and at least 2 allowed CPUs",
+)
+class TestWorkerPinning:
+    def test_workers_take_distinct_allowed_cpus(self, fresh_pools):
+        pool = pool_mod.get_pool(2)
+        pinned = list(_affinities(pool).values())
+        assert all(len(cpus) == 1 for cpus in pinned)
+        assert pinned[0] != pinned[1]
+        assert set().union(*pinned) <= _allowed()
+        assert pool.run(_triple, [1, 2]) == [3, 6]
+
+    def test_single_worker_keeps_the_parent_set(self, fresh_pools):
+        pool = pool_mod.get_pool(1)
+        assert list(_affinities(pool).values()) == [_allowed()]
+
+    def test_replacement_takes_the_freed_cpu(self, fresh_pools):
+        pool = pool_mod.get_pool(2)
+        before = _affinities(pool)
+        dead = min(before)
+        pool._workers[dead].proc.kill()
+        pool._workers[dead].proc.join()
+        assert pool.run(_triple, [1, 2]) == [3, 6]  # replaces the dead one
+        after = _affinities(pool)
+        assert dead not in after
+        (replacement,) = set(after) - set(before)
+        assert after[replacement] == before[dead]
+        assert sorted(map(sorted, after.values())) == sorted(
+            map(sorted, before.values())
+        )
+
+
 @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 class TestCheckpointInterrupt:
     def test_interrupt_flushes_completed_cells(self, fresh_pools, tmp_path):

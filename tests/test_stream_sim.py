@@ -17,8 +17,10 @@ import random
 
 import pytest
 
+from repro import robust
 from repro.analysis import pool as pool_mod
 from repro.analysis.parallel import MP_START_ENV
+from repro.chaos import chaos_scope
 from repro.core.api import build_problem
 from repro.core.baselines import declaration_order_placement
 from repro.dwm.config import DWMConfig, PortPolicy
@@ -29,10 +31,12 @@ from repro.memory.stream_sim import (
     ChunkState,
     finalize_state,
     merge_states,
-    scan_chunk,
+    scan_span,
     simulate_streaming,
+    _spans,
     _window,
 )
+from repro.obs import get_registry
 from repro.trace.binio import open_binary, save_binary
 from repro.trace.synthetic import markov_trace
 
@@ -128,8 +132,8 @@ class TestMergeAlgebra:
         dbc_of, offset_of = slot_arrays(items, placement)
         bounds = list(zip([0] + cuts, cuts + [len(trace)]))
         return [
-            scan_chunk(
-                *_window(trace, start, stop), config, dbc_of, offset_of
+            scan_span(
+                [_window(trace, start, stop)], config, dbc_of, offset_of
             )
             for start, stop in bounds
             if stop > start
@@ -222,6 +226,91 @@ class TestParallel:
         )
         assert parallel.shifts == reference.shifts
         assert parallel.per_dbc_shifts == reference.per_dbc_shifts
+
+
+class TestSpans:
+    @pytest.mark.parametrize("num_chunks", [1, 2, 7, 8, 9])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_contiguous_balanced_in_order(self, num_chunks, parts):
+        chunks = [(10 * i, 10 * i + 10) for i in range(num_chunks)]
+        parts = min(parts, num_chunks)
+        spans = _spans(chunks, parts)
+        assert len(spans) == parts
+        assert [chunk for span in spans for chunk in span] == chunks
+        sizes = [len(span) for span in spans]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+class TestSpanDispatch:
+    """A pooled scan sends one task per span: ``min(jobs, chunks)``."""
+
+    def _scan(self, tmp_path, monkeypatch, chunk_size, jobs):
+        trace, config, placement = _problem(2, PortPolicy.LAZY, seed=24)
+        path = tmp_path / "d.rtb"
+        save_binary(trace, path)
+        shipped = []
+        run = pool_mod.WorkerPool.run
+
+        def recording_run(pool, fn, tasks, **kwargs):
+            shipped.extend(task[1] for task in tasks)
+            return run(pool, fn, tasks, **kwargs)
+
+        monkeypatch.setattr(pool_mod.WorkerPool, "run", recording_run)
+        registry = get_registry()
+        before = registry.counter_value("pool.dispatches")
+        result = simulate_streaming(
+            open_binary(path), config, placement, chunk_size=chunk_size,
+            jobs=jobs,
+        )
+        dispatches = registry.counter_value("pool.dispatches") - before
+        reference = simulate_vectorized(trace, config, placement)
+        assert result.shifts == reference.shifts
+        assert result.per_dbc_shifts == reference.per_dbc_shifts
+        assert result.max_access_shifts == reference.max_access_shifts
+        return result, dispatches, shipped
+
+    def test_seven_chunks_on_two_jobs(self, tmp_path, monkeypatch, fresh_pools):
+        result, dispatches, shipped = self._scan(tmp_path, monkeypatch, 72, 2)
+        assert result.details["num_chunks"] == 7
+        assert dispatches == 2
+        assert [len(span) for span in shipped] == [4, 3]
+        chunks = [chunk for span in shipped for chunk in span]
+        assert chunks == [(s, min(s + 72, 500)) for s in range(0, 500, 72)]
+
+    def test_more_jobs_than_chunks(self, tmp_path, monkeypatch, fresh_pools):
+        result, dispatches, shipped = self._scan(tmp_path, monkeypatch, 200, 4)
+        assert result.details["mode"] == "parallel"
+        assert dispatches == 3
+        assert shipped == [[(0, 200)], [(200, 400)], [(400, 500)]]
+
+    def test_one_chunk_scans_in_process(self, tmp_path, monkeypatch, fresh_pools):
+        # One span gains nothing from a worker: no task is sent.
+        result, dispatches, shipped = self._scan(tmp_path, monkeypatch, 500, 2)
+        assert result.details["mode"] == "sequential"
+        assert dispatches == 0 and shipped == []
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    def test_task_failure_degrades_bit_identically(self, policy, fresh_pools):
+        trace, config, placement = _problem(3, policy, seed=25)
+        reference = simulate_vectorized(trace, config, placement)
+        robust.reset_degradations()
+        with chaos_scope("pool.task:times=0"), pytest.warns(
+            RuntimeWarning, match="degraded stream"
+        ):
+            result = simulate_streaming(
+                trace, config, placement, chunk_size=45, jobs=2
+            )
+        assert robust.degradation_summary() == {
+            "stream:parallel->sequential": 1
+        }
+        robust.reset_degradations()
+        assert result.shifts == reference.shifts
+        assert result.per_dbc_shifts == reference.per_dbc_shifts
+        assert result.max_access_shifts == reference.max_access_shifts
+        assert (result.reads, result.writes) == (
+            reference.reads, reference.writes
+        )
 
 
 class TestScratchpadIntegration:
