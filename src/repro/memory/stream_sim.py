@@ -417,6 +417,7 @@ def simulate_streaming(
                     f"{type(exc).__name__}: {exc}",
                 )
                 parallel = False
+                mode = "sequential"
         elif force_merge:
             spans = [[chunk] for chunk in chunks]
         else:

@@ -12,7 +12,9 @@ One process, one event loop, three tiers:
   content-keyed :class:`~repro.analysis.cache.ResultCache` is consulted so
   warm traffic is answered without touching a worker, and cold simulate
   requests are coalesced by the :class:`~repro.serve.batching.MicroBatcher`
-  into single vectorized passes.
+  into single vectorized passes.  Batching is continuous: a request whose
+  (trace, geometry) has no pass running starts one on the next loop turn,
+  and requests that arrive during a pass ride the next one together.
 * **Compute** — cold work runs in a small thread executor; optimize jobs
   are dispatched from there to the persistent
   :class:`~repro.analysis.pool.WorkerPool` (``pool_workers > 0``), falling
@@ -104,8 +106,7 @@ class ServerSettings:
     burst: float | None = None
     #: Bound on admitted-but-unfinished compute requests (the 503 gate).
     max_queue: int = 64
-    #: Micro-batching window for simulate coalescing, seconds.
-    batch_window: float = 0.005
+    #: Simulate micro-batch size that flushes at once.
     max_batch: int = 64
     #: Uploaded-trace registry bound (typed 503 beyond it).
     max_traces: int = 1024
@@ -256,9 +257,7 @@ class PlacementServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
         self._batcher = MicroBatcher(
-            self._run_simulate_batch,
-            window_seconds=self.settings.batch_window,
-            max_batch=self.settings.max_batch,
+            self._run_simulate_batch, max_batch=self.settings.max_batch
         )
         if self.settings.log_path:
             self._log_handle = open(

@@ -216,18 +216,39 @@ class TestBatching:
             }
 
         payloads = [rotated_placement(i) for i in range(6)]
-        with running_server(batch_window=0.1) as (_, client):
+        release = threading.Event()
+        with running_server() as (server, client):
+            run_pass = server._simulate_batch_sync
+
+            def held_pass(riders):
+                # The first pass waits until every rider has joined the
+                # batcher, so the rest must queue behind it as one group.
+                assert release.wait(timeout=30.0)
+                return run_pass(riders)
+
+            server._simulate_batch_sync = held_pass
             uploaded = client.upload_trace("batch", accesses)
             trace_id = uploaded["trace_id"]
             with concurrent.futures.ThreadPoolExecutor(6) as pool:
-                responses = list(
-                    pool.map(
-                        lambda p: client.simulate(trace_id, p, config=CONFIG),
-                        payloads,
+                futures = [
+                    pool.submit(client.simulate, trace_id, p, config=CONFIG)
+                    for p in payloads
+                ]
+                deadline = time.monotonic() + 30.0
+                while (
+                    registry.counter_value(
+                        "serve.cache.misses", endpoint="simulate"
                     )
-                )
+                    < len(payloads)
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                release.set()
+                responses = [future.result() for future in futures]
+        # The riders parsed with the first one share its pass; every
+        # other rider queued behind it as one group.
         batches = registry.counter_value("serve.batches")
-        assert 1 <= batches < 6
+        assert 1 <= batches <= 2
         from repro.core.placement import Placement
 
         for payload, response in zip(payloads, responses):

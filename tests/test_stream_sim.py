@@ -295,6 +295,18 @@ class TestSpanDispatch:
         trace, config, placement = _problem(3, policy, seed=25)
         reference = simulate_vectorized(trace, config, placement)
         robust.reset_degradations()
+        registry = get_registry()
+
+        def observed(mode):
+            # (scan, stitch) observations under one mode label.
+            return tuple(
+                (registry.histogram_summary(name, mode=mode) or {"count": 0})[
+                    "count"
+                ]
+                for name in ("stream.scan.seconds", "stream.stitch.seconds")
+            )
+
+        before = {mode: observed(mode) for mode in ("parallel", "sequential")}
         with chaos_scope("pool.task:times=0"), pytest.warns(
             RuntimeWarning, match="degraded stream"
         ):
@@ -305,6 +317,12 @@ class TestSpanDispatch:
             "stream:parallel->sequential": 1
         }
         robust.reset_degradations()
+        # The mode names the path that ran: the in-process rescan.
+        assert result.details["mode"] == "sequential"
+        assert observed("parallel") == before["parallel"]
+        assert observed("sequential") == tuple(
+            count + 1 for count in before["sequential"]
+        )
         assert result.shifts == reference.shifts
         assert result.per_dbc_shifts == reference.per_dbc_shifts
         assert result.max_access_shifts == reference.max_access_shifts
