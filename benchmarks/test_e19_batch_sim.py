@@ -3,9 +3,9 @@
 Four measurements of the throughput stack on the evaluation workloads:
 
 1. **Simulation throughput** — simulations/second of the vectorized engine
-   (:class:`repro.memory.batch_sim.BatchSimulator`, trace resolution
-   amortized) vs the scalar ``DWMArrayModel`` replay on a 10⁵-access trace,
-   with an exactness spot-check per geometry.  Reproduction target: ≥20×
+   (:func:`repro.memory.batch_sim.simulate_vectorized`, over the resolution
+   the trace caches) vs the scalar ``DWMArrayModel`` replay on a
+   10⁵-access trace, with an exactness spot-check per geometry.  Reproduction target: ≥20×
    on the single-port lazy headline row.
 2. **Parallel orchestration** — wall-clock of a 4-worker sweep grid and a
    2-worker ``run_experiments`` subset vs their serial baselines, with
@@ -97,8 +97,8 @@ def _measure_geometry(ports, policy, min_seconds):
         and scalar_result.max_access_shifts == vectorized_result.max_access_shifts
     )
 
-    # The SPM caches the resolved trace, so repeated vectorized runs measure
-    # the amortized (batch-API) cost — the quantity sweeps and DSE pay.
+    # The trace caches its resolution, so repeated vectorized runs measure
+    # the per-placement scan cost — the quantity sweeps and DSE pay.
     vectorized = measure_throughput(
         lambda: spm.simulate(trace, engine="vectorized"),
         min_seconds=min_seconds,

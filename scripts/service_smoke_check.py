@@ -11,10 +11,9 @@ through :class:`repro.serve.client.ServeClient`:
    request is answered from the content-keyed result cache — asserted via
    the server's own ``/v1/metrics`` (``pool.dispatches`` unchanged,
    ``serve.cache.hits`` advanced) rather than timing heuristics.
-3. **Batched == single**: a burst of concurrent simulate requests for
-   the same (trace, geometry) coalesces (``serve.batches`` grows by less
-   than the request count) and every response is bit-identical to the
-   locally computed vectorized result.
+3. **Served == local**: every response of a burst of concurrent simulate
+   requests for the same (trace, geometry) is bit-identical to the locally
+   computed vectorized result (total, per-DBC shifts and worst access).
 4. **Async jobs**: ``wait=false`` returns 202 + job id; polling reaches
    ``done`` with the same result payload.
 5. **Clean shutdown**: ``/v1/shutdown`` exits the process with rc 0 and
@@ -154,7 +153,7 @@ def main() -> int:
             warm["result"]["details"].get("cache") == "hit",
         )
 
-        # -- 3. concurrent simulate burst coalesces, bit-identical ------
+        # -- 3. concurrent simulate burst, bit-identical ----------------
         from repro.dwm.config import DWMConfig
         from repro.memory.batch_sim import simulate_vectorized
         from repro.trace.model import AccessTrace
@@ -176,7 +175,6 @@ def main() -> int:
                 {k: tuple(v) for k, v in placement_payload.items()}
             ),
         )
-        batches_before = counter(client.metrics(), "serve.batches")
         with concurrent.futures.ThreadPoolExecutor(SIM_BURST) as pool:
             futures = [
                 pool.submit(
@@ -185,19 +183,16 @@ def main() -> int:
                 for _ in range(SIM_BURST)
             ]
             responses = [f.result() for f in futures]
-        batches_after = counter(client.metrics(), "serve.batches")
         gate(
             "simulate-bit-identical",
-            all(r["shifts"] == expected.shifts for r in responses),
-            f"shifts={expected.shifts}",
-        )
-        fresh = [r for r in responses if r["details"].get("cache") != "hit"]
-        gate(
-            "simulate-coalesced",
-            0 < batches_after - batches_before < SIM_BURST
-            or len(fresh) <= 1,
-            f"batches +{batches_after - batches_before:g} "
-            f"for {len(fresh)} uncached of {SIM_BURST}",
+            all(
+                r["shifts"] == expected.shifts
+                and r["per_dbc_shifts"] == list(expected.per_dbc_shifts)
+                and r["max_access_shifts"] == expected.max_access_shifts
+                for r in responses
+            ),
+            f"shifts={expected.shifts} "
+            f"max_access_shifts={expected.max_access_shifts}",
         )
 
         # -- 4. async job path ------------------------------------------

@@ -79,7 +79,7 @@ def wear_report(
 
     config = problem.config
     resolved = problem.resolved
-    result = simulate_vectorized(problem.trace, config, placement, resolved=resolved)
+    result = simulate_vectorized(problem.trace, config, placement)
     dbc_of, _offset_of = slot_arrays(resolved.items, placement)
     writes = np.bincount(
         dbc_of[resolved.item_at[resolved.is_write]], minlength=config.num_dbcs

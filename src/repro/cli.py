@@ -780,7 +780,6 @@ def cmd_serve(args) -> int:
         rate=args.rate,
         burst=args.burst,
         max_queue=args.max_queue,
-        max_batch=args.max_batch,
         spool_dir=args.spool_dir,
         log_path=args.log,
     )
@@ -1052,9 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="admitted-but-unfinished request bound; beyond "
                             "it requests shed with typed 503s (default: 64)")
-    serve.add_argument("--max-batch", type=int, default=64, metavar="N",
-                       help="flush a batch immediately at this size "
-                            "(default: 64)")
     serve.add_argument("--spool-dir", default=None, metavar="DIR",
                        help="directory for uploaded .rtb traces "
                             "(default: a temp dir, removed on shutdown)")

@@ -18,8 +18,9 @@ Also provided:
   trace cost for a single DBC with a single port under the lazy policy
   (up to the first access's port approach).  This is the objective the exact
   DP optimizes.
-* :func:`shift_lower_bound` — a cheap instance-wide lower bound used by the
-  branch-and-bound exact search.
+* :func:`shift_lower_bound` — a cheap instance-wide lower bound on any
+  placement's cost, checked by the ``bounds`` oracle of
+  :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
@@ -155,9 +156,8 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
       head can leave u under one port with v under another), so the only
       sound cheap bound is 0.
 
-    Used by the exhaustive search as an optimality early-exit; see
-    :func:`single_dbc_lower_bound` for the per-order bound branch-and-bound
-    uses inside one DBC.
+    The ``bounds`` oracle of :mod:`repro.verify.oracles` checks it against
+    evaluated costs and, on tiny instances, against the exact optimum.
     """
     config = problem.config
     n = problem.num_items
@@ -188,22 +188,3 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
         return 0
     weights = sorted(problem.affinity.values())
     return sum(weights[: forced_pairs - zero_pairs])
-
-
-def single_dbc_lower_bound(
-    remaining: Sequence[str],
-    affinity: dict[tuple[str, str], int],
-) -> int:
-    """Lower bound on the MinLA cost of any order of ``remaining`` items.
-
-    Every affinity edge between distinct items contributes at least
-    ``weight * 1`` (adjacent positions); summing edge weights therefore lower
-    bounds the arrangement cost.  Cheap and admissible — used to prune the
-    exact search.
-    """
-    members = set(remaining)
-    total = 0
-    for (left, right), weight in affinity.items():
-        if left in members and right in members and left != right:
-            total += weight
-    return total

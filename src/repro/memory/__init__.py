@@ -1,11 +1,6 @@
 """Memory subsystem: DWM scratchpad simulator and SRAM comparator."""
 
-from repro.memory.batch_sim import (
-    BatchSimulator,
-    ResolvedTrace,
-    batch_simulate,
-    simulate_vectorized,
-)
+from repro.memory.batch_sim import ResolvedTrace, simulate_vectorized
 from repro.memory.cache import (
     CacheGeometry,
     CacheResult,
@@ -36,7 +31,6 @@ from repro.memory.timing import (
 )
 
 __all__ = [
-    "BatchSimulator",
     "ChunkState",
     "finalize_state",
     "merge_states",
@@ -57,7 +51,6 @@ __all__ = [
     "system_comparison",
     "TimingResult",
     "TimingSimulator",
-    "batch_simulate",
     "overlap_benefit",
     "simulate_placement",
     "simulate_vectorized",

@@ -9,8 +9,8 @@ computes the identical result with numpy:
 1. **Resolve once** (:class:`ResolvedTrace`): the trace is lowered to dense
    arrays — item index and read/write flag per access.  This is the only
    O(accesses) Python loop, and it is independent of config and placement,
-   so it amortizes across every (config, placement) pair simulated against
-   the same trace.
+   so :func:`resolve_trace` builds it once per trace object and caches it
+   on the trace, where every later run of that trace finds it.
 2. **Scan per run**: for a given placement, eager costs are stateless —
    a rest-distance table gathered at each access's offset.  Lazy costs
    come from one call to the active kernel tier's interleaved scan
@@ -24,9 +24,9 @@ Both paths are integer-exact, so totals, per-DBC totals and
 (differential-tested in ``tests/test_batch_sim.py``).
 
 Entry points: :func:`simulate_vectorized` for one run,
-:class:`BatchSimulator` / :func:`batch_simulate` to amortize trace
-resolution across many runs, and ``ScratchpadMemory.simulate`` (whose
-``"auto"`` engine is this one for every in-memory trace).  The optimizers'
+:func:`per_access_costs` for the per-access cost stream, and
+``ScratchpadMemory.simulate`` (whose ``"auto"`` engine is this one for
+every in-memory trace).  The optimizers'
 candidate scoring (:func:`repro.core.cost.evaluate_placements_fast`) runs
 the same scan on totals only.  The scalar walk is the reference these
 paths are tested against, not a fast path for short traces.
@@ -38,7 +38,7 @@ import threading
 import time
 import weakref
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 from repro.core import kernels
 # Not called here: ``perfbench/spans.py`` wraps these names in this module.
@@ -56,9 +56,10 @@ class ResolvedTrace:
     """A trace lowered to dense numpy arrays, reusable across runs.
 
     Resolution is config- and placement-independent: it only fixes the
-    item-index and read/write flag of every access.  Build it once (or let
-    :class:`BatchSimulator` do it) and every subsequent simulation of the
-    same trace skips the per-access Python loop entirely.
+    item-index and read/write flag of every access.  Obtain it through
+    :func:`resolve_trace`, which builds it once per trace object and caches
+    it there, so every later simulation of the same trace skips the
+    per-access Python loop entirely.
     """
 
     def __init__(self, trace: AccessTrace) -> None:
@@ -170,21 +171,26 @@ def resolve_trace(trace: AccessTrace) -> ResolvedTrace:
     """The canonical :class:`ResolvedTrace` of ``trace``.
 
     Resolves at most once per trace object: the result is cached on the
-    trace (see :func:`seed_resolved`), so repeated sweep cells over the
-    same trace skip the per-access Python loop entirely.  Thread-safe:
-    two concurrent callers racing on an unresolved trace still produce
-    (and share) a single resolution.
+    trace (see :func:`seed_resolved`), so repeated sweep cells, placements
+    and requests over the same trace skip the per-access Python loop
+    entirely.  Thread-safe: two concurrent callers racing on an unresolved
+    trace still produce (and share) a single resolution.
     """
+    return _resolve(trace)[0]
+
+
+def _resolve(trace: AccessTrace) -> tuple[ResolvedTrace, bool]:
+    """:func:`resolve_trace`, and whether this call built the resolution."""
     cached = getattr(trace, "_resolved", None)
     if cached is not None:
-        return cached
+        return cached, False
     with _RESOLVE_LOCK:
         cached = getattr(trace, "_resolved", None)
         if cached is not None:
-            return cached
+            return cached, False
         resolved = ResolvedTrace(trace)
         trace._resolved = resolved
-        return resolved
+        return resolved, True
 
 
 def slot_arrays(items: Sequence[str], placement: Placement):
@@ -244,7 +250,6 @@ def per_access_costs(
     config: DWMConfig,
     placement: Placement,
     *,
-    resolved: ResolvedTrace | None = None,
     validate: bool = True,
 ):
     """Per-access ``(dbc, shift-cost)`` streams in trace order.
@@ -258,8 +263,7 @@ def per_access_costs(
     """
     import numpy as np
 
-    if resolved is None or resolved.trace is not trace:
-        resolved = resolve_trace(trace)
+    resolved = resolve_trace(trace)
     if validate:
         placement.validate(config, resolved.items)
     dbc_of, offset_of = slot_arrays(resolved.items, placement)
@@ -279,25 +283,21 @@ def simulate_vectorized(
     config: DWMConfig,
     placement: Placement,
     *,
-    resolved: ResolvedTrace | None = None,
     validate: bool = True,
 ) -> SimulationResult:
     """Run ``trace`` through the vectorized engine.
 
     Bit-identical to ``ScratchpadMemory.simulate(engine="scalar")``; see the
-    module docstring.  Pass a prebuilt ``resolved`` (for the same trace) to
-    skip trace resolution; ``validate=False`` skips placement validation
-    when the caller has already checked coverage.
+    module docstring.  The trace's cached resolution is reused when it
+    exists; ``validate=False`` skips placement validation when the caller
+    has already checked coverage.
 
-    ``details`` carries the perf counters ``resolve_seconds`` (0.0 when a
-    prebuilt resolution was reused — the marginal cost of this call) and
-    ``scan_seconds``.
+    ``details`` carries the perf counters ``resolve_seconds`` (the build
+    time of the resolution when this call built it, else 0.0 — the
+    marginal cost of this call) and ``scan_seconds``.
     """
-    if resolved is None or resolved.trace is not trace:
-        resolved = resolve_trace(trace)
-        resolve_seconds = resolved.resolve_seconds
-    else:
-        resolve_seconds = 0.0
+    resolved, built = _resolve(trace)
+    resolve_seconds = resolved.resolve_seconds if built else 0.0
     if validate:
         placement.validate(config, resolved.items)
     start = time.perf_counter()
@@ -319,65 +319,3 @@ def simulate_vectorized(
             "scan_seconds": scan_seconds,
         },
     )
-
-
-class BatchSimulator:
-    """Simulate one trace against many (config, placement) pairs.
-
-    Resolves the trace once at construction; each :meth:`simulate` call
-    then costs only the vectorized scan.  This is the right tool for
-    sweeps, design-space exploration, and optimizer loops that re-simulate
-    the same trace under many candidate placements or geometries.
-    """
-
-    def __init__(self, trace: AccessTrace) -> None:
-        self.trace = trace
-        self.resolved = resolve_trace(trace)
-        self._resolve_reported = False
-
-    def access_costs(
-        self,
-        config: DWMConfig,
-        placement: Placement,
-        *,
-        validate: bool = True,
-    ):
-        """Per-access (dbc, cost) streams, reusing the cached resolution."""
-        return per_access_costs(
-            self.trace,
-            config,
-            placement,
-            resolved=self.resolved,
-            validate=validate,
-        )
-
-    def simulate(
-        self,
-        config: DWMConfig,
-        placement: Placement,
-        *,
-        validate: bool = True,
-    ) -> SimulationResult:
-        """Vectorized run of the resolved trace on one (config, placement)."""
-        result = simulate_vectorized(
-            self.trace,
-            config,
-            placement,
-            resolved=self.resolved,
-            validate=validate,
-        )
-        if not self._resolve_reported:
-            # Attribute the one-off resolution cost to the first run so the
-            # resolve-vs-scan split stays observable through the batch API.
-            result.details["resolve_seconds"] = self.resolved.resolve_seconds
-            self._resolve_reported = True
-        return result
-
-
-def batch_simulate(
-    trace: AccessTrace,
-    runs: Iterable[tuple[DWMConfig, Placement]] | Sequence[tuple[DWMConfig, Placement]],
-) -> list[SimulationResult]:
-    """Simulate ``trace`` under each (config, placement) pair, in order."""
-    simulator = BatchSimulator(trace)
-    return [simulator.simulate(config, placement) for config, placement in runs]

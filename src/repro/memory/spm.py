@@ -14,9 +14,10 @@ same cost semantics:
   values (writes store a value, reads return the last value written).  Used
   by differential tests; identical shift counts by construction.
 
-Per-trace work (placement validation, slot resolution, vectorized trace
-resolution) is cached on the instance keyed by trace identity, so reusing
-one SPM to replay the same trace many times pays those costs once.
+Per-trace work (placement validation, slot resolution) is cached on the
+instance keyed by trace identity, and the vectorized trace resolution on
+the trace itself, so replaying the same trace many times pays those costs
+once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.placement import Placement
 from repro.dwm.array import DWMArray, DWMArrayModel
 from repro.dwm.config import DWMConfig
 from repro.errors import SimulationError
-from repro.memory.batch_sim import BatchSimulator
+from repro.memory.batch_sim import per_access_costs, simulate_vectorized
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry, trace_span
 from repro.trace.model import AccessTrace
@@ -40,8 +41,6 @@ class ScratchpadMemory:
         self._validated_trace: AccessTrace | None = None
         self._slots_trace: AccessTrace | None = None
         self._slots: dict[str, tuple[int, int]] | None = None
-        self._batch_trace: AccessTrace | None = None
-        self._batch = None
         #: Full report of the most recent fault-injected simulate() call
         #: (the details dict carries only the counters).
         self._last_fault_report = None
@@ -70,13 +69,6 @@ class ScratchpadMemory:
         self._slots_trace = trace
         self._slots = slots
         return slots
-
-    def _batch_for(self, trace: AccessTrace):
-        """Vectorized simulator with the trace resolved (identity-cached)."""
-        if self._batch_trace is not trace:
-            self._batch = BatchSimulator(trace)
-            self._batch_trace = trace
-        return self._batch
 
     def simulate(
         self,
@@ -183,13 +175,12 @@ class ScratchpadMemory:
             try:
                 with trace_span("simulate", engine="vectorized"):
                     self._ensure_validated(trace)
-                    batch = self._batch_for(trace)
-                    result = batch.simulate(
-                        self.config, self.placement, validate=False
+                    result = simulate_vectorized(
+                        trace, self.config, self.placement, validate=False
                     )
                     if fault_model is not None:
-                        dbc_seq, cost_seq = batch.access_costs(
-                            self.config, self.placement, validate=False
+                        dbc_seq, cost_seq = per_access_costs(
+                            trace, self.config, self.placement, validate=False
                         )
                         result.details["faults"] = self._inject_faults(
                             trace, fault_model, dbc_seq, cost_seq

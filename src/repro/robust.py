@@ -71,10 +71,6 @@ DEGRADATION_CHAINS: dict[str, tuple[str, ...]] = {
     "cache": ("entry", "quarantine+recompute"),
     # Binary traces (repro.fsck)
     "trace": ("full", "salvaged-prefix"),
-    # Service request coalescing (repro.serve.batching): a recoverable
-    # batched-pass failure retries per-request; admission shedding
-    # (typed 429/503) is the terminal level, never an unbounded queue.
-    "serve": ("batched", "single", "shed"),
 }
 
 #: Cap on the in-process event log (counters in obs are unbounded).

@@ -1,4 +1,4 @@
-"""Placement-as-a-service: the async batching front door (``repro.serve``).
+"""Placement-as-a-service: the async HTTP front door (``repro.serve``).
 
 The layers below this package — vectorized :mod:`repro.memory.batch_sim`,
 the content-keyed :class:`~repro.analysis.cache.ResultCache`, persistent
@@ -8,11 +8,10 @@ placement/simulation traffic.  This package is the front door:
 
 * :mod:`repro.serve.server` — a long-running :mod:`asyncio` HTTP+JSON
   service exposing trace-upload, optimize, simulate and job-status
-  endpoints;
+  endpoints; each cold simulate is one scan over the trace's cached
+  resolution (:func:`repro.memory.batch_sim.resolve_trace`);
 * :mod:`repro.serve.admission` — token-bucket + bounded-queue admission
   control with typed 429/503 rejections;
-* :mod:`repro.serve.batching` — a micro-batching scheduler coalescing
-  compatible simulate requests into single vectorized passes;
 * :mod:`repro.serve.client` — the blocking stdlib client used by tests,
   the CI smoke/load gates, and example drivers;
 * :mod:`repro.serve.protocol` — the wire schema shared by all of the

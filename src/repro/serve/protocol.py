@@ -122,16 +122,6 @@ def raise_for_payload(status: int, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def config_to_payload(config: DWMConfig) -> dict:
-    """JSON form of a geometry (uniform-port description)."""
-    return {
-        "words_per_dbc": config.words_per_dbc,
-        "num_dbcs": config.num_dbcs,
-        "num_ports": len(config.port_offsets),
-        "policy": config.port_policy.value,
-    }
-
-
 def config_from_payload(
     payload: dict | None,
     *,
@@ -172,7 +162,7 @@ def config_from_payload(
 
 
 def config_key(config: DWMConfig) -> str:
-    """Canonical batching/caching key of a geometry (covers port layout)."""
+    """Canonical caching key of a geometry (covers port layout)."""
     return json.dumps(
         {
             "words_per_dbc": config.words_per_dbc,

@@ -6,17 +6,16 @@ One process, one event loop, three tiers:
   ``asyncio.start_server`` (stdlib only, keep-alive, bounded bodies).
   Endpoints: trace upload (JSONL payload or binary ``.rtb``), optimize,
   simulate, job status, health, metrics, shutdown; see ``docs/SERVING.md``.
-* **Admission + coalescing** — every compute request passes the
+* **Admission + cache front** — every compute request passes the
   token-bucket/bounded-queue :class:`~repro.serve.admission.AdmissionController`
   (typed 429/503 rejections, never queueing beyond the bound), then the
-  content-keyed :class:`~repro.analysis.cache.ResultCache` is consulted so
-  warm traffic is answered without touching a worker, and cold simulate
-  requests are coalesced by the :class:`~repro.serve.batching.MicroBatcher`
-  into single vectorized passes.  Batching is continuous: a request whose
-  (trace, geometry) has no pass running starts one on the next loop turn,
-  and requests that arrive during a pass ride the next one together.
-* **Compute** — cold work runs in a small thread executor; optimize jobs
-  are dispatched from there to the persistent
+  content-keyed :class:`~repro.analysis.cache.ResultCache` is consulted on
+  the event loop so warm traffic is answered without touching a thread or
+  a worker.
+* **Compute** — cold work runs in a small thread executor: each cold
+  simulate is one executor call that scans its placement over the trace's
+  cached resolution; optimize jobs are dispatched from there to the
+  persistent
   :class:`~repro.analysis.pool.WorkerPool` (``pool_workers > 0``), falling
   back to in-process execution along the ``map`` degradation chain when
   the pool is unreachable.  The staged
@@ -50,14 +49,12 @@ from repro.errors import ReproError
 from repro.obs import get_registry
 from repro.robust import record_degradation
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import MicroBatcher
 from repro.serve.protocol import (
     BadRequest,
     NotFound,
     Overloaded,
     ServeError,
     config_from_payload,
-    config_key,
     error_payload,
     placement_from_payload,
     result_to_payload,
@@ -80,6 +77,9 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Longest request or header line accepted, in bytes (longer: typed 400).
+_MAX_LINE_BYTES = 16 * 1024
 
 #: Compute endpoints these latency histograms are kept for.
 _TRACKED_ENDPOINTS = (
@@ -106,8 +106,6 @@ class ServerSettings:
     burst: float | None = None
     #: Bound on admitted-but-unfinished compute requests (the 503 gate).
     max_queue: int = 64
-    #: Simulate micro-batch size that flushes at once.
-    max_batch: int = 64
     #: Uploaded-trace registry bound (typed 503 beyond it).
     max_traces: int = 1024
     #: Completed-job history bound (oldest finished jobs evicted).
@@ -227,10 +225,9 @@ class PlacementServer:
             burst=self.settings.burst,
             max_queue=self.settings.max_queue,
         )
-        self._batcher: MicroBatcher | None = None
-        # Two threads: one drains compute, one keeps cache lookups and
-        # shutdown bookkeeping off the hot path.  Heavy parallelism lives
-        # in the worker pool, not here.
+        # Two threads run cold simulates, optimize jobs and .rtb ingest, so
+        # one long pass does not hold up the next request.  Heavy
+        # parallelism lives in the worker pool, not here.
         self._executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-serve"
         )
@@ -256,9 +253,6 @@ class PlacementServer:
         """Bind the listening socket and initialise the service tiers."""
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
-        self._batcher = MicroBatcher(
-            self._run_simulate_batch, max_batch=self.settings.max_batch
-        )
         if self.settings.log_path:
             self._log_handle = open(
                 self.settings.log_path, "a", encoding="utf-8"
@@ -329,13 +323,11 @@ class PlacementServer:
         return self._stopped.wait(timeout)
 
     async def aclose(self) -> None:
-        """Graceful close: drain admission, flush batches, shed the queue."""
+        """Graceful close: drain admission, finish admitted work, shed the queue."""
         self._closing = True
         self.admission.drain()
         if self._server is not None:
             self._server.close()
-        if self._batcher is not None:
-            await self._batcher.close()
         # Give in-flight admitted work a bounded grace period, then force
         # the lingering connections shut so close cannot hang on an idle
         # keep-alive peer.
@@ -364,7 +356,7 @@ class PlacementServer:
 
         Mirrors the CLI interrupt handler (pool shutdown + shm unlink) so
         ``repro serve`` keeps the no-orphans/no-leaks guarantee even when
-        SIGTERM lands mid-batch; the CLI handler re-runs the same calls
+        SIGTERM lands mid-request; the CLI handler re-runs the same calls
         harmlessly afterwards.
         """
         if self._torn_down:
@@ -397,8 +389,19 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        """One request or header line, at most :data:`_MAX_LINE_BYTES`."""
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the stream's own buffer limit
+            raise BadRequest("oversized request headers") from None
+        if len(line) > _MAX_LINE_BYTES:
+            raise BadRequest("oversized request headers")
+        return line
+
     async def _read_request(self, reader) -> _Request | None:
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -407,12 +410,12 @@ class PlacementServer:
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n"):
                 break
             if not raw:
                 return None
-            if len(headers) > 64 or len(raw) > 16 * 1024:
+            if len(headers) > 64:
                 raise BadRequest("oversized request headers")
             name, sep, value = raw.decode("latin-1").partition(":")
             if sep:
@@ -847,8 +850,8 @@ class PlacementServer:
             body.get("config"), num_items=record.num_items
         )
         placement = placement_from_payload(placement_payload)
-        # Validate on the event loop so a bad rider gets its typed 400
-        # before joining (and poisoning) a batch.
+        # Validate on the event loop so a bad placement gets its typed 400
+        # before it takes an admission slot or an executor thread.
         placement.validate(config, record.trace.items)
         registry = get_registry()
         ticket = self.admission.admit("simulate")
@@ -864,66 +867,37 @@ class PlacementServer:
                     details = dict(payload.get("details") or {})
                     details["cache"] = "hit"
                     payload["details"] = details
-                    payload["batched"] = 0
                     return 200, payload
             registry.inc("serve.cache.misses", endpoint="simulate")
-            batch_key = f"{record.trace_id}|{config_key(config)}"
-            assert self._batcher is not None
-            result, batch_size = await self._batcher.submit(
-                batch_key, (record, config, placement, key)
+            payload = await asyncio.get_running_loop().run_in_executor(
+                self._executor,
+                self._simulate_sync,
+                record,
+                config,
+                placement,
+                key,
             )
-            payload = sim_result_to_payload(result)
-            payload["batched"] = batch_size
             return 200, payload
         finally:
             ticket.release()
 
-    async def _run_simulate_batch(self, key: str, payloads) -> list:
-        loop = asyncio.get_running_loop()
-        results = await loop.run_in_executor(
-            self._executor, self._simulate_batch_sync, list(payloads)
-        )
-        return results
-
-    def _simulate_batch_sync(self, payloads) -> list:
-        """One coalesced pass: shared resolution, one scan per placement."""
-        record, config = payloads[0][0], payloads[0][1]
+    def _simulate_sync(self, record, config, placement, cache_key) -> dict:
+        """One cold simulate: a scan over the trace's cached resolution
+        (or a streaming pass over a ``.rtb``), stored in the cache."""
         trace = record.trace
-        batch_size = len(payloads)
-        outputs = []
         if isinstance(trace, AccessTrace):
-            from repro.memory.batch_sim import resolve_trace, simulate_vectorized
+            from repro.memory.batch_sim import simulate_vectorized
 
-            resolved = resolve_trace(trace)
-            for _, _, placement, cache_key in payloads:
-                result = simulate_vectorized(
-                    trace,
-                    config,
-                    placement,
-                    resolved=resolved,
-                    validate=False,
-                )
-                self._store_sim(cache_key, result)
-                outputs.append((result, batch_size))
+            result = simulate_vectorized(trace, config, placement, validate=False)
         else:
             from repro.memory.stream_sim import simulate_streaming
 
-            for _, _, placement, cache_key in payloads:
-                result = simulate_streaming(
-                    trace, config, placement, validate=False
-                )
-                self._store_sim(cache_key, result)
-                outputs.append((result, batch_size))
-        return outputs
-
-    def _store_sim(self, cache_key: str, result) -> None:
-        if self.cache is None:
-            return
-        self.cache.put(
-            cache_key,
-            {"schema": 1, "sim": sim_result_to_payload(result)},
-        )
-        get_registry().inc("serve.cache.stores", endpoint="simulate")
+            result = simulate_streaming(trace, config, placement, validate=False)
+        payload = sim_result_to_payload(result)
+        if self.cache is not None:
+            self.cache.put(cache_key, {"schema": 1, "sim": payload})
+            get_registry().inc("serve.cache.stores", endpoint="simulate")
+        return payload
 
 
 def announce_payload(server: PlacementServer) -> dict:

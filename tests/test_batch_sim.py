@@ -22,10 +22,9 @@ from repro.core.cost import evaluate_placement
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig
 from repro.errors import PlacementError, SimulationError
+from repro.memory import spm as spm_module
 from repro.memory.batch_sim import (
-    BatchSimulator,
     ResolvedTrace,
-    batch_simulate,
     resolve_trace,
     simulate_vectorized,
     slot_arrays,
@@ -125,39 +124,27 @@ class TestDifferential:
 
 
 class TestBatchAPI:
-    def test_batch_simulator_matches_one_shot(self):
-        trace = markov_trace(24, 1200, seed=9)
-        simulator = BatchSimulator(trace)
-        for num_ports in (1, 2):
-            config = _config_for(trace, 8, num_ports, "lazy")
-            placement = random_placement(build_problem(trace, config), seed=1)
-            batch_result = simulator.simulate(config, placement)
-            one_shot = simulate_vectorized(trace, config, placement)
-            assert batch_result.shifts == one_shot.shifts
-            assert batch_result.per_dbc_shifts == one_shot.per_dbc_shifts
-
-    def test_batch_simulate_preserves_run_order(self):
-        trace = markov_trace(20, 600, seed=4)
-        runs = []
-        for words_per_dbc in (8, 16):
-            config = _config_for(trace, words_per_dbc, 1, "lazy")
-            placement = random_placement(build_problem(trace, config), seed=0)
-            runs.append((config, placement))
-        results = batch_simulate(trace, runs)
-        assert [r.config_description for r in results] == [
-            config.describe() for config, _ in runs
-        ]
-
     def test_resolution_amortized(self):
-        """The batch API reports resolve cost once, then zero."""
-        trace = markov_trace(16, 500, seed=6)
-        config = _config_for(trace, 8, 1, "lazy")
-        placement = random_placement(build_problem(trace, config), seed=0)
-        simulator = BatchSimulator(trace)
-        first = simulator.simulate(config, placement)
-        second = simulator.simulate(config, placement)
-        assert first.details["resolve_seconds"] >= 0.0
+        """Only the call that builds the trace's resolution reports its cost."""
+        resolved_elsewhere = markov_trace(16, 500, seed=6)
+        resolve_trace(resolved_elsewhere)
+        config = _config_for(resolved_elsewhere, 8, 1, "lazy")
+        placement = random_placement(
+            build_problem(resolved_elsewhere, config), seed=0
+        )
+        trace = markov_trace(16, 500, seed=6)  # same accesses, unresolved
+        first = simulate_vectorized(trace, config, placement)
+        second = simulate_vectorized(trace, config, placement)
+        assert first.details["resolve_seconds"] > 0.0
+        assert (
+            first.details["resolve_seconds"]
+            == resolve_trace(trace).resolve_seconds
+        )
         assert second.details["resolve_seconds"] == 0.0
+        # A resolution another caller built is not this call's cost either.
+        reused = simulate_vectorized(resolved_elsewhere, config, placement)
+        assert reused.details["resolve_seconds"] == 0.0
+        assert reused.shifts == second.shifts == first.shifts
 
     def test_resolved_trace_counts(self):
         trace = markov_trace(10, 300, write_fraction=0.4, seed=8)
@@ -254,7 +241,7 @@ class TestEngineSelection:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("no room for the scan")
 
-        monkeypatch.setattr(BatchSimulator, "simulate", out_of_memory)
+        monkeypatch.setattr(spm_module, "simulate_vectorized", out_of_memory)
         robust.reset_degradations()
         try:
             with pytest.warns(RuntimeWarning, match="vectorized -> scalar"):
@@ -276,7 +263,7 @@ class TestEngineSelection:
         def inconsistent(*args, **kwargs):
             raise SimulationError("scan disagrees with itself")
 
-        monkeypatch.setattr(BatchSimulator, "simulate", inconsistent)
+        monkeypatch.setattr(spm_module, "simulate_vectorized", inconsistent)
         spm = ScratchpadMemory(small_config, placement)
         with pytest.raises(SimulationError, match="disagrees"):
             spm.simulate(tiny_trace)

@@ -7,7 +7,6 @@ from repro.core.cost import (
     evaluate_placement,
     linear_arrangement_cost,
     per_dbc_costs,
-    single_dbc_lower_bound,
 )
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem, PlacementResult
@@ -223,20 +222,6 @@ class TestLinearArrangementCost:
             evaluate_placement(problem, placement)
             == linear_arrangement_cost(order, affinity) + initial
         )
-
-
-class TestLowerBound:
-    def test_counts_internal_edges(self):
-        affinity = {("a", "b"): 3, ("b", "c"): 2, ("c", "d"): 9}
-        assert single_dbc_lower_bound(["a", "b", "c"], affinity) == 5
-
-    def test_bound_is_admissible(self, locality_problem):
-        from repro.core.exact import minla_optimal_cost
-
-        items = list(locality_problem.items)[:8]
-        affinity = locality_problem.affinity
-        bound = single_dbc_lower_bound(items, affinity)
-        assert bound <= minla_optimal_cost(items, affinity)
 
 
 class TestPlacementResult:

@@ -110,7 +110,6 @@ class TestAccounting:
     def test_chains_cover_every_documented_domain(self):
         assert set(robust.DEGRADATION_CHAINS) == {
             "engine", "stream", "kernel", "ilp", "map", "cache", "trace",
-            "serve",
         }
         for chain in robust.DEGRADATION_CHAINS.values():
             assert len(chain) >= 2

@@ -200,55 +200,35 @@ class TestCacheFront:
             )
 
 
-class TestBatching:
-    def test_concurrent_simulates_coalesce_and_match_local(self, registry):
-        accesses = make_accesses(seed=13, items=16, length=800)
-        local_trace = AccessTrace(accesses, name="batch")
-        config = DWMConfig.for_items(local_trace.num_items, words_per_dbc=8)
-        items = list(local_trace.items)
-        words = config.words_per_dbc
-
-        def rotated_placement(shift: int) -> dict:
-            order = items[shift:] + items[:shift]
-            return {
+def rotated_placements(trace: AccessTrace, words: int, count: int) -> list:
+    """``count`` distinct placement payloads of ``trace``'s items."""
+    items = list(trace.items)
+    payloads = []
+    for shift in range(count):
+        order = items[shift:] + items[:shift]
+        payloads.append(
+            {
                 item: [index // words, index % words]
                 for index, item in enumerate(order)
             }
+        )
+    return payloads
 
-        payloads = [rotated_placement(i) for i in range(6)]
-        release = threading.Event()
-        with running_server() as (server, client):
-            run_pass = server._simulate_batch_sync
 
-            def held_pass(riders):
-                # The first pass waits until every rider has joined the
-                # batcher, so the rest must queue behind it as one group.
-                assert release.wait(timeout=30.0)
-                return run_pass(riders)
-
-            server._simulate_batch_sync = held_pass
-            uploaded = client.upload_trace("batch", accesses)
-            trace_id = uploaded["trace_id"]
+class TestSimulate:
+    def test_concurrent_simulates_match_local(self):
+        accesses = make_accesses(seed=13, items=16, length=800)
+        local_trace = AccessTrace(accesses, name="batch")
+        config = DWMConfig.for_items(local_trace.num_items, words_per_dbc=8)
+        payloads = rotated_placements(local_trace, config.words_per_dbc, 6)
+        with running_server() as (_, client):
+            trace_id = client.upload_trace("batch", accesses)["trace_id"]
             with concurrent.futures.ThreadPoolExecutor(6) as pool:
                 futures = [
                     pool.submit(client.simulate, trace_id, p, config=CONFIG)
                     for p in payloads
                 ]
-                deadline = time.monotonic() + 30.0
-                while (
-                    registry.counter_value(
-                        "serve.cache.misses", endpoint="simulate"
-                    )
-                    < len(payloads)
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
-                release.set()
                 responses = [future.result() for future in futures]
-        # The riders parsed with the first one share its pass; every
-        # other rider queued behind it as one group.
-        batches = registry.counter_value("serve.batches")
-        assert 1 <= batches <= 2
         from repro.core.placement import Placement
 
         for payload, response in zip(payloads, responses):
@@ -259,7 +239,82 @@ class TestBatching:
             )
             assert response["shifts"] == expected.shifts
             assert response["per_dbc_shifts"] == list(expected.per_dbc_shifts)
-            assert response["batched"] >= 1
+            assert response["max_access_shifts"] == expected.max_access_shifts
+
+    def test_held_simulate_does_not_block_the_next(self):
+        """A second simulate of the same trace and geometry completes while
+        the first one's scan is still held in the executor."""
+        accesses = make_accesses(seed=17, items=16, length=800)
+        trace = AccessTrace(accesses, name="held")
+        first, second = rotated_placements(trace, CONFIG["words_per_dbc"], 2)
+        entered = threading.Event()
+        release = threading.Event()
+        with running_server() as (server, client):
+            run_simulate = server._simulate_sync
+
+            def held(*args):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=30.0)
+                return run_simulate(*args)
+
+            server._simulate_sync = held
+            trace_id = client.upload_trace("held", accesses)["trace_id"]
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                held_future = pool.submit(
+                    client.simulate, trace_id, first, config=CONFIG
+                )
+                try:
+                    assert entered.wait(timeout=30.0)
+                    free_future = pool.submit(
+                        client.simulate, trace_id, second, config=CONFIG
+                    )
+                    response = free_future.result(timeout=20.0)
+                    assert not held_future.done()
+                finally:
+                    release.set()
+                held_response = held_future.result(timeout=30.0)
+        assert response["trace_name"] == held_response["trace_name"] == "held"
+        assert "batched" not in response
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw request bytes on one connection; read until the peer closes."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=15.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestFraming:
+    def assert_typed_400(self, response: bytes) -> None:
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == {
+            "code": "bad_request",
+            "message": "oversized request headers",
+        }
+
+    @pytest.mark.parametrize("kib", [20, 100])
+    def test_long_request_line_is_typed_400(self, kib):
+        target = "/healthz?" + "a" * (kib * 1024)
+        request = f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        with running_server() as (server, client):
+            self.assert_typed_400(raw_exchange(server.port, request))
+            assert client.health()["status"] == "ok"
+
+    def test_header_line_past_the_stream_limit_is_typed_400(self):
+        big = "a" * (100 * 1024)
+        request = f"GET /healthz HTTP/1.1\r\nX-Big: {big}\r\n\r\n".encode()
+        with running_server() as (server, client):
+            self.assert_typed_400(raw_exchange(server.port, request))
+            assert client.health()["status"] == "ok"
 
 
 class TestAdmissionOverHttp:
