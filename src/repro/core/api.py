@@ -60,11 +60,7 @@ from repro.core.heuristic import (
     ordering_only_placement,
 )
 from repro.core.shiftsreduce import shiftsreduce_placement
-from repro.core.local_search import (
-    simulated_annealing,
-    swap_refinement,
-    two_opt_refinement,
-)
+from repro.core.local_search import simulated_annealing, two_opt_then_swap
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem, PlacementResult
 from repro.core.spectral import spectral_placement
@@ -97,15 +93,9 @@ def _exact_dispatch(problem: PlacementProblem, **kwargs) -> Placement:
 
 
 def _heuristic_with_ls(problem: PlacementProblem, **kwargs) -> Placement:
-    placement = heuristic_placement(problem)
-    placement = two_opt_refinement(
+    return two_opt_then_swap(
         problem,
-        placement,
-        max_evaluations=kwargs.get("max_evaluations", 5000),
-    )
-    return swap_refinement(
-        problem,
-        placement,
+        heuristic_placement(problem),
         max_evaluations=kwargs.get("max_evaluations", 5000),
     )
 

@@ -18,14 +18,14 @@ O(T_affected) per move, exact for every port count and policy:
   membership with ``lazy_merge_cost`` over its cached positions, so the
   merged position array is built only when a move is committed.
 
-Local search prices candidates a row at a time: ``swap_deltas``,
-``move_deltas`` and ``reversal_deltas`` return one exact delta per
-candidate as an ``int64`` array, equal entry for entry to the single
-probes ``swap_delta`` / ``move_delta`` / ``reversal_delta``.  Lazy rows
-are one kernel call over the trace's per-item position index and a
-per-DBC position CSR (built on first use and dropped whenever the
-assignment changes); eager rows are numpy expressions over the per-offset
-distance table.
+Local search runs as refinement passes: ``swap_pass`` and
+``reversal_pass`` scan ``swap_refinement``'s / ``two_opt_refinement``'s
+candidates one probe at a time, applying each improving move before the
+next probe.  On the cc tier a pass is one compiled call over the trace's
+per-item position index and a per-DBC position CSR it lays out itself,
+after which the evaluator adopts the new assignment once; elsewhere it is
+the single-probe scan ``scan_swaps`` / ``scan_reversals`` over the probes
+below, which defines the trajectory both reproduce.
 
 The evaluator maintains the current assignment mutably with ``apply_*`` /
 ``undo`` (no :class:`Placement` dict rebuild per candidate) and materialises
@@ -140,11 +140,6 @@ class CostEvaluator:
         self._dbc_positions: dict[int, object] = {}
         self._undo: list = []
         self._probe: tuple | None = None
-        # Row-probe state of the current assignment, built on first use and
-        # dropped by ``_reassign``: the kernel layout (lazy) or the dense
-        # item-cost array (eager).
-        self._layout: kernels.RowLayout | None = None
-        self._eager_costs = None
         #: instrumentation: number of delta computations performed.
         self.delta_evaluations = 0
         #: instrumentation: number of applied (committed) moves.
@@ -247,27 +242,21 @@ class CostEvaluator:
                 new_item_costs[i] = cost
                 delta += cost - self._item_cost[i]
             return delta, new_item_costs
-        affected: set[int] = set()
-        for i, (dbc, _offset) in changes.items():
-            affected.add(self._dbc[i])
-            affected.add(dbc)
+        old_dbc = self._dbc
+        # Items that change DBC; a same-DBC move re-walks its DBC's chain.
+        cross = [i for i, (dbc, _offset) in changes.items() if dbc != old_dbc[i]]
+        affected = {old_dbc[i] for i in changes}
+        affected.update(changes[i][0] for i in cross)
         # Temporarily poke the hypothetical offsets into the gather array.
-        saved = [(i, int(self._offset_np[i])) for i in changes]
+        offset_np = self._offset_np
         for i, (_dbc, offset) in changes.items():
-            self._offset_np[i] = offset
-        new_costs: dict[int, tuple[int, frozenset | None]] = {}
+            offset_np[i] = offset
+        new_costs: dict[int, tuple[int, tuple | None]] = {}
         delta = 0
         try:
             for dbc in affected:
-                base = self._members.get(dbc, set())
-                outgoing = {
-                    i for i in changes
-                    if self._dbc[i] == dbc and changes[i][0] != dbc
-                }
-                incoming = {
-                    i for i in changes
-                    if changes[i][0] == dbc and self._dbc[i] != dbc
-                }
+                outgoing = [i for i in cross if old_dbc[i] == dbc]
+                incoming = [i for i in cross if changes[i][0] == dbc]
                 if outgoing or incoming:
                     # Walk (base \ outgoing) ∪ incoming without touching the
                     # cached positions; the merged array is only
@@ -277,24 +266,24 @@ class CostEvaluator:
                         self._resolved.positions_of(outgoing),
                         self._resolved.positions_of(incoming),
                         self._item_at,
-                        self._offset_np,
+                        offset_np,
                         self._ports_np,
                     )
-                    payload = frozenset((base - outgoing) | incoming)
+                    payload = (outgoing, incoming)
                 else:
                     cost = self._lazy_dbc_cost(self._positions_of_dbc(dbc))
                     payload = None
                 new_costs[dbc] = (cost, payload)
                 delta += cost - self._dbc_cost.get(dbc, 0)
         finally:
-            for i, offset in saved:
-                self._offset_np[i] = offset
+            offset = self._offset
+            for i in changes:
+                offset_np[i] = offset[i]
         return delta, new_costs
 
     def _probe_delta(self, changes: dict[int, tuple[int, int]]) -> int:
-        key = tuple(sorted(changes.items()))
         delta, info = self._compute(changes)
-        self._probe = (key, delta, info)
+        self._probe = (changes, delta, info)
         return delta
 
     def _changes_for_swap(self, item_a: str, item_b: str):
@@ -326,19 +315,24 @@ class CostEvaluator:
         return {i: target}
 
     def _changes_for_reversal(self, dbc: int, offsets: Sequence[int]):
-        contents = self.dbc_contents(dbc)
+        offset = self._offset
+        traced = {offset[i]: i for i in self._members.get(dbc, ())}
         changes: dict[int, tuple[int, int]] = {}
         for source, target in zip(offsets, reversed(list(offsets))):
-            if source not in contents:
+            i = traced.get(source)
+            if i is None:
+                untraced = [
+                    item for item, slot in self._extra.items()
+                    if slot == (dbc, source)
+                ]
+                if untraced:
+                    raise PlacementError(
+                        f"cannot reverse over untraced item {untraced[0]!r}"
+                    )
                 raise PlacementError(
                     f"offset {source} on DBC {dbc} holds no item"
                 )
-            item = contents[source]
-            if item in self._extra:
-                raise PlacementError(
-                    f"cannot reverse over untraced item {item!r}"
-                )
-            changes[self._index[item]] = (dbc, target)
+            changes[i] = (dbc, target)
         return changes
 
     # ------------------------------------------------------------------
@@ -361,135 +355,12 @@ class CostEvaluator:
         return self._probe_delta(self._changes_for_reversal(dbc, offsets))
 
     # ------------------------------------------------------------------
-    # Row probes (no state change)
-    # ------------------------------------------------------------------
-    def _row_layout(self) -> kernels.RowLayout:
-        """The kernel layout of the current assignment (built lazily)."""
-        layout = self._layout
-        if layout is None:
-            np = self._np
-            used = sorted(dbc for dbc, members in self._members.items() if members)
-            size = max([self._config.num_dbcs] + [dbc + 1 for dbc in used])
-            sizes = np.zeros(size, dtype=np.int64)
-            dbc_cost = np.zeros(size, dtype=np.int64)
-            chunks = [np.empty(0, dtype=np.int64)]
-            for dbc in used:
-                positions = self._positions_of_dbc(dbc)
-                chunks.append(positions)
-                sizes[dbc] = positions.size
-                dbc_cost[dbc] = self._dbc_cost.get(dbc, 0)
-            dbc_start = np.zeros(size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=dbc_start[1:])
-            layout = kernels.RowLayout(
-                item_at=self._item_at,
-                offset_of=self._offset_np,
-                ports=self._ports_np,
-                item_pos=self._resolved.item_positions[0],
-                item_start=self._resolved.item_positions[1],
-                item_dbc=np.asarray(self._dbc, dtype=np.int64),
-                dbc_pos=np.concatenate(chunks),
-                dbc_start=dbc_start,
-                dbc_cost=dbc_cost,
-            )
-            self._layout = layout
-        return layout
-
-    def _item_costs(self):
-        """Dense per-item eager costs of the current assignment (lazily)."""
-        if self._eager_costs is None:
-            self._eager_costs = self._np.asarray(
-                self._item_cost, dtype=self._np.int64
-            )
-        return self._eager_costs
-
-    def _trace_indices(self, items: Sequence[str]):
-        try:
-            return [self._index[item] for item in items]
-        except KeyError as exc:
-            raise PlacementError(
-                f"item {exc.args[0]!r} is not part of the problem trace"
-            ) from None
-
-    def swap_deltas(self, item: str, candidates: Sequence[str]):
-        """``swap_delta(item, b)`` for every ``b`` in ``candidates``.
-
-        Returns an ``int64`` array, one exact delta per candidate, priced
-        in one kernel call (one numpy expression under the eager policy).
-        """
-        np = self._np
-        (a,) = self._trace_indices([item])
-        partners = np.asarray(self._trace_indices(candidates), dtype=np.int64)
-        self.delta_evaluations += partners.size
-        if self._eager:
-            freq, dist, cost = self._counts, self._eager_dist_np, self._item_costs()
-            offsets = self._offset_np
-            return (
-                freq[a] * dist[offsets[partners]]
-                + freq[partners] * dist[offsets[a]]
-                - cost[a]
-                - cost[partners]
-            )
-        return self._kernel.lazy_swap_row(self._row_layout(), a, partners)
-
-    def move_deltas(self, item: str, slots: Sequence[Slot | tuple[int, int]]):
-        """``move_delta(item, slot)`` for every (free) slot in ``slots``."""
-        np = self._np
-        (a,) = self._trace_indices([item])
-        targets = [self._changes_for_move(item, slot)[a] for slot in slots]
-        config = self._config
-        for dbc, offset in targets:
-            # The lazy kernel indexes its per-DBC arrays with the target DBC.
-            if not (0 <= dbc < config.num_dbcs and 0 <= offset < config.words_per_dbc):
-                raise PlacementError(
-                    f"slot {Slot(dbc, offset)} is outside the geometry"
-                )
-        slot_dbc = np.asarray([dbc for dbc, _ in targets], dtype=np.int64)
-        slot_offset = np.asarray([offset for _, offset in targets], dtype=np.int64)
-        self.delta_evaluations += len(targets)
-        if self._eager:
-            cost = self._item_costs()
-            return self._counts[a] * self._eager_dist_np[slot_offset] - cost[a]
-        return self._kernel.lazy_move_row(
-            self._row_layout(), a, slot_dbc, slot_offset
-        )
-
-    def reversal_deltas(self, dbc: int, offsets: Sequence[int], first: int = 1):
-        """``reversal_delta(dbc, offsets[:k + 1])`` for ``k`` in
-        ``range(first, len(offsets))``.
-
-        Every segment starts at ``offsets[0]``; ``first`` skips the shorter
-        ones (a row resumed after an accepted reversal).
-        """
-        np = self._np
-        if first < 0:
-            raise PlacementError(f"first must be >= 0, got {first}")
-        changes = self._changes_for_reversal(dbc, offsets)
-        seg_items = np.asarray(list(changes), dtype=np.int64)
-        seg_offsets = np.asarray(offsets, dtype=np.int64)
-        count = max(0, len(offsets) - first)
-        self.delta_evaluations += count
-        if not self._eager:
-            return self._kernel.lazy_reversal_row(
-                self._row_layout(), dbc, seg_items, seg_offsets, first
-            )
-        freq = self._counts[seg_items]
-        dist = self._eager_dist_np[seg_offsets]
-        ends = np.arange(first, len(offsets))[:, None]
-        starts = np.arange(len(offsets))[None, :]
-        # Row k, column s: item s moves to offsets[k - s] when s <= k.
-        moved = np.where(
-            starts <= ends, freq * dist[np.maximum(ends - starts, 0)], 0
-        ).sum(axis=1)
-        before = np.cumsum(self._item_costs()[seg_items])[first:]
-        return moved - before
-
-    # ------------------------------------------------------------------
     # Apply / undo
     # ------------------------------------------------------------------
     def _apply(self, changes: dict[int, tuple[int, int]]) -> int:
-        key = tuple(sorted(changes.items()))
-        if self._probe is not None and self._probe[0] == key:
-            _key, delta, info = self._probe
+        # Dict equality ignores order: the probe of the same move commits.
+        if self._probe is not None and self._probe[0] == changes:
+            _changes, delta, info = self._probe
         else:
             delta, info = self._compute(changes)
         self._probe = None
@@ -512,7 +383,10 @@ class CostEvaluator:
                 if payload is not None:
                     # Probes defer materialising the merged position array
                     # to commit time.
-                    self._dbc_positions[dbc] = self._resolved.positions_of(payload)
+                    outgoing, incoming = payload
+                    members = self._members.get(dbc, set()).difference(outgoing)
+                    members.update(incoming)
+                    self._dbc_positions[dbc] = self._resolved.positions_of(members)
             record = ("lazy", record_slots, record_costs, delta)
         self._reassign(changes.items())
         self._total += delta
@@ -523,8 +397,6 @@ class CostEvaluator:
     def _reassign(self, assignments) -> None:
         """Commit new (dbc, offset) slots, keeping occupancy/members in sync."""
         assignments = list(assignments)
-        self._layout = None
-        self._eager_costs = None
         for i, _slot in assignments:
             self._occupied.discard((self._dbc[i], self._offset[i]))
         for i, (dbc, offset) in assignments:
@@ -568,3 +440,192 @@ class CostEvaluator:
         self._total -= delta
         self._probe = None
         return self._total
+
+    # ------------------------------------------------------------------
+    # Refinement passes
+    # ------------------------------------------------------------------
+    def swap_pass(self, max_passes: int, max_evaluations: int) -> None:
+        """Run :func:`~repro.core.local_search.swap_refinement`'s scan.
+
+        One compiled call on the cc tier, :meth:`scan_swaps` elsewhere;
+        both leave the same assignment, total and ``delta_evaluations``.
+        """
+        self._refine(
+            self._kernel.swap_pass, self.scan_swaps, max_passes, max_evaluations
+        )
+
+    def reversal_pass(self, max_passes: int, max_evaluations: int) -> None:
+        """Run :func:`~repro.core.local_search.two_opt_refinement`'s scan,
+        as :meth:`swap_pass` does."""
+        self._refine(
+            self._kernel.reversal_pass, self.scan_reversals, max_passes, max_evaluations
+        )
+
+    def scan_swaps(self, max_passes: int, max_evaluations: int) -> None:
+        """The swap scan one single probe at a time.
+
+        Each pass probes ``swap(items[i], items[j])`` for ``i < j``, then
+        moves of every item to each slot that is free when the item's scan
+        begins, applying each improving move before the next probe; a pass
+        that accepts nothing ends the scan.  The start counts as one of the
+        ``max_evaluations``, every probe as one more.
+        """
+        probes = _probe_budget(max_evaluations)
+        items = self._items
+        for _ in range(_pass_budget(max_passes)):
+            accepted = self.applied_moves
+            for i, item_a in enumerate(items):
+                for item_b in items[i + 1 :]:
+                    if probes == 0:
+                        return self._end_pass()
+                    probes -= 1
+                    if self.swap_delta(item_a, item_b) < 0:
+                        self.apply_swap(item_a, item_b)
+            free_slots = None
+            for item in items:
+                if free_slots is None:
+                    free_slots = self.free_slots()
+                moved = False
+                for slot in free_slots:
+                    if probes == 0:
+                        return self._end_pass()
+                    probes -= 1
+                    if self.move_delta(item, slot) < 0:
+                        # The rest of the list is still free; the next
+                        # item lists the slots afresh.
+                        self.apply_move(item, slot)
+                        moved = True
+                if moved:
+                    free_slots = None
+            if self.applied_moves == accepted:
+                break
+        self._end_pass()
+
+    def scan_reversals(self, max_passes: int, max_evaluations: int) -> None:
+        """The 2-opt scan one single probe at a time.
+
+        Each pass walks every used DBC's traced offsets in ascending order
+        and probes reversing ``offsets[i..j]`` for ``i < j``; an untraced
+        item keeps its slot.  A reversal keeps the occupied offsets, so
+        the scan resumes at ``j + 1``.  Budget and stopping as in
+        :meth:`scan_swaps`.
+        """
+        probes = _probe_budget(max_evaluations)
+        for _ in range(_pass_budget(max_passes)):
+            accepted = self.applied_moves
+            for dbc in self.dbcs_used():
+                offsets = sorted(
+                    offset
+                    for offset, item in self.dbc_contents(dbc).items()
+                    if item in self._index
+                )
+                for i in range(len(offsets)):
+                    for j in range(i + 1, len(offsets)):
+                        if probes == 0:
+                            return self._end_pass()
+                        probes -= 1
+                        segment = offsets[i : j + 1]
+                        if self.reversal_delta(dbc, segment) < 0:
+                            self.apply_reversal(dbc, segment)
+            if self.applied_moves == accepted:
+                break
+        self._end_pass()
+
+    def _end_pass(self) -> None:
+        # A pass is not undone move by move.
+        self._undo.clear()
+        self._probe = None
+
+    def _refine(self, compiled, scan, max_passes, max_evaluations) -> None:
+        config = self._config
+        for dbc, offset in self._occupied:
+            # A compiled pass indexes its per-DBC and per-slot arrays with
+            # these, and a scan would list free slots outside the array.
+            if dbc >= config.num_dbcs or offset >= config.words_per_dbc:
+                raise PlacementError(
+                    f"slot {Slot(dbc, offset)} is outside the geometry"
+                )
+        if compiled is None:
+            scan(max_passes, max_evaluations)
+            return
+        state = self._refine_state()
+        probes, accepted, delta = compiled(
+            state, _pass_budget(max_passes), _probe_budget(max_evaluations)
+        )
+        self.delta_evaluations += probes
+        if accepted:
+            self._resync(state, accepted, delta)
+        self._end_pass()
+
+    def _refine_state(self) -> kernels.RefineState:
+        """The current (in-geometry) assignment laid out for a compiled pass."""
+        np = self._np
+        num_dbcs, words = self._config.num_dbcs, self._config.words_per_dbc
+        item_dbc = np.asarray(self._dbc, dtype=np.int64)
+        extra_dbc = [dbc for dbc, _ in self._extra.values()]
+        load = np.bincount(
+            np.asarray(self._dbc + extra_dbc, dtype=np.int64), minlength=num_dbcs
+        )
+        occupied = np.zeros(num_dbcs * words, dtype=np.int64)
+        occupied[[dbc * words + offset for dbc, offset in self._occupied]] = 1
+        dbc_cost = np.zeros(num_dbcs, dtype=np.int64)
+        for dbc, cost in self._dbc_cost.items():
+            dbc_cost[dbc] = cost
+        item_pos, item_start = self._resolved.item_positions
+        return kernels.RefineState(
+            item_at=np.ascontiguousarray(self._item_at, dtype=np.int64),
+            item_pos=item_pos,
+            item_start=item_start,
+            ports=self._ports_np,
+            counts=np.ascontiguousarray(self._counts, dtype=np.int64),
+            rest=self._eager_dist_np,
+            offset_of=self._offset_np,
+            item_dbc=item_dbc,
+            dbc_cost=dbc_cost,
+            load=load,
+            occupied=occupied,
+            dbc_pos=np.empty(self._item_at.size, dtype=np.int64),
+            dbc_start=np.empty(num_dbcs + 1, dtype=np.int64),
+            scratch=np.empty((num_dbcs + 2) * words, dtype=np.int64),
+            num_items=len(self._items),
+            num_dbcs=num_dbcs,
+            words=words,
+            eager=self._eager,
+        )
+
+    def _resync(self, state: kernels.RefineState, accepted: int, delta: int) -> None:
+        """Adopt the assignment a compiled pass left in ``state``."""
+        self._dbc = state.item_dbc.tolist()
+        self._offset = self._offset_np.tolist()
+        self._members = {}
+        for i, dbc in enumerate(self._dbc):
+            self._members.setdefault(dbc, set()).add(i)
+        self._occupied = set(zip(self._dbc, self._offset))
+        self._occupied.update(self._extra.values())
+        if self._eager:
+            costs = self._counts * self._eager_dist_np[self._offset_np]
+            self._item_cost = costs.tolist()
+        else:
+            start = state.dbc_start
+            self._dbc_cost = {
+                dbc: int(state.dbc_cost[dbc]) for dbc in self._members
+            }
+            self._dbc_positions = {
+                dbc: state.dbc_pos[start[dbc] : start[dbc + 1]]
+                for dbc in self._members
+            }
+        self._total += delta
+        self.applied_moves += accepted
+
+
+#: Budgets are clamped to what a C ``int64`` holds; no scan reaches it.
+_BUDGET_CAP = 2**62
+
+
+def _pass_budget(max_passes: int) -> int:
+    return max(0, min(max_passes, _BUDGET_CAP))
+
+
+def _probe_budget(max_evaluations: int) -> int:
+    """Probes a scan may spend: the start counts as one evaluation."""
+    return int(max(0, min(max_evaluations - 1, _BUDGET_CAP)))

@@ -57,14 +57,15 @@ and the simulation engines:
   ``base``).  This is the delta-probe kernel: cc merges on the fly, numpy
   drops ``skip`` through a ``searchsorted`` mask and sorts in ``add``.
 
-Three row probes price a whole row of local-search candidates in one call
-(``lazy_swap_row``, ``lazy_move_row``, ``lazy_reversal_row``).  They read a
-:class:`RowLayout` — per-item and per-DBC position CSRs plus the DBCs'
-current costs — and, per candidate, write the hypothetical offsets into
-``offset_of``, walk only the affected DBCs with the chain or merge walk
-above, and restore ``offset_of``.  The cc tier runs the row in C (one
-ctypes call instead of one per candidate); the numpy tier loops over its
-own chain and merge walks.
+The cc tier also runs local search's two refinement scans whole, one
+call each (``swap_pass`` for ``swap_refinement``, ``reversal_pass`` for
+``two_opt_refinement``).  A pass reads and updates a :class:`RefineState`
+— the assignment, per-item and per-DBC position CSRs and the DBCs'
+current costs — probes candidates one at a time in the refiners' order
+with the chain and merge walks above, applies every improving move in
+place and stops when its budget is spent.  The numpy tier has no pass:
+there :class:`~repro.core.incremental.CostEvaluator` runs the same scan
+over its single probes, which is the trajectory both tiers reproduce.
 """
 
 from __future__ import annotations
@@ -285,117 +286,266 @@ int64_t repro_lazy_scan(const void *codes, int64_t n, int64_t records,
 #undef SCAN
 }
 
-/* Row probes: one call prices a whole row of local-search candidates
-   (docs/COST_MODEL.md §5).  Layout: item i's ascending trace positions are
-   item_pos[item_start[i] .. item_start[i+1]), DBC d's merged positions are
-   dbc_pos[dbc_start[d] .. dbc_start[d+1]), d's current cost is dbc_cost[d]
-   and item i sits on DBC item_dbc[i].  Each candidate writes its
-   hypothetical offsets into offset_of, walks only the affected DBCs
-   (COST_MODEL.md §2) and restores offset_of before the next candidate;
-   out[c] receives candidate c's exact cost delta. */
+/* Compiled refinement passes (docs/COST_MODEL.md §5): one call runs a
+   whole first-improvement scan of swap_refinement or two_opt_refinement,
+   probing candidates one at a time in the refiners' order and applying
+   each improving move in place before the next probe.  Layout: item i's
+   ascending trace positions are item_pos[item_start[i] ..
+   item_start[i+1]), it sits at offset_of[i] on DBC item_dbc[i], and DBC
+   d's merged positions are dbc_pos[dbc_start[d] .. dbc_start[d+1]) with
+   lazy cost dbc_cost[d].  A probe writes the candidate's offsets into
+   offset_of, walks only the affected DBCs (COST_MODEL.md §2) and restores
+   offset_of; under the eager policy an item costs counts[i] *
+   rest[offset_of[i]] and no walk runs.  CcKernels mirrors this struct
+   from RefineState.ARRAYS: keep the field order in step. */
+typedef struct {
+    const int64_t *item_at, *item_pos, *item_start, *ports, *counts, *rest;
+    int64_t *offset_of, *item_dbc, *dbc_cost;
+    int64_t *load;      /* items per DBC, untraced placement entries too */
+    int64_t *occupied;  /* slot d * words + o: 1 when some item holds it */
+    int64_t *dbc_pos, *dbc_start;  /* laid out by the pass */
+    int64_t *scratch;   /* (num_dbcs + 2) * words entries */
+    int64_t num_ports, num_items, trace_len, num_dbcs, words, eager;
+    int64_t max_passes, max_probes;  /* the budget */
+    int64_t probes, accepted, delta; /* results */
+} refine_state;
 
-/* Swap item a with each of partners[0 .. count). */
-void repro_lazy_swap_row(int64_t a, const int64_t *partners, int64_t count,
-                         const int64_t *item_pos, const int64_t *item_start,
-                         const int64_t *item_dbc, const int64_t *dbc_pos,
-                         const int64_t *dbc_start, const int64_t *dbc_cost,
-                         const int64_t *item_at, int64_t *offset_of,
-                         const int64_t *ports, int64_t num_ports,
-                         int64_t *out)
+/* Re-lay the DBC position CSR from item_dbc in O(T): a counting sort of
+   the trace positions by DBC, ascending within each DBC. */
+static void lay_out_dbcs(refine_state *s)
 {
-    int64_t da = item_dbc[a], off_a = offset_of[a], c;
-    const int64_t *pos_a = item_pos + item_start[a];
-    int64_t n_a = item_start[a + 1] - item_start[a];
-    const int64_t *base_a = dbc_pos + dbc_start[da];
-    int64_t nb_a = dbc_start[da + 1] - dbc_start[da];
-    for (c = 0; c < count; ++c) {
-        int64_t b = partners[c], db = item_dbc[b], off_b = offset_of[b];
-        offset_of[a] = off_b;
-        offset_of[b] = off_a;
-        if (db == da) {
-            out[c] = repro_lazy_chain_cost(base_a, nb_a, item_at, offset_of,
-                                           ports, num_ports)
-                     - dbc_cost[da];
-        } else {
-            const int64_t *pos_b = item_pos + item_start[b];
-            int64_t n_b = item_start[b + 1] - item_start[b];
-            out[c] = repro_lazy_merge_cost(base_a, nb_a, pos_a, n_a,
-                                           pos_b, n_b, item_at, offset_of,
-                                           ports, num_ports)
-                     + repro_lazy_merge_cost(dbc_pos + dbc_start[db],
-                                             dbc_start[db + 1] - dbc_start[db],
-                                             pos_b, n_b, pos_a, n_a,
-                                             item_at, offset_of,
-                                             ports, num_ports)
-                     - dbc_cost[da] - dbc_cost[db];
-        }
-        offset_of[a] = off_a;
-        offset_of[b] = off_b;
+    int64_t *start = s->dbc_start, sum = 0, d, t;
+    for (d = 0; d < s->num_dbcs; ++d) start[d] = 0;
+    for (t = 0; t < s->trace_len; ++t) ++start[s->item_dbc[s->item_at[t]]];
+    for (d = 0; d < s->num_dbcs; ++d) {
+        int64_t size = start[d];
+        start[d] = sum;
+        sum += size;
     }
+    for (t = 0; t < s->trace_len; ++t)
+        s->dbc_pos[start[s->item_dbc[s->item_at[t]]]++] = t;
+    /* start[d] now ends DBC d: shift it to start DBC d + 1. */
+    for (d = s->num_dbcs; d > 0; --d) start[d] = start[d - 1];
+    start[0] = 0;
 }
 
-/* Move item a to each slot (slot_dbc[c], slot_offset[c]). */
-void repro_lazy_move_row(int64_t a, const int64_t *slot_dbc,
-                         const int64_t *slot_offset, int64_t count,
-                         const int64_t *item_pos, const int64_t *item_start,
-                         const int64_t *item_dbc, const int64_t *dbc_pos,
-                         const int64_t *dbc_start, const int64_t *dbc_cost,
-                         const int64_t *item_at, int64_t *offset_of,
-                         const int64_t *ports, int64_t num_ports,
-                         int64_t *out)
+/* Lazy cost of DBC d's chain with item skip (when >= 0) taken out and
+   item add (when >= 0) merged in, at the offsets offset_of holds now. */
+static int64_t dbc_walk(const refine_state *s, int64_t d, int64_t skip,
+                        int64_t add)
 {
-    int64_t da = item_dbc[a], off_a = offset_of[a], c;
-    const int64_t *pos_a = item_pos + item_start[a];
-    int64_t n_a = item_start[a + 1] - item_start[a];
-    const int64_t *base_a = dbc_pos + dbc_start[da];
-    int64_t nb_a = dbc_start[da + 1] - dbc_start[da];
-    /* a's DBC without a costs the same for every cross-DBC target. */
-    int64_t without_a = -1;
-    for (c = 0; c < count; ++c) {
-        int64_t d = slot_dbc[c];
-        offset_of[a] = slot_offset[c];
-        if (d == da) {
-            out[c] = repro_lazy_chain_cost(base_a, nb_a, item_at, offset_of,
-                                           ports, num_ports)
-                     - dbc_cost[da];
+    const int64_t *base = s->dbc_pos + s->dbc_start[d];
+    int64_t nb = s->dbc_start[d + 1] - s->dbc_start[d];
+    if (skip < 0 && add < 0)
+        return repro_lazy_chain_cost(base, nb, s->item_at, s->offset_of,
+                                     s->ports, s->num_ports);
+    return repro_lazy_merge_cost(
+        base, nb,
+        s->item_pos + (skip < 0 ? 0 : s->item_start[skip]),
+        skip < 0 ? 0 : s->item_start[skip + 1] - s->item_start[skip],
+        s->item_pos + (add < 0 ? 0 : s->item_start[add]),
+        add < 0 ? 0 : s->item_start[add + 1] - s->item_start[add],
+        s->item_at, s->offset_of, s->ports, s->num_ports);
+}
+
+/* Delta of exchanging the slots of items a and b; the new lazy costs of
+   a's and b's DBCs go to cost[0] and cost[1]. */
+static int64_t price_swap(refine_state *s, int64_t a, int64_t b,
+                          int64_t *cost)
+{
+    int64_t da = s->item_dbc[a], db = s->item_dbc[b];
+    int64_t off_a = s->offset_of[a], off_b = s->offset_of[b], delta;
+    if (s->eager)
+        return (s->counts[a] - s->counts[b])
+               * (s->rest[off_b] - s->rest[off_a]);
+    s->offset_of[a] = off_b;
+    s->offset_of[b] = off_a;
+    if (da == db) {
+        cost[0] = dbc_walk(s, da, -1, -1);
+        delta = cost[0] - s->dbc_cost[da];
+    } else {
+        cost[0] = dbc_walk(s, da, a, b);
+        cost[1] = dbc_walk(s, db, b, a);
+        delta = cost[0] + cost[1] - s->dbc_cost[da] - s->dbc_cost[db];
+    }
+    s->offset_of[a] = off_a;
+    s->offset_of[b] = off_b;
+    return delta;
+}
+
+/* Delta of moving item a to the free slot (d, o); cost as in price_swap.
+   *without_a caches a's DBC without a (-1 until priced): it is the same
+   for every cross-DBC target of one item. */
+static int64_t price_move(refine_state *s, int64_t a, int64_t d, int64_t o,
+                          int64_t *without_a, int64_t *cost)
+{
+    int64_t da = s->item_dbc[a], off_a = s->offset_of[a], delta;
+    if (s->eager) return s->counts[a] * (s->rest[o] - s->rest[off_a]);
+    s->offset_of[a] = o;
+    if (d == da) {
+        cost[0] = dbc_walk(s, da, -1, -1);
+        delta = cost[0] - s->dbc_cost[da];
+    } else {
+        if (*without_a < 0) *without_a = dbc_walk(s, da, a, -1);
+        cost[0] = *without_a;
+        cost[1] = dbc_walk(s, d, -1, a);
+        delta = cost[0] + cost[1] - s->dbc_cost[da] - s->dbc_cost[d];
+    }
+    s->offset_of[a] = off_a;
+    return delta;
+}
+
+/* Delta of reversing seg[i .. j] on DBC d: item seg[k], now at offs[k],
+   moves to offs[i + j - k]; the new lazy cost goes to cost[0]. */
+static int64_t price_reversal(refine_state *s, int64_t d, const int64_t *seg,
+                              const int64_t *offs, int64_t i, int64_t j,
+                              int64_t *cost)
+{
+    int64_t delta = 0, k;
+    if (s->eager) {
+        for (k = i; k <= j; ++k)
+            delta += s->counts[seg[k]]
+                     * (s->rest[offs[i + j - k]] - s->rest[offs[k]]);
+        return delta;
+    }
+    for (k = i; k <= j; ++k) s->offset_of[seg[k]] = offs[i + j - k];
+    cost[0] = dbc_walk(s, d, -1, -1);
+    for (k = i; k <= j; ++k) s->offset_of[seg[k]] = offs[k];
+    return cost[0] - s->dbc_cost[d];
+}
+
+/* Commit a priced swap or move whose offsets are already written: item a
+   goes to DBC to_a and, for a swap, item b (-1 for a move) to DBC to_b;
+   cost[] holds the new lazy costs as price_swap / price_move leave them. */
+static void commit(refine_state *s, int64_t a, int64_t to_a, int64_t b,
+                   int64_t to_b, int64_t delta, const int64_t *cost)
+{
+    int64_t from_a = s->item_dbc[a];
+    if (!s->eager) {
+        s->dbc_cost[from_a] = cost[0];
+        if (to_a != from_a) s->dbc_cost[to_a] = cost[1];
+    }
+    if (to_a != from_a) {
+        s->item_dbc[a] = to_a;
+        if (b >= 0) {
+            s->item_dbc[b] = to_b;
         } else {
-            if (without_a < 0) {
-                without_a = repro_lazy_merge_cost(base_a, nb_a, pos_a, n_a,
-                                                  0, 0, item_at, offset_of,
-                                                  ports, num_ports);
+            --s->load[from_a];
+            ++s->load[to_a];
+        }
+        if (!s->eager) lay_out_dbcs(s);
+    }
+    s->delta += delta;
+    ++s->accepted;
+}
+
+/* Free slots (d * words + o) on DBCs holding any item, in (d, o) order. */
+static int64_t list_free(const refine_state *s, int64_t *out)
+{
+    int64_t n = 0, d, o;
+    for (d = 0; d < s->num_dbcs; ++d) {
+        if (s->load[d] == 0) continue;
+        for (o = 0; o < s->words; ++o)
+            if (!s->occupied[d * s->words + o]) out[n++] = d * s->words + o;
+    }
+    return n;
+}
+
+/* swap_refinement: each pass probes swap(a, b) for a < b, then moves of
+   every item to each slot free when the item's scan begins; stops after a
+   pass without an accepted move or when the budget is spent. */
+void repro_swap_pass(refine_state *s)
+{
+    int64_t *free_slots = s->scratch, cost[2], pass, a, b, j;
+    s->probes = s->accepted = s->delta = 0;
+    if (!s->eager) lay_out_dbcs(s);
+    for (pass = 0; pass < s->max_passes; ++pass) {
+        int64_t before = s->accepted, num_free = 0, dirty = 1;
+        for (a = 0; a < s->num_items; ++a) {
+            for (b = a + 1; b < s->num_items; ++b) {
+                int64_t delta, da, db, off;
+                if (s->probes >= s->max_probes) return;
+                ++s->probes;
+                delta = price_swap(s, a, b, cost);
+                if (delta >= 0) continue;
+                da = s->item_dbc[a];
+                db = s->item_dbc[b];
+                off = s->offset_of[a];
+                s->offset_of[a] = s->offset_of[b];
+                s->offset_of[b] = off;
+                commit(s, a, db, b, da, delta, cost);
             }
-            out[c] = without_a
-                     + repro_lazy_merge_cost(dbc_pos + dbc_start[d],
-                                             dbc_start[d + 1] - dbc_start[d],
-                                             0, 0, pos_a, n_a,
-                                             item_at, offset_of,
-                                             ports, num_ports)
-                     - dbc_cost[da] - dbc_cost[d];
         }
-        offset_of[a] = off_a;
+        for (a = 0; a < s->num_items; ++a) {
+            int64_t without_a = -1;
+            if (dirty) {
+                num_free = list_free(s, free_slots);
+                dirty = 0;
+            }
+            for (j = 0; j < num_free; ++j) {
+                int64_t d = free_slots[j] / s->words;
+                int64_t o = free_slots[j] % s->words, delta;
+                if (s->probes >= s->max_probes) return;
+                ++s->probes;
+                delta = price_move(s, a, d, o, &without_a, cost);
+                if (delta >= 0) continue;
+                s->occupied[s->item_dbc[a] * s->words + s->offset_of[a]] = 0;
+                s->occupied[free_slots[j]] = 1;
+                s->offset_of[a] = o;
+                commit(s, a, d, -1, -1, delta, cost);
+                /* The rest of this list is still free; the next item
+                   lists the slots afresh. */
+                without_a = -1;
+                dirty = 1;
+            }
+        }
+        if (s->accepted == before) return;
     }
 }
 
-/* Reverse the segment seg[0 .. k] of DBC d for each k in [first, length):
-   the item seg_items[s], now at seg_offsets[s], moves to
-   seg_offsets[k - s]. */
-void repro_lazy_reversal_row(int64_t d, const int64_t *seg_items,
-                             const int64_t *seg_offsets, int64_t length,
-                             int64_t first,
-                             const int64_t *dbc_pos, const int64_t *dbc_start,
-                             const int64_t *dbc_cost,
-                             const int64_t *item_at, int64_t *offset_of,
-                             const int64_t *ports, int64_t num_ports,
-                             int64_t *out)
+/* two_opt_refinement: each pass walks every DBC's traced items in offset
+   order and probes reversing seg[i .. j] for i < j; a reversal keeps the
+   occupied offsets, so the scan resumes at j + 1. */
+void repro_reversal_pass(refine_state *s)
 {
-    const int64_t *base = dbc_pos + dbc_start[d];
-    int64_t nb = dbc_start[d + 1] - dbc_start[d], k, s;
-    for (k = first; k < length; ++k) {
-        for (s = 0; s <= k; ++s) offset_of[seg_items[s]] = seg_offsets[k - s];
-        out[k - first] = repro_lazy_chain_cost(base, nb, item_at, offset_of,
-                                               ports, num_ports)
-                         - dbc_cost[d];
-        for (s = 0; s <= k; ++s) offset_of[seg_items[s]] = seg_offsets[s];
+    int64_t *slot_item = s->scratch, cost[1], pass, d, o, i, j, k;
+    int64_t *seg = slot_item + s->num_dbcs * s->words, *offs = seg + s->words;
+    s->probes = s->accepted = s->delta = 0;
+    if (!s->eager) lay_out_dbcs(s);
+    for (pass = 0; pass < s->max_passes; ++pass) {
+        int64_t before = s->accepted;
+        for (k = 0; k < s->num_dbcs * s->words; ++k) slot_item[k] = -1;
+        for (k = 0; k < s->num_items; ++k)
+            slot_item[s->item_dbc[k] * s->words + s->offset_of[k]] = k;
+        for (d = 0; d < s->num_dbcs; ++d) {
+            int64_t length = 0;
+            for (o = 0; o < s->words; ++o) {
+                int64_t item = slot_item[d * s->words + o];
+                if (item < 0) continue;
+                seg[length] = item;
+                offs[length++] = o;
+            }
+            for (i = 0; i < length; ++i) {
+                for (j = i + 1; j < length; ++j) {
+                    int64_t delta;
+                    if (s->probes >= s->max_probes) return;
+                    ++s->probes;
+                    delta = price_reversal(s, d, seg, offs, i, j, cost);
+                    if (delta >= 0) continue;
+                    for (k = i; k <= j; ++k)
+                        s->offset_of[seg[k]] = offs[i + j - k];
+                    for (k = 0; i + k < j - k; ++k) {
+                        int64_t item = seg[i + k];
+                        seg[i + k] = seg[j - k];
+                        seg[j - k] = item;
+                    }
+                    if (!s->eager) s->dbc_cost[d] = cost[0];
+                    s->delta += delta;
+                    ++s->accepted;
+                }
+            }
+        }
+        if (s->accepted == before) return;
     }
 }
 """
@@ -599,46 +749,35 @@ def lazy_costs_from_state(offsets, ports, head0):
 
 
 # ---------------------------------------------------------------------------
-# Row-probe layout
+# Refinement-pass state
 # ---------------------------------------------------------------------------
 
-class RowLayout:
-    """The arrays a row probe reads: two position CSRs and the walk inputs.
+class RefineState:
+    """The arrays a compiled refinement pass reads and updates in place.
 
-    ``item_pos[item_start[i]:item_start[i + 1]]`` are item ``i``'s ascending
-    trace positions and ``dbc_pos[dbc_start[d]:dbc_start[d + 1]]`` DBC
-    ``d``'s merged positions; ``dbc_cost[d]`` is ``d``'s current lazy cost
-    and ``item_dbc[i]`` item ``i``'s DBC.  All arrays are C-contiguous
-    ``int64``.  ``offset_of`` is the caller's live per-item offset array:
-    a row writes each candidate's offsets into it and restores them before
-    the next candidate.  A layout describes one assignment; the caller
-    drops it when the assignment changes.
+    Read: ``item_at`` (item of each access), the item position CSR
+    ``item_pos``/``item_start``, ``ports``, and the eager weights
+    ``counts`` (accesses per item) and ``rest`` (cost per access at each
+    offset).  Updated: ``offset_of`` and ``item_dbc`` (the assignment),
+    ``dbc_cost`` (lazy cost per DBC), ``load`` (items per DBC, untraced
+    placement entries included) and ``occupied`` (1 per held slot
+    ``dbc * words + offset``).  ``dbc_pos``/``dbc_start`` (the DBC
+    position CSR) and ``scratch`` are work space the pass lays out
+    itself.  Every array is C-contiguous ``int64``; the caller guarantees
+    that every slot lies inside the ``num_dbcs`` × ``words`` geometry.
     """
 
     ARRAYS = (
-        "item_at", "offset_of", "ports", "item_pos", "item_start",
-        "item_dbc", "dbc_pos", "dbc_start", "dbc_cost",
+        "item_at", "item_pos", "item_start", "ports", "counts", "rest",
+        "offset_of", "item_dbc", "dbc_cost", "load", "occupied", "dbc_pos",
+        "dbc_start", "scratch",
     )
-    __slots__ = ARRAYS + ("_pointers",)
+    SIZES = ("num_items", "num_dbcs", "words", "eager")
+    __slots__ = ARRAYS + SIZES
 
-    def __init__(self, **arrays) -> None:
-        for name in self.ARRAYS:
-            setattr(self, name, arrays[name])
-        self._pointers: dict[str, int] | None = None
-
-    def item_positions(self, i):
-        return self.item_pos[self.item_start[i] : self.item_start[i + 1]]
-
-    def dbc_positions(self, d):
-        return self.dbc_pos[self.dbc_start[d] : self.dbc_start[d + 1]]
-
-    def pointers(self) -> dict[str, int]:
-        """Data addresses of every array (read once; for the cc tier)."""
-        if self._pointers is None:
-            self._pointers = {
-                name: getattr(self, name).ctypes.data for name in self.ARRAYS
-            }
-        return self._pointers
+    def __init__(self, **fields) -> None:
+        for name in self.ARRAYS + self.SIZES:
+            setattr(self, name, fields[name])
 
 
 # ---------------------------------------------------------------------------
@@ -782,90 +921,10 @@ class NumpyKernels:
             base.sort(kind="stable")
         return self.lazy_chain_cost(base, item_at, offset_of, ports)
 
-    # Row probes: the same per-candidate walks as the cc tier, one
-    # candidate at a time over this tier's chain and merge walks.
-
-    def lazy_swap_row(self, layout, a, partners):
-        """Deltas of swapping item ``a`` with each item in ``partners``."""
-        import numpy as np
-
-        item_dbc, offset_of, dbc_cost = (
-            layout.item_dbc, layout.offset_of, layout.dbc_cost,
-        )
-        walk = (layout.item_at, offset_of, layout.ports)
-        da, off_a = item_dbc[a], offset_of[a]
-        pos_a, base_a = layout.item_positions(a), layout.dbc_positions(da)
-        out = np.empty(len(partners), dtype=np.int64)
-        for c, b in enumerate(partners):
-            db, off_b = item_dbc[b], offset_of[b]
-            offset_of[a], offset_of[b] = off_b, off_a
-            try:
-                if db == da:
-                    out[c] = self.lazy_chain_cost(base_a, *walk) - dbc_cost[da]
-                else:
-                    pos_b = layout.item_positions(b)
-                    out[c] = (
-                        self.lazy_merge_cost(base_a, pos_a, pos_b, *walk)
-                        + self.lazy_merge_cost(
-                            layout.dbc_positions(db), pos_b, pos_a, *walk
-                        )
-                        - dbc_cost[da] - dbc_cost[db]
-                    )
-            finally:
-                offset_of[a], offset_of[b] = off_a, off_b
-        return out
-
-    def lazy_move_row(self, layout, a, slot_dbc, slot_offset):
-        """Deltas of moving item ``a`` to each ``(slot_dbc, slot_offset)``."""
-        import numpy as np
-
-        offset_of, dbc_cost = layout.offset_of, layout.dbc_cost
-        walk = (layout.item_at, offset_of, layout.ports)
-        da, off_a = layout.item_dbc[a], offset_of[a]
-        pos_a, base_a = layout.item_positions(a), layout.dbc_positions(da)
-        none = pos_a[:0]
-        without_a = None
-        out = np.empty(len(slot_dbc), dtype=np.int64)
-        for c, d in enumerate(slot_dbc):
-            offset_of[a] = slot_offset[c]
-            try:
-                if d == da:
-                    out[c] = self.lazy_chain_cost(base_a, *walk) - dbc_cost[da]
-                    continue
-                if without_a is None:
-                    without_a = self.lazy_merge_cost(base_a, pos_a, none, *walk)
-                out[c] = (
-                    without_a
-                    + self.lazy_merge_cost(
-                        layout.dbc_positions(d), none, pos_a, *walk
-                    )
-                    - dbc_cost[da] - dbc_cost[d]
-                )
-            finally:
-                offset_of[a] = off_a
-        return out
-
-    def lazy_reversal_row(self, layout, d, seg_items, seg_offsets, first):
-        """Deltas of reversing ``seg[0..k]`` on DBC ``d`` for each ``k`` in
-        ``[first, len(seg_items))``; item ``seg_items[s]`` sits at
-        ``seg_offsets[s]`` and moves to ``seg_offsets[k - s]``."""
-        import numpy as np
-
-        seg_items = np.asarray(seg_items, dtype=np.int64)
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        offset_of = layout.offset_of
-        base = layout.dbc_positions(d)
-        out = np.empty(max(0, len(seg_items) - first), dtype=np.int64)
-        for k in range(first, len(seg_items)):
-            head = seg_items[: k + 1]
-            offset_of[head] = seg_offsets[k::-1]
-            try:
-                out[k - first] = self.lazy_chain_cost(
-                    base, layout.item_at, offset_of, layout.ports
-                ) - layout.dbc_cost[d]
-            finally:
-                offset_of[head] = seg_offsets[: k + 1]
-        return out
+    #: No compiled refinement passes: on this tier
+    #: :class:`~repro.core.incremental.CostEvaluator` runs its single-probe
+    #: scans (``scan_swaps`` / ``scan_reversals``) instead.
+    swap_pass = reversal_pass = None
 
 
 class CcKernels:
@@ -896,22 +955,26 @@ class CcKernels:
         lib.repro_lazy_merge_cost.argtypes = [
             ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
         ]
-        # Explicit argtypes on the row probes too: without them ctypes
-        # passes the addresses as C ints and truncates them.
-        lib.repro_lazy_swap_row.restype = None
-        lib.repro_lazy_swap_row.argtypes = [
-            i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64,
-            ptr,
-        ]
-        lib.repro_lazy_move_row.restype = None
-        lib.repro_lazy_move_row.argtypes = [
-            i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-            i64, ptr,
-        ]
-        lib.repro_lazy_reversal_row.restype = None
-        lib.repro_lazy_reversal_row.argtypes = [
-            i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr,
-        ]
+        lib.repro_swap_pass.restype = None
+        lib.repro_swap_pass.argtypes = [ptr]
+        lib.repro_reversal_pass.restype = None
+        lib.repro_reversal_pass.argtypes = [ptr]
+        # Mirrors the C refine_state: every field is 8 bytes wide.
+        self._refine_state = type(
+            "refine_state",
+            (ctypes.Structure,),
+            {
+                "_fields_": [(name, ptr) for name in RefineState.ARRAYS]
+                + [
+                    (name, i64)
+                    for name in (
+                        "num_ports", "num_items", "trace_len", "num_dbcs",
+                        "words", "eager", "max_passes", "max_probes",
+                        "probes", "accepted", "delta",
+                    )
+                ]
+            },
+        )
         self._lib = lib
         self._np = np
         self.library_path = library_path
@@ -1041,49 +1104,49 @@ class CcKernels:
             )
         )
 
-    def _layout_args(self, layout) -> tuple:
-        """(item_pos .. dbc_cost, item_at, offset_of, ports, num_ports)."""
-        p = layout.pointers()
-        return (
-            p["item_pos"], p["item_start"], p["item_dbc"], p["dbc_pos"],
-            p["dbc_start"], p["dbc_cost"], p["item_at"], p["offset_of"],
-            p["ports"], layout.ports.size,
-        )
+    def _run_pass(self, entry, state, max_passes, max_probes):
+        """One compiled pass over ``state``; ``(probes, accepted, delta)``."""
+        import ctypes
 
-    def lazy_swap_row(self, layout, a, partners):
         np = self._np
-        partners = np.ascontiguousarray(partners, dtype=np.int64)
-        out = np.empty(partners.size, dtype=np.int64)
-        self._lib.repro_lazy_swap_row(
-            int(a), partners.ctypes.data, partners.size,
-            *self._layout_args(layout), out.ctypes.data,
+        items, dbcs, words = state.num_items, state.num_dbcs, state.words
+        sizes = {
+            "item_pos": state.item_at.size, "item_start": items + 1,
+            "counts": items, "rest": words, "offset_of": items,
+            "item_dbc": items, "dbc_cost": dbcs, "load": dbcs,
+            "occupied": dbcs * words, "dbc_pos": state.item_at.size,
+            "dbc_start": dbcs + 1, "scratch": (dbcs + 2) * words,
+        }
+        for name in RefineState.ARRAYS:
+            array = getattr(state, name)
+            if array.dtype != np.int64 or not array.flags.c_contiguous:
+                raise ValueError(f"{name} must be C-contiguous int64")
+            if name in sizes and array.size != sizes[name]:
+                raise ValueError(f"{name} must hold {sizes[name]} entries")
+        struct = self._refine_state(
+            *(getattr(state, name).ctypes.data for name in RefineState.ARRAYS),
+            state.ports.size,
+            state.num_items,
+            state.item_at.size,
+            state.num_dbcs,
+            state.words,
+            int(state.eager),
+            max_passes,
+            max_probes,
         )
-        return out
+        entry(ctypes.byref(struct))
+        return struct.probes, struct.accepted, struct.delta
 
-    def lazy_move_row(self, layout, a, slot_dbc, slot_offset):
-        np = self._np
-        slot_dbc = np.ascontiguousarray(slot_dbc, dtype=np.int64)
-        slot_offset = np.ascontiguousarray(slot_offset, dtype=np.int64)
-        out = np.empty(slot_dbc.size, dtype=np.int64)
-        self._lib.repro_lazy_move_row(
-            int(a), slot_dbc.ctypes.data, slot_offset.ctypes.data,
-            slot_dbc.size, *self._layout_args(layout), out.ctypes.data,
-        )
-        return out
+    def swap_pass(self, state, max_passes, max_probes):
+        """``swap_refinement``'s scan: at most ``max_passes`` passes and
+        ``max_probes`` probes; returns ``(probes, accepted, delta)``."""
+        return self._run_pass(self._lib.repro_swap_pass, state, max_passes, max_probes)
 
-    def lazy_reversal_row(self, layout, d, seg_items, seg_offsets, first):
-        np = self._np
-        seg_items = np.ascontiguousarray(seg_items, dtype=np.int64)
-        seg_offsets = np.ascontiguousarray(seg_offsets, dtype=np.int64)
-        out = np.empty(max(0, seg_items.size - first), dtype=np.int64)
-        p = layout.pointers()
-        self._lib.repro_lazy_reversal_row(
-            int(d), seg_items.ctypes.data, seg_offsets.ctypes.data,
-            seg_items.size, int(first), p["dbc_pos"], p["dbc_start"],
-            p["dbc_cost"], p["item_at"], p["offset_of"], p["ports"],
-            layout.ports.size, out.ctypes.data,
+    def reversal_pass(self, state, max_passes, max_probes):
+        """``two_opt_refinement``'s scan, as :meth:`swap_pass`."""
+        return self._run_pass(
+            self._lib.repro_reversal_pass, state, max_passes, max_probes
         )
-        return out
 
 
 def _kernel_cache_dir() -> Path:

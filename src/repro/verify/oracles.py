@@ -11,7 +11,8 @@ five oracle families and returns the (hopefully empty) list of
 * **round trips** — seeded swap/move/reversal mutation scripts through
   :class:`~repro.core.incremental.CostEvaluator`: probed deltas must match
   applied deltas, running totals must match from-scratch evaluation, and
-  undo must restore the exact starting state;
+  undo must restore the exact starting state; both refinement passes
+  (compiled on the cc tier) must leave what the single-probe scans leave;
 * **bounds** — ``shift_lower_bound ≤ cost`` always, and on tiny instances
   ``lower_bound ≤ brute-force optimum ≤ cost`` with the ``exact`` method
   landing exactly on the optimum (the brute force here enumerates *all*
@@ -243,12 +244,9 @@ def check_round_trip(
     applied = 0
     for _step in range(mutation_ops):
         kind = rng.choice(("swap", "move", "reversal"))
-        # Each move is also priced as one entry of a full row probe
-        # (swap_deltas / move_deltas / reversal_deltas).
         if kind == "swap" and len(items) >= 2:
             left, right = rng.sample(items, 2)
             delta = evaluator.swap_delta(left, right)
-            row_delta = evaluator.swap_deltas(left, items)[items.index(right)]
             before = evaluator.total
             evaluator.apply_swap(left, right)
         elif kind == "move":
@@ -258,7 +256,6 @@ def check_round_trip(
             item = rng.choice(items)
             slot = rng.choice(free)
             delta = evaluator.move_delta(item, slot)
-            row_delta = evaluator.move_deltas(item, free)[free.index(slot)]
             before = evaluator.total
             evaluator.apply_move(item, slot)
         elif kind == "reversal":
@@ -268,24 +265,11 @@ def check_round_trip(
             dbc = rng.choice(sorted(used))
             offsets = sorted(evaluator.dbc_contents(dbc))
             delta = evaluator.reversal_delta(dbc, offsets)
-            row_delta = evaluator.reversal_deltas(dbc, offsets, first=0)[-1]
             before = evaluator.total
             evaluator.apply_reversal(dbc, offsets)
         else:
             continue
         applied += 1
-        if row_delta != delta:
-            violations.append(
-                Violation(
-                    kind="row_probe_mismatch",
-                    detail=(
-                        f"{kind} single probe delta {delta} but row probe "
-                        f"entry {int(row_delta)}"
-                    ),
-                    data={"op": kind, "delta": delta, "row": int(row_delta)},
-                )
-            )
-            break
         if evaluator.total != before + delta:
             violations.append(
                 Violation(
@@ -346,7 +330,85 @@ def check_round_trip(
                 data={"total": evaluator.total, "expected": start_total},
             )
         )
+    violations.extend(_check_refinement_parity(case, problem, placement))
     return violations
+
+
+#: The refiners' default ``max_evaluations``.
+_DEFAULT_REFINE_BUDGET = 20000
+
+
+def _check_refinement_parity(
+    case: FuzzCase, problem: PlacementProblem, placement: Placement
+) -> list[Violation]:
+    """``swap_refinement`` / ``two_opt_refinement`` on the active tier must
+    equal the numpy tier's single-probe scan.
+
+    Each refiner's pass (:meth:`CostEvaluator.swap_pass`, compiled on the
+    cc tier) runs against :meth:`~CostEvaluator.scan_swaps` (the scan the
+    numpy tier runs) from the same start, at a budget that usually ends in
+    the first pass and at the default budget: placement, total and
+    ``delta_evaluations`` must agree, and the total must be the
+    placement's true cost.  Half the cases add an untraced placement
+    entry on a free slot (possibly on a DBC no traced item uses).
+    """
+    rng = random.Random(case.seed ^ 0x2097)
+    config = problem.config
+    mapping = dict(placement.as_dict())
+    taken = set(mapping.values())
+    free = [
+        slot
+        for slot in itertools.product(
+            range(config.num_dbcs), range(config.words_per_dbc)
+        )
+        if slot not in taken
+    ]
+    if free and rng.random() < 0.5:
+        untraced = "untraced"
+        while untraced in mapping:
+            untraced += "_"
+        mapping[untraced] = rng.choice(free)
+    start = Placement(mapping)
+    num_items = len(problem.items)
+    mid_pass = 2 + rng.randrange(num_items * (num_items - 1) // 2 + 1)
+    refiners = (
+        ("swap", CostEvaluator.swap_pass, CostEvaluator.scan_swaps),
+        ("two_opt", CostEvaluator.reversal_pass, CostEvaluator.scan_reversals),
+    )
+    for budget in (mid_pass, _DEFAULT_REFINE_BUDGET):
+        for name, refine, scan in refiners:
+            refined = CostEvaluator(problem, start)
+            reference = CostEvaluator(problem, start)
+            refine(refined, 3, budget)
+            scan(reference, 3, budget)
+            got, want = (
+                (e.placement(), e.total, e.delta_evaluations)
+                for e in (refined, reference)
+            )
+            true_cost = evaluate_placement(problem, got[0], validate=False)
+            if got != want or got[1] != true_cost:
+                return [
+                    Violation(
+                        kind="refinement_mismatch",
+                        detail=(
+                            f"{name} pass at budget {budget}: total {got[1]} "
+                            f"(true cost {true_cost}) after "
+                            f"{got[2]} probes, single-probe scan {want[1]} "
+                            f"after {want[2]}"
+                            + ("" if got[0] == want[0] else ", placements differ")
+                        ),
+                        data={
+                            "refiner": name,
+                            "budget": budget,
+                            "total": got[1],
+                            "true_cost": true_cost,
+                            "scan_total": want[1],
+                            "probes": got[2],
+                            "scan_probes": want[2],
+                        },
+                    )
+                ]
+    return []
 
 
 def check_bounds(

@@ -9,8 +9,10 @@ reference :func:`evaluate_placement`.
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.api import build_problem
 from repro.core.baselines import random_placement
 from repro.core.cost import (
@@ -27,7 +29,7 @@ from repro.core.local_search import (
 )
 from repro.core.placement import Placement, Slot
 from repro.dwm.config import DWMConfig
-from repro.errors import PlacementError
+from repro.errors import OptimizationError, PlacementError
 from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, zipf_trace
 
@@ -245,91 +247,182 @@ def _row_problem(ports, policy, seed):
     return problem, Placement(mapping)
 
 
-def _assert_rows_match_single_probes(evaluator, items, rng):
-    for item in rng.sample(items, 2):
-        others = [other for other in items if other != item]
-        assert evaluator.swap_deltas(item, others).tolist() == [
-            evaluator.swap_delta(item, other) for other in others
-        ]
-        slots = evaluator.free_slots() + [Slot(4, 0), Slot(4, 7)]
-        assert evaluator.move_deltas(item, slots).tolist() == [
-            evaluator.move_delta(item, slot) for slot in slots
-        ]
-    dbc = rng.choice([0, 1, 2])
-    offsets = sorted(evaluator.dbc_contents(dbc))
-    for i in range(len(offsets) - 1):
-        for first in (1, 3):
-            assert evaluator.reversal_deltas(
-                dbc, offsets[i:], first=first
-            ).tolist() == [
-                evaluator.reversal_delta(dbc, offsets[i : k + 1])
-                for k in range(i + first, len(offsets))
-            ]
+#: Budgets for the pass/scan comparisons; all but the last end mid-pass.
+PASS_BUDGETS = (1, 7, 40, 333, 20000)
+
+
+def _pass_record(evaluator):
+    return (
+        evaluator.placement(),
+        evaluator.total,
+        evaluator.delta_evaluations,
+        evaluator.applied_moves,
+    )
+
+
+def _assert_pass_matches_scan(problem, placement, budget):
+    """``swap_pass`` / ``reversal_pass`` leave what the single-probe scans
+    leave: placement, total and the probe and move counters."""
+    for compiled, scan in (
+        (CostEvaluator.swap_pass, CostEvaluator.scan_swaps),
+        (CostEvaluator.reversal_pass, CostEvaluator.scan_reversals),
+    ):
+        refined = CostEvaluator(problem, placement)
+        reference = CostEvaluator(problem, placement)
+        compiled(refined, 3, budget)
+        scan(reference, 3, budget)
+        assert _pass_record(refined) == _pass_record(reference)
+        assert refined.total == evaluate_placement(
+            problem, refined.placement(), validate=False
+        )
 
 
 class TestRowProbes:
+    """The candidate rows of the refinement passes.
+
+    ``swap_pass`` and ``reversal_pass`` scan every candidate row of
+    ``swap_refinement`` / ``two_opt_refinement`` in one call (compiled on
+    the cc tier); they must leave exactly what the single-probe scans
+    ``scan_swaps`` / ``scan_reversals`` leave.
+    """
+
     @pytest.mark.parametrize(
         "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
     )
     def test_rows_equal_single_probes(self, ports, policy, kernel_tier):
         problem, placement = _row_problem(ports, policy, seed=3)
-        evaluator = CostEvaluator(problem, placement)
-        _assert_rows_match_single_probes(
-            evaluator, list(problem.items), random.Random(5)
-        )
+        for budget in PASS_BUDGETS:
+            _assert_pass_matches_scan(problem, placement, budget)
 
     @pytest.mark.parametrize(
         "ports,policy,kernel_tier", _tiered(GEOMETRIES), indirect=["kernel_tier"]
     )
     def test_rows_track_apply_and_undo(self, ports, policy, kernel_tier):
-        # Rows priced before each step cache the per-DBC layout; a layout
-        # that outlives an apply or undo prices the old assignment.
+        # A pass starts from the assignment that applies and undos left,
+        # and the evaluator keeps pricing exactly after it.
         problem, placement = _row_problem(ports, policy, seed=7)
         evaluator = CostEvaluator(problem, placement)
         items = list(problem.items)
         rng = random.Random(11)
-        for _ in range(10):
-            _assert_rows_match_single_probes(evaluator, items, rng)
-            choice = rng.random()
-            if choice < 0.3:
-                evaluator.apply_swap(*rng.sample(items, 2))
-            elif choice < 0.55:
-                evaluator.apply_move(
-                    rng.choice(items), rng.choice(evaluator.free_slots())
-                )
-            elif choice < 0.75:
-                dbc = rng.choice([0, 1, 2])
-                evaluator.apply_reversal(
-                    dbc, sorted(evaluator.dbc_contents(dbc))[1:]
-                )
-            elif evaluator.applied_moves:
+        for step in range(6):
+            undoable = 0
+            for _ in range(4):
+                choice = rng.random()
+                undoable += 1
+                if choice < 0.4:
+                    evaluator.apply_swap(*rng.sample(items, 2))
+                elif choice < 0.7:
+                    evaluator.apply_move(
+                        rng.choice(items), rng.choice(evaluator.free_slots())
+                    )
+                elif choice < 0.85:
+                    dbc = rng.choice([0, 1, 2])
+                    evaluator.apply_reversal(
+                        dbc, sorted(evaluator.dbc_contents(dbc))[1:]
+                    )
+                elif undoable > 1:
+                    evaluator.undo()
+                    undoable -= 2
+                else:
+                    undoable -= 1
+            start = evaluator.placement()
+            _assert_pass_matches_scan(problem, start, 50 + 40 * step)
+            refine = evaluator.swap_pass if step % 2 else evaluator.reversal_pass
+            refine(3, 50 + 40 * step)
+            with pytest.raises(PlacementError):
                 evaluator.undo()
-        _assert_rows_match_single_probes(evaluator, items, rng)
+            assert evaluator.total == evaluate_placement(
+                problem, evaluator.placement(), validate=False
+            )
+            item_a, item_b = rng.sample(items, 2)
+            delta = evaluator.swap_delta(item_a, item_b)
+            assert delta == evaluate_placement(
+                problem,
+                evaluator.placement().with_swapped(item_a, item_b),
+                validate=False,
+            ) - evaluator.total
 
     def test_rows_count_every_delta(self):
+        # Each probe counts once; the start counts as one evaluation.
         problem, placement = _row_problem(2, "lazy", seed=3)
-        evaluator = CostEvaluator(problem, placement)
-        items = list(problem.items)
-        evaluator.swap_deltas(items[0], items[1:6])
-        evaluator.move_deltas(items[0], evaluator.free_slots()[:3])
-        evaluator.reversal_deltas(0, list(range(8)), first=5)
-        assert evaluator.delta_evaluations == 5 + 3 + 3
+        for budget, probes in ((-5, 0), (0, 0), (1, 0), (2, 1), (12, 11)):
+            for refine in (CostEvaluator.swap_pass, CostEvaluator.reversal_pass):
+                evaluator = CostEvaluator(problem, placement)
+                refine(evaluator, 3, budget)
+                assert evaluator.delta_evaluations == probes
+                if probes == 0:
+                    assert evaluator.placement() == placement
+                    assert evaluator.applied_moves == 0
 
     def test_row_error_paths(self):
         problem, placement = _row_problem(1, "lazy", seed=3)
+        for outside in ((5, 0), (0, 8)):
+            mapping = dict(placement.as_dict())
+            mapping[list(problem.items)[0]] = outside
+            evaluator = CostEvaluator(problem, Placement(mapping), validate=False)
+            for refine in (evaluator.swap_pass, evaluator.reversal_pass):
+                with pytest.raises(PlacementError, match="outside the geometry"):
+                    refine(3, 100)
         evaluator = CostEvaluator(problem, placement)
-        items = list(problem.items)
-        with pytest.raises(PlacementError):
-            evaluator.swap_deltas(items[0], ["ghost"])
-        with pytest.raises(PlacementError):
-            evaluator.move_deltas(items[0], [Slot(3, 5)])
-        for outside in (Slot(5, 0), Slot(0, 8)):
-            with pytest.raises(PlacementError):
-                evaluator.move_deltas(items[0], [outside])
-        with pytest.raises(PlacementError):
-            evaluator.reversal_deltas(3, [4, 5])
-        with pytest.raises(PlacementError):
-            evaluator.reversal_deltas(0, [0, 1, 2], first=-1)
+        with pytest.raises(TypeError):
+            evaluator.swap_pass(1.5, 100)
+
+
+class TestPassBounds:
+    """What a refinement pass accepts on every tier: any Python int budget,
+    a negative budget as no probe, and no slot outside the geometry."""
+
+    @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
+    def test_huge_budget_runs_to_convergence(self, kernel_tier):
+        problem, placement = _row_problem(2, "lazy", seed=5)
+        for refine in (swap_refinement, two_opt_refinement):
+            converged = refine(
+                problem, placement, max_passes=50, max_evaluations=10**7
+            )
+            for huge in (10**30, 2**64 + 5):
+                assert refine(
+                    problem, placement, max_passes=huge, max_evaluations=huge
+                ) == converged
+
+    @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
+    def test_negative_budget_makes_no_moves(self, kernel_tier):
+        problem, placement = _row_problem(2, "eager", seed=5)
+        for refine in (swap_refinement, two_opt_refinement):
+            assert refine(problem, placement, max_evaluations=-(10**30)) == placement
+            assert refine(problem, placement, max_passes=-1) == placement
+
+    @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
+    def test_slot_outside_geometry_is_rejected(self, kernel_tier):
+        problem, placement = _row_problem(2, "lazy", seed=5)
+        for outside in ((5, 0), (40, 3), (1, 8), (0, 10**6)):
+            for name in ("ghost", list(problem.items)[3]):
+                mapping = dict(placement.as_dict())
+                mapping[name] = outside
+                evaluator = CostEvaluator(
+                    problem, Placement(mapping), validate=False
+                )
+                before = evaluator.placement()
+                for refine in (evaluator.swap_pass, evaluator.reversal_pass):
+                    with pytest.raises(PlacementError):
+                        refine(3, 500)
+                assert evaluator.placement() == before
+
+
+    def test_compiled_pass_rejects_a_malformed_state(self):
+        tier = kernels.active()
+        if tier.swap_pass is None:
+            pytest.skip("the active tier has no compiled pass")
+        problem, placement = _row_problem(2, "lazy", seed=5)
+        evaluator = CostEvaluator(problem, placement)
+        for name, bad in (("scratch", 3), ("dbc_pos", 1), ("rest", 0)):
+            state = evaluator._refine_state()
+            setattr(state, name, np.zeros(bad, dtype=np.int64))
+            with pytest.raises(ValueError, match=name):
+                tier.swap_pass(state, 3, 100)
+        state = evaluator._refine_state()
+        state.occupied = state.occupied.astype(np.int32)
+        with pytest.raises(ValueError, match="occupied"):
+            tier.reversal_pass(state, 3, 100)
 
 
 class TestSharedPositionIndex:
@@ -351,9 +444,9 @@ class TestSharedPositionIndex:
         first = CostEvaluator(lazy, random_placement(lazy, seed=1))
         second = CostEvaluator(lazy, random_placement(lazy, seed=2))
         for evaluator in (first, second):
-            layout = evaluator._row_layout()
-            assert layout.item_pos is item_pos
-            assert layout.item_start is item_start
+            state = evaluator._refine_state()
+            assert state.item_pos is item_pos
+            assert state.item_start is item_start
         # Another geometry over the same trace reads the same index.
         view = GroupTrace(eager, [eager.items[0]])
         assert view.positions.base is item_pos
@@ -406,6 +499,23 @@ class TestRefinersOnEngine:
         )
         annealed.validate(problem.config, problem.items)
         assert evaluate_placement(problem, annealed) <= start_cost
+
+    @pytest.mark.parametrize("temperature", [0.0, -3.0, float("nan")])
+    def test_simulated_annealing_rejects_non_positive_temperature(
+        self, temperature
+    ):
+        # An explicit 0.0 must not fall back to the default, nor a negative
+        # value return the start unrefined.
+        problem = _random_problem(1, "lazy", seed=31)
+        start = random_placement(problem, 0)
+        with pytest.raises(OptimizationError, match="initial_temperature"):
+            simulated_annealing(problem, start, initial_temperature=temperature)
+        assert evaluate_placement(
+            problem,
+            simulated_annealing(
+                problem, start, initial_temperature=0.5, max_evaluations=400
+            ),
+        ) < evaluate_placement(problem, start)
 
     def test_simulated_annealing_deterministic(self):
         problem = _random_problem(2, "lazy", seed=31)

@@ -98,8 +98,22 @@ def _load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case_id", _case_ids())
-def test_trajectory_matches_golden(case_id):
+def _tiered_cases() -> list:
+    """Every case on the active tier; the random-start refiner runs also on
+    the forced numpy tier (``REPRO_KERNEL=numpy``, id suffix ``-numpy``), so
+    a split between the compiled pass and the single-probe scan fails here."""
+    params = []
+    for case_id in _case_ids():
+        params.append(pytest.param(case_id, "active", id=case_id))
+        if not case_id.startswith("heuristic+ls/"):
+            params.append(pytest.param(case_id, "numpy", id=f"{case_id}-numpy"))
+    return params
+
+
+@pytest.mark.parametrize(
+    "case_id,kernel_tier", _tiered_cases(), indirect=["kernel_tier"]
+)
+def test_trajectory_matches_golden(case_id, kernel_tier):
     expected = _load()["cases"][case_id]
     assert _record(*_run(case_id)) == expected
 

@@ -400,6 +400,31 @@ class TestTypedErrors:
                     )
 
 
+class TestRefinementBudgets:
+    @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
+    def test_any_int_budget_answers_200(self, kernel_tier):
+        # Budgets past int64 run to convergence (2**64 + 5 is not 5);
+        # negative ones make no move.
+        with running_server() as (_, client):
+            trace_id = client.upload_trace("budget", make_accesses())["trace_id"]
+            heuristic = client.optimize(trace_id, config=CONFIG)["result"]
+            budgets = (10**30, 2**64 + 5, 10**9, -(10**30))
+            results = {}
+            for budget in budgets:
+                optimized = client.optimize(
+                    trace_id,
+                    method="heuristic+ls",
+                    config=CONFIG,
+                    kwargs={"max_evaluations": budget},
+                )
+                assert optimized["state"] == "done"
+                results[budget] = optimized["result"]
+            assert results[-(10**30)]["placement"] == heuristic["placement"]
+            for budget in (10**30, 2**64 + 5):
+                assert results[budget]["placement"] == results[10**9]["placement"]
+            assert results[10**9]["total_shifts"] < heuristic["total_shifts"]
+
+
 class TestRtbTraces:
     def test_rtb_upload_and_streaming_simulate(self, tmp_path):
         from repro.trace.binio import save_binary

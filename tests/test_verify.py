@@ -118,19 +118,21 @@ class TestOracles:
         kinds = {v.kind for v in check_case(case)}
         assert "engine_total_mismatch" in kinds
 
-    def test_detects_row_probe_off_by_one(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["swap_pass", "reversal_pass"])
+    def test_detects_refinement_pass_off_by_one(self, monkeypatch, name):
+        # A pass that miscounts one probe splits from the single-probe scan.
         from repro.core.incremental import CostEvaluator
 
-        for name in ("swap_deltas", "move_deltas", "reversal_deltas"):
-            row = getattr(CostEvaluator, name)
-            monkeypatch.setattr(
-                CostEvaluator,
-                name,
-                lambda self, *args, row=row, **kw: row(self, *args, **kw) + 1,
-            )
+        refine = getattr(CostEvaluator, name)
+
+        def miscounting(self, *args):
+            refine(self, *args)
+            self.delta_evaluations += 1
+
+        monkeypatch.setattr(CostEvaluator, name, miscounting)
         case = make_case(["a", "b", "c", "a", "c", "b"], words=3, dbcs=2)
         violations = check_case(case)
-        assert {v.kind for v in violations} == {"row_probe_mismatch"}
+        assert {v.kind for v in violations} == {"refinement_mismatch"}
 
 
 class TestShrink:
