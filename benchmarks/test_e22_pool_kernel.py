@@ -1,4 +1,4 @@
-"""E22 — compiled kernel throughput + persistent-pool dispatch overhead.
+"""E22 — compiled kernel throughput, pool dispatch and trace pickling.
 
 Microbenchmark of the two native-speed hot paths introduced by the
 worker-pool/kernel rework:
@@ -17,17 +17,23 @@ worker-pool/kernel rework:
    (a fresh process spawned, run and joined per task).  The pool is driven
    directly so the measurement works on any host regardless of the
    ``resolve_jobs`` CPU cap.
-3. **Shared-memory traces** — publish + worker-side resolve round-trip of
-   a 10⁵-access trace, fingerprint-verified, with a no-leaked-segments
-   check after release.
+3. **Trace pickle round-trip** — a 10⁵-access trace pickled as its
+   resolved arrays (``AccessTrace.__reduce__``, how tasks carry traces to
+   pool workers) vs its :class:`~repro.trace.model.Access` records: bytes,
+   and median dumps/loads seconds of ``PICKLE_RUNS`` runs each.  Two pool
+   workers unpickle the trace and return its fingerprint and array
+   digests, which must equal the parent's.
 
 Structured numbers land in ``results/BENCH_e22.json``; the rendered table
 goes to ``results/e22.txt``.
 """
 
+import hashlib
 import json
 import os
+import pickle
 import random
+import statistics
 
 from repro.analysis import pool as pool_mod
 from repro.analysis.experiments import ExperimentOutput
@@ -38,7 +44,7 @@ from repro.core.baselines import random_placement
 from repro.core.cost import evaluate_placement
 from repro.core.incremental import CostEvaluator
 from repro.dwm.config import DWMConfig
-from repro.memory import shm
+from repro.memory.batch_sim import resolve_trace
 from repro.perf import Stopwatch, measure_throughput, speedup
 from repro.trace.synthetic import markov_trace
 
@@ -54,14 +60,22 @@ KERNEL_RUNS = 5
 POOL_SIZE = 2
 POOL_TASKS = 64
 SPAWN_TASKS = 8
+#: Timed dumps/loads runs per representation; each reported time is the median.
+PICKLE_RUNS = 5
 
 
 def _noop_task(value):
     return value
 
 
-def _handle_fingerprint(handle):
-    return handle.fingerprint()
+def _trace_digest(trace):
+    """Fingerprint and array digests of a trace, as a worker sees it."""
+    resolved = resolve_trace(trace)
+    return (
+        trace.fingerprint(),
+        hashlib.sha256(resolved.item_at.tobytes()).hexdigest(),
+        hashlib.sha256(resolved.is_write.tobytes()).hexdigest(),
+    )
 
 
 def _build_instance():
@@ -169,26 +183,36 @@ def _measure_pool():
     }
 
 
-def _measure_shm(trace):
-    """Publish + worker-side resolve round-trip of the benchmark trace."""
+def _median_seconds(fn):
+    times = []
+    for _ in range(PICKLE_RUNS):
+        with Stopwatch() as watch:
+            fn()
+        times.append(watch.seconds)
+    return statistics.median(times)
+
+
+def _measure_pickle(trace):
+    """The trace pickled as arrays vs as records, and its worker round trip."""
     pool = pool_mod.get_pool(POOL_SIZE)
-    expected = trace.fingerprint()
-    with Stopwatch() as publish_watch:
-        handle = shm.publish(trace)
-    try:
-        with Stopwatch() as resolve_watch:
-            results = pool.run(
-                _handle_fingerprint, [handle, handle], propagate=True
-            )
-        roundtrip_ok = results == [expected, expected]
-    finally:
-        shm.release(handle)
+    # Sent before the parent computes the fingerprint, so workers hash arrays.
+    fingerprint_carried = trace._fingerprint is not None
+    results = pool.run(_trace_digest, [trace, trace], propagate=True)
+    roundtrip_ok = results == [_trace_digest(trace)] * 2
+
+    arrays = pickle.dumps(trace)
+    records = tuple(trace)
+    objects = pickle.dumps(records)
     return {
         "num_accesses": len(trace),
-        "publish_seconds": publish_watch.seconds,
-        "worker_resolve_seconds": resolve_watch.seconds,
+        "arrays_bytes": len(arrays),
+        "objects_bytes": len(objects),
+        "arrays_dumps_seconds": _median_seconds(lambda: pickle.dumps(trace)),
+        "arrays_loads_seconds": _median_seconds(lambda: pickle.loads(arrays)),
+        "objects_dumps_seconds": _median_seconds(lambda: pickle.dumps(records)),
+        "objects_loads_seconds": _median_seconds(lambda: pickle.loads(objects)),
+        "worker_fingerprint_carried": fingerprint_carried,
         "roundtrip_identical": roundtrip_ok,
-        "segments_leaked": len(shm.active_segments()),
     }
 
 
@@ -196,7 +220,7 @@ def run_e22(min_seconds: float = 0.3) -> ExperimentOutput:
     trace, problem, placement = _build_instance()
     kernel = _measure_kernel(problem, placement, min_seconds)
     pool = _measure_pool()
-    shared = _measure_shm(trace)
+    pickled = _measure_pickle(trace)
     pool_mod.shutdown_pools()
 
     table_rows = [
@@ -215,18 +239,27 @@ def run_e22(min_seconds: float = 0.3) -> ExperimentOutput:
             "yes" if pool["results_identical"] else "NO",
         ),
         (
-            f"shm round-trip ({len(trace):,} accesses)",
-            f"{shared['publish_seconds'] * 1e3:.1f}ms publish",
-            f"{shared['worker_resolve_seconds'] * 1e3:.1f}ms resolve",
+            f"trace pickle ({len(trace):,} accesses)",
+            f"{pickled['objects_bytes'] / 1e6:.2f} MB records",
+            f"{pickled['arrays_bytes'] / 1e6:.2f} MB arrays",
+            f"{pickled['objects_bytes'] / pickled['arrays_bytes']:.1f}x",
+            "yes" if pickled["roundtrip_identical"] else "NO",
+        ),
+        (
+            "  dumps / loads",
+            f"{pickled['objects_dumps_seconds'] * 1e3:.0f} / "
+            f"{pickled['objects_loads_seconds'] * 1e3:.0f} ms",
+            f"{pickled['arrays_dumps_seconds'] * 1e3:.2f} / "
+            f"{pickled['arrays_loads_seconds'] * 1e3:.2f} ms",
             "-",
-            "yes" if shared["roundtrip_identical"] else "NO",
+            "-",
         ),
     ]
     rendered = format_table(
         ("measurement", "baseline", "optimized", "speedup", "identical"),
         table_rows,
         title=(
-            f"Compiled kernel / pool dispatch / shm microbench "
+            f"Compiled kernel / pool dispatch / trace pickle microbench "
             f"(E22, backend={kernel['backend']}, {os.cpu_count()} CPU)"
         ),
     )
@@ -236,7 +269,7 @@ def run_e22(min_seconds: float = 0.3) -> ExperimentOutput:
         "cpu_count": os.cpu_count(),
         "kernel": kernel,
         "pool": pool,
-        "shm": shared,
+        "pickle": pickled,
     }
     return ExperimentOutput(
         "e22", "Kernel + pool dispatch microbenchmark", data, rendered
@@ -259,6 +292,4 @@ def test_e22_pool_kernel(benchmark, record_artifact, results_dir):
     assert pool["results_identical"]
     # A warm dispatch must beat spawning a process per task comfortably.
     assert pool["dispatch_speedup"] >= 5.0
-    shared = output.data["shm"]
-    assert shared["roundtrip_identical"]
-    assert shared["segments_leaked"] == 0
+    assert output.data["pickle"]["roundtrip_identical"]

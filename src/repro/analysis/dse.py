@@ -24,7 +24,6 @@ from repro.core.api import optimize_placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.energy import DWMEnergyModel
 from repro.errors import OptimizationError
-from repro.memory.shm import publish_traces
 from repro.memory.spm import ScratchpadMemory
 from repro.trace.model import AccessTrace
 
@@ -62,13 +61,10 @@ def area_per_bit(words_per_dbc: int, num_ports: int) -> float:
 
 
 def _explore_point(task: tuple) -> DesignPoint:
-    """Evaluate one geometry (top-level so pool workers can unpickle it).
-
-    The trace arrives as a :class:`~repro.memory.shm.TraceHandle`; see
-    :func:`repro.analysis.sweep._sweep_cell`.
-    """
-    handle, length, port_count, policy, method, energy_model = task
-    trace = handle.trace()
+    """Evaluate one geometry (top-level so pool workers can unpickle it;
+    the trace travels as its resolved arrays, as in
+    :func:`repro.analysis.sweep._sweep_cell`)."""
+    trace, length, port_count, policy, method, energy_model = task
     config = DWMConfig.for_items(
         trace.num_items,
         words_per_dbc=length,
@@ -93,11 +89,11 @@ def _explore_point(task: tuple) -> DesignPoint:
 def _point_key(task: tuple) -> str:
     """Checkpoint-journal content key of one design point (fingerprint-
     keyed, so serial and pooled runs journal identically)."""
-    handle, length, port_count, policy, method, energy_model = task
+    trace, length, port_count, policy, method, energy_model = task
     return task_key(
         "dse-point",
         {
-            "trace": handle.fingerprint(),
+            "trace": trace.fingerprint(),
             "length": length,
             "ports": port_count,
             "policy": str(policy),
@@ -130,30 +126,25 @@ def explore(
     """
     energy_model = energy_model or DWMEnergyModel()
     effective_jobs = resolve_jobs(jobs)
-    with publish_traces([trace], effective_jobs) as (handle,):
-        tasks = [
-            (handle, length, port_count, policy, method, energy_model)
-            for length in lengths
-            for port_count in ports
-            if port_count <= length
-            for policy in policies
-        ]
-        keys = (
-            [_point_key(task) for task in tasks]
-            if checkpoint is not None
-            else None
-        )
-        return run_checkpointed(
-            _explore_point,
-            tasks,
-            keys,
-            checkpoint=checkpoint,
-            encode=asdict,
-            decode=lambda payload: DesignPoint(**payload),
-            jobs=effective_jobs,
-            timeout=timeout,
-            retries=retries,
-        )
+    tasks = [
+        (trace, length, port_count, policy, method, energy_model)
+        for length in lengths
+        for port_count in ports
+        if port_count <= length
+        for policy in policies
+    ]
+    keys = [_point_key(task) for task in tasks] if checkpoint is not None else None
+    return run_checkpointed(
+        _explore_point,
+        tasks,
+        keys,
+        checkpoint=checkpoint,
+        encode=asdict,
+        decode=lambda payload: DesignPoint(**payload),
+        jobs=effective_jobs,
+        timeout=timeout,
+        retries=retries,
+    )
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:

@@ -18,9 +18,9 @@ This module provides the two primitives they share:
 
 Both primitives share one pool of long-lived workers per (start method,
 job count), spawned on first use and reused across maps — tasks pay a
-pipe send/recv, not a process spawn.  Bulk inputs (traces) should cross
-the boundary as :mod:`repro.memory.shm` handles so the per-task pickle
-stays small.
+pipe send/recv, not a process spawn.  Traces ride in the tasks
+themselves: an ``AccessTrace`` pickles as its resolved arrays, not as
+per-access records, and a ``StreamingTrace`` as its path.
 
 Shared policy: the job count resolves as ``--jobs`` flag > ``REPRO_JOBS``
 env var > serial, capped at the number of CPUs the process may run on (a

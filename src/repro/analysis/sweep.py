@@ -14,7 +14,6 @@ from repro.analysis.checkpoint import CheckpointJournal, run_checkpointed, task_
 from repro.analysis.parallel import resolve_jobs
 from repro.core.api import optimize_placement
 from repro.dwm.config import DWMConfig
-from repro.memory.shm import publish_traces
 from repro.trace.model import AccessTrace
 
 
@@ -39,16 +38,14 @@ class SweepRecord:
 
 
 def _sweep_cell(task: tuple) -> SweepRecord:
-    """Evaluate one (trace-handle, geometry, method) grid cell.
+    """Evaluate one (trace, geometry, method) grid cell.
 
     Top-level (picklable) so :func:`repro.analysis.parallel.parallel_map`
-    can ship cells to pool workers under any start method.  The trace
-    arrives as a :class:`~repro.memory.shm.TraceHandle` — the pickle is a
-    few dozen bytes; the access arrays live in shared memory (or, in the
-    publishing process itself, are the original trace object).
+    can ship cells to pool workers under any start method.  A trace
+    pickles as its resolved arrays (``AccessTrace.__reduce__``), so a
+    worker receives it ready to optimize.
     """
-    handle, words_per_dbc, num_ports, method, kwargs = task
-    trace = handle.trace()
+    trace, words_per_dbc, num_ports, method, kwargs = task
     config = DWMConfig.for_items(
         trace.num_items,
         words_per_dbc=words_per_dbc,
@@ -70,15 +67,15 @@ def _sweep_cell(task: tuple) -> SweepRecord:
 def _cell_key(task: tuple) -> str:
     """Checkpoint-journal content key of one sweep cell.
 
-    Keyed on the trace *fingerprint* (content hash), never the handle, so
-    serial and pooled runs — and resumed runs republished under new
-    segment names — generate identical journal keys.
+    Keyed on the trace *fingerprint* (content hash), never its name or
+    identity, so serial, pooled and resumed runs generate identical
+    journal keys.
     """
-    handle, words_per_dbc, num_ports, method, kwargs = task
+    trace, words_per_dbc, num_ports, method, kwargs = task
     return task_key(
         "sweep-cell",
         {
-            "trace": handle.fingerprint(),
+            "trace": trace.fingerprint(),
             "words_per_dbc": words_per_dbc,
             "num_ports": num_ports,
             "method": method,
@@ -112,35 +109,29 @@ def sweep(
     by trace fingerprint + geometry + method) so an interrupted sweep
     resumes without recomputing.
     """
-    traces = list(traces)
     effective_jobs = resolve_jobs(jobs)
     from repro.obs import trace_span
 
-    with publish_traces(traces, effective_jobs) as handles:
-        tasks = [
-            (handle, words_per_dbc, num_ports, method, kwargs)
-            for handle in handles
-            for words_per_dbc in words_per_dbc_values
-            for num_ports in num_ports_values
-            for method in methods
-        ]
-        keys = (
-            [_cell_key(task) for task in tasks]
-            if checkpoint is not None
-            else None
+    tasks = [
+        (trace, words_per_dbc, num_ports, method, kwargs)
+        for trace in traces
+        for words_per_dbc in words_per_dbc_values
+        for num_ports in num_ports_values
+        for method in methods
+    ]
+    keys = [_cell_key(task) for task in tasks] if checkpoint is not None else None
+    with trace_span("sweep", cells=len(tasks)):
+        return run_checkpointed(
+            _sweep_cell,
+            tasks,
+            keys,
+            checkpoint=checkpoint,
+            encode=asdict,
+            decode=lambda payload: SweepRecord(**payload),
+            jobs=effective_jobs,
+            timeout=timeout,
+            retries=retries,
         )
-        with trace_span("sweep", cells=len(tasks)):
-            return run_checkpointed(
-                _sweep_cell,
-                tasks,
-                keys,
-                checkpoint=checkpoint,
-                encode=asdict,
-                decode=lambda payload: SweepRecord(**payload),
-                jobs=effective_jobs,
-                timeout=timeout,
-                retries=retries,
-            )
 
 
 def pivot(

@@ -120,8 +120,6 @@ ERROR_TYPES: dict[str, type] = {
 _CATALOG: set[str] = {
     "pool.dispatch",   # parent→worker task send (analysis/pool.py)
     "pool.task",       # worker-side, before running a task (analysis/pool.py)
-    "shm.publish",     # shared-memory segment creation (memory/shm.py)
-    "shm.attach",      # worker-side segment attach (memory/shm.py)
     "binio.read",      # binary-trace header/window reads (trace/binio.py)
     "binio.write",     # binary-trace pack writes (trace/binio.py)
     "cache.read",      # result-cache shard read (analysis/cache.py)

@@ -9,8 +9,8 @@ that every run either
 * produces results **byte-identical** to the failure-free baseline
   (faults absorbed by retries / degradation chains), or
 * aborts with a **typed** error (:class:`~repro.errors.ReproError` or
-  ``OSError`` family) — never a hang, an untyped crash, a leaked shared
-  memory segment, an orphan worker, or a stray ``*.tmp`` file.
+  ``OSError`` family) — never a hang, an untyped crash, an orphan
+  worker, or a stray ``*.tmp`` file.
 
 A final phase tears artifacts on purpose (truncated ``.rtb`` records and
 metadata, a torn checkpoint-journal tail, a corrupt cache shard) and
@@ -21,7 +21,7 @@ Everything is derived from the soak seed, so ``repro chaos soak --seed
 2015`` reproduces bit-for-bit anywhere.  On small containers the harness
 temporarily widens :func:`repro.analysis.parallel._cpu_count` so the
 pooled paths are actually exercised (the 1-CPU cap would otherwise
-silently serialize every workload and the pool/shm failpoints would
+silently serialize every workload and the pool failpoints would
 never fire).  Worker pinning reads the real affinity mask, not this cap,
 so the widened pools are pinned only where there are CPUs to pin them to.
 """
@@ -247,7 +247,6 @@ def _teardown_and_leaks(rundir: Path) -> list[str]:
 
     from repro.analysis.checkpoint import flush_active_journals
     from repro.analysis.pool import shutdown_pools
-    from repro.memory import shm
 
     leaks: list[str] = []
     flush_active_journals()
@@ -260,10 +259,6 @@ def _teardown_and_leaks(rundir: Path) -> list[str]:
         for proc in orphans:
             proc.terminate()
         leaks.append(f"{len(orphans)} orphan worker process(es)")
-    segments = shm.active_segments()
-    if segments:
-        leaks.append(f"leaked shm segments: {segments}")
-        shm.unlink_all()
     strays = sorted(
         str(p.relative_to(rundir)) for p in rundir.rglob(f"*{TMP_SUFFIX}")
     )
@@ -386,7 +381,7 @@ def run_soak(
     base.mkdir(parents=True, exist_ok=True)
     saved_cpu_count = parallel._cpu_count
     try:
-        # Let jobs=2 through on single-CPU CI hosts so the pooled/shm
+        # Let jobs=2 through on single-CPU CI hosts so the pool
         # failpoints are exercised; the workloads are tiny.
         parallel._cpu_count = lambda: max(4, saved_cpu_count())
 

@@ -796,7 +796,7 @@ def cmd_serve(args) -> int:
     threading.Thread(target=_announce, daemon=True).start()
     # Blocks until /v1/shutdown or a signal.  SIGTERM arrives here as
     # KeyboardInterrupt (handler installed in main()); the server tears
-    # down pools/shm first, then main()'s interrupt path re-runs the same
+    # down pools first, then main()'s interrupt path re-runs the same
     # idempotent cleanup and exits 130.
     server.run()
     return 0
@@ -1074,7 +1074,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.chaos import ensure_installed_from_env
 
     # SIGTERM lands in the KeyboardInterrupt handler below, so a `kill`
-    # (or a batch-scheduler timeout) gets the same journal-flush/pool/shm
+    # (or a batch-scheduler timeout) gets the same journal-flush/pool
     # teardown as Ctrl-C.  REPRO_CHAOS activates the failpoint plan for
     # this process and every pool worker it spawns.
     previous_sigterm = robust.install_sigterm_handler()
@@ -1083,23 +1083,18 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         # Flush any open checkpoint journals so an interrupted sweep can be
-        # resumed with --resume, tear down the worker pools and any
-        # shared-memory trace segments (no leaked /dev/shm blocks), then
-        # exit with the conventional SIGINT code.
+        # resumed with --resume, tear down the worker pools, then exit with
+        # the conventional SIGINT code.
         from repro.analysis.checkpoint import flush_active_journals
         from repro.analysis.pool import shutdown_pools
-        from repro.memory.shm import unlink_all
 
         flushed = flush_active_journals()
         shutdown_pools()
-        unlinked = unlink_all()
-        notes = []
         if flushed:
-            notes.append(f"flushed {flushed} checkpoint journal(s)")
-        if unlinked:
-            notes.append(f"released {unlinked} shared-memory segment(s)")
-        if notes:
-            print(f"interrupted: {', '.join(notes)}", file=sys.stderr)
+            print(
+                f"interrupted: flushed {flushed} checkpoint journal(s)",
+                file=sys.stderr,
+            )
         else:
             print("interrupted", file=sys.stderr)
         return 130

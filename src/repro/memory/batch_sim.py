@@ -10,7 +10,10 @@ computes the identical result with numpy:
    arrays — item index and read/write flag per access.  This is the only
    O(accesses) Python loop, and it is independent of config and placement,
    so :func:`resolve_trace` builds it once per trace object and caches it
-   on the trace, where every later run of that trace finds it.
+   on the trace, where every later run of that trace finds it.  A trace
+   built from dense arrays (``AccessTrace._from_dense``) or unpickled in a
+   pool worker arrives with its resolution already
+   (:meth:`ResolvedTrace.from_arrays`).
 2. **Scan per run**: for a given placement, eager costs are stateless —
    a rest-distance table gathered at each access's offset.  Lazy costs
    come from one call to the active kernel tier's interleaved scan
@@ -130,11 +133,11 @@ class ResolvedTrace:
     def from_arrays(cls, trace: AccessTrace, items, item_at, is_write):
         """Trusted constructor from prebuilt dense arrays.
 
-        Used by the shared-memory attach path
-        (:mod:`repro.memory.shm`), where the arrays already exist in a
-        published segment and re-deriving them from the trace object
-        would repeat the O(accesses) Python loop the segment exists to
-        avoid.  The caller guarantees the arrays describe ``trace``.
+        ``AccessTrace._from_dense`` and unpickling (``AccessTrace.__reduce__``)
+        build traces from these arrays, so they become the trace's
+        resolution as they are; re-deriving them would repeat the
+        O(accesses) Python loop.  The caller guarantees the arrays describe
+        ``trace``.
         """
         resolved = cls.__new__(cls)
         resolved._trace = weakref.ref(trace)
@@ -144,20 +147,7 @@ class ResolvedTrace:
         resolved.writes = int(is_write.sum())
         resolved.reads = int(item_at.size) - resolved.writes
         resolved.resolve_seconds = 0.0
-        get_registry().inc("sim.resolves", mode="attached")
         return resolved
-
-
-def seed_resolved(trace: AccessTrace, resolved: ResolvedTrace) -> None:
-    """Register ``resolved`` as the canonical resolution of ``trace``.
-
-    The resolution is cached on the trace object itself, so its lifetime
-    exactly matches the trace's and every later :func:`resolve_trace`
-    call — sweep cells, shared-memory handles, simulators — reuses the
-    same arrays.  The cache is dropped on pickling (see
-    ``AccessTrace.__getstate__``) so it never bloats task payloads.
-    """
-    trace._resolved = resolved
 
 
 #: Serialises first-time resolution so concurrent requests against the same
@@ -171,7 +161,7 @@ def resolve_trace(trace: AccessTrace) -> ResolvedTrace:
     """The canonical :class:`ResolvedTrace` of ``trace``.
 
     Resolves at most once per trace object: the result is cached on the
-    trace (see :func:`seed_resolved`), so repeated sweep cells, placements
+    trace (as ``_resolved``), so repeated sweep cells, placements
     and requests over the same trace skip the per-access Python loop
     entirely.  Thread-safe: two concurrent callers racing on an unresolved
     trace still produce (and share) a single resolution.

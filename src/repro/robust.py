@@ -21,8 +21,7 @@ inconsistent logging and no observability.  This module centralises:
 * the **accounting** (:func:`record_degradation`) — every downgrade
   increments the ``robust.degradations`` counter (labelled by domain and
   edge) in :mod:`repro.obs`, which the run manifest picks up automatically,
-  and is kept in a bounded in-process event log for reports;
-* :func:`run_with_fallbacks` — the one loop that walks a chain.
+  and is kept in a bounded in-process event log for reports.
 
 The chaos harness (:mod:`repro.chaos`) exists to prove these chains
 actually engage; ``docs/RELIABILITY.md`` documents the chain table.
@@ -34,7 +33,6 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
 
 from repro.errors import ArtifactError, InjectedFaultError, ReproError
 
@@ -47,10 +45,7 @@ __all__ = [
     "is_recoverable",
     "record_degradation",
     "reset_degradations",
-    "run_with_fallbacks",
 ]
-
-T = TypeVar("T")
 
 #: Declarative fallback chains, best-first.  Every edge ``chain[i] ->
 #: chain[i+1]`` preserves results bit-for-bit; only throughput (or, for
@@ -173,44 +168,11 @@ def reset_degradations() -> None:
     _WARNED.clear()
 
 
-def run_with_fallbacks(
-    domain: str,
-    attempts: Sequence[tuple[str, Callable[[], T]]],
-    *,
-    recoverable: Callable[[BaseException], bool] | None = None,
-    warn: bool = True,
-) -> T:
-    """Run ``attempts`` (``(level_name, thunk)`` pairs) best-first.
-
-    Each recoverable failure records a degradation and moves to the next
-    level; a non-recoverable failure — or a failure of the last level —
-    propagates unchanged.
-    """
-    if not attempts:
-        raise ValueError("run_with_fallbacks needs at least one attempt")
-    check = recoverable if recoverable is not None else is_recoverable
-    last = len(attempts) - 1
-    for index, (level, thunk) in enumerate(attempts):
-        try:
-            return thunk()
-        except BaseException as exc:
-            if index == last or not check(exc):
-                raise
-            record_degradation(
-                domain,
-                level,
-                attempts[index + 1][0],
-                f"{type(exc).__name__}: {exc}",
-                warn=warn,
-            )
-    raise AssertionError("unreachable")
-
-
 def install_sigterm_handler():
     """Route ``SIGTERM`` through the ``KeyboardInterrupt`` cleanup path.
 
     The CLI already tears everything down on ``KeyboardInterrupt`` (flush
-    journals, shut pools, unlink shm); converting SIGTERM to the same
+    journals, shut pools); converting SIGTERM to the same
     exception gives e.g. a container runtime's ``docker stop`` the same
     guarantees.  Returns the handler it replaced, for the caller to put
     back; ``None`` (and no change) outside the main thread or where

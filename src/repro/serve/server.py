@@ -27,10 +27,11 @@ One process, one event loop, three tiers:
 Shutdown reuses the toolkit-wide guarantees: ``repro serve`` installs
 :func:`repro.robust.install_sigterm_handler`, so SIGTERM lands in the same
 KeyboardInterrupt path as Ctrl-C — admission drains (typed 503s, no
-hangs), worker pools and shared-memory segments are torn down, and the CLI
-exits 130 with no orphan processes or stray segments (asserted by the
-chaos-style teardown checks in ``tests/test_serve.py`` and
-``scripts/service_load_check.py``).
+hangs), worker pools are torn down, and the CLI exits 130 with no orphan
+processes (asserted by the chaos-style teardown checks in
+``tests/test_serve.py`` and ``scripts/service_load_check.py``).  An
+optimize job sends its trace to the pool as the resolved arrays
+(``AccessTrace.__reduce__``), not as per-access records.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class PlacementServer:
         A ``KeyboardInterrupt`` (which SIGTERM is routed into by
         :func:`repro.robust.install_sigterm_handler`) propagates to the
         caller *after* the synchronous teardown in ``finally`` — worker
-        pools closed, shared memory unlinked, queued jobs shed — so the
-        CLI's interrupt handler only has idempotent work left.
+        pools closed, queued jobs shed — so the CLI's interrupt handler
+        only has idempotent work left.
         """
         try:
             asyncio.run(self._main())
@@ -354,7 +355,7 @@ class PlacementServer:
     def _teardown_sync(self) -> None:
         """Idempotent hard teardown shared by every exit path.
 
-        Mirrors the CLI interrupt handler (pool shutdown + shm unlink) so
+        Mirrors the CLI interrupt handler (pool shutdown) so
         ``repro serve`` keeps the no-orphans/no-leaks guarantee even when
         SIGTERM lands mid-request; the CLI handler re-runs the same calls
         harmlessly afterwards.
@@ -366,10 +367,8 @@ class PlacementServer:
         self.admission.drain()
         self._executor.shutdown(wait=False, cancel_futures=True)
         from repro.analysis.pool import shutdown_pools
-        from repro.memory import shm
 
         shutdown_pools()
-        shm.unlink_all()
         for job in self._jobs.values():
             if job.state in ("queued", "running"):
                 job.state = "shed"

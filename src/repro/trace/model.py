@@ -81,30 +81,57 @@ class AccessTrace:
                 records.append(Access(entry[0], AccessKind.parse(entry[1])))
             else:
                 raise TraceError(f"cannot interpret trace entry {entry!r}")
-        self._accesses: tuple[Access, ...] = tuple(records)
+        #: The access records; ``None`` on a trace rebuilt from its
+        #: resolution (see :meth:`__reduce__`) until something needs them.
+        self._records: tuple[Access, ...] | None = tuple(records)
         self.name = name
         self.metadata = dict(metadata or {})
         self._items: tuple[str, ...] | None = None
         self._fingerprint: str | None = None
         self._resolved = None  # ResolvedTrace cache (repro.memory.batch_sim)
 
-    def __getstate__(self):
-        # The resolved-trace cache carries dense numpy arrays; shipping it
-        # with every pickled trace would bloat worker task payloads, and
-        # the receiving process re-resolves (or attaches) lazily anyway.
-        state = dict(self.__dict__)
-        state.pop("_resolved", None)
-        return state
+    def __reduce__(self):
+        """Pickle as the resolution: ``(items, item_at, is_write)``, name,
+        metadata and the fingerprint if it is already computed.
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._resolved = None
+        The arrays cost about 9 bytes per access and pickle in a single
+        copy; the :class:`Access` records would cost a Python object each
+        way.  The receiving side keeps the arrays as the trace's resolution
+        and builds its records only when something iterates, indexes,
+        slices or compares it, so a worker's optimize or simulate never
+        does.
+        """
+        from repro.memory.batch_sim import resolve_trace
+
+        resolved = resolve_trace(self)
+        return (
+            _rebuild,
+            (
+                resolved.items,
+                resolved.item_at,
+                resolved.is_write,
+                self.name,
+                self.metadata,
+                self._fingerprint,
+            ),
+        )
+
+    @property
+    def _accesses(self) -> tuple[Access, ...]:
+        if self._records is None:
+            resolved = self._resolved
+            self._records = _dense_records(
+                resolved.items, resolved.item_at, resolved.is_write
+            )
+        return self._records
 
     # ------------------------------------------------------------------
     # Sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._accesses)
+        if self._records is None:
+            return int(self._resolved.item_at.size)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[Access]:
         return iter(self._accesses)
@@ -166,10 +193,18 @@ class AccessTrace:
         if self._fingerprint is None:
             import hashlib
 
+            if self._records is None:
+                # A rebuilt trace hashes its arrays, not records built for this.
+                resolved = self._resolved
+                names = map(resolved.items.__getitem__, resolved.item_at.tolist())
+                kinds = resolved.is_write.tolist()
+            else:
+                names = (access.item for access in self._records)
+                kinds = (access.is_write for access in self._records)
             digest = hashlib.sha256()
-            for access in self._accesses:
-                digest.update(access.kind.value.encode("ascii"))
-                digest.update(access.item.encode("utf-8"))
+            for item, write in zip(names, kinds):
+                digest.update(b"W" if write else b"R")
+                digest.update(item.encode("utf-8"))
                 digest.update(b"\x00")
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
@@ -271,32 +306,50 @@ class AccessTrace:
     ) -> "AccessTrace":
         """Trusted fast constructor from dense resolved arrays.
 
-        Rebuilds a trace from the arrays a :class:`ResolvedTrace` carries
-        (item index and write flag per access, plus the first-touch item
-        tuple) — the shared-memory attach path in :mod:`repro.memory.shm`.
+        Builds the :class:`Access` records of the accesses ``item_at``
+        (indices into ``items``) and ``is_write`` describe — how a
+        :class:`~repro.trace.binio.StreamingTrace` materialises windows,
+        samples and :meth:`~repro.trace.binio.StreamingTrace.to_trace`.
         Skips all per-access validation: the caller guarantees the arrays
         came from a valid trace, so ``Access.__post_init__`` checks would
         only re-prove what resolution already proved, per access, in
         Python.  ``items`` must be the distinct item names in first-touch
-        order (``_items`` is pre-seeded from it).
+        order (``_items`` is pre-seeded from it).  An unpickled trace is
+        rebuilt from the same arrays but defers the records (:func:`_rebuild`).
+        Either way the arrays become the trace's resolution.
         """
-        read, write = AccessKind.READ, AccessKind.WRITE
-        records = []
-        append = records.append
-        item_names = tuple(items)
-        for index, write_flag in zip(item_at.tolist(), is_write.tolist()):
-            access = object.__new__(Access)
-            object.__setattr__(access, "item", item_names[index])
-            object.__setattr__(access, "kind", write if write_flag else read)
-            append(access)
-        trace = cls.__new__(cls)
-        trace._accesses = tuple(records)
-        trace.name = name
-        trace.metadata = dict(metadata or {})
-        trace._items = item_names
-        trace._fingerprint = fingerprint
-        trace._resolved = None
+        trace = _rebuild(items, item_at, is_write, name, metadata, fingerprint)
+        trace._records = _dense_records(trace._items, item_at, is_write)
         return trace
+
+
+def _dense_records(items: tuple[str, ...], item_at, is_write) -> tuple[Access, ...]:
+    """The :class:`Access` records of dense arrays, without validation."""
+    read, write = AccessKind.READ, AccessKind.WRITE
+    records = []
+    append = records.append
+    for index, write_flag in zip(item_at.tolist(), is_write.tolist()):
+        access = object.__new__(Access)
+        object.__setattr__(access, "item", items[index])
+        object.__setattr__(access, "kind", write if write_flag else read)
+        append(access)
+    return tuple(records)
+
+
+def _rebuild(items, item_at, is_write, name, metadata, fingerprint) -> AccessTrace:
+    """An :class:`AccessTrace` whose resolution is the given arrays and whose
+    records are built on first use (the unpickling side of
+    :meth:`AccessTrace.__reduce__`)."""
+    from repro.memory.batch_sim import ResolvedTrace
+
+    trace = AccessTrace.__new__(AccessTrace)
+    trace._records = None
+    trace.name = name
+    trace.metadata = dict(metadata or {})
+    trace._items = tuple(items)
+    trace._fingerprint = fingerprint
+    trace._resolved = ResolvedTrace.from_arrays(trace, trace._items, item_at, is_write)
+    return trace
 
 
 class TraceRecorder:

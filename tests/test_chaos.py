@@ -127,9 +127,9 @@ class TestTriggerSemantics:
         assert fired == 2
 
     def test_raise_type_is_honoured(self):
-        with chaos_scope("shm.publish:raise=TimeoutError"):
+        with chaos_scope("binio.write:raise=TimeoutError"):
             with pytest.raises(TimeoutError):
-                failpoint("shm.publish")
+                failpoint("binio.write")
 
     def test_truncate_returns_cooperative_directive(self):
         with chaos_scope("journal.append:truncate=4"):
@@ -304,7 +304,6 @@ from repro.analysis.checkpoint import CheckpointJournal, flush_active_journals
 from repro.analysis.pool import get_pool, shutdown_pools
 from repro.core.api import optimize_placement
 from repro.dwm.config import DWMConfig
-from repro.memory.shm import unlink_all
 from repro.memory.spm import ScratchpadMemory
 from repro.trace.binio import open_binary, pack
 from repro.trace.model import AccessKind
@@ -337,7 +336,6 @@ try:
 except KeyboardInterrupt:
     flushed = flush_active_journals()
     shutdown_pools()
-    unlink_all()
     sys.exit(130)
 """
 

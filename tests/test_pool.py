@@ -1,10 +1,10 @@
-"""Tests for the persistent worker pool and shared-memory trace layer.
+"""Tests for the persistent worker pool and how traces reach its workers.
 
 Covers the lifecycle guarantees the orchestration layer depends on:
 workers persist across batches, a worker that dies mid-task is replaced
 and the task retried on a fresh worker, an interrupt mid-batch tears the
-pool down and flushes checkpoints, and no shared-memory segment outlives
-its ``publish_traces`` block — under both fork and spawn start methods.
+pool down and flushes checkpoints, and a trace pickled into a worker
+arrives identical — under both fork and spawn start methods.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +24,10 @@ from repro import robust
 from repro.analysis import pool as pool_mod
 from repro.analysis.checkpoint import CheckpointJournal, run_checkpointed, task_key
 from repro.analysis.parallel import MP_START_ENV, TaskFailure
-from repro.analysis.sweep import sweep
-from repro.memory import shm
+from repro.analysis.dse import _point_key, explore
+from repro.analysis.sweep import _cell_key, sweep
+from repro.dwm.energy import DWMEnergyModel
+from repro.memory.batch_sim import resolve_trace
 from repro.trace.synthetic import markov_trace
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -59,13 +64,12 @@ def _sigterm_disposition(_task):
     return signal.getsignal(signal.SIGTERM)
 
 
-def _handle_info(handle):
-    """Resolve a TraceHandle inside a worker (fork: registry; spawn: attach)."""
-    trace = handle.trace()
-    resolved = handle.resolved()
+def _trace_info(trace):
+    """What a worker sees of the trace it was sent."""
+    resolved = resolve_trace(trace)
     return (
         trace.name,
-        handle.fingerprint(),
+        trace.fingerprint(),
         int(resolved.item_at.sum()),
         int(resolved.is_write.sum()),
     )
@@ -224,65 +228,67 @@ class TestCheckpointInterrupt:
             resumed.close()
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestSharedMemory:
-    def test_publish_release_roundtrip(self, fresh_pools):
-        trace = markov_trace(8, 200, seed=1)
-        handle = shm.publish(trace)
-        try:
-            assert shm.active_segments() == [handle.shm_name]
-            assert handle.trace() is trace  # in-process: zero-copy
-            assert handle.fingerprint() == trace.fingerprint()
-        finally:
-            shm.release(handle)
-        assert shm.active_segments() == []
+_TWO_POOLED_SWEEPS = textwrap.dedent(
+    """
+    from repro.analysis import parallel
+    from repro.analysis.pool import shutdown_pools
+    from repro.analysis.sweep import sweep
+    from repro.trace.synthetic import markov_trace
 
-    def test_local_handle_refuses_to_pickle(self):
-        trace = markov_trace(8, 50, seed=2)
-        handle = shm.local_handle(trace)
-        assert handle.trace() is trace
-        with pytest.raises(pickle.PicklingError):
-            pickle.dumps(handle)
+    parallel._cpu_count = lambda: 2  # pool even where one CPU is allowed
+    traces = [markov_trace(8, 200, seed=seed) for seed in (1, 2)]
+    for _ in range(2):
+        sweep(traces, methods=("heuristic",), words_per_dbc_values=(16,), jobs=2)
+    shutdown_pools()
+    """
+)
 
-    def test_publish_traces_serial_publishes_nothing(self):
-        trace = markov_trace(8, 50, seed=3)
-        with shm.publish_traces([trace], jobs=1) as (handle,):
-            assert handle.shm_name is None
-            assert shm.active_segments() == []
 
-    def test_publish_traces_releases_on_interrupt(self):
-        trace = markov_trace(8, 50, seed=4)
-        with pytest.raises(KeyboardInterrupt):
-            with shm.publish_traces([trace], jobs=2):
-                assert len(shm.active_segments()) == 1
-                raise KeyboardInterrupt
-        assert shm.active_segments() == []
+class TestTracePickling:
+    """A trace reaches pool workers by pickling, as its resolved arrays."""
 
-    def test_worker_resolves_published_trace(self, fresh_pools):
+    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+    def test_fork_worker_round_trip(self, fresh_pools):
         trace = markov_trace(8, 300, seed=5)
-        from repro.memory.batch_sim import resolve_trace
+        pool = pool_mod.get_pool(2)
+        results = pool.run(_trace_info, [trace, trace], propagate=True)
+        assert results == [_trace_info(trace)] * 2
 
-        resolved = resolve_trace(trace)
-        expected = (
-            trace.name,
-            trace.fingerprint(),
-            int(resolved.item_at.sum()),
-            int(resolved.is_write.sum()),
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_sweeps_print_nothing_to_stderr(self, start_method):
+        """Two pooled sweeps in one process leave stderr clean (no
+        resource-tracker tracebacks, no ignored exceptions at exit)."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            ),
+            **{MP_START_ENV: start_method},
         )
-        with shm.publish_traces([trace], jobs=2) as (handle,):
-            pool = pool_mod.get_pool(2)
-            results = pool.run(_handle_info, [handle, handle], propagate=True)
-        assert results == [expected, expected]
+        done = subprocess.run(
+            [sys.executable, "-c", _TWO_POOLED_SWEEPS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "Exception ignored" not in done.stderr, done.stderr
 
-    def test_no_leaked_segments_after_parallel_sweep(self, fresh_pools, traces):
-        records = sweep(
-            traces,
-            methods=("declaration",),
-            words_per_dbc_values=(16,),
-            jobs=2,
+    def test_checkpoint_keys_are_pinned(self):
+        """Task keys read the trace fingerprint and are unchanged, so
+        existing checkpoint journals still resume."""
+        trace = markov_trace(8, 120, seed=10)
+        assert _cell_key((trace, 16, 1, "heuristic", {})) == (
+            "cfd397e66ef7a798578c9358e90c1b7d441e6095b0ed42de7d4291218ba47c5f"
         )
-        assert len(records) == len(traces)
-        assert shm.active_segments() == []
+        assert _point_key(
+            (trace, 16, 2, "lazy", "heuristic", DWMEnergyModel())
+        ) == "d089ff5ad6f0e5d2d8f7f61501b19143588d3d01eae135c5b2787ccf861ca5df"
 
 
 def _strip_runtime(records):
@@ -333,6 +339,16 @@ class TestSerialPooledParity:
         assert _strip_runtime(pooled) == _strip_runtime(serial)
         assert sorted(pooled_keys) == sorted(serial_keys)
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_dse_points_identical(self, fresh_pools, monkeypatch, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        trace = markov_trace(12, 400, seed=8)
+        grid = dict(lengths=(8, 16), ports=(1, 2))
+        serial = explore(trace, jobs=1, **grid)
+        monkeypatch.setenv(MP_START_ENV, start_method)
+        assert explore(trace, jobs=2, **grid) == serial
+
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_pooled_run_resumes_from_serial_journal(
         self, fresh_pools, tmp_path, traces
@@ -350,24 +366,14 @@ class TestSerialPooledParity:
 
 
 class TestSpawnStartMethod:
-    """The pool and shm layers work without fork inheritance."""
+    """The pool works without fork inheritance."""
 
-    def test_spawn_worker_attaches_segment(self, fresh_pools, monkeypatch):
+    def test_spawn_worker_round_trip(self, fresh_pools, monkeypatch):
         monkeypatch.setenv(MP_START_ENV, "spawn")
         trace = markov_trace(6, 150, seed=6)
-        from repro.memory.batch_sim import resolve_trace
-
-        resolved = resolve_trace(trace)
-        expected = (
-            trace.name,
-            trace.fingerprint(),
-            int(resolved.item_at.sum()),
-            int(resolved.is_write.sum()),
-        )
-        with shm.publish_traces([trace], jobs=2) as (handle,):
-            pool = pool_mod.get_pool(2)
-            results = pool.run(_handle_info, [handle], propagate=True)
-        assert results == [expected]
+        pool = pool_mod.get_pool(2)
+        results = pool.run(_trace_info, [trace], propagate=True)
+        assert results == [_trace_info(trace)]
 
     def test_spawn_results_match_fork_results(self, fresh_pools, monkeypatch):
         monkeypatch.setenv(MP_START_ENV, "spawn")

@@ -115,49 +115,6 @@ class TestAccounting:
             assert len(chain) >= 2
 
 
-class TestRunWithFallbacks:
-    def test_first_success_records_nothing(self):
-        result = robust.run_with_fallbacks(
-            "map", [("pooled", lambda: 42), ("serial", lambda: 0)]
-        )
-        assert result == 42
-        assert robust.degradation_summary() == {}
-
-    def test_recoverable_failure_degrades(self):
-        def boom():
-            raise OSError("broken pipe")
-
-        result = robust.run_with_fallbacks(
-            "map", [("pooled", boom), ("serial", lambda: 7)], warn=False
-        )
-        assert result == 7
-        assert robust.degradation_summary() == {"map:pooled->serial": 1}
-
-    def test_semantic_failure_propagates_immediately(self):
-        def bad_config():
-            raise ConfigError("nope")
-
-        with pytest.raises(ConfigError):
-            robust.run_with_fallbacks(
-                "engine",
-                [("streaming", bad_config), ("vectorized", lambda: 1)],
-            )
-        assert robust.degradation_summary() == {}
-
-    def test_last_level_failure_propagates(self):
-        def boom():
-            raise OSError("still broken")
-
-        with pytest.raises(OSError):
-            robust.run_with_fallbacks(
-                "map", [("pooled", boom), ("serial", boom)], warn=False
-            )
-
-    def test_empty_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            robust.run_with_fallbacks("map", [])
-
-
 @pytest.mark.skipif(
     not hasattr(signal, "SIGTERM"), reason="no SIGTERM on this platform"
 )

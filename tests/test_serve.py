@@ -24,7 +24,6 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.dwm.config import DWMConfig
-from repro.memory import shm
 from repro.memory.batch_sim import simulate_vectorized
 from repro.obs import MetricsRegistry, set_registry
 from repro.serve.client import ServeClient, wait_for_server
@@ -462,7 +461,6 @@ class TestShutdown:
             with pytest.raises((Overloaded, OSError, TimeoutError)):
                 ServeClient("127.0.0.1", server.port, timeout=2.0).health()
         assert multiprocessing.active_children() == []
-        assert shm.active_segments() == []
 
     def test_drained_server_sheds_typed(self):
         with running_server() as (server, client):

@@ -1,8 +1,13 @@
 """Unit tests for repro.trace.model."""
 
+import pickle
+
 import pytest
 
+from repro.core.api import optimize_placement
+from repro.dwm.config import DWMConfig
 from repro.errors import TraceError
+from repro.memory.batch_sim import simulate_vectorized
 from repro.trace.model import (
     Access,
     AccessKind,
@@ -11,6 +16,7 @@ from repro.trace.model import (
     TracedScalar,
     TraceRecorder,
 )
+from repro.trace.synthetic import markov_trace
 
 
 class TestAccessKind:
@@ -145,6 +151,74 @@ class TestAccessTraceTransforms:
     def test_renamed(self, tiny_trace):
         assert tiny_trace.renamed("new").name == "new"
         assert tiny_trace.renamed("new") == tiny_trace
+
+
+def _unpickled(trace: AccessTrace) -> AccessTrace:
+    return pickle.loads(pickle.dumps(trace))
+
+
+class TestAccessTracePickling:
+    """A trace pickles as its resolved arrays and rebuilds its records on
+    first use; the copy behaves like the original everywhere."""
+
+    @pytest.fixture
+    def trace(self):
+        return markov_trace(9, 400, seed=12, write_fraction=0.3)
+
+    def test_payload_is_the_resolution_not_the_records(self, trace):
+        payload = pickle.dumps(trace)
+        copy = pickle.loads(payload)
+        assert copy._records is None
+        assert b"AccessKind" not in payload
+        # About 9 bytes per access plus the item names.
+        assert len(payload) < 10 * len(trace) + 400
+
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_matches_the_original_on_every_method(self, trace, carried):
+        if carried:
+            trace.fingerprint()
+        copy = _unpickled(trace)
+        assert copy._fingerprint == (trace._fingerprint if carried else None)
+        assert len(copy) == len(trace)
+        assert copy.items == trace.items
+        assert copy.num_items == trace.num_items
+        assert copy.fingerprint() == trace.fingerprint()
+        assert copy._records is None  # len, items, fingerprint read arrays
+        assert copy.name == trace.name and copy.metadata == trace.metadata
+        assert list(copy) == list(trace)
+        assert copy[0] == trace[0] and copy[-1] == trace[-1]
+        assert copy[10:50] == trace[10:50]
+        assert copy.frequencies() == trace.frequencies()
+        assert copy.read_write_counts() == trace.read_write_counts()
+        assert copy.item_sequence == trace.item_sequence
+        assert list(copy.adjacent_pairs()) == list(trace.adjacent_pairs())
+        assert copy == trace and hash(copy) == hash(trace)
+        assert _unpickled(copy) == trace
+
+    def test_fingerprint_from_arrays_matches_records(self):
+        trace = AccessTrace(["a", ("b", "W"), "c", ("a", "W"), "b"])
+        copy = _unpickled(trace)
+        assert copy.fingerprint() == trace.fingerprint()
+        assert copy._records is None
+
+    def test_empty_trace_round_trips(self):
+        copy = _unpickled(AccessTrace([], name="empty"))
+        assert len(copy) == 0 and list(copy) == [] and copy.items == ()
+        assert copy.fingerprint() == AccessTrace([]).fingerprint()
+
+    @pytest.mark.parametrize(
+        "method", ["heuristic", "shiftsreduce", "heuristic+ls", "declaration"]
+    )
+    def test_optimize_and_simulate_leave_records_unbuilt(self, trace, method):
+        copy = _unpickled(trace)
+        config = DWMConfig.for_items(copy.num_items, words_per_dbc=8, num_ports=2)
+        result = optimize_placement(copy, config, method=method)
+        simulated = simulate_vectorized(copy, config, result.placement)
+        assert copy._records is None
+        assert simulated.shifts == result.total_shifts
+        expected = optimize_placement(trace, config, method=method)
+        assert result.placement == expected.placement
+        assert result.total_shifts == expected.total_shifts
 
 
 class TestTraceRecorder:
