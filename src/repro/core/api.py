@@ -20,9 +20,9 @@ Staged pipeline
 each independently callable:
 
 1. :func:`resolve_placement` — trace + geometry → validated
-   :class:`~repro.core.problem.PlacementProblem`, with the trace's dense
-   arrays resolved once (and shared by every later consumer of the same
-   trace object);
+   :class:`~repro.core.problem.PlacementProblem` over the trace's dense
+   arrays (built with the trace, and shared by every later consumer of
+   the same trace object);
 2. :func:`plan_placement` — problem + method → :class:`PlacementPlan`
    (the chosen placement plus the algorithm runtime);
 3. :func:`execute_plan` — problem + plan → evaluated
@@ -182,20 +182,13 @@ def resolve_placement(
     trace: AccessTrace,
     config: DWMConfig | None = None,
 ) -> PlacementProblem:
-    """Stage 1: wrap ``trace`` into a validated problem, resolving once.
+    """Stage 1: wrap ``trace`` into a validated problem.
 
-    For in-memory traces the dense per-access arrays are resolved eagerly
-    and cached on the trace object, so every later stage — and every other
-    request sharing the same trace object, which is how the placement
-    server amortises resolution across its clients — reuses them instead
-    of re-running the O(accesses) Python loop.
+    An in-memory trace already carries its dense per-access arrays (it
+    builds them when it is constructed), so every later stage — and every
+    other request sharing the same trace object — reads the same ones.
     """
-    problem = build_problem(trace, config)
-    if isinstance(trace, AccessTrace):
-        from repro.memory.batch_sim import resolve_trace
-
-        resolve_trace(trace)
-    return problem
+    return build_problem(trace, config)
 
 
 #: Types of the method kwargs some algorithm reads.  Other keys are ignored,

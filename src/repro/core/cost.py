@@ -55,19 +55,18 @@ def evaluate_placements_fast(
 ) -> list[int]:
     """Exact total shift counts of many placements of one problem.
 
-    The trace is resolved once (the resolution is cached on the trace) and
-    every placement is priced by the vectorized engine's scan, so eager,
+    Every placement is priced by the vectorized engine's scan, so eager,
     single-port lazy and multi-port lazy (compiled kernel) share one path.
     The totals equal :func:`evaluate_placement`'s exactly.
     """
     # Lazy import: batch_sim imports repro.core, which imports this module.
-    from repro.memory.batch_sim import _scan, resolve_trace, slot_arrays
+    from repro.memory.batch_sim import _scan, slot_arrays
 
     config = problem.config
     if validate:
         for placement in placements:
             placement.validate(config, problem.items)
-    resolved = resolve_trace(problem.trace)
+    resolved = problem.resolved
     return [
         _scan(resolved, config, *slot_arrays(resolved.items, placement))[1]
         for placement in placements

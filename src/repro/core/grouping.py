@@ -6,7 +6,7 @@ over each DBC's restricted access subsequence.  The grouping phase therefore
 partitions items into at most ``num_dbcs`` groups of at most ``L`` items
 while **minimizing intra-group affinity** (the transition weight that remains
 to be paid inside DBCs); the ordering phase then arranges each group to make
-the残 remaining transitions short.
+the remaining transitions short.
 
 Two algorithms are provided:
 

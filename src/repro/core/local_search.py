@@ -132,7 +132,7 @@ def simulated_annealing(
             if evaluations >= max_evaluations:
                 break
             move: tuple
-            if rng.random() < 0.7 or len(items) < 2:
+            if rng.random() < 0.7:
                 item_a, item_b = rng.sample(items, 2)
                 move = ("swap", item_a, item_b)
                 delta = evaluator.swap_delta(item_a, item_b)

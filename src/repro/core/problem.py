@@ -69,11 +69,8 @@ class PlacementProblem:
 
     @property
     def resolved(self):
-        """The trace's shared :class:`~repro.memory.batch_sim.ResolvedTrace`."""
-        # Lazy import: batch_sim imports repro.core, which imports this module.
-        from repro.memory.batch_sim import resolve_trace
-
-        return resolve_trace(self.trace)
+        """The trace's shared :class:`~repro.trace.model.ResolvedTrace`."""
+        return self.trace._resolved
 
     @property
     def item_at(self):

@@ -15,9 +15,9 @@ same cost semantics:
   by differential tests; identical shift counts by construction.
 
 Per-trace work (placement validation, slot resolution) is cached on the
-instance keyed by trace identity, and the vectorized trace resolution on
-the trace itself, so replaying the same trace many times pays those costs
-once.
+instance keyed by trace identity, so replaying the same trace many times
+pays it once; the vectorized engine reads the dense arrays every trace
+builds when it is constructed.
 """
 
 from __future__ import annotations

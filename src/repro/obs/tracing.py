@@ -1,10 +1,9 @@
 """Hierarchical wall-time tracing: ``trace_span()`` context managers.
 
 The perf-critical paths are nested — an experiment runs a sweep, the sweep
-fans cells out over ``parallel_map``, each cell optimizes a placement and
-simulates it, and the vectorized simulate splits into resolve and scan
-stages.  Flat counters cannot show *where* inside that nesting the time
-went; spans can.
+fans cells out over ``parallel_map``, and each cell optimizes a placement
+and simulates it.  Flat counters cannot show *where* inside that nesting
+the time went; spans can.
 
 Usage::
 

@@ -8,8 +8,8 @@ placement/simulation traffic.  This package is the front door:
 
 * :mod:`repro.serve.server` — a long-running :mod:`asyncio` HTTP+JSON
   service exposing trace-upload, optimize, simulate and job-status
-  endpoints; each cold simulate is one scan over the trace's cached
-  resolution (:func:`repro.memory.batch_sim.resolve_trace`);
+  endpoints; each cold simulate is one scan over the trace's dense arrays
+  (:class:`repro.trace.model.ResolvedTrace`, built with the trace);
 * :mod:`repro.serve.admission` — token-bucket + bounded-queue admission
   control with typed 429/503 rejections;
 * :mod:`repro.serve.client` — the blocking stdlib client used by tests,

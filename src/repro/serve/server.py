@@ -14,15 +14,14 @@ One process, one event loop, three tiers:
   a worker.
 * **Compute** — cold work runs in a small thread executor: each cold
   simulate is one executor call that scans its placement over the trace's
-  cached resolution; optimize jobs are dispatched from there to the
-  persistent
+  dense arrays; optimize jobs are dispatched from there to the persistent
   :class:`~repro.analysis.pool.WorkerPool` (``pool_workers > 0``), falling
   back to in-process execution along the ``map`` degradation chain when
   the pool is unreachable.  The staged
   :func:`~repro.core.api.resolve_placement` /
   :func:`~repro.core.api.plan_placement` /
-  :func:`~repro.core.api.execute_plan` split means uploaded traces are
-  resolved exactly once and shared across every request that names them.
+  :func:`~repro.core.api.execute_plan` split means every request that
+  names an uploaded trace shares the dense arrays it built at upload.
 
 Shutdown reuses the toolkit-wide guarantees: ``repro serve`` installs
 :func:`repro.robust.install_sigterm_handler`, so SIGTERM lands in the same
@@ -669,14 +668,7 @@ class PlacementServer:
             num_accesses=len(trace),
             num_items=trace.num_items,
         )
-        registered, reused = self._register(record)
-        if not reused:
-            # Resolve once at upload so every later request shares the
-            # arrays (the enabling refactor's whole point).
-            from repro.core.api import resolve_placement
-
-            resolve_placement(trace)
-        return registered, reused
+        return self._register(record)
 
     def _ingest_rtb(self, request: _Request) -> tuple[_TraceRecord, bool]:
         from repro.trace.binio import open_binary

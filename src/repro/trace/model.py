@@ -11,9 +11,11 @@ the placement optimizers and the trace-driven simulator.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.errors import TraceError
 
@@ -57,12 +59,66 @@ class Access:
         return f"{self.kind.value} {self.item}"
 
 
+class ResolvedTrace:
+    """A trace's accesses as dense numpy arrays, shared by every engine.
+
+    ``items`` are the distinct item names, ``item_at`` the ``int64`` index
+    into ``items`` of every access and ``is_write`` its ``bool`` write
+    flag.  Every :class:`AccessTrace` builds its resolution when it is
+    constructed (``AccessTrace._resolved``, returned by
+    :func:`repro.memory.batch_sim.resolve_trace`); it is config- and
+    placement-independent, so every run of the trace reads the same one.
+    """
+
+    def __init__(self, items: Sequence[str], item_at, is_write) -> None:
+        self.items: tuple[str, ...] = tuple(items)
+        self.item_at = item_at
+        self.is_write = is_write
+        self.writes = int(is_write.sum())
+        self.reads = int(item_at.size) - self.writes
+
+    @cached_property
+    def item_positions(self):
+        """The trace's one per-item position index ``(item_pos, item_start)``.
+
+        ``item_pos[item_start[i]:item_start[i + 1]]`` are item ``i``'s trace
+        positions, ascending (one stable argsort of :attr:`item_at`), so
+        ``np.diff(item_start)`` are the access counts.  Both are read-only,
+        C-contiguous ``int64``.
+        """
+        import numpy as np
+
+        item_pos = np.argsort(self.item_at, kind="stable").astype(np.int64, copy=False)
+        counts = np.bincount(self.item_at, minlength=len(self.items))
+        item_start = np.concatenate(([0], np.cumsum(counts)))
+        # Shared by every consumer of the trace: a write would corrupt them all.
+        item_pos.flags.writeable = item_start.flags.writeable = False
+        return item_pos, item_start
+
+    def positions_of(self, codes: Collection[int]):
+        """Ascending trace positions of the items ``codes``; one item's are
+        its slice of :attr:`item_positions` itself, not a copy."""
+        import numpy as np
+
+        item_pos, item_start = self.item_positions
+        if len(codes) == 1:
+            (code,) = codes
+            return item_pos[item_start[code] : item_start[code + 1]]
+        slices = [item_pos[item_start[c] : item_start[c + 1]] for c in codes]
+        merged = np.concatenate(slices or [item_pos[:0]])
+        merged.sort()
+        return merged
+
+
 class AccessTrace:
     """An ordered sequence of :class:`Access` records.
 
     The trace also carries a ``name`` (used in reports) and optional
     free-form ``metadata`` (e.g. kernel parameters).  Traces are immutable
-    once built; transformation methods return new traces.
+    once built; transformation methods return new traces.  Every
+    constructor also builds the trace's :class:`ResolvedTrace`, which the
+    engines, pickling, ``len()``, :attr:`items` and :meth:`fingerprint`
+    read.
     """
 
     def __init__(
@@ -71,24 +127,38 @@ class AccessTrace:
         name: str = "trace",
         metadata: dict | None = None,
     ) -> None:
+        import numpy as np
+
+        write = AccessKind.WRITE
         records: list[Access] = []
+        # Typed buffers, not lists: 9 bytes per access until the arrays
+        # take them over without a copy.
+        codes = array("q")
+        writes = bytearray()
+        index: dict[str, int] = {}  # item -> code, in first-touch order
         for entry in accesses:
             if isinstance(entry, Access):
-                records.append(entry)
+                access = entry
             elif isinstance(entry, str):
-                records.append(Access(entry))
+                access = Access(entry)
             elif isinstance(entry, (tuple, list)) and len(entry) == 2:
-                records.append(Access(entry[0], AccessKind.parse(entry[1])))
+                access = Access(entry[0], AccessKind.parse(entry[1]))
             else:
                 raise TraceError(f"cannot interpret trace entry {entry!r}")
-        #: The access records; ``None`` on a trace rebuilt from its
-        #: resolution (see :meth:`__reduce__`) until something needs them.
+            records.append(access)
+            codes.append(index.setdefault(access.item, len(index)))
+            writes.append(access.kind is write)
+        #: The access records; ``None`` on an unpickled trace (see
+        #: :meth:`__reduce__`) until something needs them.
         self._records: tuple[Access, ...] | None = tuple(records)
         self.name = name
         self.metadata = dict(metadata or {})
-        self._items: tuple[str, ...] | None = None
         self._fingerprint: str | None = None
-        self._resolved = None  # ResolvedTrace cache (repro.memory.batch_sim)
+        self._resolved = ResolvedTrace(
+            tuple(index),
+            np.frombuffer(codes, dtype=np.int64),
+            np.frombuffer(writes, dtype=np.bool_),
+        )
 
     def __reduce__(self):
         """Pickle as the resolution: ``(items, item_at, is_write)``, name,
@@ -101,9 +171,7 @@ class AccessTrace:
         slices or compares it, so a worker's optimize or simulate never
         does.
         """
-        from repro.memory.batch_sim import resolve_trace
-
-        resolved = resolve_trace(self)
+        resolved = self._resolved
         return (
             _rebuild,
             (
@@ -129,9 +197,7 @@ class AccessTrace:
     # Sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._records is None:
-            return int(self._resolved.item_at.size)
-        return len(self._records)
+        return int(self._resolved.item_at.size)
 
     def __iter__(self) -> Iterator[Access]:
         return iter(self._accesses)
@@ -165,13 +231,7 @@ class AccessTrace:
     @property
     def items(self) -> tuple[str, ...]:
         """Distinct item names in first-touch order (declaration order)."""
-        if self._items is None:
-            seen: dict[str, None] = {}
-            for access in self._accesses:
-                if access.item not in seen:
-                    seen[access.item] = None
-            self._items = tuple(seen)
-        return self._items
+        return self._resolved.items
 
     @property
     def num_items(self) -> int:
@@ -193,14 +253,9 @@ class AccessTrace:
         if self._fingerprint is None:
             import hashlib
 
-            if self._records is None:
-                # A rebuilt trace hashes its arrays, not records built for this.
-                resolved = self._resolved
-                names = map(resolved.items.__getitem__, resolved.item_at.tolist())
-                kinds = resolved.is_write.tolist()
-            else:
-                names = (access.item for access in self._records)
-                kinds = (access.is_write for access in self._records)
+            resolved = self._resolved
+            names = map(resolved.items.__getitem__, resolved.item_at.tolist())
+            kinds = resolved.is_write.tolist()
             digest = hashlib.sha256()
             for item, write in zip(names, kinds):
                 digest.update(b"W" if write else b"R")
@@ -215,8 +270,7 @@ class AccessTrace:
 
     def read_write_counts(self) -> tuple[int, int]:
         """Total (reads, writes) in the trace."""
-        writes = sum(1 for access in self._accesses if access.is_write)
-        return len(self._accesses) - writes, writes
+        return self._resolved.reads, self._resolved.writes
 
     def adjacent_pairs(self) -> Iterator[tuple[str, str]]:
         """Consecutive item pairs (the raw input of the affinity graph).
@@ -313,13 +367,14 @@ class AccessTrace:
         Skips all per-access validation: the caller guarantees the arrays
         came from a valid trace, so ``Access.__post_init__`` checks would
         only re-prove what resolution already proved, per access, in
-        Python.  ``items`` must be the distinct item names in first-touch
-        order (``_items`` is pre-seeded from it).  An unpickled trace is
-        rebuilt from the same arrays but defers the records (:func:`_rebuild`).
-        Either way the arrays become the trace's resolution.
+        Python.  ``items`` must be distinct; a window keeps its stream's
+        whole item table, so it need not be in first-touch order.  An
+        unpickled trace is rebuilt from the same arrays but defers the
+        records (:func:`_rebuild`).  Either way the arrays become the
+        trace's resolution.
         """
         trace = _rebuild(items, item_at, is_write, name, metadata, fingerprint)
-        trace._records = _dense_records(trace._items, item_at, is_write)
+        trace._records = _dense_records(trace.items, item_at, is_write)
         return trace
 
 
@@ -340,15 +395,12 @@ def _rebuild(items, item_at, is_write, name, metadata, fingerprint) -> AccessTra
     """An :class:`AccessTrace` whose resolution is the given arrays and whose
     records are built on first use (the unpickling side of
     :meth:`AccessTrace.__reduce__`)."""
-    from repro.memory.batch_sim import ResolvedTrace
-
     trace = AccessTrace.__new__(AccessTrace)
     trace._records = None
     trace.name = name
     trace.metadata = dict(metadata or {})
-    trace._items = tuple(items)
     trace._fingerprint = fingerprint
-    trace._resolved = ResolvedTrace.from_arrays(trace, trace._items, item_at, is_write)
+    trace._resolved = ResolvedTrace(items, item_at, is_write)
     return trace
 
 

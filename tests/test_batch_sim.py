@@ -124,51 +124,32 @@ class TestDifferential:
 
 
 class TestBatchAPI:
-    def test_resolution_amortized(self):
-        """Only the call that builds the trace's resolution reports its cost."""
-        resolved_elsewhere = markov_trace(16, 500, seed=6)
-        resolve_trace(resolved_elsewhere)
-        config = _config_for(resolved_elsewhere, 8, 1, "lazy")
-        placement = random_placement(
-            build_problem(resolved_elsewhere, config), seed=0
-        )
-        trace = markov_trace(16, 500, seed=6)  # same accesses, unresolved
-        first = simulate_vectorized(trace, config, placement)
-        second = simulate_vectorized(trace, config, placement)
-        assert first.details["resolve_seconds"] > 0.0
-        assert (
-            first.details["resolve_seconds"]
-            == resolve_trace(trace).resolve_seconds
-        )
-        assert second.details["resolve_seconds"] == 0.0
-        # A resolution another caller built is not this call's cost either.
-        reused = simulate_vectorized(resolved_elsewhere, config, placement)
-        assert reused.details["resolve_seconds"] == 0.0
-        assert reused.shifts == second.shifts == first.shifts
-
     def test_resolved_trace_counts(self):
         trace = markov_trace(10, 300, write_fraction=0.4, seed=8)
-        resolved = ResolvedTrace(trace)
-        reads, writes = trace.read_write_counts()
-        assert resolved.reads == reads
-        assert resolved.writes == writes
+        code = {item: index for index, item in enumerate(trace.items)}
+        resolved = ResolvedTrace(
+            trace.items,
+            np.array([code[access.item] for access in trace], dtype=np.int64),
+            np.array([access.is_write for access in trace], dtype=np.bool_),
+        )
+        writes = sum(access.is_write for access in trace)
+        assert (resolved.reads, resolved.writes) == (len(trace) - writes, writes)
         assert resolved.item_at.shape == (len(trace),)
 
     def test_cached_resolution_frees_with_its_trace(self):
-        # The trace caches its resolution; the resolution must not hold the
-        # trace strongly, or the pair waits for a full cyclic collection
-        # (and forked pool workers inherit the dead records).
+        # The trace owns its resolution; nothing may hold either in a
+        # cycle, or the pair (and the per-access records) waits for a full
+        # cyclic collection, and forked pool workers inherit the dead data.
         trace = markov_trace(10, 300, seed=8)
         resolved = resolve_trace(trace)
-        assert resolved.trace is trace
-        alive = weakref.ref(trace)
+        resolved.item_positions  # the cached index is part of the pair
+        refs = [weakref.ref(obj) for obj in (trace, resolved, resolved.item_at)]
         gc.disable()
         try:
-            del trace
-            assert alive() is None
+            del trace, resolved
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
-        assert resolved.trace is None
 
 
 def _index_traces():
@@ -280,7 +261,6 @@ class TestEngineSelection:
         placement = random_placement(build_problem(trace, config), seed=0)
         result = simulate_vectorized(trace, config, placement)
         assert result.details["engine"] == "vectorized"
-        assert result.details["resolve_seconds"] >= 0.0
         assert result.details["scan_seconds"] >= 0.0
 
 

@@ -468,7 +468,6 @@ class TestSubsystemIntegration:
         assert registry.counter_value("sim.runs", engine="scalar") == 1
         assert registry.counter_value("sim.runs", engine="vectorized") == 1
         assert registry.counter_value("optimize.runs", method="declaration") == 1
-        assert registry.counter_value("sim.resolves") == 1
         names = {span.name for span in get_tracer().roots()}
         assert "simulate" in names
         assert "optimize" in names

@@ -8,8 +8,7 @@ against shared state.  These tests pin the refactor's contract:
   monolith, across every port policy and a spread of algorithms;
 * each stage honours its own contract (validation, typed errors,
   metadata);
-* a trace shared by concurrent requests is resolved **exactly once**
-  (the double-checked lock in ``repro.memory.batch_sim.resolve_trace``).
+* requests racing on one trace object share the arrays it built.
 """
 
 import random
@@ -28,7 +27,6 @@ from repro.core.api import (
 )
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import OptimizationError, PlacementError
-from repro.memory.batch_sim import resolve_trace
 from repro.obs import MetricsRegistry, set_registry
 from repro.trace.model import AccessTrace
 
@@ -113,10 +111,9 @@ class TestStagedEqualsMonolith:
 class TestStageContracts:
     def test_resolve_builds_problem_and_resolves_trace(self):
         trace = make_trace()
-        assert trace._resolved is None
         problem = resolve_placement(trace)
         assert problem.trace is trace
-        assert trace._resolved is not None
+        assert problem.resolved is trace._resolved
         # Idempotent: the same problem geometry as build_problem.
         reference = build_problem(make_trace())
         assert problem.config.describe() == reference.config.describe()
@@ -168,33 +165,16 @@ class TestStageContracts:
 
 
 class TestSharedResolution:
-    def test_concurrent_resolve_is_resolved_exactly_once(self, registry):
-        trace = make_trace(seed=21)
-        barrier = threading.Barrier(2)
-        outputs = []
-
-        def worker():
-            barrier.wait()
-            outputs.append(resolve_trace(trace))
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(outputs) == 2
-        assert outputs[0] is outputs[1]
-        assert registry.counter_value("sim.resolves") == 1
-
-    def test_concurrent_optimize_shares_one_resolution(self, registry):
+    def test_concurrent_optimize_shares_one_resolution(self):
         trace = make_trace(seed=22)
+        resolved = trace._resolved
         config = DWMConfig.for_items(trace.num_items, words_per_dbc=8)
         barrier = threading.Barrier(2)
-        results = []
+        results = {}
 
         def worker(method):
             barrier.wait()
-            results.append(optimize_placement(trace, config, method=method))
+            results[method] = optimize_placement(trace, config, method=method)
 
         threads = [
             threading.Thread(target=worker, args=(m,))
@@ -204,5 +184,9 @@ class TestSharedResolution:
             t.start()
         for t in threads:
             t.join()
-        assert len(results) == 2
-        assert registry.counter_value("sim.resolves") == 1
+        assert trace._resolved is resolved
+        for method, result in results.items():
+            alone = optimize_placement(make_trace(seed=22), config, method=method)
+            assert result.placement == alone.placement
+            assert result.total_shifts == alone.total_shifts
+        assert sorted(results) == ["frequency", "heuristic"]

@@ -1,13 +1,17 @@
 """Unit tests for repro.trace.model."""
 
+import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.api import optimize_placement
 from repro.dwm.config import DWMConfig
 from repro.errors import TraceError
-from repro.memory.batch_sim import simulate_vectorized
+from repro.memory.batch_sim import resolve_trace, simulate_vectorized
+from repro.trace.binio import open_binary, save_binary
+from repro.trace.kernels import KERNELS
 from repro.trace.model import (
     Access,
     AccessKind,
@@ -219,6 +223,111 @@ class TestAccessTracePickling:
         expected = optimize_placement(trace, config, method=method)
         assert result.placement == expected.placement
         assert result.total_shifts == expected.total_shifts
+
+
+def _base() -> AccessTrace:
+    return markov_trace(7, 240, seed=4, write_fraction=0.35)
+
+
+def _recorded() -> AccessTrace:
+    recorder = TraceRecorder()
+    for access in _base():
+        if access.is_write:
+            recorder.record_write(access.item)
+        else:
+            recorder.record_read(access.item)
+    return recorder.to_trace("recorded")
+
+
+def _streamed(tmp_path):
+    save_binary(_base(), tmp_path / "t.rtb")
+    return open_binary(tmp_path / "t.rtb")
+
+
+def _dense() -> AccessTrace:
+    # Item order that is not first-touch order, as a stream window's is.
+    items = ("z", "y", "x", "w")
+    item_at = np.asarray([2, 0, 2, 3, 1, 0, 2], dtype=np.int64)
+    is_write = np.asarray([0, 1, 0, 0, 1, 1, 0], dtype=np.bool_)
+    return AccessTrace._from_dense(items, item_at, is_write)
+
+
+#: name -> (builder taking ``tmp_path``, items are in first-touch order)
+CONSTRUCTORS = {
+    "access-entries": (lambda tmp: AccessTrace(list(_base())), True),
+    "str-entries": (lambda tmp: AccessTrace(["b", "a", "b", "c"]), True),
+    "tuple-entries": (
+        lambda tmp: AccessTrace([(a.item, a.kind.value) for a in _base()]),
+        True,
+    ),
+    "from-items": (lambda tmp: AccessTrace.from_items(["q", "p", "q"]), True),
+    "recorder": (lambda tmp: _recorded(), True),
+    "slice": (lambda tmp: _base()[37:181], True),
+    "restricted-to": (lambda tmp: _base().restricted_to({"v1", "v4", "v6"}), True),
+    "truncated": (lambda tmp: _base().truncated(90), True),
+    "concatenated": (
+        lambda tmp: _base().concatenated(markov_trace(5, 60, seed=9)),
+        True,
+    ),
+    "renamed": (lambda tmp: _base().renamed("other"), True),
+    "prefixed": (lambda tmp: _base().prefixed("p_"), True),
+    "from-dense": (lambda tmp: _dense(), False),
+    "unpickled": (lambda tmp: _unpickled(_base()), True),
+    "unpickled-dense": (lambda tmp: _unpickled(_dense()), False),
+    "stream-window": (lambda tmp: _streamed(tmp).window(50, 70), False),
+    "stream-sample": (
+        lambda tmp: _streamed(tmp).sample_trace(target_accesses=60, windows=3),
+        False,
+    ),
+    "stream-to-trace": (lambda tmp: _streamed(tmp).to_trace(), True),
+}
+
+
+def _records_digest(records) -> str:
+    """The fingerprint, hashed by walking the records."""
+    digest = hashlib.sha256()
+    for access in records:
+        digest.update(b"W" if access.is_write else b"R")
+        digest.update(access.item.encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+class TestResolutionInvariant:
+    """Every constructor builds the trace's arrays, and they describe its
+    records exactly."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_arrays_match_a_walk_of_the_records(self, name, tmp_path):
+        build, first_touch = CONSTRUCTORS[name]
+        trace = build(tmp_path)
+        resolved = resolve_trace(trace)
+        assert resolved is trace._resolved
+        records = list(trace)
+        names = [access.item for access in records]
+        writes = [access.is_write for access in records]
+        assert resolved.item_at.dtype == np.int64
+        assert resolved.is_write.dtype == np.bool_
+        assert [resolved.items[code] for code in resolved.item_at.tolist()] == names
+        assert resolved.is_write.tolist() == writes
+        assert len(set(resolved.items)) == len(resolved.items)
+        if first_touch:
+            assert resolved.items == tuple(dict.fromkeys(names))
+        else:
+            assert set(names) <= set(resolved.items)
+        assert trace.items == resolved.items
+        assert len(trace) == len(records)
+        assert trace.read_write_counts() == (
+            len(records) - sum(writes),
+            sum(writes),
+        )
+        assert (resolved.reads, resolved.writes) == trace.read_write_counts()
+        assert trace.fingerprint() == _records_digest(records)
+
+    def test_kernel_fingerprint_is_pinned(self):
+        assert KERNELS["fir"]().fingerprint() == (
+            "8b4e9bc44675c6f6d35830cad0e04241e29c0b0b7d4fc907a1b0703171c04f4f"
+        )
 
 
 class TestTraceRecorder:
