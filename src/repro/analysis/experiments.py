@@ -10,7 +10,6 @@ experiment; ``all`` prints every one.
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -18,8 +17,8 @@ from repro.analysis.metrics import geometric_mean, reduction_percent
 from repro.analysis.report import format_bar_chart, format_grouped_bars, format_table
 from repro.analysis.sweep import normalized_by_method, sweep
 from repro.core.api import build_problem, optimize_placement
-from repro.core.cost import evaluate_placement
-from repro.core.baselines import random_placement
+from repro.core.baselines import random_placement_mean_shifts
+from repro.core.cost import evaluate_placements_fast
 from repro.dwm.config import DWMConfig
 from repro.dwm.energy import DWMEnergyModel, SRAMEnergyModel
 from repro.memory.spm import ScratchpadMemory
@@ -41,15 +40,6 @@ class ExperimentOutput:
 
     def __str__(self) -> str:
         return self.rendered
-
-
-def _mean_random_shifts(trace: AccessTrace, config: DWMConfig, seeds=(0, 1, 2)) -> float:
-    """Average shift cost of random placements over several seeds."""
-    problem = build_problem(trace, config)
-    return statistics.mean(
-        evaluate_placement(problem, random_placement(problem, seed))
-        for seed in seeds
-    )
 
 
 def _default_config(trace: AccessTrace, words_per_dbc: int = 64, num_ports: int = 1) -> DWMConfig:
@@ -151,7 +141,10 @@ def run_e3() -> ExperimentOutput:
         baseline = optimize_placement(trace, config, method="declaration")
         normalized = {"declaration": 1.0}
         normalized["random"] = (
-            _mean_random_shifts(trace, config) / baseline.total_shifts
+            random_placement_mean_shifts(
+                build_problem(trace, config), seeds=(0, 1, 2)
+            )
+            / baseline.total_shifts
             if baseline.total_shifts
             else 0.0
         )
@@ -613,7 +606,9 @@ def run_e12() -> ExperimentOutput:
         heuristic_wear = wear_report(problem, heuristic.placement)
         balanced = wear_aware_placement(problem)
         balanced_wear = wear_report(problem, balanced)
-        balanced_shifts = evaluate_placement(problem, balanced, validate=False)
+        (balanced_shifts,) = evaluate_placements_fast(
+            problem, [balanced], validate=False
+        )
         overhead = (
             100.0 * (balanced_shifts - heuristic.total_shifts)
             / heuristic.total_shifts

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.core.cost import evaluate_placement
+from repro.core.cost import evaluate_placements_fast
 from repro.core.heuristic import heuristic_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
@@ -188,8 +188,8 @@ def allocate(
             solo_problem = PlacementProblem(
                 trace=trace.restricted_to(obj.items), config=config
             )
-            shifts = evaluate_placement(
-                solo_problem, solo_placement, validate=False
+            (shifts,) = evaluate_placements_fast(
+                solo_problem, [solo_placement], validate=False
             )
             benefits[index] -= shifts * params.shift_latency_ns
     chosen = _knapsack_select(objects, benefits, capacity)

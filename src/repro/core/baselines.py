@@ -77,11 +77,11 @@ def random_placement_mean_shifts(
     problem: PlacementProblem,
     seeds: range | list[int] = range(5),
 ) -> float:
-    """Mean shift count of random placements over several seeds."""
-    from repro.core.cost import evaluate_placement
+    """Mean shift count of random placements over several seeds, priced
+    in one :func:`~repro.core.cost.evaluate_placements_fast` call."""
+    from repro.core.cost import evaluate_placements_fast
 
-    costs = [
-        evaluate_placement(problem, random_placement(problem, seed))
-        for seed in seeds
-    ]
+    costs = evaluate_placements_fast(
+        problem, [random_placement(problem, seed) for seed in seeds]
+    )
     return sum(costs) / len(costs)

@@ -30,7 +30,7 @@ from typing import Sequence
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
-from repro.dwm.dbc import port_access_cost
+from repro.dwm.dbc import port_access_cost, rest_table
 from repro.errors import PlacementError
 
 
@@ -163,10 +163,7 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
     if config.port_policy is PortPolicy.EAGER:
         # Distance multiset: each per-DBC offset distance repeated num_dbcs
         # times; pair ascending distances with descending frequencies.
-        per_dbc = sorted(
-            2 * port_access_cost(offset, 0, config.port_offsets)[0]
-            for offset in range(config.words_per_dbc)
-        )
+        per_dbc = sorted(rest_table(config).tolist())
         frequencies = sorted(problem.frequencies.values(), reverse=True)
         total = 0
         rank = 0

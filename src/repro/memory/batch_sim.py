@@ -13,13 +13,16 @@ computes the identical result with numpy:
    unpickling).  They are independent of config and placement, so
    :func:`resolve_trace` just returns them and every run of the trace
    reads the same arrays.
-2. **Scan per run**: for a given placement, eager costs are stateless —
-   a rest-distance table gathered at each access's offset.  Lazy costs
-   come from one call to the active kernel tier's interleaved scan
+2. **Scan per run** (:func:`scan_windows`, the one window scan both
+   engines share — the streaming engine feeds it one window at a time):
+   eager costs are stateless, so each DBC's total is its items' access
+   counts priced from a rest-distance table.  Lazy costs come from one
+   call to the active kernel tier's interleaved scan
    (:meth:`~repro.core.kernels.CcKernels.lazy_scan`): it walks the
    accesses in trace order with one head per DBC, so the DBCs are never
-   sorted apart, and accumulates per-DBC totals and maxima (and the
-   per-access costs, when asked).
+   sorted apart.  Either way the result is a
+   :class:`~repro.core.kernels.ScanState` of per-DBC totals and maxima
+   (and the per-access costs, when asked).
 
 Both paths are integer-exact, so totals, per-DBC totals and
 ``max_access_shifts`` are all bit-identical to the scalar engine
@@ -48,6 +51,7 @@ from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import rest_table
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
+from repro.trace.binio import split_records
 # Re-exported: ``repro.memory`` imports ``ResolvedTrace`` from here, and
 # ``perfbench/spans.py`` wraps its ``__init__`` through this module.
 from repro.trace.model import AccessTrace, ResolvedTrace
@@ -73,17 +77,53 @@ def slot_arrays(items: Sequence[str], placement: Placement):
     return dbc_of, offset_of
 
 
-def _lazy_scan(
-    resolved: ResolvedTrace, config: DWMConfig, dbc_of, offset_of, out=None
+def scan_windows(
+    windows, config: DWMConfig, dbc_of, offset_of, *, lanes=None, out=None
 ):
-    """The lazy per-DBC totals and maxima of one run, as a carried
-    :class:`~repro.core.kernels.ScanState`; ``out`` receives the
-    per-access costs in trace order when given."""
-    state = kernels.ScanState(config.num_dbcs)
-    kernels.active().lazy_scan(
-        resolved.item_at, dbc_of, offset_of, config.port_offsets, state, out
-    )
-    return state
+    """Scan ``(codes, writes)`` windows, in trace order, into one
+    :class:`~repro.core.kernels.ScanState`; returns ``(state, accesses,
+    writes)``.
+
+    ``codes`` are a window's int64 item indices or raw ``uint32`` records
+    (whose write bits are counted into ``writes``).  Lazy windows go
+    through the active tier's :meth:`~repro.core.kernels.CcKernels.lazy_scan`
+    into a carried state (``lanes=None``) or a conditioned one
+    (``lanes=P``).  Eager costs are stateless, so an eager state is always
+    carried and ``lanes`` is ignored: each window adds ``count ×
+    rest_table[offset]`` per item to its DBC's total and raises the DBC's
+    maximum to the dearest item it touched.  ``out`` (a carried scan of
+    one window) receives the per-access costs in trace order.
+    """
+    eager = config.port_policy is PortPolicy.EAGER
+    state = kernels.ScanState(config.num_dbcs, None if eager else lanes)
+    accesses = writes = 0
+    if eager:
+        import numpy as np
+
+        item_cost = rest_table(config)[offset_of]
+        for codes, window_writes in windows:
+            items, record_writes = split_records(codes)
+            accesses += items.size
+            writes += window_writes + record_writes
+            counts = np.bincount(items, minlength=item_cost.size)
+            if counts.size > item_cost.size:
+                raise IndexError(f"access names an unplaced item {counts.size - 1}")
+            # Integer scatter over items keeps per-DBC totals exact
+            # (unlike float bincount weights).
+            np.add.at(state.totals, dbc_of, counts * item_cost)
+            touched = counts > 0
+            np.maximum.at(state.maxes, dbc_of[touched], item_cost[touched])
+            if out is not None:
+                out[:] = item_cost[items]
+        return state, accesses, writes
+    tier = kernels.active()
+    ports = config.port_offsets
+    for codes, window_writes in windows:
+        accesses += codes.size
+        writes += window_writes + tier.lazy_scan(
+            codes, dbc_of, offset_of, ports, state, out
+        )
+    return state, accesses, writes
 
 
 def _scan(
@@ -93,22 +133,9 @@ def _scan(
     offset_of,
 ) -> tuple[list[int], int, int]:
     """Compute (per_dbc_shifts, total_shifts, max_access_shifts)."""
-    import numpy as np
-
-    if resolved.item_at.size == 0:
-        return [0] * config.num_dbcs, 0, 0
-    if config.port_policy is PortPolicy.EAGER:
-        costs = rest_table(config)[offset_of[resolved.item_at]]
-        # Integer scatter-add keeps per-DBC totals exact (unlike float
-        # bincount weights).
-        totals = np.zeros(config.num_dbcs, dtype=np.int64)
-        np.add.at(totals, dbc_of[resolved.item_at], costs)
-        max_access = int(costs.max())
-    else:
-        state = _lazy_scan(resolved, config, dbc_of, offset_of)
-        totals, max_access = state.totals, int(state.maxes.max())
-    per_dbc = totals.tolist()
-    return per_dbc, sum(per_dbc), max_access
+    state = scan_windows(((resolved.item_at, 0),), config, dbc_of, offset_of)[0]
+    per_dbc = state.totals.tolist()
+    return per_dbc, sum(per_dbc), int(state.maxes.max())
 
 
 def per_access_costs(
@@ -133,15 +160,9 @@ def per_access_costs(
     if validate:
         placement.validate(config, resolved.items)
     dbc_of, offset_of = slot_arrays(resolved.items, placement)
-    if resolved.item_at.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    dbc_seq = dbc_of[resolved.item_at]
-    if config.port_policy is PortPolicy.EAGER:
-        return dbc_seq, rest_table(config)[offset_of[resolved.item_at]]
     costs = np.empty(resolved.item_at.size, dtype=np.int64)
-    _lazy_scan(resolved, config, dbc_of, offset_of, costs)
-    return dbc_seq, costs
+    scan_windows(((resolved.item_at, 0),), config, dbc_of, offset_of, out=costs)
+    return dbc_of[resolved.item_at], costs
 
 
 def simulate_vectorized(

@@ -8,32 +8,33 @@ in bounded memory.
 
 The per-DBC cost scan is a deterministic port automaton, so everything a
 chunk needs from its past is one integer per DBC: the head position.
-Every lazy scan below is one call per chunk to the active kernel tier's
-interleaved scan (:meth:`~repro.core.kernels.CcKernels.lazy_scan`), which
-walks the window in trace order with one head per DBC — on a binary trace
-straight over the mapped ``uint32`` records, masking the write bit and
-counting writes in the same pass.  Eager costs are a rest-distance table
-gather.  Three scan modes:
+Every mode scans through the engines' one window scan,
+:func:`~repro.memory.batch_sim.scan_windows`: under the lazy policy the
+active kernel tier's interleaved scan walks each window in trace order
+with one head per DBC (on a binary trace straight over the mapped
+``uint32`` records, counting write bits in the same pass); under the
+eager one each window's per-item access counts are priced from the
+rest-distance table.  Three scan modes:
 
 * **sequential** (default) — chunks scanned in order into one carried
   :class:`~repro.core.kernels.ScanState`, which holds the exact per-DBC
-  head between chunks.
+  head between chunks (eager scans carry their exact partial sums).
 * **merge** — each chunk is summarised *independently* into a
-  :class:`ChunkState` whose lazy per-DBC entries are conditioned on the
-  one unknown bit of context: which port serves the chunk's first access
-  to that DBC (``P`` possibilities — the scan's ``P`` lanes per DBC, which
-  the compiled scan steps once they have converged on one head).
-  :func:`merge_states` composes two summaries by pricing the boundary
-  access, which makes the summary an associative monoid — chunks can be
-  folded in any order.
+  :class:`ChunkState`, which is the scan state itself: conditioned, under
+  the lazy policy, on the one unknown bit of context — which port serves
+  the chunk's first access to each DBC (``P`` possibilities, the scan's
+  ``P`` lanes per DBC, which the compiled scan steps once they have
+  converged on one head).  :func:`merge_states` composes two summaries
+  by pricing the boundary access of every (DBC, lane) at once, which
+  makes the summary an associative monoid — chunks can be folded in any
+  order.
 * **parallel** — the same summary, one per contiguous *span* of chunks:
   the chunks are cut into ``min(jobs, chunks)`` balanced spans in trace
   order, each worker of the persistent pool (:mod:`repro.analysis.pool`)
-  scans its span window by window into one conditioned state
-  (:func:`scan_span`), and the parent folds the ``jobs`` summaries with
-  the same cheap sequential stitch.  Workers re-map binary traces by
-  path, so task payloads stay tiny; an in-memory trace ships one slice
-  per span.
+  scans its span window by window into one state (:func:`scan_span`), and
+  the parent folds the ``jobs`` summaries with the same vectorised
+  stitch.  Workers re-map binary traces by path, so task payloads stay
+  tiny; an in-memory trace ships one slice per span.
 
 All three are bit-identical to the in-memory vectorized engine on
 totals, per-DBC decompositions and ``max_access_shifts`` (fuzzed by the
@@ -46,147 +47,99 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.chaos import failpoint
 from repro.core import kernels
 # Not called here: ``perfbench/spans.py`` wraps this name in this module.
 from repro.core.incremental import lazy_costs_from_state  # noqa: F401
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
-from repro.dwm.dbc import port_access_cost, rest_table
 from repro.errors import SimulationError
-from repro.memory.batch_sim import resolve_trace, slot_arrays
+from repro.memory.batch_sim import resolve_trace, scan_windows, slot_arrays
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
-from repro.trace.binio import StreamingTrace, open_binary, split_records
+from repro.trace.binio import StreamingTrace, open_binary
 
 #: Default window length (accesses per chunk).  The lazy scan reads a
 #: binary trace's 4-byte records in place, so a window costs its 1 MiB of
-#: mapped pages plus the per-DBC state; the eager gather decodes the window
+#: mapped pages plus the per-DBC state; the eager scan decodes the window
 #: into a few int64 arrays (~8 MiB).
 DEFAULT_CHUNK_SIZE = 1 << 18
 
 
-@dataclass(frozen=True)
-class LazyDBCState:
-    """Summary of one chunk's accesses to one DBC under the lazy policy.
-
-    ``totals``/``maxes``/``heads`` are indexed by the port that served the
-    chunk's *first* access to this DBC — the only context the chunk cannot
-    know on its own.  ``totals[p]`` is the exact cost of accesses 2..k
-    given the first was served through port ``p`` (the first access's own
-    cost is priced by the neighbour on the left during the merge, or from
-    the fresh head 0 in :func:`finalize_state`)."""
-
-    first_offset: int
-    count: int
-    totals: tuple[int, ...]
-    maxes: tuple[int, ...]
-    heads: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EagerDBCState:
-    """Summary of one chunk's accesses to one DBC under the eager policy.
-
-    Eager costs are stateless, so the summary is just the exact partial
-    totals — the merge is plain addition."""
-
-    count: int
-    total: int
-    max_cost: int
-
-
 @dataclass
 class ChunkState:
-    """Mergeable scan summary of one window of the access stream."""
+    """Mergeable scan summary of consecutive windows of the access stream.
+
+    ``state`` is the :class:`~repro.core.kernels.ScanState` the windows
+    were scanned into.  Under the lazy policy it is conditioned: lane
+    ``p`` of DBC ``d`` assumes port ``p`` served the DBC's first access
+    (offset ``first[d]``), the only context a span cannot know on its own
+    and whose cost no lane includes.  Eager costs are stateless, so an
+    eager state is carried and its per-DBC totals are exact partial sums.
+    """
 
     policy: str
     ports: tuple[int, ...]
     accesses: int
     writes: int
-    dbcs: dict
+    state: kernels.ScanState
+
+
+def _checked(windows):
+    """``windows`` with the ``stream.scan`` failpoint fired before each."""
+    for window in windows:
+        failpoint("stream.scan")
+        yield window
 
 
 def scan_span(windows, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
     """Summarise consecutive windows into one mergeable :class:`ChunkState`.
 
-    ``windows`` yields ``(codes, writes)`` pairs in trace order: a window's
-    raw ``uint32`` records or int64 item indices, and the writes the codes
-    do not carry (see :func:`_window`).  They are scanned one at a time
-    into one state, which scans their concatenation, so a span holds one
-    window at a time.  Independent of every other span: the lazy policy is
-    one conditioned kernel scan (``P`` lanes per DBC), the eager one a
-    table gather.
+    ``windows`` yields ``(codes, writes)`` pairs in trace order (see
+    :func:`_window`), scanned one at a time into one state by
+    :func:`~repro.memory.batch_sim.scan_windows`, so a span holds one
+    window at a time.  Independent of every other span: lazy spans scan
+    into a conditioned state (``P`` lanes per DBC), eager ones into a
+    carried one.  No windows give the empty summary, the identity of
+    :func:`merge_states`.
     """
-    import numpy as np
-
-    from repro.chaos import failpoint
-
-    ports = config.port_offsets
-    eager = config.port_policy is PortPolicy.EAGER
-    accesses = writes = 0
-    if eager:
-        rest = rest_table(config)
-        totals = np.zeros(config.num_dbcs, dtype=np.int64)
-        maxes = np.zeros(config.num_dbcs, dtype=np.int64)
-        counts = np.zeros(config.num_dbcs, dtype=np.int64)
-    else:
-        tier = kernels.active()
-        state = kernels.ScanState(config.num_dbcs, len(ports))
-    for codes, window_writes in windows:
-        failpoint("stream.scan")
-        accesses += int(codes.size)
-        writes += window_writes
-        if eager:
-            items, record_writes = split_records(codes)
-            writes += record_writes
-            dbc_seq = dbc_of[items]
-            costs = rest[offset_of[items]]
-            np.add.at(totals, dbc_seq, costs)
-            np.maximum.at(maxes, dbc_seq, costs)
-            np.add.at(counts, dbc_seq, 1)
-        else:
-            writes += tier.lazy_scan(codes, dbc_of, offset_of, ports, state)
-    dbcs: dict = {}
-    if eager:
-        for dbc in np.flatnonzero(counts).tolist():
-            dbcs[dbc] = EagerDBCState(
-                count=int(counts[dbc]),
-                total=int(totals[dbc]),
-                max_cost=int(maxes[dbc]),
-            )
-    else:
-        for dbc in np.flatnonzero(state.counts).tolist():
-            dbcs[dbc] = LazyDBCState(
-                first_offset=int(state.first[dbc]),
-                count=int(state.counts[dbc]),
-                totals=tuple(state.totals[dbc].tolist()),
-                maxes=tuple(state.maxes[dbc].tolist()),
-                heads=tuple(state.heads[dbc].tolist()),
-            )
+    state, accesses, writes = scan_windows(
+        _checked(windows), config, dbc_of, offset_of,
+        lanes=len(config.port_offsets),
+    )
     return ChunkState(
         policy=config.port_policy.value,
-        ports=ports,
-        accesses=accesses,
+        ports=config.port_offsets,
+        accesses=int(accesses),
         writes=int(writes),
-        dbcs=dbcs,
+        state=state,
     )
 
 
-def _boundary_port(offset: int, ports: tuple[int, ...], head: int) -> tuple[int, int]:
-    """``(port_index, cost)`` of serving ``offset`` from ``head`` — the
-    greedy step of :func:`~repro.dwm.dbc.port_access_cost`."""
-    cost, port, _target = port_access_cost(offset, head, ports)
-    return ports.index(port), cost
+def _boundary(offsets, heads, ports):
+    """``(cost, port_index)`` of serving each DBC's ``offsets[d]`` from
+    each of its lanes' ``heads[d, lane]``: the greedy step of
+    :func:`~repro.dwm.dbc.port_access_cost`, ties to the lowest port."""
+    import numpy as np
+
+    moves = np.abs(
+        (offsets[:, None] - np.asarray(ports, dtype=np.int64))[:, None, :]
+        - heads[:, :, None]
+    )
+    return moves.min(axis=2), moves.argmin(axis=2)
 
 
 def merge_states(left: ChunkState, right: ChunkState) -> ChunkState:
     """Compose two adjacent chunk summaries (associative).
 
-    For each DBC both sides touch, the only coupling is the right chunk's
-    first access: its cost (and serving port) follow from the left chunk's
-    exit head, which selects which of the right summary's ``P``
-    conditioned interiors applies.
+    Eager summaries add.  Under the lazy policy the only coupling of a
+    DBC both sides touch is the right side's first access: its cost and
+    serving port follow from each left lane's exit head, which selects
+    the right lane that continues it.  All DBCs are priced at once; a DBC
+    only one side touched keeps that side's entries.
     """
+    import numpy as np
+
     if left.accesses == 0:
         return right
     if right.accesses == 0:
@@ -195,44 +148,34 @@ def merge_states(left: ChunkState, right: ChunkState) -> ChunkState:
         raise SimulationError(
             "cannot merge chunk states from different configurations"
         )
-    dbcs = dict(left.dbcs)
-    for dbc, rstate in right.dbcs.items():
-        lstate = dbcs.get(dbc)
-        if lstate is None:
-            dbcs[dbc] = rstate
-            continue
-        if left.policy == PortPolicy.EAGER.value:
-            dbcs[dbc] = EagerDBCState(
-                count=lstate.count + rstate.count,
-                total=lstate.total + rstate.total,
-                max_cost=max(lstate.max_cost, rstate.max_cost),
-            )
-            continue
-        totals, maxes, heads = [], [], []
-        for p1 in range(len(left.ports)):
-            port_index, cost = _boundary_port(
-                rstate.first_offset, left.ports, lstate.heads[p1]
-            )
-            totals.append(
-                lstate.totals[p1] + cost + rstate.totals[port_index]
-            )
-            maxes.append(
-                max(lstate.maxes[p1], cost, rstate.maxes[port_index])
-            )
-            heads.append(rstate.heads[port_index])
-        dbcs[dbc] = LazyDBCState(
-            first_offset=lstate.first_offset,
-            count=lstate.count + rstate.count,
-            totals=tuple(totals),
-            maxes=tuple(maxes),
-            heads=tuple(heads),
-        )
+    a, b = left.state, right.state
+    eager = left.policy == PortPolicy.EAGER.value
+    merged = kernels.ScanState(a.counts.size, None if eager else len(left.ports))
+    if eager:
+        merged.totals = a.totals + b.totals
+        merged.maxes = np.maximum(a.maxes, b.maxes)
+    else:
+        cost, port = _boundary(b.first, a.heads, left.ports)
+        joined = {
+            "totals": a.totals + cost + np.take_along_axis(b.totals, port, 1),
+            "maxes": np.maximum(
+                np.maximum(a.maxes, cost), np.take_along_axis(b.maxes, port, 1)
+            ),
+            "heads": np.take_along_axis(b.heads, port, 1),
+        }
+        both = ((a.counts > 0) & (b.counts > 0))[:, None]
+        right_only = (a.counts == 0)[:, None]
+        for name, value in joined.items():
+            kept = np.where(right_only, getattr(b, name), getattr(a, name))
+            setattr(merged, name, np.where(both, value, kept))
+        merged.first = np.where(right_only[:, 0], b.first, a.first)
+        merged.counts = a.counts + b.counts
     return ChunkState(
         policy=left.policy,
         ports=left.ports,
         accesses=left.accesses + right.accesses,
         writes=left.writes + right.writes,
-        dbcs=dbcs,
+        state=merged,
     )
 
 
@@ -244,22 +187,20 @@ def finalize_state(
     Returns ``(per_dbc_shifts, total_shifts, max_access_shifts)`` —
     bit-identical to a single scan of the concatenated stream.
     """
-    per_dbc = [0] * config.num_dbcs
-    max_access = 0
-    for dbc, dbc_state in state.dbcs.items():
-        if state.policy == PortPolicy.EAGER.value:
-            per_dbc[dbc] = dbc_state.total
-            if dbc_state.max_cost > max_access:
-                max_access = dbc_state.max_cost
-            continue
-        port_index, cost = _boundary_port(
-            dbc_state.first_offset, state.ports, 0
+    import numpy as np
+
+    scan = state.state
+    totals, maxes = scan.totals, scan.maxes
+    if state.policy == PortPolicy.LAZY.value:
+        fresh = np.zeros((scan.first.size, 1), dtype=np.int64)
+        cost, port = _boundary(scan.first, fresh, state.ports)
+        touched = (scan.counts > 0)[:, None]
+        totals = np.where(touched, cost + np.take_along_axis(totals, port, 1), 0)
+        maxes = np.where(
+            touched, np.maximum(cost, np.take_along_axis(maxes, port, 1)), 0
         )
-        per_dbc[dbc] = cost + dbc_state.totals[port_index]
-        group_max = max(cost, dbc_state.maxes[port_index])
-        if group_max > max_access:
-            max_access = group_max
-    return per_dbc, sum(per_dbc), max_access
+    per_dbc = totals.ravel().tolist()
+    return per_dbc, sum(per_dbc), int(maxes.max())
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +309,16 @@ def simulate_streaming(
     mode = "parallel" if parallel else ("merge" if force_merge else "sequential")
     scan_start = time.perf_counter()
     stitch_seconds = 0.0
-    writes = 0
-    if mode == "sequential" and config.port_policy is PortPolicy.LAZY:
-        from repro.chaos import failpoint
-
-        tier = kernels.active()
-        state = kernels.ScanState(config.num_dbcs)
-        for start, stop in chunks:
-            failpoint("stream.scan")
-            codes, chunk_writes = _window(trace, start, stop)
-            writes += chunk_writes + tier.lazy_scan(
-                codes, dbc_of, offset_of, config.port_offsets, state
-            )
+    if mode == "sequential":
+        state, _accesses, writes = scan_windows(
+            _checked(_window(trace, start, stop) for start, stop in chunks),
+            config, dbc_of, offset_of,
+        )
         per_dbc = state.totals.tolist()
         max_access = int(state.maxes.max())
     else:
         # Parallel mode scans one span per worker; merge mode one span per
-        # chunk, so the fold is exercised.  Eager summaries are exact
-        # partial sums, so the sequential eager scan is one span of every
-        # chunk.
+        # chunk, so the fold is exercised.
         if parallel:
             from repro.analysis.pool import get_pool
 
@@ -418,23 +350,15 @@ def simulate_streaming(
                 )
                 parallel = False
                 mode = "sequential"
-        elif force_merge:
-            spans = [[chunk] for chunk in chunks]
         else:
-            spans = [chunks] if chunks else []
+            spans = [[chunk] for chunk in chunks]
         if not parallel:
             states = [
                 scan_span(_span_windows(trace, span), config, dbc_of, offset_of)
                 for span in spans
             ]
         stitch_start = time.perf_counter()
-        folded = ChunkState(
-            policy=config.port_policy.value,
-            ports=config.port_offsets,
-            accesses=0,
-            writes=0,
-            dbcs={},
-        )
+        folded = scan_span((), config, dbc_of, offset_of)
         for chunk_state in states:
             folded = merge_states(folded, chunk_state)
         per_dbc, _total, max_access = finalize_state(folded, config)

@@ -62,6 +62,7 @@ from repro.serve.protocol import (
     simulate_key,
 )
 from repro.trace.model import Access, AccessKind, AccessTrace
+from repro.util import atomic_write_bytes
 
 __all__ = ["PlacementServer", "ServerSettings"]
 
@@ -685,9 +686,9 @@ class PlacementServer:
         digest = hashlib.sha256(request.body).hexdigest()
         path = self._spool / f"{digest}.rtb"
         if not path.exists():
-            tmp = path.with_suffix(".rtb.part")
-            tmp.write_bytes(request.body)
-            os.replace(tmp, path)
+            # Each writer gets its own temp file: concurrent uploads of one
+            # body must not truncate or rename each other's.
+            atomic_write_bytes(path, request.body, fsync=False)
         try:
             trace = open_binary(path)
         except ReproError as exc:

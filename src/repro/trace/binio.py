@@ -107,6 +107,44 @@ def _chaos_write(handle, payload: bytes) -> None:
     handle.write(payload)
 
 
+def _write_rtb(path, blocks, tail, name: str, metadata: dict) -> int:
+    """Write the ``.rtb`` layout: a placeholder header, the record
+    ``blocks`` (little-endian ``uint32`` bytes, one write each), the meta
+    block and the header, patched last.
+
+    ``tail()`` runs once the records are written and returns the
+    ``(items, fingerprint)`` the meta and header record, so a streamed
+    writer may learn them from the records it yields.  Returns the number
+    of records written.
+    """
+    count = 0
+    with Path(path).open("wb") as handle:
+        handle.write(b"\x00" * HEADER_SIZE)  # patched at the end
+        for block in blocks:
+            _chaos_write(handle, block)
+            count += len(block) // 4
+        items, fingerprint = tail()
+        meta = json.dumps(
+            {"name": name, "metadata": dict(metadata), "items": list(items)}
+        ).encode("utf-8")
+        _chaos_write(handle, meta)
+        handle.seek(0)
+        _chaos_write(
+            handle,
+            _pack_header(
+                count, len(items), HEADER_SIZE + 4 * count, len(meta),
+                fingerprint,
+            ),
+        )
+    return count
+
+
+def _too_many_items() -> TraceError:
+    return TraceError(
+        f"too many distinct items for the binary format (limit {_ITEM_MASK})"
+    )
+
+
 def pack(
     accesses: Iterable[tuple[str, str]],
     path: str | Path,
@@ -121,13 +159,11 @@ def pack(
     is one record buffer plus the distinct-item table.  Returns the number
     of accesses written.
     """
-    path = Path(path)
     index: dict[str, int] = {}
     digest = hashlib.sha256()
-    buffer = bytearray()
-    count = 0
-    with path.open("wb") as handle:
-        handle.write(b"\x00" * HEADER_SIZE)  # patched at the end
+
+    def blocks():
+        buffer = bytearray()
         for item, kind in accesses:
             kind = str(kind).strip().upper()
             if kind in ("R", "READ"):
@@ -142,52 +178,76 @@ def pack(
                 raise TraceError("access item name must be non-empty")
             position = index.setdefault(item, len(index))
             if position >= _ITEM_MASK:
-                raise TraceError(
-                    f"too many distinct items for the binary format "
-                    f"(limit {_ITEM_MASK})"
-                )
+                raise _too_many_items()
             digest.update(kind.encode("ascii"))
             digest.update(item.encode("utf-8"))
             digest.update(b"\x00")
             buffer += (position | flag).to_bytes(4, "little")
-            count += 1
-            if count % _PACK_BUFFER_RECORDS == 0:
-                _chaos_write(handle, bytes(buffer))
+            if len(buffer) == 4 * _PACK_BUFFER_RECORDS:
+                yield bytes(buffer)
                 buffer.clear()
         if buffer:
-            _chaos_write(handle, bytes(buffer))
-        meta = json.dumps(
-            {
-                "name": name,
-                "metadata": dict(metadata or {}),
-                "items": list(index),
-            }
-        ).encode("utf-8")
-        meta_offset = HEADER_SIZE + 4 * count
-        _chaos_write(handle, meta)
-        handle.seek(0)
-        _chaos_write(
-            handle,
-            _pack_header(
-                count, len(index), meta_offset, len(meta), digest.hexdigest()
-            ),
-        )
-    return count
+            yield bytes(buffer)
+
+    return _write_rtb(
+        path,
+        blocks(),
+        lambda: (index, digest.hexdigest()),
+        name,
+        metadata or {},
+    )
 
 
 def save_binary(trace: AccessTrace, path: str | Path) -> None:
-    """Write an in-memory :class:`AccessTrace` as a binary trace file."""
+    """Write an in-memory :class:`AccessTrace` as a binary trace file.
+
+    The records are the trace's resolved arrays, encoded as
+    ``item_at | is_write << 31`` in first-touch item order, so the file is
+    the one :func:`pack` writes from the trace's accesses.
+    """
+    import numpy as np
+
     from repro.trace.io import _json_safe
 
+    resolved = trace._resolved
+    items, item_at = _first_touch(resolved.items, resolved.item_at)
+    if len(items) > _ITEM_MASK:
+        raise _too_many_items()
+    records = item_at.astype("<u4") | (
+        resolved.is_write.astype("<u4") << np.uint32(31)
+    )
+    step = _PACK_BUFFER_RECORDS
+    blocks = (
+        records[low : low + step].tobytes() for low in range(0, records.size, step)
+    )
     metadata = {
         key: value for key, value in trace.metadata.items() if _json_safe(value)
     }
-    pack(
-        ((access.item, access.kind.value) for access in trace),
+    _write_rtb(
         path,
-        name=trace.name,
-        metadata=metadata,
+        blocks,
+        lambda: (items, trace.fingerprint()),
+        trace.name,
+        metadata,
     )
+
+
+def _first_touch(items: tuple[str, ...], item_at):
+    """``(items, item_at)`` re-indexed so the items are in first-touch
+    order and every one is accessed (a window of a binary trace keeps its
+    stream's whole item table)."""
+    import numpy as np
+
+    if item_at.size == 0:
+        return (), item_at
+    seen = np.maximum.accumulate(item_at)
+    if seen[0] == 0 and seen[-1] == len(items) - 1 and (np.diff(seen) <= 1).all():
+        return items, item_at
+    codes, first = np.unique(item_at, return_index=True)
+    order = codes[np.argsort(first)]
+    remap = np.empty(len(items), dtype=np.int64)
+    remap[order] = np.arange(order.size)
+    return tuple(items[code] for code in order.tolist()), remap[item_at]
 
 
 def _read_header(path: Path) -> tuple[int, int, int, int, int, str]:

@@ -10,6 +10,7 @@ for every corruption mode a partial download or version skew can produce.
 from __future__ import annotations
 
 import pickle
+import random
 import struct
 
 import pytest
@@ -23,7 +24,8 @@ from repro.trace.binio import (
     pack,
     save_binary,
 )
-from repro.trace.model import AccessKind
+from repro.trace.kernels import KERNELS
+from repro.trace.model import AccessKind, AccessTrace
 from repro.trace.synthetic import markov_trace, zipf_trace
 
 
@@ -98,6 +100,107 @@ class TestRoundTrip:
             pack([("a", "X")], tmp_path / "bad.rtb")
         with pytest.raises(TraceError, match="non-empty"):
             pack([("", "R")], tmp_path / "bad2.rtb")
+
+
+def _pack_accesses(trace, path):
+    """The reference writer: ``pack`` over the trace's access records."""
+    from repro.trace.io import _json_safe
+
+    metadata = {k: v for k, v in trace.metadata.items() if _json_safe(v)}
+    pack(
+        ((access.item, access.kind.value) for access in trace),
+        path,
+        name=trace.name,
+        metadata=metadata,
+    )
+
+
+def _writes_trace(length=3 * (1 << 15)):
+    rng = random.Random(9)
+    return AccessTrace(
+        [(f"v{rng.randrange(50)}", rng.choice("RRW")) for _ in range(length)],
+        name="writes",
+        metadata={"seed": 9, "opaque": object()},
+    )
+
+
+class TestSaveBinary:
+    """``save_binary`` encodes the resolved arrays; the file must be the
+    one ``pack`` writes from the access records, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_kernel_traces_match_pack(self, name, tmp_path):
+        trace = KERNELS[name]()
+        save_binary(trace, tmp_path / "s.rtb")
+        _pack_accesses(trace, tmp_path / "p.rtb")
+        assert (tmp_path / "s.rtb").read_bytes() == (tmp_path / "p.rtb").read_bytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _writes_trace(),
+            lambda: AccessTrace([], name="void"),
+            lambda: AccessTrace([("x", "W")] * (1 << 16), name="one-block"),
+        ],
+        ids=["writes", "empty", "one-block"],
+    )
+    def test_synthetic_traces_match_pack(self, make, tmp_path):
+        trace = make()
+        save_binary(trace, tmp_path / "s.rtb")
+        _pack_accesses(trace, tmp_path / "p.rtb")
+        assert (tmp_path / "s.rtb").read_bytes() == (tmp_path / "p.rtb").read_bytes()
+        stream = open_binary(tmp_path / "s.rtb")
+        assert stream.fingerprint() == trace.fingerprint()
+        assert stream.read_write_counts() == (
+            trace._resolved.reads, trace._resolved.writes
+        )
+
+    def test_window_is_reindexed_in_first_touch_order(self, tmp_path):
+        # A window keeps its stream's whole item table, out of first-touch
+        # order; the file lists only the items it touches, in that order.
+        save_binary(_writes_trace(), tmp_path / "full.rtb")
+        window = open_binary(tmp_path / "full.rtb").window(1000, 1040)
+        assert window.items != tuple(dict.fromkeys(a.item for a in window))
+        save_binary(window, tmp_path / "s.rtb")
+        _pack_accesses(window, tmp_path / "p.rtb")
+        assert (tmp_path / "s.rtb").read_bytes() == (tmp_path / "p.rtb").read_bytes()
+
+    @pytest.mark.parametrize("nth", [1, 2, 3, 4])
+    def test_torn_write_tears_where_pack_does(self, nth, tmp_path):
+        # A full and a partial record block, the meta block and the
+        # header: one ``binio.write`` hit each.
+        from repro.chaos import chaos_scope
+        from repro.errors import InjectedFaultError
+
+        trace = _writes_trace()
+        torn = []
+        for label, write in (("s", save_binary), ("p", _pack_accesses)):
+            path = tmp_path / f"{label}.rtb"
+            with chaos_scope(f"binio.write:nth={nth}:truncate=100"):
+                with pytest.raises(InjectedFaultError):
+                    write(trace, path)
+            torn.append(path.read_bytes())
+        assert torn[0] == torn[1]
+
+    def test_torn_file_is_salvaged_by_fsck(self, tmp_path):
+        from repro.fsck import fsck_rtb
+
+        trace = _writes_trace()
+        path = tmp_path / "t.rtb"
+        save_binary(trace, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 40])  # torn inside the meta block
+        report = fsck_rtb(path, repair=True)
+        assert report.status == "repaired"
+        salvaged = open_binary(path)
+        item_at, is_write = salvaged.chunk_arrays(0, len(salvaged))
+        assert [
+            (salvaged.items[code], bool(write))
+            for code, write in zip(item_at.tolist(), is_write.tolist())
+        ] == [
+            (access.item, access.is_write)
+            for access in trace[: report.salvaged_records]
+        ]
 
 
 class TestWindows:

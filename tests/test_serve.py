@@ -445,6 +445,51 @@ class TestRtbTraces:
             )
             assert simulated["shifts"] == optimized["result"]["total_shifts"]
 
+    def test_concurrent_identical_uploads(self, tmp_path):
+        # The server's two executor threads ingest one body at once; each
+        # writes its own temp file, so neither truncates or renames the
+        # other's spooled copy.
+        from repro.serve.client import ServeClient
+        from repro.serve.server import _Request
+        from repro.trace.binio import save_binary
+
+        trace = AccessTrace(
+            make_accesses(seed=6, items=40, length=200_000), name="twice"
+        )
+        path = tmp_path / "t.rtb"
+        spool = tmp_path / "spool"
+
+        def body(name):
+            trace.name = name  # a new body, so a new spool file
+            save_binary(trace, path)
+            return path.read_bytes()
+
+        def twice(call):
+            barrier = threading.Barrier(2)
+
+            def run(arg):
+                barrier.wait()
+                return call(arg)
+
+            with concurrent.futures.ThreadPoolExecutor(2) as executor:
+                return list(executor.map(run, (0, 1)))
+
+        with running_server(spool_dir=str(spool)) as (server, client):
+            clients = [client, ServeClient(client.host, client.port)]
+            payload = body("http")
+            uploaded = twice(lambda i: clients[i].upload_rtb(payload))
+            assert uploaded[0]["trace_id"] == uploaded[1]["trace_id"]
+            assert uploaded[0]["trace_id"] == trace.fingerprint()
+            # The ingest itself, straight on two threads, many times over.
+            for attempt in range(30):
+                request = _Request("POST", "/v1/traces", {}, body(f"r{attempt}"))
+                records = twice(lambda _: server._ingest_rtb(request)[0])
+                assert {record.trace_id for record in records} == {
+                    trace.fingerprint()
+                }
+        assert len(list(spool.iterdir())) == 31
+        assert not list(spool.glob("*.part")) and not list(spool.glob(".*"))
+
     def test_invalid_rtb_is_typed_400(self, tmp_path):
         with running_server(spool_dir=str(tmp_path / "spool")) as (_, client):
             with pytest.raises(BadRequest):

@@ -6,15 +6,19 @@ engine — checked here across policies, port counts and chunk sizes
 on all three scan modes: sequential head-carrying, in-process map+merge,
 and the pool-parallel fan-out (fork and spawn).  The merge algebra is
 additionally checked for associativity: any bracketing of the chunk fold
-must finalize to the same totals.
+must finalize to the same totals.  The summary is the shared window
+scan's state (``batch_sim.scan_windows``); it is checked on 36 DBCs that
+most chunks leave untouched, through every mode and both input kinds.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro import robust
@@ -23,9 +27,15 @@ from repro.analysis.parallel import MP_START_ENV
 from repro.chaos import chaos_scope
 from repro.core.api import build_problem
 from repro.core.baselines import declaration_order_placement
+from repro.core.placement import Placement, Slot
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import SimulationError
-from repro.memory.batch_sim import simulate_vectorized, slot_arrays
+from repro.memory.batch_sim import (
+    per_access_costs,
+    scan_windows,
+    simulate_vectorized,
+    slot_arrays,
+)
 from repro.memory.spm import ScratchpadMemory
 from repro.memory.stream_sim import (
     ChunkState,
@@ -38,6 +48,7 @@ from repro.memory.stream_sim import (
 )
 from repro.obs import get_registry
 from repro.trace.binio import open_binary, save_binary
+from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -164,17 +175,16 @@ class TestMergeAlgebra:
                 assert max_access == reference.max_access_shifts
 
     def test_empty_state_is_identity(self):
-        trace, config, placement = _problem(2, PortPolicy.LAZY)
-        states = self._states(trace, config, placement, [250])
-        empty = ChunkState(
-            policy=config.port_policy.value,
-            ports=config.port_offsets,
-            accesses=0,
-            writes=0,
-            dbcs={},
-        )
-        assert merge_states(empty, states[0]) is states[0]
-        assert merge_states(states[0], empty) is states[0]
+        # Scanning no windows gives the empty summary.
+        for policy in (PortPolicy.LAZY, PortPolicy.EAGER):
+            trace, config, placement = _problem(2, policy)
+            states = self._states(trace, config, placement, [250])
+            empty = scan_span((), config, *slot_arrays(trace.items, placement))
+            assert isinstance(empty, ChunkState)
+            assert (empty.accesses, empty.writes) == (0, 0)
+            assert merge_states(empty, states[0]) is states[0]
+            assert merge_states(states[0], empty) is states[0]
+            assert finalize_state(empty, config) == ([0] * config.num_dbcs, 0, 0)
 
     def test_mismatched_configs_refuse_to_merge(self):
         trace, config, placement = _problem(2, PortPolicy.LAZY)
@@ -188,6 +198,154 @@ class TestMergeAlgebra:
         eager = self._states(trace, eager_config, placement, [250])[0]
         with pytest.raises(SimulationError, match="different configurations"):
             merge_states(lazy, eager)
+
+
+def _wide_problem(num_ports: int, policy: PortPolicy, seed: int = 5):
+    """36 DBCs of 6 words, hit in phases: each phase touches six
+    neighbouring DBCs and, every other phase, DBC 35 — so most chunks
+    leave most DBCs untouched and DBCs recur after gaps."""
+    rng = random.Random(seed)
+    accesses = []
+    for phase in range(6):
+        dbcs = list(range(6 * phase, 6 * phase + 6)) + [35] * (phase % 2)
+        for _ in range(150):
+            item = f"d{rng.choice(dbcs)}w{rng.randrange(6)}"
+            accesses.append((item, "W" if rng.random() < 0.3 else "R"))
+    trace = AccessTrace(accesses, name="phased")
+    config = DWMConfig(
+        words_per_dbc=6,
+        num_dbcs=36,
+        port_offsets=(0, 2, 5) if num_ports == 3 else None,
+        port_policy=policy,
+    )
+    offsets = list(range(6))
+    placement = {}
+    for dbc in range(36):
+        rng.shuffle(offsets)
+        for word, offset in enumerate(offsets):
+            placement[f"d{dbc}w{word}"] = Slot(dbc, offset)
+    return trace, config, Placement(placement)
+
+
+class TestSharedScan:
+    """The streaming summary is the shared scan's state, on many DBCs."""
+
+    @pytest.mark.parametrize("num_ports", [1, 3])
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    @pytest.mark.parametrize("source", ["memory", "rtb"])
+    @pytest.mark.parametrize("mode", ["sequential", "merge", "parallel"])
+    def test_modes_match_vectorized(
+        self, num_ports, policy, source, mode, tmp_path, fresh_pools
+    ):
+        if mode == "parallel" and not HAVE_FORK:
+            pytest.skip("fork start method unavailable")
+        trace, config, placement = _wide_problem(num_ports, policy)
+        reference = simulate_vectorized(trace, config, placement)
+        assert 0 < reference.writes < len(trace)
+        streamed = trace
+        if source == "rtb":
+            save_binary(trace, tmp_path / "w.rtb")
+            streamed = open_binary(tmp_path / "w.rtb")
+        result = simulate_streaming(
+            streamed, config, placement, chunk_size=97,
+            force_merge=mode == "merge",
+            jobs=3 if mode == "parallel" else None,
+        )
+        assert result.details["mode"] == mode
+        assert result.shifts == reference.shifts
+        assert result.per_dbc_shifts == reference.per_dbc_shifts
+        assert result.max_access_shifts == reference.max_access_shifts
+        assert (result.reads, result.writes) == (
+            reference.reads, reference.writes
+        )
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    def test_chunk_states_touch_few_dbcs(self, policy):
+        trace, config, placement = _wide_problem(3, policy)
+        dbc_of, offset_of = slot_arrays(trace.items, placement)
+        state = scan_span([_window(trace, 200, 300)], config, dbc_of, offset_of)
+        touched = state.state.totals.reshape(36, -1).any(axis=1)
+        assert 0 < touched.sum() < 36
+        assert state.state.conditioned == (policy is PortPolicy.LAZY)
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    def test_chunk_state_pickles(self, policy):
+        trace, config, placement = _wide_problem(3, policy)
+        dbc_of, offset_of = slot_arrays(trace.items, placement)
+        states = [
+            scan_span([_window(trace, start, start + 150)], config, dbc_of, offset_of)
+            for start in range(0, len(trace), 150)
+        ]
+        copies = [pickle.loads(pickle.dumps(state)) for state in states]
+        for state, copy in zip(states, copies):
+            assert (copy.policy, copy.ports, copy.accesses, copy.writes) == (
+                state.policy, state.ports, state.accesses, state.writes
+            )
+            for name in ("heads", "totals", "maxes", "counts", "first"):
+                assert np.array_equal(
+                    getattr(copy.state, name), getattr(state.state, name)
+                )
+        reference = simulate_vectorized(trace, config, placement)
+        per_dbc, total, max_access = finalize_state(
+            functools.reduce(merge_states, copies), config
+        )
+        assert tuple(per_dbc) == reference.per_dbc_shifts
+        assert (total, max_access) == (
+            reference.shifts, reference.max_access_shifts
+        )
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    def test_empty_trace_in_every_mode(self, policy, tmp_path, fresh_pools):
+        config = DWMConfig(words_per_dbc=4, num_dbcs=3, port_policy=policy)
+        trace = AccessTrace([], name="void")
+        save_binary(trace, tmp_path / "e.rtb")
+        for source in (trace, open_binary(tmp_path / "e.rtb")):
+            for kwargs in ({}, {"force_merge": True}, {"jobs": 2}):
+                result = simulate_streaming(
+                    source, config, Placement({}), chunk_size=8, **kwargs
+                )
+                assert result.details["num_chunks"] == 0
+                assert (result.shifts, result.accesses) == (0, 0)
+                assert result.per_dbc_shifts == (0, 0, 0)
+                assert result.max_access_shifts == 0
+
+    @pytest.mark.parametrize("num_ports", [1, 3])
+    def test_eager_item_totals_equal_access_costs(self, num_ports):
+        trace, config, placement = _wide_problem(num_ports, PortPolicy.EAGER)
+        dbc_of, offset_of = slot_arrays(trace.items, placement)
+        state, accesses, writes = scan_windows(
+            [(trace._resolved.item_at, 0)], config, dbc_of, offset_of
+        )
+        dbc_seq, cost_seq = per_access_costs(trace, config, placement)
+        totals = np.zeros(36, dtype=np.int64)
+        maxes = np.zeros(36, dtype=np.int64)
+        np.add.at(totals, dbc_seq, cost_seq)
+        np.maximum.at(maxes, dbc_seq, cost_seq)
+        assert np.array_equal(state.totals, totals)
+        assert np.array_equal(state.maxes, maxes)
+        assert (accesses, writes) == (len(trace), 0)
+
+    @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
+    def test_record_outside_the_item_table_is_rejected(self, policy):
+        # A corrupt .rtb record can name an item no placement covers.
+        trace, config, placement = _wide_problem(3, policy)
+        dbc_of, offset_of = slot_arrays(trace.items, placement)
+        codes = np.array([0, len(trace.items)], dtype=np.uint32)
+        with pytest.raises(IndexError):
+            scan_windows([(codes, 0)], config, dbc_of, offset_of)
+
+    def test_scan_failpoint_fires_once_per_streaming_window(self):
+        from repro.errors import InjectedFaultError
+
+        trace, config, placement = _wide_problem(3, PortPolicy.LAZY)
+        chunks = -(-len(trace) // 97)
+        with chaos_scope(f"stream.scan:nth={chunks}:raise=InjectedFaultError"):
+            with pytest.raises(InjectedFaultError):
+                simulate_streaming(trace, config, placement, chunk_size=97)
+        with chaos_scope(f"stream.scan:nth={chunks + 1}:raise=InjectedFaultError"):
+            simulate_streaming(trace, config, placement, chunk_size=97)
+        with chaos_scope("stream.scan:raise=InjectedFaultError"):
+            simulate_vectorized(trace, config, placement)
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
