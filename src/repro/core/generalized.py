@@ -36,9 +36,11 @@ from typing import Sequence
 from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
 from repro.core.heuristic import portfolio_placement
 from repro.core.ordering import (
-    GroupTrace,
-    anchored_offsets,
-    proximity_offsets,
+    GroupedTrace,
+    Layout,
+    anchored_layout,
+    median_offsets,
+    proximity_layout,
     weighted_median_index,
 )
 from repro.core.placement import Placement
@@ -94,16 +96,42 @@ def multi_port_chain_offsets(
     return offsets
 
 
-def port_aware_layouts(view: GroupTrace) -> list[dict[str, int]]:
-    """The group's chain split over the ports (both ways), proximity, anchored chain."""
+def multi_port_layout(view: GroupedTrace, order) -> Layout:
+    """:func:`multi_port_chain_offsets` of every group's ``order`` at once:
+    one pass per port over ``(G, k)`` tables."""
+    import numpy as np
+
     config = view.config
-    frequencies = view.frequencies
+    length = config.words_per_dbc
+    ports = config.port_offsets
+    sizes = view.sizes
+    segments = np.maximum(np.minimum(len(ports), sizes), 1)
+    base, extra = np.divmod(sizes, segments)
+    column = np.arange(view.k)
+    offsets = np.zeros((view.num_groups, view.k), dtype=np.int64)
+    floor = np.zeros(view.num_groups, dtype=np.int64)
+    low = np.zeros(view.num_groups, dtype=np.int64)
+    remaining = sizes
+    for index, port in enumerate(ports):
+        size = np.where(index < segments, base + (index < extra), 0)
+        remaining = remaining - size
+        start, inside = median_offsets(view, order, low, size, port)
+        start = np.maximum(floor, np.minimum(length - size - remaining, start))
+        offsets = np.where(inside, (start - low)[:, None] + column, offsets)
+        floor = np.where(size > 0, start + size, floor)
+        low = low + size
+    return Layout(order, offsets)
+
+
+def port_aware_layouts(view: GroupedTrace) -> list[Layout]:
+    """Every group's chain split over the ports (both ways), proximity and
+    anchored chain."""
     chain = view.chain
     return [
-        multi_port_chain_offsets(chain, config, frequencies),
-        multi_port_chain_offsets(chain[::-1], config, frequencies),
-        proximity_offsets(view.items, config, frequencies),
-        anchored_offsets(chain, config, frequencies),
+        multi_port_layout(view, chain),
+        multi_port_layout(view, view.reversed(chain)),
+        proximity_layout(view),
+        anchored_layout(view, chain),
     ]
 
 

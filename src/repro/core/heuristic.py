@@ -103,10 +103,11 @@ def grouping_portfolio(problem: PlacementProblem) -> list[list[list[str]]]:
 def portfolio_placement(problem: PlacementProblem, *families: Family) -> Placement:
     """Cheapest layout of the grouping portfolio by ``families``, then the heuristic's.
 
-    Each portfolio group is laid out once per family (one trace view per
-    group) and each candidate priced by its summed group costs.  The first
-    strict minimum wins, scanning family by family and, inside each family,
-    in portfolio order.
+    Each portfolio grouping is laid out by every family in one pass (one
+    grouped view, one pricing call) and each candidate priced by its summed
+    group costs.  The first strict minimum wins, scanning family by family
+    and, inside each family, in portfolio order; only the winner becomes a
+    placement.
     """
     per_grouping = [
         layout_groups(problem, groups, *families, heuristic_layouts)
@@ -114,8 +115,8 @@ def portfolio_placement(problem: PlacementProblem, *families: Family) -> Placeme
     ]
     candidates = [pair for per_family in zip(*per_grouping) for pair in per_family]
     # ``min`` returns the first minimum, so earlier candidates win ties.
-    mapping, _total = min(candidates, key=lambda candidate: candidate[1])
-    return Placement(mapping)
+    arrangement, _total = min(candidates, key=lambda candidate: candidate[1])
+    return arrangement.placement()
 
 
 def heuristic_placement(problem: PlacementProblem) -> Placement:

@@ -57,6 +57,20 @@ and the simulation engines:
   ``base``).  This is the delta-probe kernel: cc merges on the fly, numpy
   drops ``skip`` through a ``searchsorted`` mask and sorts in ``add``.
 
+The planner lays out a whole grouping with three more entry points
+(:class:`repro.core.ordering.GroupedTrace`, docs/ALGORITHMS.md):
+
+* ``segment_costs(codes, starts, offset_table, ports)`` — the ``(C, S)``
+  table of lazy costs of every segment ``codes[starts[s]:starts[s+1]]``,
+  each walked from head 0, under every candidate row of
+  ``offset_table``.  cc walks them in one call; numpy walks the
+  candidates' concatenated rows once with each segment start marked as a
+  reset (the ``resets`` argument of the numpy walks);
+* ``greedy_chains`` / ``bidirectional_chains`` — every group's greedy or
+  ShiftsReduce chain over int codes.  cc builds them in one call; numpy
+  runs :func:`greedy_chain_codes` / :func:`bidirectional_chain_codes` per
+  group, which are the oracle of the compiled chains.
+
 The cc tier also runs local search's two refinement scans whole, one
 call each (``swap_pass`` for ``swap_refinement``, ``reversal_pass`` for
 ``two_opt_refinement``).  A pass reads and updates a :class:`RefineState`
@@ -548,6 +562,164 @@ void repro_reversal_pass(refine_state *s)
         if (s->accepted == before) return;
     }
 }
+
+/* Grouped layout (docs/ALGORITHMS.md §2): one call per grouping.  Group g
+   holds sizes[g] items, numbered 0 .. sizes[g] - 1 in group order, and
+   out[g * k + i] receives the i-th item of its chain (entries past the
+   group's size keep their own index). */
+
+static inline __attribute__((always_inline))
+int64_t segment_impl(const int64_t *codes, int64_t lo, int64_t hi,
+                     const int64_t *offset_of, const int64_t *ports,
+                     int64_t num_ports)
+{
+    int64_t head = 0, total = 0, t;
+    for (t = lo; t < hi; ++t)
+        total += lazy_step(offset_of[codes[t]], &head, ports, num_ports);
+    return total;
+}
+
+/* Lazy cost of every segment under every candidate: segment s is
+   codes[starts[s] .. starts[s + 1]), walked from head 0 with item i at
+   offset_table[c * num_items + i]; out[c * num_segments + s]. */
+void repro_segment_costs(const int64_t *codes, const int64_t *starts,
+                         int64_t num_segments, const int64_t *offset_table,
+                         int64_t num_candidates, int64_t num_items,
+                         const int64_t *ports, int64_t num_ports,
+                         int64_t *out)
+{
+    int64_t c, s;
+    for (c = 0; c < num_candidates; ++c) {
+        const int64_t *offset_of = offset_table + c * num_items;
+        for (s = 0; s < num_segments; ++s)
+            out[c * num_segments + s] = BY_PORTS(
+                segment_impl, codes, starts[s], starts[s + 1], offset_of,
+                ports);
+    }
+}
+
+static int64_t find_root(int64_t *parent, int64_t i)
+{
+    while (parent[i] != i) {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    return i;
+}
+
+/* greedy_chain_order over int codes.  Group g's edges are
+   (edge_lo[e], edge_hi[e]) for e in [edge_start[g], edge_start[g + 1]),
+   heaviest first, lo the endpoint whose name sorts first.  An edge joins
+   two distinct fragments at endpoints, turning the left fragment so lo
+   ends it and the right one so hi starts it; fragments are then emitted
+   by their lowest-numbered item, each from its first end.  scratch holds
+   6 * k entries. */
+void repro_greedy_chains(const int64_t *edge_lo, const int64_t *edge_hi,
+                         const int64_t *edge_start, const int64_t *sizes,
+                         int64_t num_groups, int64_t k, int64_t *scratch,
+                         int64_t *out)
+{
+    int64_t *parent = scratch, *first = scratch + k, *last = scratch + 2 * k;
+    int64_t *adj0 = scratch + 3 * k, *adj1 = scratch + 4 * k;
+    int64_t *seen = scratch + 5 * k;
+    int64_t g, e, i;
+    for (g = 0; g < num_groups; ++g) {
+        int64_t n = sizes[g], at = 0, *row = out + g * k;
+        for (i = 0; i < n; ++i) {
+            parent[i] = first[i] = last[i] = i;
+            adj0[i] = adj1[i] = -1;
+            seen[i] = 0;
+        }
+        for (e = edge_start[g]; e < edge_start[g + 1]; ++e) {
+            int64_t left = edge_lo[e], right = edge_hi[e], t;
+            int64_t rl = find_root(parent, left), rr = find_root(parent, right);
+            if (rl == rr) continue;
+            if (first[rl] != left && last[rl] != left) continue;
+            if (first[rr] != right && last[rr] != right) continue;
+            if (last[rl] != left) {
+                t = first[rl]; first[rl] = last[rl]; last[rl] = t;
+            }
+            if (first[rr] != right) {
+                t = first[rr]; first[rr] = last[rr]; last[rr] = t;
+            }
+            if (adj0[left] < 0) adj0[left] = right; else adj1[left] = right;
+            if (adj0[right] < 0) adj0[right] = left; else adj1[right] = left;
+            last[rl] = last[rr];
+            parent[rr] = rl;
+        }
+        for (i = 0; i < n; ++i) {
+            int64_t root = find_root(parent, i), prev = -1, cur;
+            if (seen[root]) continue;
+            seen[root] = 1;
+            for (cur = first[root]; cur >= 0;) {
+                int64_t next = adj0[cur] != prev ? adj0[cur] : adj1[cur];
+                row[at++] = cur;
+                prev = cur;
+                cur = next;
+            }
+        }
+        for (i = n; i < k; ++i) row[i] = i;
+    }
+}
+
+/* bidirectional_order over int codes: weights[g * k * k + i * k + j] is
+   the symmetric pair count of items i and j of group g, freq[g * k + i]
+   item i's access count.  The item with the largest (degree, freq, -i)
+   seeds the chain; each step takes the unplaced item with the largest
+   (attachment, degree, freq, -i) and puts it at the cheaper end (the
+   right end on ties).  scratch holds 5 * k entries. */
+void repro_bidirectional_chains(const int64_t *weights, const int64_t *sizes,
+                                const int64_t *freq, int64_t num_groups,
+                                int64_t k, int64_t *scratch, int64_t *out)
+{
+    int64_t *degree = scratch, *attach = scratch + k, *moment = scratch + 2 * k;
+    int64_t *placed = scratch + 3 * k, *position = scratch + 4 * k;
+    int64_t g, i, j, step;
+    for (g = 0; g < num_groups; ++g) {
+        const int64_t *w = weights + g * k * k, *f = freq + g * k;
+        int64_t n = sizes[g], left = 0, right = 0, *row = out + g * k;
+        int64_t best = -1;
+        for (i = 0; i < n; ++i) {
+            degree[i] = 0;
+            for (j = 0; j < n; ++j) degree[i] += w[i * k + j];
+            attach[i] = moment[i] = placed[i] = 0;
+            if (best < 0 || degree[i] > degree[best]
+                || (degree[i] == degree[best] && f[i] > f[best]))
+                best = i;
+        }
+        for (step = 0; step < n; ++step) {
+            int64_t at;
+            if (step > 0) {
+                int64_t left_cost, right_cost;
+                best = -1;
+                for (i = 0; i < n; ++i) {
+                    if (placed[i]) continue;
+                    if (best < 0 || attach[i] > attach[best]
+                        || (attach[i] == attach[best]
+                            && (degree[i] > degree[best]
+                                || (degree[i] == degree[best]
+                                    && f[i] > f[best]))))
+                        best = i;
+                }
+                left_cost = moment[best] - attach[best] * (left - 1);
+                right_cost = attach[best] * (right + 1) - moment[best];
+                at = left_cost < right_cost ? --left : ++right;
+            } else {
+                at = 0;
+            }
+            placed[best] = 1;
+            position[best] = at;
+            for (j = 0; j < n; ++j) {
+                int64_t value = w[best * k + j];
+                if (placed[j] || value == 0) continue;
+                attach[j] += value;
+                moment[j] += value * at;
+            }
+        }
+        for (i = 0; i < n; ++i) row[position[i] - left] = i;
+        for (i = n; i < k; ++i) row[i] = i;
+    }
+}
 """
 
 
@@ -555,8 +727,12 @@ void repro_reversal_pass(refine_state *s)
 # numpy walks
 # ---------------------------------------------------------------------------
 
-def single_port_access_costs_numpy(offsets, port: int):
-    """Per-access shift costs of a lazy single-port replay (position diffs)."""
+def single_port_access_costs_numpy(offsets, port: int, resets=None):
+    """Per-access shift costs of a lazy single-port replay (position diffs).
+
+    ``resets`` (optional bool per access) marks accesses that start a new
+    replay from head 0, as the first access does.
+    """
     import numpy as np
 
     targets = offsets if port == 0 else offsets - port
@@ -564,10 +740,13 @@ def single_port_access_costs_numpy(offsets, port: int):
     costs[0] = abs(int(targets[0]))
     if targets.size > 1:
         np.abs(np.diff(targets), out=costs[1:])
+        if resets is not None:
+            restart = np.flatnonzero(resets[1:]) + 1
+            costs[restart] = np.abs(targets[restart])
     return costs
 
 
-def two_port_access_costs_numpy(offsets, ports):
+def two_port_access_costs_numpy(offsets, ports, resets=None):
     """Per-access shift costs of a lazy two-port replay (closed form).
 
     Vectorised over the whole offset sequence: with two ports every step's
@@ -580,7 +759,9 @@ def two_port_access_costs_numpy(offsets, ports):
     lower port on ties, matching :func:`repro.dwm.dbc.port_access_cost`.
 
     Returns an int64 array of the same length as ``offsets`` whose sum is
-    the total lazy cost of the sequence.
+    the total lazy cost of the sequence.  An access marked in ``resets``
+    (optional bool per access) is served from head 0, as the first one is:
+    its step is a convergence whatever the state before it.
     """
     import numpy as np
 
@@ -603,6 +784,15 @@ def two_port_access_costs_numpy(offsets, ports):
     pick_b1 = cost_bb < cost_ba  # next state given previous state 1
     min0 = np.where(pick_b0, cost_ab, cost_aa)
     min1 = np.where(pick_b1, cost_bb, cost_ba)
+    if resets is not None:
+        restart = resets[1:]
+        from_a, from_b = np.abs(head_a[1:]), np.abs(head_b[1:])
+        pick = from_b < from_a
+        pick_b0 = np.where(restart, pick, pick_b0)
+        pick_b1 = np.where(restart, pick, pick_b1)
+        fresh = np.minimum(from_a, from_b)
+        min0 = np.where(restart, fresh, min0)
+        min1 = np.where(restart, fresh, min1)
     const = pick_b0 == pick_b1
     swap_flag = pick_b0 & ~const
     inclusive = np.bitwise_xor.accumulate(swap_flag)
@@ -624,7 +814,7 @@ def two_port_access_costs_numpy(offsets, ports):
     return out
 
 
-def multi_port_access_costs_numpy(offsets, ports):
+def multi_port_access_costs_numpy(offsets, ports, resets=None):
     """Per-access shift costs of a lazy multi-port replay (``P ≥ 2``).
 
     After any access the head equals ``offset − p`` for exactly one port
@@ -636,6 +826,8 @@ def multi_port_access_costs_numpy(offsets, ports):
     resolve to the lowest port (argmin-first), matching the reference
     evaluator exactly.  Any ``P ≥ 1`` is accepted, which makes this the
     single reference the parity checks compare every tier against.
+    Accesses marked in ``resets`` (optional bool per access) are served
+    from head 0, as the first one is.
     """
     import numpy as np
 
@@ -660,6 +852,12 @@ def multi_port_access_costs_numpy(offsets, ports):
         better = candidate < costs
         costs = np.where(better, candidate, costs)
         nexts = np.where(better, port_index, nexts)
+    if resets is not None:
+        restart = np.flatnonzero(resets[1:])
+        fresh = np.abs(cur[restart])
+        port = fresh.argmin(axis=1)  # first minimum: the lowest port
+        costs[restart] = fresh[np.arange(restart.size), port][:, None]
+        nexts[restart] = port[:, None]
     # Hillis–Steele prefix composition: after the scan, comp[t][q] is the
     # state after steps 0..t given initial state q.  Each round gathers
     # comp[t + d][comp[t][q]] through flat indices (row offsets + state),
@@ -684,20 +882,21 @@ def multi_port_access_costs_numpy(offsets, ports):
     return out
 
 
-def _numpy_lazy_costs(offsets, ports):
+def _numpy_lazy_costs(offsets, ports, resets=None):
     """Per-access lazy costs from head 0: the diff for one port, the closed
     form for two (on a 25k-access chain the scan takes ~8× as long), the
-    Hillis–Steele scan for ``P ≥ 3``."""
+    Hillis–Steele scan for ``P ≥ 3``.  Accesses marked in ``resets``
+    restart from head 0."""
     import numpy as np
 
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.size == 0:
         return np.empty(0, dtype=np.int64)
     if len(ports) == 1:
-        return single_port_access_costs_numpy(offsets, ports[0])
+        return single_port_access_costs_numpy(offsets, ports[0], resets)
     if len(ports) == 2:
-        return two_port_access_costs_numpy(offsets, ports)
-    return multi_port_access_costs_numpy(offsets, ports)
+        return two_port_access_costs_numpy(offsets, ports, resets)
+    return multi_port_access_costs_numpy(offsets, ports, resets)
 
 
 def lazy_costs_from_state(offsets, ports, head0):
@@ -746,6 +945,106 @@ def lazy_costs_from_state(offsets, ports, head0):
     full = _numpy_lazy_costs(padded, ports)
     head_out = probe - max_port - int(full[-1])
     return full[1:-1].copy(), head_out
+
+
+# ---------------------------------------------------------------------------
+# Chains over int codes
+# ---------------------------------------------------------------------------
+
+def greedy_chain_codes(size: int, edge_lo, edge_hi) -> list[int]:
+    """:func:`~repro.core.ordering.greedy_chain_order` over items
+    ``0 .. size - 1`` (group order), with its edges already sorted: edge
+    ``e`` joins its left end ``edge_lo[e]`` to ``edge_hi[e]``.  The numpy
+    tier's chain and the oracle of the compiled ``repro_greedy_chains``."""
+    fragment_of = [[item] for item in range(size)]
+    for left, right in zip(edge_lo, edge_hi):
+        frag_left = fragment_of[left]
+        frag_right = fragment_of[right]
+        if frag_left is frag_right:
+            continue
+        if frag_left[0] != left and frag_left[-1] != left:
+            continue
+        if frag_right[0] != right and frag_right[-1] != right:
+            continue
+        if frag_left[-1] != left:
+            frag_left.reverse()
+        if frag_right[0] != right:
+            frag_right.reverse()
+        frag_left.extend(frag_right)
+        for item in frag_right:
+            fragment_of[item] = frag_left
+    seen: set[int] = set()
+    order: list[int] = []
+    for fragment in fragment_of:
+        if id(fragment) not in seen:
+            seen.add(id(fragment))
+            order.extend(fragment)
+    return order
+
+
+def bidirectional_chain_codes(weights, freq) -> list[int]:
+    """:func:`~repro.core.shiftsreduce.bidirectional_order` over items
+    ``0 .. k - 1`` (their rank): ``weights`` is the symmetric ``k × k``
+    pair-count table (zero diagonal, nested lists), ``freq`` the access
+    counts.  The numpy tier's chain and the oracle of the compiled
+    ``repro_bidirectional_chains``."""
+    size = len(freq)
+    if size <= 1:
+        return list(range(size))
+    degree = [sum(row) for row in weights]
+    tie = [(degree[item], freq[item], -item) for item in range(size)]
+    attach = [0] * size
+    moment = [0] * size
+    remaining = set(range(size))
+    position = [0] * size
+
+    def place(item: int, at: int) -> None:
+        position[item] = at
+        remaining.remove(item)
+        for other, value in enumerate(weights[item]):
+            if value and other in remaining:
+                attach[other] += value
+                moment[other] += value * at
+
+    place(max(range(size), key=tie.__getitem__), 0)
+    left_end = right_end = 0
+    while remaining:
+        best = max(remaining, key=lambda item: (attach[item],) + tie[item])
+        left_cost = moment[best] - attach[best] * (left_end - 1)
+        right_cost = attach[best] * (right_end + 1) - moment[best]
+        if left_cost < right_cost:
+            left_end -= 1
+            place(best, left_end)
+        else:
+            right_end += 1
+            place(best, right_end)
+    return sorted(range(size), key=position.__getitem__)
+
+
+def _check_chains(sizes, k: int, *arrays) -> None:
+    """Reject chain inputs the compiled chains would index out of bounds
+    with: group sizes past ``k`` or item numbers outside ``[0, k)``."""
+    if sizes.size and int(sizes.max()) > k:
+        raise ValueError(f"a group holds more than {k} items")
+    for array in arrays:
+        if array.size and (int(array.min()) < 0 or int(array.max()) >= k):
+            raise IndexError(f"item number outside [0, {k})")
+
+
+def _check_segments(codes, starts, offset_table) -> None:
+    """Reject segment inputs the compiled pricing would index out of
+    bounds with."""
+    import numpy as np
+
+    if offset_table.ndim != 2:
+        raise ValueError("offset_table must be (candidates, items)")
+    num_items = offset_table.shape[1]
+    if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= num_items):
+        raise IndexError("segment code outside the offset table's items")
+    if starts.size == 0 or starts[0] < 0 or starts[-1] > codes.size or (
+        np.diff(starts) < 0
+    ).any():
+        raise ValueError("starts must ascend from 0 within the codes")
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +1220,57 @@ class NumpyKernels:
             base.sort(kind="stable")
         return self.lazy_chain_cost(base, item_at, offset_of, ports)
 
+    def segment_costs(self, codes, starts, offset_table, ports):
+        """Lazy cost of every segment under every candidate: a ``(C, S)``
+        table whose entry ``[c, s]`` walks ``codes[starts[s] ..
+        starts[s + 1])`` from head 0 with item ``i`` at
+        ``offset_table[c, i]``.  Each candidate's ``S`` replays are one
+        walk of its offset row with every segment start marked as a
+        reset."""
+        import numpy as np
+
+        _check_segments(codes, starts, offset_table)
+        resets = np.zeros(codes.size, dtype=bool)
+        resets[starts[:-1][starts[:-1] < codes.size]] = True
+        out = np.empty((offset_table.shape[0], starts.size - 1), dtype=np.int64)
+        running = np.zeros(codes.size + 1, dtype=np.int64)
+        for row, offset_of in zip(out, offset_table):
+            if codes.size:
+                np.cumsum(_numpy_lazy_costs(offset_of[codes], ports, resets),
+                          out=running[1:])
+            row[:] = running[starts[1:]] - running[starts[:-1]]
+        return out
+
+    def greedy_chains(self, edge_lo, edge_hi, edge_start, sizes, k: int):
+        """Every group's greedy chain (:func:`greedy_chain_codes`): a
+        ``(G, k)`` table of item numbers, padded with the entries' own
+        index.  Group ``g``'s sorted edges are
+        ``edge_start[g] .. edge_start[g + 1]``."""
+        import numpy as np
+
+        _check_chains(sizes, k, edge_lo, edge_hi)
+        out = np.tile(np.arange(k, dtype=np.int64), (sizes.size, 1))
+        lo, hi, bounds = edge_lo.tolist(), edge_hi.tolist(), edge_start.tolist()
+        for g, size in enumerate(sizes.tolist()):
+            first, last = bounds[g], bounds[g + 1]
+            out[g, :size] = greedy_chain_codes(size, lo[first:last], hi[first:last])
+        return out
+
+    def bidirectional_chains(self, weights, sizes, freq):
+        """Every group's bidirectional chain
+        (:func:`bidirectional_chain_codes`) over the ``(G, k, k)`` pair
+        table; padded as :meth:`greedy_chains`."""
+        import numpy as np
+
+        k = weights.shape[-1]
+        _check_chains(sizes, k)
+        out = np.tile(np.arange(k, dtype=np.int64), (sizes.size, 1))
+        for g, size in enumerate(sizes.tolist()):
+            out[g, :size] = bidirectional_chain_codes(
+                weights[g, :size, :size].tolist(), freq[g, :size].tolist()
+            )
+        return out
+
     #: No compiled refinement passes: on this tier
     #: :class:`~repro.core.incremental.CostEvaluator` runs its single-probe
     #: scans (``scan_swaps`` / ``scan_reversals``) instead.
@@ -959,6 +1309,12 @@ class CcKernels:
         lib.repro_swap_pass.argtypes = [ptr]
         lib.repro_reversal_pass.restype = None
         lib.repro_reversal_pass.argtypes = [ptr]
+        lib.repro_segment_costs.restype = None
+        lib.repro_segment_costs.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, i64, ptr]
+        lib.repro_greedy_chains.restype = None
+        lib.repro_greedy_chains.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
+        lib.repro_bidirectional_chains.restype = None
+        lib.repro_bidirectional_chains.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
         # Mirrors the C refine_state: every field is 8 bytes wide.
         self._refine_state = type(
             "refine_state",
@@ -1103,6 +1459,59 @@ class CcKernels:
                 ports.size,
             )
         )
+
+    def segment_costs(self, codes, starts, offset_table, ports):
+        """:meth:`NumpyKernels.segment_costs` in one compiled call."""
+        np = self._np
+        codes, starts, offset_table, ports = (
+            np.ascontiguousarray(array, dtype=np.int64)
+            for array in (codes, starts, offset_table, ports)
+        )
+        _check_segments(codes, starts, offset_table)
+        candidates, num_items = offset_table.shape
+        out = np.empty((candidates, starts.size - 1), dtype=np.int64)
+        self._lib.repro_segment_costs(
+            codes.ctypes.data, starts.ctypes.data, starts.size - 1,
+            offset_table.ctypes.data, candidates, num_items,
+            ports.ctypes.data, ports.size, out.ctypes.data,
+        )
+        return out
+
+    def greedy_chains(self, edge_lo, edge_hi, edge_start, sizes, k: int):
+        """:meth:`NumpyKernels.greedy_chains` in one compiled call."""
+        np = self._np
+        edge_lo, edge_hi, edge_start, sizes = (
+            np.ascontiguousarray(array, dtype=np.int64)
+            for array in (edge_lo, edge_hi, edge_start, sizes)
+        )
+        _check_chains(sizes, k, edge_lo, edge_hi)
+        out = np.empty((sizes.size, k), dtype=np.int64)
+        scratch = np.empty(6 * k, dtype=np.int64)
+        self._lib.repro_greedy_chains(
+            edge_lo.ctypes.data, edge_hi.ctypes.data, edge_start.ctypes.data,
+            sizes.ctypes.data, sizes.size, k, scratch.ctypes.data,
+            out.ctypes.data,
+        )
+        return out
+
+    def bidirectional_chains(self, weights, sizes, freq):
+        """:meth:`NumpyKernels.bidirectional_chains` in one compiled call."""
+        np = self._np
+        weights, sizes, freq = (
+            np.ascontiguousarray(array, dtype=np.int64)
+            for array in (weights, sizes, freq)
+        )
+        k = weights.shape[-1]
+        _check_chains(sizes, k)
+        if weights.shape != (sizes.size, k, k) or freq.shape != (sizes.size, k):
+            raise ValueError("weights must be (G, k, k) and freq (G, k)")
+        out = np.empty((sizes.size, k), dtype=np.int64)
+        scratch = np.empty(5 * k, dtype=np.int64)
+        self._lib.repro_bidirectional_chains(
+            weights.ctypes.data, sizes.ctypes.data, freq.ctypes.data,
+            sizes.size, k, scratch.ctypes.data, out.ctypes.data,
+        )
+        return out
 
     def _run_pass(self, entry, state, max_passes, max_probes):
         """One compiled pass over ``state``; ``(probes, accepted, delta)``."""

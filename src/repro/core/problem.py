@@ -112,6 +112,18 @@ class PlacementProblem:
         return neighbors
 
     @cached_property
+    def name_rank(self):
+        """Each item's rank in the string order of the names (int64 by
+        code): the planner's int-coded chains break ties on it as the
+        name-keyed ones break them on the names."""
+        import numpy as np
+
+        by_name = sorted(range(self.num_items), key=self.items.__getitem__)
+        rank = np.empty(self.num_items, dtype=np.int64)
+        rank[by_name] = np.arange(self.num_items)
+        return rank
+
+    @cached_property
     def item_index(self) -> dict[str, int]:
         """Item name → dense index (first-touch order)."""
         return {item: i for i, item in enumerate(self.items)}

@@ -27,8 +27,9 @@ from typing import Sequence
 # Not called here, but perfbench/spans.py wraps these names in each placement
 # module to time scoring, and fails if either is missing.
 from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
+from repro.core import kernels
 from repro.core.heuristic import portfolio_placement
-from repro.core.ordering import GroupTrace, anchored_offsets
+from repro.core.ordering import GroupedTrace, Layout, anchored_layout
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.errors import OptimizationError
@@ -50,66 +51,28 @@ def bidirectional_order(
     so the result is independent of dict/set iteration order.  Each unplaced
     item keeps its attachment weight ``A`` and moment ``B = Σ w·pos`` to the
     placed set, so the end costs are ``B − A·(left − 1)`` and
-    ``A·(right + 1) − B`` and the whole chain takes O(k²).
+    ``A·(right + 1) − B`` and the whole chain takes O(k²)
+    (:func:`~repro.core.kernels.bidirectional_chain_codes`, the int-coded
+    construction the planner runs per grouping).
     """
     items = list(items)
     if len(set(items)) != len(items):
         raise OptimizationError("ordering input contains duplicate items")
-    if len(items) <= 1:
-        return items
     frequencies = frequencies or {}
-    member = set(items)
     rank = {item: position for position, item in enumerate(items)}
-    neighbours: dict[str, dict[str, int]] = {item: {} for item in items}
-    degree = {item: 0 for item in items}
+    weights = [[0] * len(items) for _ in items]
     for (left, right), value in affinity.items():
-        if left in member and right in member and left != right and value > 0:
-            neighbours[left][right] = neighbours[left].get(right, 0) + value
-            neighbours[right][left] = neighbours[right].get(left, 0) + value
-            degree[left] += value
-            degree[right] += value
-
-    def tie_key(item: str) -> tuple[int, int, int]:
-        return (degree[item], frequencies.get(item, 0), -rank[item])
-
-    # Attachment weight and moment of each unplaced item to the placed set.
-    attach = {item: 0 for item in items}
-    moment = {item: 0 for item in items}
-    remaining = set(items)
-    position: dict[str, int] = {}
-    left_end = right_end = 0
-
-    def place(item: str, at: int) -> None:
-        position[item] = at
-        remaining.remove(item)
-        for other, value in neighbours[item].items():
-            if other in remaining:
-                attach[other] += value
-                moment[other] += value * at
-
-    place(max(items, key=tie_key), 0)
-    while remaining:
-        best = max(remaining, key=lambda item: (attach[item],) + tie_key(item))
-        left_cost = moment[best] - attach[best] * (left_end - 1)
-        right_cost = attach[best] * (right_end + 1) - moment[best]
-        if left_cost < right_cost:
-            left_end -= 1
-            place(best, left_end)
-        else:
-            right_end += 1
-            place(best, right_end)
-    return sorted(position, key=position.get)
+        if left in rank and right in rank and left != right and value > 0:
+            weights[rank[left]][rank[right]] += value
+            weights[rank[right]][rank[left]] += value
+    freq = [frequencies.get(item, 0) for item in items]
+    return [items[code] for code in kernels.bidirectional_chain_codes(weights, freq)]
 
 
-def bidirectional_layouts(view: GroupTrace) -> list[dict[str, int]]:
-    """The group's bidirectional chain and its reversal, median on a port."""
-    config = view.config
-    frequencies = view.frequencies
-    order = bidirectional_order(view.items, view.affinity, frequencies)
-    return [
-        anchored_offsets(order, config, frequencies),
-        anchored_offsets(order[::-1], config, frequencies),
-    ]
+def bidirectional_layouts(view: GroupedTrace) -> list[Layout]:
+    """Every group's bidirectional chain and its reversal, median on a port."""
+    order = kernels.active().bidirectional_chains(view.pairs, view.sizes, view.freq)
+    return [anchored_layout(view, order), anchored_layout(view, view.reversed(order))]
 
 
 def shiftsreduce_placement(problem: PlacementProblem) -> Placement:

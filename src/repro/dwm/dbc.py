@@ -18,6 +18,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.dwm.config import DWMConfig, PortPolicy
@@ -60,28 +61,36 @@ def port_access_cost(
     return best
 
 
+@functools.lru_cache(maxsize=64)
 def rest_table(config: DWMConfig):
     """Eager per-offset cost table: twice the nearest-port distance.
 
     Under the eager policy the head returns to rest after every access, so
     an access to offset ``o`` always costs ``rest_table(config)[o]``.
+    Built once per geometry and shared, so the array is read-only.
     """
     import numpy as np
 
-    return np.asarray(
+    table = np.asarray(
         [
             2 * port_access_cost(offset, 0, config.port_offsets)[0]
             for offset in range(config.words_per_dbc)
         ],
         dtype=np.int64,
     )
+    table.flags.writeable = False
+    return table
 
 
-def proximity_order(config: DWMConfig) -> list[int]:
-    """DBC offsets from the nearest port outwards (ties: lower offset first)."""
+@functools.lru_cache(maxsize=64)
+def proximity_order(config: DWMConfig) -> tuple[int, ...]:
+    """DBC offsets from the nearest port outwards (ties: lower offset first).
+
+    Built once per geometry.
+    """
     import numpy as np
 
-    return np.argsort(rest_table(config), kind="stable").tolist()
+    return tuple(np.argsort(rest_table(config), kind="stable").tolist())
 
 
 class HeadModel:

@@ -19,6 +19,9 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.errors import TraceError
 
+#: Accesses hashed per joined block by :meth:`AccessTrace.fingerprint`.
+_FINGERPRINT_BLOCK = 1 << 15
+
 
 class AccessKind(enum.Enum):
     """Whether an access reads or writes its item."""
@@ -253,14 +256,19 @@ class AccessTrace:
         if self._fingerprint is None:
             import hashlib
 
+            # Access t hashes as b"R"/b"W" + utf-8 name + b"\x00": record
+            # 2 * item + is_write of a per-(item, kind) table, joined in
+            # blocks so the bytes in flight stay bounded.
             resolved = self._resolved
-            names = map(resolved.items.__getitem__, resolved.item_at.tolist())
-            kinds = resolved.is_write.tolist()
+            records = []
+            for item in resolved.items:
+                name = item.encode("utf-8") + b"\x00"
+                records += (b"R" + name, b"W" + name)
             digest = hashlib.sha256()
-            for item, write in zip(names, kinds):
-                digest.update(b"W" if write else b"R")
-                digest.update(item.encode("utf-8"))
-                digest.update(b"\x00")
+            for start in range(0, len(resolved.item_at), _FINGERPRINT_BLOCK):
+                stop = start + _FINGERPRINT_BLOCK
+                keys = resolved.item_at[start:stop] * 2 + resolved.is_write[start:stop]
+                digest.update(b"".join([records[key] for key in keys.tolist()]))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

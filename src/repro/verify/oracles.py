@@ -34,6 +34,8 @@ five oracle families and returns the (hopefully empty) list of
   always, the cc kernel when it is built) must match the Hillis–Steele
   numpy reference bit-for-bit on per-access costs, chain walks and merge
   walks, across single-port, two-port and the case's own port geometry;
+  on every portfolio grouping the cc tier's compiled chains and candidate
+  cost tables must equal the numpy tier's (``layout_mismatch``);
 * **streaming agreement** — the chunked out-of-core engine
   (:mod:`repro.memory.stream_sim`) must match the vectorized engine on
   totals, per-DBC decompositions and the per-access maximum, for
@@ -62,9 +64,17 @@ from repro.core.cost import evaluate_placement, per_dbc_costs, shift_lower_bound
 from repro.core.exact import exhaustive_search_is_exact
 from repro.core.incremental import CostEvaluator
 from repro.core.kernels import multi_port_access_costs_numpy
-from repro.core.ordering import GroupTrace
+from repro.core.generalized import port_aware_layouts
+from repro.core.heuristic import grouping_portfolio
+from repro.core.ordering import (
+    GroupedTrace,
+    GroupTrace,
+    heuristic_layouts,
+    price_layouts,
+)
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
+from repro.core.shiftsreduce import bidirectional_layouts
 from repro.dwm.dbc import port_access_cost
 from repro.dwm.faults import FaultModel, injection_seed, run_injection
 from repro.memory.batch_sim import per_access_costs
@@ -694,6 +704,50 @@ def check_kernel_parity(
     violations: list[Violation] = []
     for tier in tiers:
         violations.extend(_check_tier_parity(case, problem, placement, tier))
+    if len(tiers) > 1:
+        violations.extend(_check_layout_parity(problem, *tiers))
+    return violations
+
+
+def _check_layout_parity(problem, reference, tier) -> list[Violation]:
+    """On every portfolio grouping of the case's problem, ``tier`` must
+    build the same greedy and bidirectional chains as ``reference`` (the
+    numpy tier's int-coded loops) and price every candidate layout of the
+    three families to the same ``(C, G)`` cost table."""
+    violations: list[Violation] = []
+    for index, groups in enumerate(grouping_portfolio(problem)):
+        view = GroupedTrace(problem, groups)
+        mismatched = []
+        greedy = (*view.chain_edges, view.sizes, view.k)
+        bidirectional = (view.pairs, view.sizes, view.freq)
+        if not np.array_equal(
+            reference.greedy_chains(*greedy), tier.greedy_chains(*greedy)
+        ):
+            mismatched.append("greedy chains")
+        if not np.array_equal(
+            reference.bidirectional_chains(*bidirectional),
+            tier.bidirectional_chains(*bidirectional),
+        ):
+            mismatched.append("bidirectional chains")
+        if not mismatched:
+            families = (heuristic_layouts, bidirectional_layouts, port_aware_layouts)
+            layouts = [layout for family in families for layout in family(view)]
+            if not np.array_equal(
+                price_layouts(view, layouts, reference),
+                price_layouts(view, layouts, tier),
+            ):
+                mismatched.append("candidate cost tables")
+        if mismatched:
+            violations.append(
+                Violation(
+                    kind="layout_mismatch",
+                    detail=(
+                        f"{tier.name} and {reference.name} differ on grouping "
+                        f"{index}: {', '.join(mismatched)}"
+                    ),
+                    data={"backend": tier.name, "grouping": index, "parts": mismatched},
+                )
+            )
     return violations
 
 

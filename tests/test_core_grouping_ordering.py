@@ -334,5 +334,5 @@ class TestOrderGroups:
         for groups in grouping_portfolio(problem):
             results = layout_groups(problem, groups, *families)
             assert len(results) == len(families)
-            for mapping, total in results:
-                assert total == evaluate_placement(problem, Placement(mapping))
+            for arrangement, total in results:
+                assert total == evaluate_placement(problem, arrangement.placement())

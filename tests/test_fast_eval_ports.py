@@ -107,21 +107,33 @@ class TestCandidateSelection:
         # heuristic guard, the first grouping wins, and so does each
         # group's first candidate.  On two ports the three families' first
         # layouts all differ.
+        import numpy as np
+
         problem = build_problem(
             markov_trace(12, 200, seed=5), words_per_dbc=8, num_ports=2
         )
-        monkeypatch.setattr(ordering.GroupTrace, "cost", lambda self, offsets: 4)
+        # Every candidate of every group of every grouping costs the same.
+        monkeypatch.setattr(
+            ordering,
+            "price_layouts",
+            lambda view, layouts, tier=None: np.full(
+                (len(layouts), view.num_groups), 4, dtype=np.int64
+            ),
+        )
         family = {
             heuristic: ordering.heuristic_layouts,
             shiftsreduce: shiftsreduce.bidirectional_layouts,
             generalized: generalized.port_aware_layouts,
         }[module]
+        view = ordering.GroupedTrace(problem, heuristic.grouping_portfolio(problem)[0])
+        first = family(view)[0]
+        order = np.broadcast_to(first.order, view.members.shape)
+        offsets = np.broadcast_to(first.offsets, view.members.shape)
         expected = {}
-        for dbc, group in enumerate(heuristic.grouping_portfolio(problem)[0]):
-            if group:
-                first = family(ordering.GroupTrace(problem, group))[0]
-                for item, offset in first.items():
-                    expected[item] = Slot(dbc, offset)
+        for dbc, size in enumerate(view.sizes.tolist()):
+            for position in range(size):
+                code = int(view.members[dbc, order[dbc, position]])
+                expected[problem.items[code]] = Slot(dbc, int(offsets[dbc, position]))
         assert method(problem) == Placement(expected)
 
 

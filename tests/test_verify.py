@@ -135,6 +135,30 @@ class TestOracles:
         assert {v.kind for v in violations} == {"refinement_mismatch"}
 
 
+    @pytest.mark.parametrize(
+        "name", ["greedy_chains", "bidirectional_chains", "segment_costs"]
+    )
+    def test_detects_layout_tier_split(self, monkeypatch, name):
+        # A compiled layout entry point that disagrees with the numpy tier
+        # (chains reversed, one shift too many) is a layout_mismatch.
+        from repro.core import kernels
+
+        if kernels.backend_name() != "cc":
+            pytest.skip("needs the cc tier")
+        tier = type(kernels.active())
+        original = getattr(tier, name)
+
+        def skewed(self, *args):
+            result = original(self, *args)
+            return result + 1 if name == "segment_costs" else result[:, ::-1]
+
+        case = make_case(["a", "b", "c", "a", "c", "b", "a"], words=4, dbcs=2)
+        problem, placement = build_placement(case)
+        monkeypatch.setattr(tier, name, skewed)
+        kinds = {v.kind for v in oracles.check_kernel_parity(case, problem, placement)}
+        assert kinds == {"layout_mismatch"}
+
+
 class TestShrink:
     def test_shrinks_to_single_access(self):
         case = make_case(
