@@ -17,32 +17,24 @@ Two algorithms are provided:
   moves and pairwise swaps between groups accepted when they reduce total
   intra-group affinity.
 
-Both read an item → group weight table (an item's affinity toward each
-group's current members), updated in O(degree) on every assign, move and
-swap; it is sparse, O(items + distinct pairs) whatever the group count.
+Both run over item codes in one kernel-tier call
+(``kernels.active().min_affinity_groups``: compiled on the cc tier,
+:func:`~repro.core.kernels.min_affinity_group_codes` on numpy), reading
+the problem's neighbour CSR (:attr:`PlacementProblem.pairs`).  They keep
+``own[item]`` — the item's weight toward its own group, updated in
+O(degree) on every assign, move and swap — and scatter a visited item's
+weight toward every group (and, for a swap, toward every item and every
+item's toward its group) from the CSR into scratch arrays cleared after
+it.  Groups are ``(G, width)`` member rows in list order.  Memory is
+O(items + distinct pairs + G · width) whatever the group count: no
+items × groups table.
 """
 
 from __future__ import annotations
 
+from repro.core import kernels
 from repro.core.problem import PlacementProblem
-
-#: item → {group index: affinity toward that group's current members}.
-GroupWeights = dict[str, dict[int, int]]
-
-
-def _move(
-    table: GroupWeights,
-    neighbors: dict[str, dict[str, int]],
-    item: str,
-    source: int | None,
-    target: int,
-) -> None:
-    """Record ``item`` leaving group ``source`` (``None``: unplaced) for ``target``."""
-    for other, weight in neighbors[item].items():
-        row = table[other]
-        if source is not None:
-            row[source] -= weight
-        row[target] = row.get(target, 0) + weight
+from repro.errors import OptimizationError
 
 
 def intra_group_affinity(
@@ -64,34 +56,37 @@ def intra_group_affinity(
     return total
 
 
-def greedy_min_affinity_grouping(problem: PlacementProblem) -> list[list[str]]:
+def _grouped(problem: PlacementProblem, initial, max_passes: int, tier=None):
+    """One kernel-tier grouping call over ``problem``'s codes, as names."""
+    config = problem.config
+    graph = problem.pairs
+    if initial is None:
+        num_groups = min(config.num_dbcs, problem.num_items)
+    else:
+        num_groups = initial[1].size
+    members, sizes = (tier or kernels.active()).min_affinity_groups(
+        num_groups, config.words_per_dbc, problem.hot_codes,
+        graph.nb_start, graph.nb, graph.nb_w, initial, max_passes,
+    )
+    names = problem.items
+    return [
+        [names[code] for code in row[:size]]
+        for row, size in zip(members.tolist(), sizes.tolist())
+    ]
+
+
+def greedy_min_affinity_grouping(
+    problem: PlacementProblem, tier=None
+) -> list[list[str]]:
     """Assign items (hottest first) to the least-conflicting group.
 
     Returns ``min(num_dbcs, num_items)`` lists, each of size at most
     ``words_per_dbc``.  Hot items are placed first so they get the freest
-    choice; ties break toward the emptiest group to balance load.
+    choice; each goes to the group with spare capacity that minimizes
+    ``(added affinity, group size, group index)``.  Runs on ``tier`` (the
+    active one by default).
     """
-    config = problem.config
-    capacity = config.words_per_dbc
-    neighbors = problem.neighbors
-    groups: list[list[str]] = [
-        [] for _ in range(min(config.num_dbcs, problem.num_items))
-    ]
-    table: GroupWeights = {item: {} for item in problem.items}
-    for item in problem.hot_order:
-        weights = table[item]
-        best_group = 0
-        best_key = None
-        for index, group in enumerate(groups):
-            if len(group) >= capacity:
-                continue
-            key = (weights.get(index, 0), len(group), index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_group = index
-        groups[best_group].append(item)
-        _move(table, neighbors, item, None, best_group)
-    return groups
+    return _grouped(problem, None, 0, tier)
 
 
 def refine_grouping(
@@ -101,69 +96,32 @@ def refine_grouping(
 ) -> list[list[str]]:
     """KL-style refinement: moves and swaps that reduce intra-group affinity.
 
-    Runs first-improvement passes until a pass makes no change or
-    ``max_passes`` is hit.  Capacity is respected throughout.
+    Runs first-improvement passes over the items in group order until a
+    pass makes no change or ``max_passes`` (a negative count is 0) is
+    hit: an item moves to the group with spare capacity it has strictly
+    least affinity toward, else swaps with the first member of another
+    group whose exchange has positive total gain.  Capacity is respected by every move; a group
+    given over capacity only shrinks.  Unknown or repeated items raise
+    :class:`OptimizationError`.
     """
-    capacity = problem.config.words_per_dbc
-    neighbors = problem.neighbors
-    groups = [list(group) for group in groups]
-    group_of = {
-        item: index for index, group in enumerate(groups) for item in group
-    }
-    table: GroupWeights = {item: {} for item in problem.items}
-    for item, index in group_of.items():
-        _move(table, neighbors, item, None, index)
+    import numpy as np
 
-    for _ in range(max_passes):
-        changed = False
-        items = [item for group in groups for item in group]
-        for item in items:
-            source = group_of[item]
-            weights = table[item]
-            current_cost = weights.get(source, 0)
-            if current_cost == 0:
-                continue
-            # Try moving to a group with spare capacity.
-            best_target, best_cost = source, current_cost
-            for target in range(len(groups)):
-                if target == source or len(groups[target]) >= capacity:
-                    continue
-                candidate = weights.get(target, 0)
-                if candidate < best_cost:
-                    best_cost, best_target = candidate, target
-            if best_target != source:
-                groups[source].remove(item)
-                groups[best_target].append(item)
-                group_of[item] = best_target
-                _move(table, neighbors, item, source, best_target)
-                changed = True
-                continue
-            # Try swapping with an item of another group.
-            for target in range(len(groups)):
-                if target == source:
-                    continue
-                swapped = False
-                for other in list(groups[target]):
-                    pair_weight = neighbors[item].get(other, 0)
-                    other_weights = table[other]
-                    gain_item = current_cost - (weights.get(target, 0) - pair_weight)
-                    gain_other = other_weights.get(target, 0) - (
-                        other_weights.get(source, 0) - pair_weight
-                    )
-                    if gain_item + gain_other > 0:
-                        groups[source].remove(item)
-                        groups[target].remove(other)
-                        groups[source].append(other)
-                        groups[target].append(item)
-                        group_of[item] = target
-                        group_of[other] = source
-                        _move(table, neighbors, item, source, target)
-                        _move(table, neighbors, other, target, source)
-                        changed = True
-                        swapped = True
-                        break
-                if swapped:
-                    break
-        if not changed:
-            break
-    return groups
+    index = problem.item_index
+    try:
+        flat = [index[item] for group in groups for item in group]
+    except KeyError as exc:
+        raise OptimizationError(f"unknown item {exc.args[0]!r} in groups") from None
+    if len(set(flat)) != len(flat):
+        raise OptimizationError("grouping input contains duplicate items")
+    sizes = np.asarray([len(group) for group in groups], dtype=np.int64)
+    width = max(problem.config.words_per_dbc, int(sizes.max(initial=0)))
+    members = np.full((sizes.size, width), -1, dtype=np.int64)
+    members[np.arange(width) < sizes[:, None]] = flat
+    return _grouped(problem, (members, sizes), max_passes)
+
+
+def min_affinity_groups(problem: PlacementProblem, tier=None) -> list[list[str]]:
+    """The interference-minimizing grouping: :func:`refine_grouping` of
+    :func:`greedy_min_affinity_grouping`, in one call of ``tier`` (the
+    active one by default)."""
+    return _grouped(problem, None, 4, tier)

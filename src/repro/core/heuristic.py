@@ -2,8 +2,9 @@
 
 Pipeline (see DESIGN.md §4):
 
-1. **Affinity graph** — adjacency counts of consecutive accesses
-   (:attr:`PlacementProblem.affinity`).
+1. **Affinity graph** — adjacency counts of consecutive accesses, as a
+   pair list and neighbour CSR over item codes
+   (:attr:`PlacementProblem.pairs`).
 2. **Grouping** — candidate partitions of items over DBCs.  Because
    cross-DBC transitions are free but splitting a stream creates
    *second-order* adjacencies inside each DBC's restricted subsequence, no
@@ -37,10 +38,10 @@ from __future__ import annotations
 # Not called here, but perfbench/spans.py wraps these names in each placement
 # module to time scoring, and fails if either is missing.
 from repro.core.cost import evaluate_placement, evaluate_placements_fast  # noqa: F401
-from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
+from repro.core import kernels
+from repro.core.grouping import min_affinity_groups
 from repro.core.ordering import (
     Family,
-    greedy_chain_order,
     heuristic_layouts,
     layout_groups,
     order_groups,
@@ -49,20 +50,41 @@ from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 
 
-def chain_and_cut_groups(problem: PlacementProblem) -> list[list[str]]:
+def chain_and_cut_groups(problem: PlacementProblem, tier=None) -> list[list[str]]:
     """Global affinity chain cut into balanced contiguous blocks.
 
     The chain keeps strongly-affine (e.g. streaming) items consecutive; the
     cut spreads it over all available DBCs so each block stays short and can
-    be anchored near a port.
+    be anchored near a port.  It is
+    :func:`~repro.core.ordering.greedy_chain_order` of every item over the
+    problem's pair list, built as one group of ``tier``'s (the active one
+    by default) ``greedy_chains``.
     """
+    import numpy as np
+
     config = problem.config
-    num_groups = min(config.num_dbcs, problem.num_items)
-    chain = greedy_chain_order(list(problem.items), problem.affinity)
+    num_items = problem.num_items
+    num_groups = min(config.num_dbcs, num_items)
+    lo, hi, weight = problem.pairs[:3]
+    rank = problem.name_rank
+    rank_lo, rank_hi = rank[lo], rank[hi]
+    order = np.lexsort(
+        (np.maximum(rank_lo, rank_hi), np.minimum(rank_lo, rank_hi), -weight)
+    )
+    swap = rank_hi < rank_lo
+    (chain,) = (tier or kernels.active()).greedy_chains(
+        np.where(swap, hi, lo)[order],
+        np.where(swap, lo, hi)[order],
+        np.asarray([0, lo.size]),
+        np.asarray([num_items]),
+        num_items,
+    )
+    names = problem.items
+    chain = [names[code] for code in chain.tolist()]
     # At most num_groups blocks of the ceil size, and at most num_dbcs once
     # capacity clamps it (the problem guarantees items <= num_dbcs * L).
-    size = min(-(-len(chain) // num_groups), config.words_per_dbc)
-    return [chain[start : start + size] for start in range(0, len(chain), size)]
+    size = min(-(-num_items // num_groups), config.words_per_dbc)
+    return [chain[start : start + size] for start in range(0, num_items, size)]
 
 
 def declaration_block_groups(problem: PlacementProblem) -> list[list[str]]:
@@ -93,7 +115,7 @@ def grouping_portfolio(problem: PlacementProblem) -> list[list[list[str]]]:
     per plan.
     """
     return [
-        refine_grouping(greedy_min_affinity_grouping(problem), problem),
+        min_affinity_groups(problem),
         chain_and_cut_groups(problem),
         declaration_block_groups(problem),
         hot_spread_groups(problem),
@@ -131,9 +153,7 @@ def grouping_only_placement(problem: PlacementProblem) -> Placement:
     laid out in first-touch order starting at offset 0 (no chain
     construction, no port anchoring).
     """
-    groups = refine_grouping(
-        greedy_min_affinity_grouping(problem), problem
-    )
+    groups = min_affinity_groups(problem)
     first_touch = {item: index for index, item in enumerate(problem.items)}
     naive_groups = [
         sorted(group, key=lambda item: first_touch[item]) for group in groups

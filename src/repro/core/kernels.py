@@ -71,6 +71,15 @@ The planner lays out a whole grouping with three more entry points
   runs :func:`greedy_chain_codes` / :func:`bidirectional_chain_codes` per
   group, which are the oracle of the compiled chains.
 
+The grouping phase (:mod:`repro.core.grouping`) is one more:
+
+* ``min_affinity_groups(num_groups, capacity, hot, nb_start, nb, nb_w,
+  initial, max_passes)`` — the greedy interference-minimizing grouping
+  (or a given ``initial`` one) and its KL refinement passes over item
+  codes and the problem's neighbour CSR, returning ``(G, width)`` member
+  rows and sizes.  cc runs it in one call; numpy runs
+  :func:`min_affinity_group_codes`, its oracle.
+
 The cc tier also runs local search's two refinement scans whole, one
 call each (``swap_pass`` for ``swap_refinement``, ``reversal_pass`` for
 ``two_opt_refinement``).  A pass reads and updates a :class:`RefineState`
@@ -720,6 +729,148 @@ void repro_bidirectional_chains(const int64_t *weights, const int64_t *sizes,
         for (i = n; i < k; ++i) row[i] = i;
     }
 }
+
+/* Item x changes group from s (-1: unplaced) to t: every neighbour's
+   weight toward its own group (own[]) follows, and own[x] becomes x's
+   weight toward t.  Member rows are the caller's. */
+static void regroup(int64_t x, int64_t s, int64_t t, const int64_t *nb_start,
+                    const int64_t *nb, const int64_t *nb_w, int64_t *group_of,
+                    int64_t *own)
+{
+    int64_t e, total = 0;
+    for (e = nb_start[x]; e < nb_start[x + 1]; ++e) {
+        int64_t g = group_of[nb[e]];
+        if (g < 0) continue;
+        if (g == s) own[nb[e]] -= nb_w[e];
+        else if (g == t) {
+            own[nb[e]] += nb_w[e];
+            total += nb_w[e];
+        }
+    }
+    group_of[x] = t;
+    own[x] = total;
+}
+
+/* Drop x from a member row, shifting the later members down. */
+static void unlink_member(int64_t *row, int64_t *size, int64_t x)
+{
+    int64_t i = 0;
+    while (row[i] != x) ++i;
+    for (--*size; i < *size; ++i) row[i] = row[i + 1];
+}
+
+/* greedy_min_affinity_grouping + refine_grouping over int codes.  Group g
+   holds members[g * width .. + sizes[g]) in list order.  With greedy set
+   the items hot[0 .. n) are first assigned (each to the group with spare
+   capacity minimising (weight toward it, size, index)); then up to
+   max_passes first-improvement passes move an item to the group it weighs
+   least toward, else swap it with the first member of another group whose
+   exchange gains.  Weights come from the neighbour CSR (nb_start, nb,
+   nb_w); own[x] is x's weight toward its own group, and wg (x's weight
+   toward every group), wo (toward every item) and ws (every item's weight
+   toward x's group) are scattered per item and cleared after it.  scratch
+   holds 5 * n + num_groups entries.  Returns -1 if an item finds no group
+   with room, else 0. */
+int64_t repro_min_affinity_groups(int64_t n, int64_t num_groups,
+                                  int64_t capacity, int64_t width,
+                                  const int64_t *hot, const int64_t *nb_start,
+                                  const int64_t *nb, const int64_t *nb_w,
+                                  int64_t greedy, int64_t max_passes,
+                                  int64_t *members, int64_t *sizes,
+                                  int64_t *scratch)
+{
+    int64_t *group_of = scratch, *own = scratch + n, *wo = scratch + 2 * n;
+    int64_t *ws = scratch + 3 * n, *order = scratch + 4 * n;
+    int64_t *wg = scratch + 5 * n;
+    int64_t g, i, e, t, pass;
+    for (i = 0; i < n; ++i) group_of[i] = -1, own[i] = wo[i] = ws[i] = 0;
+    for (g = 0; g < num_groups; ++g) wg[g] = 0;
+    if (greedy) {
+        for (g = 0; g < num_groups; ++g) sizes[g] = 0;
+        for (t = 0; t < n; ++t) {
+            int64_t x = hot[t], best = -1;
+            for (e = nb_start[x]; e < nb_start[x + 1]; ++e)
+                if (group_of[nb[e]] >= 0) wg[group_of[nb[e]]] += nb_w[e];
+            for (g = 0; g < num_groups; ++g) {
+                if (sizes[g] >= capacity) continue;
+                if (best < 0 || wg[g] < wg[best]
+                    || (wg[g] == wg[best] && sizes[g] < sizes[best]))
+                    best = g;
+            }
+            for (g = 0; g < num_groups; ++g) wg[g] = 0;
+            if (best < 0) return -1;
+            members[best * width + sizes[best]++] = x;
+            regroup(x, -1, best, nb_start, nb, nb_w, group_of, own);
+        }
+    } else {
+        for (g = 0; g < num_groups; ++g)
+            for (i = 0; i < sizes[g]; ++i) group_of[members[g * width + i]] = g;
+        for (i = 0; i < n; ++i) {
+            if (group_of[i] < 0) continue;
+            for (e = nb_start[i]; e < nb_start[i + 1]; ++e)
+                if (group_of[nb[e]] == group_of[i]) own[i] += nb_w[e];
+        }
+    }
+    for (pass = 0; pass < max_passes; ++pass) {
+        int64_t changed = 0, count = 0;
+        for (g = 0; g < num_groups; ++g)
+            for (i = 0; i < sizes[g]; ++i) order[count++] = members[g * width + i];
+        for (t = 0; t < count; ++t) {
+            int64_t x = order[t], s = group_of[x], current = own[x];
+            int64_t best = s, best_cost = current, other = -1, target = -1;
+            int64_t *source_row = members + s * width;
+            if (current == 0) continue;
+            for (e = nb_start[x]; e < nb_start[x + 1]; ++e)
+                if (group_of[nb[e]] >= 0) wg[group_of[nb[e]]] += nb_w[e];
+            for (g = 0; g < num_groups; ++g) {
+                if (g == s || sizes[g] >= capacity) continue;
+                if (wg[g] < best_cost) best_cost = wg[g], best = g;
+            }
+            if (best != s) {
+                for (g = 0; g < num_groups; ++g) wg[g] = 0;
+                unlink_member(source_row, sizes + s, x);
+                members[best * width + sizes[best]++] = x;
+                regroup(x, s, best, nb_start, nb, nb_w, group_of, own);
+                changed = 1;
+                continue;
+            }
+            for (e = nb_start[x]; e < nb_start[x + 1]; ++e) wo[nb[e]] = nb_w[e];
+            for (i = 0; i < sizes[s]; ++i) {
+                int64_t m = source_row[i];
+                for (e = nb_start[m]; e < nb_start[m + 1]; ++e) ws[nb[e]] += nb_w[e];
+            }
+            for (g = 0; g < num_groups && other < 0; ++g) {
+                if (g == s) continue;
+                for (i = 0; i < sizes[g]; ++i) {
+                    int64_t y = members[g * width + i], pair = wo[y];
+                    int64_t gain_x = current - (wg[g] - pair);
+                    int64_t gain_y = own[y] - (ws[y] - pair);
+                    if (gain_x + gain_y > 0) {
+                        other = y;
+                        target = g;
+                        break;
+                    }
+                }
+            }
+            for (g = 0; g < num_groups; ++g) wg[g] = 0;
+            for (e = nb_start[x]; e < nb_start[x + 1]; ++e) wo[nb[e]] = 0;
+            for (i = 0; i < sizes[s]; ++i) {
+                int64_t m = source_row[i];
+                for (e = nb_start[m]; e < nb_start[m + 1]; ++e) ws[nb[e]] = 0;
+            }
+            if (other < 0) continue;
+            unlink_member(source_row, sizes + s, x);
+            unlink_member(members + target * width, sizes + target, other);
+            source_row[sizes[s]++] = other;
+            members[target * width + sizes[target]++] = x;
+            regroup(x, s, target, nb_start, nb, nb_w, group_of, own);
+            regroup(other, target, s, nb_start, nb, nb_w, group_of, own);
+            changed = 1;
+        }
+        if (!changed) break;
+    }
+    return 0;
+}
 """
 
 
@@ -1021,6 +1172,187 @@ def bidirectional_chain_codes(weights, freq) -> list[int]:
     return sorted(range(size), key=position.__getitem__)
 
 
+# ---------------------------------------------------------------------------
+# Grouping over int codes
+# ---------------------------------------------------------------------------
+
+def min_affinity_group_codes(
+    num_groups: int,
+    capacity: int,
+    hot,
+    nb_start,
+    nb,
+    nb_w,
+    groups: list[list[int]] | None = None,
+    max_passes: int = 4,
+) -> list[list[int]]:
+    """:func:`~repro.core.grouping.greedy_min_affinity_grouping` (when
+    ``groups`` is ``None``: assign ``hot``'s items in turn) followed by
+    ``max_passes`` passes of :func:`~repro.core.grouping.refine_grouping`
+    over item codes, item ``x``'s neighbours being ``nb[nb_start[x] :
+    nb_start[x + 1]]`` with weights ``nb_w``.  Lists of Python ints in;
+    the groups out.  The numpy tier's grouping and the oracle of the
+    compiled ``repro_min_affinity_groups``.
+
+    ``own[x]`` is ``x``'s weight toward its own group, kept in O(degree)
+    per assign, move and swap; a visited item's weights toward every
+    group and, for a swap, toward every item and every item's toward the
+    visited item's group are gathered from the CSR rows.
+    """
+    size = len(nb_start) - 1
+    group_of = [-1] * size
+    own = [0] * size
+
+    def row(x):
+        span = slice(nb_start[x], nb_start[x + 1])
+        return zip(nb[span], nb_w[span])
+
+    def toward_groups(x) -> list[int]:
+        weights = [0] * len(groups)
+        for other, weight in row(x):
+            if group_of[other] >= 0:
+                weights[group_of[other]] += weight
+        return weights
+
+    def regroup(x: int, source: int, target: int) -> None:
+        total = 0
+        for other, weight in row(x):
+            group = group_of[other]
+            if group < 0:
+                continue
+            if group == source:
+                own[other] -= weight
+            elif group == target:
+                own[other] += weight
+                total += weight
+        group_of[x] = target
+        own[x] = total
+
+    if groups is None:
+        groups = [[] for _ in range(num_groups)]
+        for x in hot:
+            weights = toward_groups(x)
+            keys = [
+                (weights[g], len(group), g)
+                for g, group in enumerate(groups)
+                if len(group) < capacity
+            ]
+            if not keys:
+                raise ValueError("an item finds no group with room")
+            best = min(keys)[2]
+            groups[best].append(x)
+            regroup(x, -1, best)
+    else:
+        groups = [list(group) for group in groups]
+        for g, group in enumerate(groups):
+            for x in group:
+                group_of[x] = g
+        for x in range(size):
+            if group_of[x] >= 0:
+                own[x] = sum(w for other, w in row(x) if group_of[other] == group_of[x])
+    for _ in range(max_passes):
+        changed = False
+        for x in [x for group in groups for x in group]:
+            source, current = group_of[x], own[x]
+            if current == 0:
+                continue
+            weights = toward_groups(x)
+            best, best_cost = source, current
+            for g in range(len(groups)):
+                if g != source and len(groups[g]) < capacity and weights[g] < best_cost:
+                    best, best_cost = g, weights[g]
+            if best != source:
+                groups[source].remove(x)
+                groups[best].append(x)
+                regroup(x, source, best)
+                changed = True
+                continue
+            pair = dict(row(x))
+            toward_source: dict[int, int] = {}
+            for member in groups[source]:
+                for other, weight in row(member):
+                    toward_source[other] = toward_source.get(other, 0) + weight
+            swap = next(
+                (
+                    (g, y)
+                    for g in range(len(groups))
+                    if g != source
+                    for y in groups[g]
+                    if current - (weights[g] - pair.get(y, 0))
+                    + own[y] - (toward_source.get(y, 0) - pair.get(y, 0))
+                    > 0
+                ),
+                None,
+            )
+            if swap is None:
+                continue
+            target, y = swap
+            groups[source].remove(x)
+            groups[target].remove(y)
+            groups[source].append(y)
+            groups[target].append(x)
+            regroup(x, source, target)
+            regroup(y, target, source)
+            changed = True
+        if not changed:
+            break
+    return groups
+
+
+def _check_grouping(num_groups, capacity, hot, nb_start, nb, nb_w, members, sizes):
+    """Reject grouping inputs the compiled grouping would index out of
+    bounds with: a malformed neighbour CSR, ``hot`` not a permutation of
+    the items, member rows narrower than ``capacity`` (a move appends up
+    to it), or rows holding unknown, repeated or too many items."""
+    import numpy as np
+
+    size = nb_start.size - 1
+    if size < 0 or nb_start[0] != 0 or nb_start[-1] != nb.size or nb.size != nb_w.size:
+        raise ValueError("nb_start must span nb and nb_w from 0")
+    if (np.diff(nb_start) < 0).any():
+        raise ValueError("nb_start must ascend")
+    if nb.size and (int(nb.min()) < 0 or int(nb.max()) >= size):
+        raise IndexError(f"neighbour outside [0, {size})")
+    if capacity < 0 or num_groups < 0:
+        raise ValueError("capacity and group count must be non-negative")
+    if members is None:
+        if hot.size != size or not np.array_equal(np.sort(hot), np.arange(size)):
+            raise ValueError("hot must order every item once")
+        return
+    if members.shape[0] != num_groups or sizes.shape != (num_groups,):
+        raise ValueError("members must be (G, width) and sizes (G,)")
+    if members.shape[1] < capacity:
+        raise ValueError("member rows must hold at least capacity items")
+    if sizes.size and (int(sizes.min()) < 0 or int(sizes.max()) > members.shape[1]):
+        raise ValueError("a group size exceeds the member width")
+    placed = members[np.arange(members.shape[1]) < sizes[:, None]]
+    if placed.size and (int(placed.min()) < 0 or int(placed.max()) >= size):
+        raise IndexError(f"member outside [0, {size})")
+    if np.unique(placed).size != placed.size:
+        raise ValueError("an item is in more than one group slot")
+
+
+def _grouping_arrays(num_groups, capacity, hot, nb_start, nb, nb_w, initial):
+    """The grouping inputs as C-contiguous ``int64`` arrays, checked
+    (:func:`_check_grouping`); ``(members, sizes)`` are ``None`` without
+    ``initial``."""
+    import numpy as np
+
+    hot, nb_start, nb, nb_w = (
+        np.ascontiguousarray(array, dtype=np.int64)
+        for array in (hot, nb_start, nb, nb_w)
+    )
+    members = sizes = None
+    if initial is not None:
+        members, sizes = (
+            np.ascontiguousarray(array, dtype=np.int64) for array in initial
+        )
+        if members.ndim != 2:
+            raise ValueError("members must be (G, width)")
+    _check_grouping(num_groups, capacity, hot, nb_start, nb, nb_w, members, sizes)
+    return hot, nb_start, nb, nb_w, members, sizes
+
+
 def _check_chains(sizes, k: int, *arrays) -> None:
     """Reject chain inputs the compiled chains would index out of bounds
     with: group sizes past ``k`` or item numbers outside ``[0, k)``."""
@@ -1271,6 +1603,35 @@ class NumpyKernels:
             )
         return out
 
+    def min_affinity_groups(
+        self, num_groups, capacity, hot, nb_start, nb, nb_w, initial=None,
+        max_passes=4,
+    ):
+        """The interference-minimizing grouping over item codes
+        (:func:`min_affinity_group_codes`): ``(members, sizes)``, group
+        ``g`` being ``members[g, :sizes[g]]`` (padding ``-1``).  With
+        ``initial`` (a ``(members, sizes)`` pair) it is refined as given,
+        else built greedily over ``hot`` first; ``max_passes`` refinement
+        passes follow.  The output is as wide as ``initial``'s members, or
+        ``capacity``."""
+        import numpy as np
+
+        hot, nb_start, nb, nb_w, members, sizes = _grouping_arrays(
+            num_groups, capacity, hot, nb_start, nb, nb_w, initial
+        )
+        groups = None
+        if members is not None:
+            groups = [row[:size].tolist() for row, size in zip(members, sizes)]
+        groups = min_affinity_group_codes(
+            num_groups, capacity, hot.tolist(), nb_start.tolist(),
+            nb.tolist(), nb_w.tolist(), groups, max(0, max_passes),
+        )
+        width = capacity if members is None else members.shape[1]
+        out = np.full((num_groups, width), -1, dtype=np.int64)
+        sizes = np.asarray([len(group) for group in groups], dtype=np.int64)
+        out[np.arange(width) < sizes[:, None]] = [x for group in groups for x in group]
+        return out, sizes
+
     #: No compiled refinement passes: on this tier
     #: :class:`~repro.core.incremental.CostEvaluator` runs its single-probe
     #: scans (``scan_swaps`` / ``scan_reversals``) instead.
@@ -1315,6 +1676,10 @@ class CcKernels:
         lib.repro_greedy_chains.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
         lib.repro_bidirectional_chains.restype = None
         lib.repro_bidirectional_chains.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
+        lib.repro_min_affinity_groups.restype = i64
+        lib.repro_min_affinity_groups.argtypes = [i64] * 4 + [ptr] * 4 + [
+            i64, i64, ptr, ptr, ptr
+        ]
         # Mirrors the C refine_state: every field is 8 bytes wide.
         self._refine_state = type(
             "refine_state",
@@ -1512,6 +1877,34 @@ class CcKernels:
             sizes.size, k, scratch.ctypes.data, out.ctypes.data,
         )
         return out
+
+    def min_affinity_groups(
+        self, num_groups, capacity, hot, nb_start, nb, nb_w, initial=None,
+        max_passes=4,
+    ):
+        """:meth:`NumpyKernels.min_affinity_groups` in one compiled call."""
+        np = self._np
+        hot, nb_start, nb, nb_w, members, sizes = _grouping_arrays(
+            num_groups, capacity, hot, nb_start, nb, nb_w, initial
+        )
+        greedy = members is None
+        if greedy:
+            members = np.full((num_groups, capacity), -1, dtype=np.int64)
+            sizes = np.zeros(num_groups, dtype=np.int64)
+        else:
+            members, sizes = members.copy(), sizes.copy()
+        size = nb_start.size - 1
+        scratch = np.empty(5 * size + num_groups, dtype=np.int64)
+        status = self._lib.repro_min_affinity_groups(
+            size, num_groups, capacity, members.shape[1], hot.ctypes.data,
+            nb_start.ctypes.data, nb.ctypes.data, nb_w.ctypes.data,
+            int(greedy), max(0, max_passes), members.ctypes.data,
+            sizes.ctypes.data, scratch.ctypes.data,
+        )
+        if status < 0:
+            raise ValueError("an item finds no group with room")
+        members[np.arange(members.shape[1]) >= sizes[:, None]] = -1
+        return members, sizes
 
     def _run_pass(self, entry, state, max_passes, max_probes):
         """One compiled pass over ``state``; ``(probes, accepted, delta)``."""

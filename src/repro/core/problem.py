@@ -11,11 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.dwm.config import DWMConfig
 from repro.errors import CapacityError, TraceError
 from repro.trace.model import AccessTrace
+
+
+def pair_list(codes, size: int):
+    """Distinct consecutive differing code pairs: ``(lo, hi, weight)``.
+
+    ``lo < hi`` are codes below ``size``, ``weight`` the pair's count; the
+    pairs come in first-occurrence order.  One ``np.unique``.
+    """
+    import numpy as np
+
+    left, right = codes[:-1], codes[1:]
+    keys = (np.minimum(left, right) * size + np.maximum(left, right))[left != right]
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    unique = unique[order]
+    return unique // size, unique % size, counts[order]
 
 
 def pair_counts(codes, names: Sequence[str]) -> dict[tuple[str, str], int]:
@@ -24,18 +40,33 @@ def pair_counts(codes, names: Sequence[str]) -> dict[tuple[str, str], int]:
     Keys are ``(a, b)`` with ``a <= b``, in first-occurrence order, exactly
     as :func:`repro.trace.stats.affinity_graph` builds them from a trace.
     """
-    import numpy as np
+    return _named_pairs(pair_list(codes, len(names)), names)
 
-    left, right = codes[:-1], codes[1:]
-    size = len(names)
-    keys = (np.minimum(left, right) * size + np.maximum(left, right))[left != right]
-    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
+
+def _named_pairs(pairs, names: Sequence[str]) -> dict[tuple[str, str], int]:
+    """``pair_list`` output keyed by name pairs (``a <= b``), in its order."""
     affinity: dict[tuple[str, str], int] = {}
-    for key, count in zip(unique[order].tolist(), counts[order].tolist()):
-        a, b = names[key // size], names[key % size]
+    for lo, hi, count in zip(*(array.tolist() for array in pairs)):
+        a, b = names[lo], names[hi]
         affinity[(a, b) if a <= b else (b, a)] = count
     return affinity
+
+
+class PairGraph(NamedTuple):
+    """The problem's affinity graph over item codes.
+
+    Pair ``p`` joins ``lo[p] < hi[p]`` with ``weight[p]`` consecutive
+    accesses (first-occurrence order).  Item ``i``'s neighbours are
+    ``nb[nb_start[i] : nb_start[i + 1]]`` with weights ``nb_w[…]`` (a CSR
+    holding every pair twice).  O(items + distinct pairs).
+    """
+
+    lo: object
+    hi: object
+    weight: object
+    nb_start: object
+    nb: object
+    nb_w: object
 
 
 @dataclass(frozen=True)
@@ -85,23 +116,50 @@ class PlacementProblem:
         return dict(zip(self.items, np.diff(self.resolved.item_positions[1]).tolist()))
 
     @cached_property
+    def hot_codes(self):
+        """Item codes by descending access frequency (ties: first touch)."""
+        import numpy as np
+
+        return np.argsort(-np.diff(self.resolved.item_positions[1]), kind="stable")
+
+    @cached_property
     def hot_order(self) -> tuple[str, ...]:
         """Items by descending access frequency (ties: first touch)."""
-        frequencies = self.frequencies
-        return tuple(sorted(self.items, key=lambda item: -frequencies[item]))
+        items = self.items
+        return tuple(items[code] for code in self.hot_codes.tolist())
+
+    @cached_property
+    def pairs(self) -> PairGraph:
+        """The affinity graph over item codes: pair list and neighbour CSR,
+        built with one ``np.unique`` and one ``bincount``."""
+        import numpy as np
+
+        lo, hi, weight = pair_list(self.item_at, self.num_items)
+        source = np.concatenate((lo, hi))
+        order = np.argsort(source, kind="stable")
+        nb_start = np.zeros(self.num_items + 1, dtype=np.int64)
+        np.cumsum(np.bincount(source, minlength=self.num_items), out=nb_start[1:])
+        return PairGraph(
+            lo, hi, weight,
+            nb_start,
+            np.concatenate((hi, lo))[order],
+            np.concatenate((weight, weight))[order],
+        )
 
     @cached_property
     def affinity(self) -> dict[tuple[str, str], int]:
-        """Unordered adjacent-pair counts (self-pairs excluded).
+        """Unordered adjacent-pair counts (self-pairs excluded): a name view
+        of :attr:`pairs`.
 
         Equal to :func:`repro.trace.stats.affinity_graph` of the trace, key
         order included.
         """
-        return pair_counts(self.item_at, self.items)
+        return _named_pairs(self.pairs[:3], self.items)
 
     @cached_property
     def neighbors(self) -> dict[str, dict[str, int]]:
-        """Item → {neighbour: affinity weight}, every item present.
+        """Item → {neighbour: affinity weight}, every item present (the
+        spectral comparator walks it).
 
         Iterates in first-touch, then :attr:`affinity` order, never by hash.
         """

@@ -35,7 +35,9 @@ five oracle families and returns the (hopefully empty) list of
   numpy reference bit-for-bit on per-access costs, chain walks and merge
   walks, across single-port, two-port and the case's own port geometry;
   on every portfolio grouping the cc tier's compiled chains and candidate
-  cost tables must equal the numpy tier's (``layout_mismatch``);
+  cost tables must equal the numpy tier's (``layout_mismatch``), and so
+  must its greedy, refined and chain-and-cut groupings
+  (``grouping_mismatch``);
 * **streaming agreement** — the chunked out-of-core engine
   (:mod:`repro.memory.stream_sim`) must match the vectorized engine on
   totals, per-DBC decompositions and the per-access maximum, for
@@ -65,7 +67,8 @@ from repro.core.exact import exhaustive_search_is_exact
 from repro.core.incremental import CostEvaluator
 from repro.core.kernels import multi_port_access_costs_numpy
 from repro.core.generalized import port_aware_layouts
-from repro.core.heuristic import grouping_portfolio
+from repro.core.grouping import greedy_min_affinity_grouping, min_affinity_groups
+from repro.core.heuristic import chain_and_cut_groups, grouping_portfolio
 from repro.core.ordering import (
     GroupedTrace,
     GroupTrace,
@@ -705,8 +708,40 @@ def check_kernel_parity(
     for tier in tiers:
         violations.extend(_check_tier_parity(case, problem, placement, tier))
     if len(tiers) > 1:
-        violations.extend(_check_layout_parity(problem, *tiers))
+        layout = _check_layout_parity(problem, *tiers)
+        violations.extend(layout)
+        # The chain-and-cut chain is the greedy_chains entry point: a split
+        # there is reported once, as a layout mismatch.
+        if not layout:
+            violations.extend(_check_grouping_parity(problem, *tiers))
     return violations
+
+
+def _check_grouping_parity(problem, reference, tier) -> list[Violation]:
+    """``tier`` must build the same greedy, refined and chain-and-cut
+    groupings of the case's problem as ``reference`` (the numpy tier's
+    int-coded loops), member for member and in order."""
+    mismatched = [
+        part
+        for part, build in (
+            ("greedy", greedy_min_affinity_grouping),
+            ("refined", min_affinity_groups),
+            ("chain-and-cut", chain_and_cut_groups),
+        )
+        if build(problem, reference) != build(problem, tier)
+    ]
+    if not mismatched:
+        return []
+    return [
+        Violation(
+            kind="grouping_mismatch",
+            detail=(
+                f"{tier.name} and {reference.name} group differently: "
+                f"{', '.join(mismatched)}"
+            ),
+            data={"backend": tier.name, "parts": mismatched},
+        )
+    ]
 
 
 def _check_layout_parity(problem, reference, tier) -> list[Violation]:

@@ -158,6 +158,28 @@ class TestOracles:
         kinds = {v.kind for v in oracles.check_kernel_parity(case, problem, placement)}
         assert kinds == {"layout_mismatch"}
 
+    def test_detects_grouping_tier_split(self, monkeypatch):
+        # A compiled grouping that disagrees with the numpy tier (groups in
+        # reverse order) is a grouping_mismatch, and nothing else: the
+        # layout check lays out the same groupings on both tiers.
+        from repro.core import kernels
+
+        if kernels.backend_name() != "cc":
+            pytest.skip("needs the cc tier")
+        tier = type(kernels.active())
+        original = tier.min_affinity_groups
+
+        def skewed(self, *args):
+            members, sizes = original(self, *args)
+            return members[::-1], sizes[::-1]
+
+        case = make_case(["a", "b", "c", "a", "c", "b", "a"], words=4, dbcs=2)
+        problem, placement = build_placement(case)
+        monkeypatch.setattr(tier, "min_affinity_groups", skewed)
+        violations = oracles.check_kernel_parity(case, problem, placement)
+        assert {v.kind for v in violations} == {"grouping_mismatch"}
+        assert violations[0].data["parts"] == ["greedy", "refined"]
+
 
 class TestShrink:
     def test_shrinks_to_single_access(self):
