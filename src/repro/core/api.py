@@ -47,7 +47,6 @@ from repro.core.baselines import (
 )
 from repro.core.cost import evaluate_placements_fast
 from repro.core.exact import (
-    MAX_BRUTE_FORCE_ITEMS,
     MAX_PARTITION_ITEMS,
     exact_partitioned_placement,
     exact_single_dbc_placement,
@@ -72,9 +71,10 @@ from repro.trace.model import AccessTrace
 def _exact_dispatch(problem: PlacementProblem, **kwargs) -> Placement:
     """Strongest exact method the instance admits.
 
-    Single-port lazy geometries: the MinLA subset DP when everything fits
-    one DBC (n ≤ 16), else the set-partition DP (n ≤ 12).  Anything else
-    falls back to the guarded brute force.
+    Single-port lazy geometries: the MinLA subset DP when the array is one
+    DBC and every item fits it (n ≤ 16), else the set-partition DP
+    (n ≤ 12).  Anything else falls back to the brute force (n ≤ 7).  Each
+    raises :class:`OptimizationError` beyond its size guard.
     """
     from repro.dwm.config import PortPolicy
 
@@ -87,9 +87,7 @@ def _exact_dispatch(problem: PlacementProblem, **kwargs) -> Placement:
             return exact_single_dbc_placement(problem)
     if single_port_lazy and problem.num_items <= MAX_PARTITION_ITEMS:
         return exact_partitioned_placement(problem)
-    return exhaustive_placement(
-        problem, max_items=kwargs.get("max_items", MAX_BRUTE_FORCE_ITEMS)
-    )
+    return exhaustive_placement(problem)
 
 
 def _heuristic_with_ls(problem: PlacementProblem, **kwargs) -> Placement:
@@ -193,7 +191,7 @@ def resolve_placement(
 
 #: Types of the method kwargs some algorithm reads.  Other keys are ignored,
 #: because sweeps forward one kwargs dict to every method.
-_KWARG_TYPES = dict(seed=int, max_evaluations=int, max_items=int, distribute=str)
+_KWARG_TYPES = dict(seed=int, max_evaluations=int, distribute=str)
 
 
 def plan_placement(

@@ -20,9 +20,7 @@ that compute the same optima without a solver:
       group_cost(S) = min over orders+anchors of S   cost of trace|_S
 
   ``group_cost`` comes from the MinLA DP (plain and port-approach
-  anchored) plus an anchor sweep, each layout priced exactly by
-  :class:`~repro.core.ordering.GroupTrace` (the kernel tier over the
-  group's positions in the resolved trace); the outer minimisation is
+  anchored) plus an anchor sweep; the outer minimisation is
   :func:`partition_minimum`, a subset-partition DP (3ⁿ submask
   enumeration) with a group-count bound.
 * :func:`exhaustive_placement` — true-trace-cost brute force for very small
@@ -35,6 +33,10 @@ that compute the same optima without a solver:
   and every eager geometry (solved directly by frequency/offset pairing);
   see :func:`exhaustive_search_is_exact`.
 
+Both price a group's candidate layouts the way the planner does: as rows
+of one offset table walked over the group's restricted subsequence by the
+kernel tier's ``segment_costs`` (:func:`_cheapest_layout`).
+
 All raise :class:`OptimizationError` beyond their size guards rather than
 silently taking hours.
 """
@@ -45,10 +47,11 @@ import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
+from repro.core import kernels
 from repro.core.cost import linear_arrangement_cost
-from repro.core.ordering import GroupTrace, proximity_offsets
+from repro.core.ordering import proximity_offsets
 from repro.core.placement import Placement, Slot
-from repro.core.problem import PlacementProblem
+from repro.core.problem import PlacementProblem, pair_counts
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import rest_table
 from repro.errors import OptimizationError
@@ -67,6 +70,10 @@ MAX_BRUTE_FORCE_ITEMS = 7
 #: force; beyond it the search falls back to contiguous anchor windows
 #: (optimal for single-port lazy, best-effort for multi-port lazy).
 MAX_OFFSET_COMBINATIONS = 4096
+
+#: Candidate layouts priced per ``segment_costs`` call: bounds the
+#: ``(rows, items)`` offset table a group's search holds at once.
+PRICE_CHUNK_ROWS = 4096
 
 
 def minla_exact_order(
@@ -336,48 +343,91 @@ def _eager_group_layout(
     return cost, offsets
 
 
+def _restricted(problem: PlacementProblem, members: Sequence[str]):
+    """The group's restricted subsequence: the item codes of its accesses,
+    in trace order."""
+    resolved = problem.resolved
+    codes = [problem.item_index[item] for item in members]
+    return resolved.item_at[resolved.positions_of(codes)]
+
+
+def _cheapest_layout(
+    problem: PlacementProblem,
+    members: list[str],
+    seq,
+    orders,
+    offsets,
+) -> tuple[int, dict[str, int]]:
+    """First cheapest lazy layout of one group over ``orders × offsets``.
+
+    ``seq`` is the group's :func:`_restricted` subsequence; ``orders`` is
+    ``(O, k)`` (local item numbers), ``offsets`` ``(M, k)``;
+    candidate ``o·M + m`` puts ``members[orders[o, i]]`` at
+    ``offsets[m, i]`` — the order of two nested loops, orders outer.  The
+    candidates are rows of an offset table priced over the group's
+    restricted subsequence, one ``segment_costs`` call per
+    :data:`PRICE_CHUNK_ROWS` rows; by the per-DBC decomposition each row's
+    cost is the group's DBC cost.  Stops at the first zero-cost candidate.
+    The offset map follows the candidate's order.
+    """
+    import numpy as np
+
+    codes = np.asarray([problem.item_index[item] for item in members], np.int64)
+    tier = kernels.active()
+    ports = np.asarray(problem.config.port_offsets, dtype=np.int64)
+    starts = np.asarray([0, seq.size], dtype=np.int64)
+    width = len(offsets)
+    count = len(orders) * width
+    best_cost, best = -1, 0
+    for first in range(0, count, PRICE_CHUNK_ROWS):
+        rows = np.arange(first, min(count, first + PRICE_CHUNK_ROWS))
+        table = np.zeros((rows.size, problem.num_items), dtype=np.int64)
+        table[np.arange(rows.size)[:, None], codes[orders[rows // width]]] = (
+            offsets[rows % width]
+        )
+        costs = tier.segment_costs(seq, starts, table, ports)[:, 0]
+        row = int(costs.argmin())
+        if best_cost < 0 or costs[row] < best_cost:
+            best_cost, best = int(costs[row]), first + row
+            if best_cost == 0:
+                break
+    order, chosen = orders[best // width].tolist(), offsets[best % width].tolist()
+    return best_cost, {members[i]: offset for i, offset in zip(order, chosen)}
+
+
 def _lazy_group_layout(
     problem: PlacementProblem,
     members: list[str],
 ) -> tuple[int, dict[str, int]]:
     """Optimal lazy layout of one group by order × offset enumeration."""
-    config = problem.config
-    view = GroupTrace(problem, members)
-    best_cost: int | None = None
-    best_offsets: dict[str, int] | None = None
-    for order in itertools.permutations(members):
-        for chosen in _offset_candidates(len(members), config):
-            offsets = dict(zip(order, chosen))
-            cost = view.cost(offsets)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-                if best_cost == 0:
-                    return best_cost, best_offsets
-    assert best_cost is not None and best_offsets is not None
-    return best_cost, best_offsets
+    import numpy as np
+
+    size = len(members)
+    orders = np.asarray(list(itertools.permutations(range(size))), np.int64)
+    offsets = np.asarray(list(_offset_candidates(size, problem.config)), np.int64)
+    return _cheapest_layout(
+        problem, members, _restricted(problem, members), orders, offsets
+    )
 
 
-def exhaustive_placement(
-    problem: PlacementProblem,
-    max_items: int = MAX_BRUTE_FORCE_ITEMS,
-) -> Placement:
+def exhaustive_placement(problem: PlacementProblem) -> Placement:
     """True-cost brute force via the per-DBC cost decomposition.
 
     A placement's cost is the sum of each DBC's cost on its *restricted*
     subsequence (docs/COST_MODEL.md §2), so the search solves each item
     subset exactly — every within-group order crossed with every offset
-    assignment from :func:`_offset_candidates`, priced exactly by
-    :meth:`~repro.core.ordering.GroupTrace.cost` (eager groups are solved
-    directly by frequency/offset pairing) — and combines subset optima with
-    a partition DP.  Exponential; guarded to ``max_items`` items.  Exact whenever
-    :func:`exhaustive_search_is_exact` holds for the geometry.
+    assignment from :func:`_offset_candidates`, priced by
+    :func:`_cheapest_layout` (eager groups are solved directly by
+    frequency/offset pairing) — and combines subset optima with a
+    partition DP.  Exponential; guarded to :data:`MAX_BRUTE_FORCE_ITEMS`
+    items.  Exact whenever :func:`exhaustive_search_is_exact` holds for the
+    geometry.
     """
     n = problem.num_items
-    if n > max_items:
+    if n > MAX_BRUTE_FORCE_ITEMS:
         raise OptimizationError(
-            f"exhaustive_placement supports at most {max_items} items, "
-            f"got {n}"
+            f"exhaustive_placement supports at most {MAX_BRUTE_FORCE_ITEMS} "
+            f"items, got {n}"
         )
     config = problem.config
     if config.port_policy is PortPolicy.EAGER:
@@ -404,32 +454,38 @@ def _group_cost_and_layout(
     function of the first item's position ``q`` only — which the DP charges
     exactly via ``approach_costs``.  The pure MinLA order is kept as a cheap
     extra candidate; every feasible anchor of each order (and its reversal)
-    is priced exactly by :meth:`~repro.core.ordering.GroupTrace.cost`.
+    is priced exactly by :func:`_cheapest_layout`.  A group nobody
+    accesses costs nothing wherever it sits.
     """
+    import numpy as np
+
     config = problem.config
-    view = GroupTrace(problem, items)
-    affinity = view.affinity
-    first_item = view.first_touch[0]
+    seq = _restricted(problem, items)
+    if seq.size == 0:
+        return 0, {item: position for position, item in enumerate(items)}
+    affinity = pair_counts(seq, problem.items)
+    first_item = problem.items[seq[0]]
     port = config.port_offsets[0]
     max_start = config.words_per_dbc - len(items)
     approach = [
         max(0, q - port, port - q - max_start) for q in range(len(items))
     ]
-    orders = [
+    orders = (
         minla_exact_order(items, affinity),
         minla_exact_order(
             items, affinity, first_item=first_item, approach_costs=approach
         ),
-    ]
-    layouts = [
-        {item: start + position for position, item in enumerate(candidate)}
-        for order in orders
-        for candidate in (order, order[::-1])
-        for start in range(max_start + 1)
-    ]
-    costs = [view.cost(offsets) for offsets in layouts]
-    best = costs.index(min(costs))
-    return costs[best], layouts[best]
+    )
+    index = {item: local for local, item in enumerate(items)}
+    local_orders = np.asarray(
+        [
+            [index[item] for item in candidate]
+            for order in orders
+            for candidate in (order, order[::-1])
+        ]
+    )
+    windows = np.arange(max_start + 1)[:, None] + np.arange(len(items))
+    return _cheapest_layout(problem, items, seq, local_orders, windows)
 
 
 def _require_single_port_lazy(config: DWMConfig, method: str) -> None:
@@ -443,10 +499,7 @@ def _require_single_port_lazy(config: DWMConfig, method: str) -> None:
         raise OptimizationError(f"{method} requires the lazy shift policy")
 
 
-def exact_partitioned_placement(
-    problem: PlacementProblem,
-    max_items: int = MAX_PARTITION_ITEMS,
-) -> Placement:
+def exact_partitioned_placement(problem: PlacementProblem) -> Placement:
     """Exact optimal placement (single-port, lazy) via partition DP.
 
     Contiguous within-group layouts are without loss of generality for a
@@ -454,16 +507,17 @@ def exact_partitioned_placement(
     distance, and the anchor sweep covers the approach term); with several
     ports the optimum may need *gaps* to straddle ports, so multi-port
     geometries are rejected rather than silently approximated.  Raises
-    :class:`OptimizationError` beyond ``max_items`` items, for multi-port or
-    eager geometries, or when the items cannot fit the configured capacity.
+    :class:`OptimizationError` beyond :data:`MAX_PARTITION_ITEMS` items, for
+    multi-port or eager geometries, or when the items cannot fit the
+    configured capacity.
     """
     config = problem.config
     _require_single_port_lazy(config, "exact_partitioned_placement")
     n = problem.num_items
-    if n > max_items:
+    if n > MAX_PARTITION_ITEMS:
         raise OptimizationError(
-            f"exact_partitioned_placement supports at most {max_items} items, "
-            f"got {n}"
+            "exact_partitioned_placement supports at most "
+            f"{MAX_PARTITION_ITEMS} items, got {n}"
         )
     if n > config.num_dbcs * config.words_per_dbc:
         raise OptimizationError("items exceed array capacity")

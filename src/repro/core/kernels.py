@@ -49,8 +49,7 @@ and the simulation engines:
   each group with :func:`lazy_costs_from_state`;
 * ``lazy_costs(offsets, ports, out)`` — per-access costs of one replay;
 * ``lazy_chain_cost(positions, item_at, offset_of, ports)`` — total cost
-  of the chain ``offset_of[item_at[positions[t]]]`` (``bind_chain`` binds
-  its arrays once for repeated pricing of the same chain);
+  of the chain ``offset_of[item_at[positions[t]]]``;
 * ``lazy_merge_cost(base, skip, add, item_at, offset_of, ports)`` —
   total cost of the chain over ``(base \\ skip) ∪ add`` positions (all
   three inputs ascending; ``skip ⊆ base``, ``add`` disjoint from
@@ -58,14 +57,16 @@ and the simulation engines:
   drops ``skip`` through a ``searchsorted`` mask and sorts in ``add``.
 
 The planner lays out a whole grouping with three more entry points
-(:class:`repro.core.ordering.GroupedTrace`, docs/ALGORITHMS.md):
+(:class:`repro.core.ordering.GroupedTrace`, docs/ALGORITHMS.md); the
+exact solvers (:mod:`repro.core.exact`) price one group's candidate
+layouts with the first:
 
 * ``segment_costs(codes, starts, offset_table, ports)`` — the ``(C, S)``
   table of lazy costs of every segment ``codes[starts[s]:starts[s+1]]``,
   each walked from head 0, under every candidate row of
-  ``offset_table``.  cc walks them in one call; numpy walks the
-  candidates' concatenated rows once with each segment start marked as a
-  reset (the ``resets`` argument of the numpy walks);
+  ``offset_table``.  cc walks them in one call; numpy walks several
+  candidates' rows back to back in one walk, with each segment start
+  marked as a reset (the ``resets`` argument of the numpy walks);
 * ``greedy_chains`` / ``bidirectional_chains`` — every group's greedy or
   ShiftsReduce chain over int codes.  cc builds them in one call; numpy
   runs :func:`greedy_chain_codes` / :func:`bidirectional_chain_codes` per
@@ -93,7 +94,6 @@ over its single probes, which is the trajectory both tiers reproduce.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import subprocess
@@ -106,6 +106,10 @@ KERNEL_ENV = "REPRO_KERNEL"
 
 #: Environment variable overriding the compiled-artifact cache directory.
 KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
+
+#: Accesses one numpy ``segment_costs`` walk covers: candidate rows are
+#: walked back to back while rows × accesses stay within it.
+NUMPY_SEGMENT_ACCESSES = 1 << 16
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -1530,13 +1534,6 @@ class NumpyKernels:
             return 0
         return int(self.lazy_costs(offset_of[item_at[positions]], ports).sum())
 
-    def bind_chain(self, positions, item_at, offset_of, ports):
-        """A no-argument :meth:`lazy_chain_cost` over fixed arrays; each
-        call prices ``offset_of``'s current contents."""
-        return functools.partial(
-            self.lazy_chain_cost, positions, item_at, offset_of, ports
-        )
-
     def lazy_merge_cost(
         self, base, skip, add, item_at, offset_of, ports
     ) -> int:
@@ -1556,21 +1553,29 @@ class NumpyKernels:
         """Lazy cost of every segment under every candidate: a ``(C, S)``
         table whose entry ``[c, s]`` walks ``codes[starts[s] ..
         starts[s + 1])`` from head 0 with item ``i`` at
-        ``offset_table[c, i]``.  Each candidate's ``S`` replays are one
-        walk of its offset row with every segment start marked as a
-        reset."""
+        ``offset_table[c, i]``.  Candidates' rows are walked back to back,
+        up to :data:`NUMPY_SEGMENT_ACCESSES` accesses per walk, with every
+        segment start marked as a reset."""
         import numpy as np
 
         _check_segments(codes, starts, offset_table)
-        resets = np.zeros(codes.size, dtype=bool)
-        resets[starts[:-1][starts[:-1] < codes.size]] = True
-        out = np.empty((offset_table.shape[0], starts.size - 1), dtype=np.int64)
-        running = np.zeros(codes.size + 1, dtype=np.int64)
-        for row, offset_of in zip(out, offset_table):
-            if codes.size:
-                np.cumsum(_numpy_lazy_costs(offset_of[codes], ports, resets),
-                          out=running[1:])
-            row[:] = running[starts[1:]] - running[starts[:-1]]
+        length = codes.size
+        out = np.zeros((offset_table.shape[0], starts.size - 1), dtype=np.int64)
+        if length == 0:
+            return out
+        resets = np.zeros(length, dtype=bool)
+        resets[starts[:-1][starts[:-1] < length]] = True
+        per_walk = max(1, NUMPY_SEGMENT_ACCESSES // length)
+        for first in range(0, len(out), per_walk):
+            rows = offset_table[first : first + per_walk]
+            costs = _numpy_lazy_costs(
+                rows[:, codes].ravel(), ports, np.tile(resets, len(rows))
+            )
+            running = np.zeros((len(rows), length + 1), dtype=np.int64)
+            np.cumsum(costs.reshape(len(rows), length), axis=1, out=running[:, 1:])
+            out[first : first + len(rows)] = (
+                running[:, starts[1:]] - running[:, starts[:-1]]
+            )
         return out
 
     def greedy_chains(self, edge_lo, edge_hi, edge_start, sizes, k: int):
@@ -1733,36 +1738,6 @@ class CcKernels:
                 ports.size,
             )
         )
-
-    def bind_chain(self, positions, item_at, offset_of, ports):
-        """A no-argument :meth:`lazy_chain_cost` over fixed arrays.
-
-        The arrays are converted and their addresses read once; the walk
-        reads ``offset_of`` in place, so the caller rewrites its entries
-        between calls and each call prices the current contents.
-        """
-        np = self._np
-        arrays = [
-            np.ascontiguousarray(array, dtype=np.int64)
-            for array in (positions, item_at, offset_of, ports)
-        ]
-        if arrays[2] is not offset_of:
-            raise ValueError("offset_of must be C-contiguous int64")
-        positions, item_at, offset_of, ports = arrays
-        walk = functools.partial(
-            self._lib.repro_lazy_chain_cost,
-            positions.ctypes.data,
-            positions.size,
-            item_at.ctypes.data,
-            offset_of.ctypes.data,
-            ports.ctypes.data,
-            ports.size,
-        )
-
-        def cost(_arrays=arrays) -> int:  # the default keeps them alive
-            return walk()
-
-        return cost
 
     def lazy_scan(self, codes, dbc_of, offset_of, ports, state, out=None) -> int:
         """Advance ``state`` over one window in one pass; returns its write

@@ -23,8 +23,8 @@ call, keeps per group the first cheapest candidate of each family, and
 returns each family's :class:`Arrangement` with its exact total.  Only the
 arrangement a caller keeps becomes a :class:`~repro.core.placement.Placement`.
 
-:class:`GroupTrace` prices layouts of one group (the exact solvers and the
-verification oracles use it); the string helpers
+The exact solvers (:mod:`repro.core.exact`) and the engine-agreement
+oracle price through the same ``segment_costs`` walk.  The string helpers
 (:func:`greedy_chain_order`, :func:`anchored_offsets`,
 :func:`proximity_offsets`) lay out one group given as names.
 """
@@ -36,78 +36,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from repro.core import kernels
 from repro.core.placement import Placement, Slot
-from repro.core.problem import PlacementProblem, pair_counts
+from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import proximity_order, rest_table
 from repro.errors import OptimizationError
-
-
-class GroupTrace:
-    """One group's accesses, read from the problem's resolved trace.
-
-    ``positions`` are the trace positions of the group's accesses
-    (ascending, from the resolved trace's position index), so the group's
-    restricted subsequence is ``item_at[positions]`` without building a
-    sub-trace.  Only these accesses move the group's DBC head, so by the
-    per-DBC decomposition (docs/COST_MODEL.md §2) :meth:`cost` prices a
-    layout of the group exactly.
-    """
-
-    def __init__(self, problem: PlacementProblem, group: Sequence[str]) -> None:
-        import numpy as np
-
-        index = problem.item_index
-        self.items = list(group)
-        config = self.config = problem.config
-        self._names = problem.items
-        self._codes = np.asarray([index[item] for item in self.items], np.int64)
-        resolved = problem.resolved
-        self._item_positions = resolved.item_positions
-        self._item_at = resolved.item_at
-        self.positions = resolved.positions_of(self._codes)
-        self._seq = self._item_at[self.positions]
-        self._ports = np.asarray(config.port_offsets, dtype=np.int64)
-        self._rest = (
-            rest_table(config) if config.port_policy is PortPolicy.EAGER else None
-        )
-        self._offset_of = np.zeros(len(index), dtype=np.int64)
-
-    @cached_property
-    def first_touch(self) -> list[str]:
-        """The group's accessed items in first-access order (by first
-        position: a sampled ``.rtb`` trace's codes are in file order)."""
-        import numpy as np
-
-        item_pos, item_start = self._item_positions
-        codes = self._codes[item_start[self._codes + 1] > item_start[self._codes]]
-        first = item_pos[item_start[codes]]
-        return [self._names[code] for code in codes[np.argsort(first)].tolist()]
-
-    @cached_property
-    def affinity(self) -> dict[tuple[str, str], int]:
-        """Consecutive-pair counts of the restricted subsequence.
-
-        Keyed like :attr:`PlacementProblem.affinity` (unordered name pairs,
-        self-pairs dropped).  Restriction makes accesses adjacent that had
-        other items between them, so this is not a submatrix of the full
-        trace's affinity.
-        """
-        return pair_counts(self._seq, self._names)
-
-    @cached_property
-    def _walk(self) -> Callable[[], int]:
-        """The lazy chain walk over this group's arrays, bound once."""
-        return kernels.active().bind_chain(
-            self.positions, self._item_at, self._offset_of, self._ports
-        )
-
-    def cost(self, offsets: dict[str, int]) -> int:
-        """Exact shift cost of the group's DBC with the group at ``offsets``."""
-        offset_of = self._offset_of
-        offset_of[self._codes] = [offsets[item] for item in self.items]
-        if self._rest is not None:
-            return int(self._rest[offset_of[self._seq]].sum())
-        return self._walk()
 
 
 class GroupedTrace:
@@ -304,13 +236,6 @@ def proximity_layout(view: GroupedTrace) -> Layout:
     )
 
 
-def packed_layout(view: GroupedTrace, order) -> Layout:
-    """Every group's ``order`` at offsets ``0, 1, …``."""
-    import numpy as np
-
-    return Layout(order, np.arange(view.k)[None, :])
-
-
 def _stacked(members, layouts: Sequence[Layout]):
     """``(codes, offsets)``, each ``(C, G, k)``: candidate ``c`` puts item
     ``codes[c, g, i]`` at ``offsets[c, g, i]`` (for ``i < sizes[g]``)."""
@@ -407,12 +332,11 @@ def layout_groups(
 
 
 def heuristic_layouts(view: GroupedTrace) -> list[Layout]:
-    """Anchored greedy chain, proximity star, first-touch anchored and packed."""
+    """Anchored greedy chain, proximity star and first-touch anchored."""
     return [
         anchored_layout(view, view.chain),
         proximity_layout(view),
         anchored_layout(view, view.first_touch),
-        packed_layout(view, view.first_touch),
     ]
 
 

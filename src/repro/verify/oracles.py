@@ -6,8 +6,9 @@ five oracle families and returns the (hopefully empty) list of
 
 * **engine agreement** — scalar reference vs vectorized vs incremental vs
   simulator engines vs the fault-injection cost stream, on totals, per-DBC
-  decompositions (plus the planner's per-group pricing,
-  :class:`~repro.core.ordering.GroupTrace`), and the per-access maximum;
+  decompositions (plus the planner's grouped pricer,
+  :class:`~repro.core.ordering.GroupedTrace` +
+  :func:`~repro.core.ordering.price_layouts`), and the per-access maximum;
 * **round trips** — seeded swap/move/reversal mutation scripts through
   :class:`~repro.core.incremental.CostEvaluator`: probed deltas must match
   applied deltas, running totals must match from-scratch evaluation, and
@@ -71,7 +72,7 @@ from repro.core.grouping import greedy_min_affinity_grouping, min_affinity_group
 from repro.core.heuristic import chain_and_cut_groups, grouping_portfolio
 from repro.core.ordering import (
     GroupedTrace,
-    GroupTrace,
+    Layout,
     heuristic_layouts,
     price_layouts,
 )
@@ -192,16 +193,16 @@ def check_engine_agreement(
     for dbc, cost in zip(dbc_seq.tolist(), cost_seq.tolist()):
         stream_per_dbc[dbc] += cost
     views["fault_cost_stream"] = tuple(stream_per_dbc)
-    members: dict[int, dict[str, int]] = {}
+    groups: list[list[str]] = [[] for _ in range(config.num_dbcs)]
     for item in problem.items:
-        slot = placement[item]
-        members.setdefault(slot.dbc, {})[item] = slot.offset
-    views["group_trace"] = tuple(
-        GroupTrace(problem, list(members[dbc])).cost(members[dbc])
-        if dbc in members
-        else 0
-        for dbc in range(config.num_dbcs)
-    )
+        groups[placement[item].dbc].append(item)
+    grouped = GroupedTrace(problem, groups)
+    offsets = np.zeros(grouped.members.shape, dtype=np.int64)
+    offsets[grouped.valid] = [
+        placement[item].offset for group in groups for item in group
+    ]
+    as_placed = Layout(np.arange(grouped.k)[None, :], offsets)
+    views["grouped_trace"] = tuple(price_layouts(grouped, [as_placed])[0].tolist())
     for engine, per_dbc in views.items():
         expected = tuple(
             per_dbc_reference.get(dbc, 0) for dbc in range(config.num_dbcs)

@@ -115,8 +115,24 @@ class TestExhaustivePlacement:
         trace = markov_trace(10, 30, seed=5)
         config = DWMConfig(words_per_dbc=16, num_dbcs=1)
         problem = PlacementProblem(trace=trace, config=config)
-        with pytest.raises(OptimizationError, match="at most"):
-            exhaustive_placement(problem, max_items=7)
+        with pytest.raises(OptimizationError, match="at most 7 items"):
+            exhaustive_placement(problem)
+
+    def test_size_guard_cannot_be_lifted_by_a_kwarg(self):
+        # The kwarg is not a size knob: it is ignored, and the 7-item guard
+        # refuses 14 items at once instead of enumerating for minutes.
+        import time
+
+        from repro.core.api import optimize_placement
+
+        config = DWMConfig(words_per_dbc=8, num_dbcs=2, port_offsets=(1, 5))
+        start = time.perf_counter()
+        with pytest.raises(OptimizationError, match="at most 7 items"):
+            optimize_placement(
+                markov_trace(14, 300, seed=1), config, method="exact",
+                max_items=1000,
+            )
+        assert time.perf_counter() - start < 1.0
 
     def test_agrees_with_single_dbc_dp_when_forced(self):
         # One DBC, port at 0: brute force over anchored orders must agree
@@ -127,6 +143,25 @@ class TestExhaustivePlacement:
         brute = evaluate_placement(problem, exhaustive_placement(problem))
         dp = evaluate_placement(problem, exact_single_dbc_placement(problem))
         assert brute == dp
+
+
+class TestUnaccessedItems:
+    @pytest.mark.parametrize("ports", [(0,), (0, 2)])
+    def test_exact_places_items_without_accesses(self, ports):
+        # A stream window keeps its stream's whole item table, so an item
+        # may have no access; a group of such items costs nothing.
+        import numpy as np
+
+        from repro.core.api import ALGORITHMS
+
+        items = ("z", "y", "x", "w", "v")
+        item_at = np.asarray([2, 0, 2, 3, 1, 0, 2, 3, 1, 2], dtype=np.int64)
+        trace = AccessTrace._from_dense(items, item_at, np.zeros(10, dtype=np.bool_))
+        config = DWMConfig(words_per_dbc=4, num_dbcs=2, port_offsets=ports)
+        problem = PlacementProblem(trace=trace, config=config)
+        placement = ALGORITHMS["exact"](problem)
+        placement.validate(config, problem.items)
+        assert evaluate_placement(problem, placement) == _true_optimum(problem)
 
 
 def _true_optimum(problem):

@@ -11,13 +11,16 @@ from repro.core.grouping import (
     refine_grouping,
 )
 from repro.core.heuristic import grouping_portfolio
+from repro.core import kernels
 from repro.core.ordering import (
-    GroupTrace,
+    GroupedTrace,
+    Layout,
     anchored_offsets,
     greedy_chain_order,
     heuristic_layouts,
     layout_groups,
     order_groups,
+    price_layouts,
     proximity_offsets,
     weighted_median_index,
 )
@@ -186,13 +189,60 @@ def _dbc_cost(problem, group_offsets, dbc=0):
     return per_dbc_costs(problem, Placement(mapping)).get(dbc, 0)
 
 
+def _restricted_codes(problem, group):
+    """The group's restricted subsequence as item codes."""
+    resolved = problem.resolved
+    codes = [problem.item_index[item] for item in group]
+    return resolved.item_at[resolved.positions_of(codes)]
+
+
+def _segment_cost(problem, group_offsets):
+    """One group's lazy cost: the kernel tier's segment walk over its
+    restricted subsequence, as the exact solvers price a layout."""
+    import numpy as np
+
+    seq = _restricted_codes(problem, group_offsets)
+    table = np.zeros((1, problem.num_items), dtype=np.int64)
+    table[0, [problem.item_index[item] for item in group_offsets]] = list(
+        group_offsets.values()
+    )
+    ports = np.asarray(problem.config.port_offsets, dtype=np.int64)
+    starts = np.asarray([0, seq.size])
+    return int(kernels.active().segment_costs(seq, starts, table, ports)[0, 0])
+
+
+def _grouped_cost(problem, group_offsets):
+    """One group's cost from the planner's pricer (either policy)."""
+    import numpy as np
+
+    view = GroupedTrace(problem, [list(group_offsets)])
+    offsets = np.asarray([list(group_offsets.values())], dtype=np.int64)
+    layout = Layout(np.arange(view.k)[None, :], offsets)
+    return int(price_layouts(view, [layout])[0, 0])
+
+
+def _grouped_affinity(view, problem):
+    """The single group's pair table of ``view`` keyed like
+    :func:`affinity_graph`."""
+    import numpy as np
+
+    members = [problem.items[code] for code in view.members[0, : view.sizes[0]]]
+    table = view.pairs[0]
+    return {
+        tuple(sorted((members[i], members[j]))): int(table[i, j])
+        for i, j in zip(*np.nonzero(np.triu(table, 1)))
+    }
+
+
 class TestRestrictedAffinity:
     def test_restriction_creates_second_order_pairs(self):
         trace = AccessTrace(["a", "x", "b", "x", "a"])
-        config = DWMConfig(words_per_dbc=8, num_dbcs=1)
-        view = GroupTrace(PlacementProblem(trace=trace, config=config), ["a", "b"])
         # Restricted sequence is a b a: pairs (a,b) twice.
-        assert view.affinity == {("a", "b"): 2}
+        assert affinity_graph(trace.restricted_to(["a", "b"])) == {("a", "b"): 2}
+        config = DWMConfig(words_per_dbc=8, num_dbcs=1)
+        problem = PlacementProblem(trace=trace, config=config)
+        view = GroupedTrace(problem, [["a", "b"]])
+        assert _grouped_affinity(view, problem) == {("a", "b"): 2}
 
 
 class TestRestrictedSequenceCost:
@@ -202,21 +252,27 @@ class TestRestrictedSequenceCost:
         problem = PlacementProblem(trace=trace, config=config)
         offsets = {"a": 0, "b": 3, "c": 5}
         placement = Placement({item: (0, o) for item, o in offsets.items()})
-        view = GroupTrace(problem, ["a", "b", "c"])
-        assert view.cost(offsets) == evaluate_placement(problem, placement)
+        expected = evaluate_placement(problem, placement)
+        assert _segment_cost(problem, offsets) == expected
+        assert _grouped_cost(problem, offsets) == expected
 
     def test_skips_foreign_items(self):
         config = DWMConfig(words_per_dbc=8, num_dbcs=2, port_offsets=(0,))
         trace = AccessTrace(["a", "zzz", "a"])
-        view = GroupTrace(PlacementProblem(trace=trace, config=config), ["a"])
-        assert view.positions.tolist() == [0, 2]
-        assert view.cost({"a": 2}) == 2
+        problem = PlacementProblem(trace=trace, config=config)
+        positions = problem.resolved.positions_of([problem.item_index["a"]])
+        assert positions.tolist() == [0, 2]
+        assert _segment_cost(problem, {"a": 2}) == 2
+        assert _grouped_cost(problem, {"a": 2}) == 2
 
 
 _ITEMS = "abcdef"
 
 
 class TestGroupTrace:
+    """One group's view of the trace: its positions, restricted pairs,
+    first touches and cost, against the scalar reference."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         sequence=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=40),
@@ -226,11 +282,19 @@ class TestGroupTrace:
         trace = AccessTrace(sequence)
         group = [item for item, pick in zip(trace.items, picks) if pick]
         config = DWMConfig(words_per_dbc=8, num_dbcs=1)
-        view = GroupTrace(PlacementProblem(trace=trace, config=config), group)
+        problem = PlacementProblem(trace=trace, config=config)
+        view = GroupedTrace(problem, [group])
         restricted = trace.restricted_to(group)
-        assert view.affinity == affinity_graph(restricted)
-        assert view.first_touch == list(restricted.items)
-        assert view.positions.size == len(restricted)
+        assert _grouped_affinity(view, problem) == affinity_graph(restricted)
+        first_touch = view.first_touch[0, : len(group)]
+        assert [problem.items[view.members[0, i]] for i in first_touch] == list(
+            restricted.items
+        )
+        assert view.starts[1] == len(restricted)
+        seq = _restricted_codes(problem, group)
+        assert [problem.items[code] for code in seq] == [
+            access.item for access in restricted
+        ]
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_positions_and_first_touch_match_their_definitions(self, dense):
@@ -251,15 +315,18 @@ class TestGroupTrace:
         names = problem.items
         item_at = problem.item_at
         for group in (names[:1], names[::2], names[1::3], names[::-1]):
-            view = GroupTrace(problem, list(group))
+            codes = [names.index(item) for item in group]
+            view = GroupedTrace(problem, [list(group)])
             mask = np.zeros(len(names), dtype=bool)
-            mask[[names.index(item) for item in group]] = True
+            mask[codes] = True
             positions = np.flatnonzero(mask[item_at])
-            codes, first = np.unique(item_at[positions], return_index=True)
-            assert view.positions.tolist() == positions.tolist()
-            assert view.first_touch == [
-                names[code] for code in codes[np.argsort(first)].tolist()
-            ]
+            accessed, first = np.unique(item_at[positions], return_index=True)
+            assert problem.resolved.positions_of(codes).tolist() == positions.tolist()
+            # Accessed members by first access, then the unaccessed ones.
+            expected = [names[code] for code in accessed[np.argsort(first)].tolist()]
+            expected += [item for item in group if item not in expected]
+            order = view.first_touch[0, : len(group)]
+            assert [names[view.members[0, i]] for i in order] == expected
 
     @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
     @pytest.mark.parametrize("num_ports", [1, 2, 3])
@@ -273,10 +340,12 @@ class TestGroupTrace:
         )
         problem = PlacementProblem(trace=trace, config=config)
         group = [item for item in problem.items if item in "aceg"]
-        view = GroupTrace(problem, group)
         for _ in range(5):
             offsets = dict(zip(group, rng.sample(range(12), len(group))))
-            assert view.cost(offsets) == _dbc_cost(problem, offsets)
+            expected = _dbc_cost(problem, offsets)
+            assert _grouped_cost(problem, offsets) == expected
+            if policy is PortPolicy.LAZY:
+                assert _segment_cost(problem, offsets) == expected
 
 
 class TestOrderGroups:

@@ -3,7 +3,8 @@
 Each grouping's view (:class:`repro.core.ordering.GroupedTrace`) must
 reproduce what the single-group helpers compute group by group — the
 restricted pair counts, the name-keyed chains, the string offset helpers
-and :meth:`GroupTrace.cost` — on both kernel tiers.
+and the scalar per-DBC reference (:func:`repro.core.cost.per_dbc_costs`)
+— on both kernel tiers.
 """
 
 import hashlib
@@ -13,24 +14,26 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.cost import per_dbc_costs
 from repro.core.generalized import multi_port_chain_offsets, multi_port_layout
 from repro.core.ordering import (
     GroupedTrace,
-    GroupTrace,
+    Layout,
     anchored_layout,
     anchored_offsets,
     greedy_chain_order,
-    packed_layout,
     price_layouts,
     proximity_layout,
     proximity_offsets,
 )
-from repro.core.problem import PlacementProblem, pair_counts
+from repro.core.placement import Placement, Slot
+from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.dbc import proximity_order, rest_table
 from repro.trace.binio import open_binary, pack
 from repro.trace.kernels import KERNELS
 from repro.trace.model import AccessTrace
+from repro.trace.stats import affinity_graph
 from repro.trace.synthetic import markov_trace
 from tests.test_shiftsreduce import _bidirectional_order_reference
 
@@ -73,6 +76,22 @@ def _random_groups(problem, rng):
     return [group for group in groups] + [[]]
 
 
+def _restricted_affinity(problem, group):
+    return affinity_graph(problem.trace.restricted_to(group))
+
+
+def _reference_cost(problem, group_offsets):
+    """DBC 0's scalar cost with the group at ``group_offsets`` and every
+    other item on the DBCs after it."""
+    length = problem.config.words_per_dbc
+    others = [item for item in problem.items if item not in group_offsets]
+    mapping = {item: Slot(0, offset) for item, offset in group_offsets.items()}
+    mapping.update(
+        {item: Slot(1 + i // length, i % length) for i, item in enumerate(others)}
+    )
+    return per_dbc_costs(problem, Placement(mapping)).get(0, 0)
+
+
 def _names(view, order, group):
     members = view.members[group]
     return [view.problem.items[members[i]] for i in order[group, : view.sizes[group]]]
@@ -95,8 +114,7 @@ class TestGroupedView:
         groups = _random_groups(problem, random.Random(seed))
         view = GroupedTrace(problem, groups)
         for g, group in enumerate(groups):
-            restricted = GroupTrace(problem, group) if group else None
-            expected = pair_counts(restricted._seq, problem.items) if group else {}
+            expected = _restricted_affinity(problem, group)
             table = view.pairs[g]
             members = [problem.items[code] for code in view.members[g, : len(group)]]
             got = {}
@@ -114,7 +132,10 @@ class TestGroupedView:
         for g, group in enumerate(groups):
             segment = view.codes[view.starts[g] : view.starts[g + 1]]
             if group:
-                assert segment.tolist() == GroupTrace(problem, group)._seq.tolist()
+                restricted = problem.trace.restricted_to(group)
+                assert [problem.items[code] for code in segment.tolist()] == [
+                    access.item for access in restricted
+                ]
             else:
                 assert segment.size == 0
 
@@ -126,8 +147,8 @@ class TestGroupedView:
         for g, group in enumerate(groups):
             if not group:
                 continue
-            single = GroupTrace(problem, group)
-            assert _names(view, view.first_touch, g) == single.first_touch
+            restricted = problem.trace.restricted_to(group)
+            assert _names(view, view.first_touch, g) == list(restricted.items)
             assert _names(view, view.by_heat, g) == sorted(
                 group, key=lambda item: (-frequencies[item], item)
             )
@@ -155,7 +176,7 @@ class TestChains:
         chains = kernel_tier.greedy_chains(*view.chain_edges, view.sizes, view.k)
         for g, group in enumerate(groups):
             if group:
-                affinity = GroupTrace(problem, group).affinity
+                affinity = _restricted_affinity(problem, group)
                 assert _names(view, chains, g) == greedy_chain_order(group, affinity)
             assert sorted(chains[g].tolist()) == list(range(view.k))
 
@@ -167,7 +188,7 @@ class TestChains:
         chains = kernel_tier.bidirectional_chains(view.pairs, view.sizes, view.freq)
         for g, group in enumerate(groups):
             if group:
-                affinity = GroupTrace(problem, group).affinity
+                affinity = _restricted_affinity(problem, group)
                 assert _names(view, chains, g) == _bidirectional_order_reference(
                     group, affinity, problem.frequencies
                 )
@@ -183,7 +204,7 @@ class TestChains:
         group = ["x9", "x10", "x11"]
         view = GroupedTrace(problem, [group])
         chains = kernel_tier.greedy_chains(*view.chain_edges, view.sizes, view.k)
-        affinity = GroupTrace(problem, group).affinity
+        affinity = _restricted_affinity(problem, group)
         assert _names(view, chains, 0) == greedy_chain_order(group, affinity)
         assert _names(view, chains, 0) == ["x11", "x10", "x9"]
 
@@ -193,6 +214,7 @@ class TestPricing:
     @pytest.mark.parametrize("policy", [PortPolicy.LAZY, PortPolicy.EAGER])
     @pytest.mark.parametrize("num_ports", [1, 2, 3])
     def test_cost_table_matches_group_trace(self, num_ports, policy, kernel_tier):
+        """Every entry is the group's DBC cost by the scalar reference."""
         rng = random.Random(num_ports * 11 + len(policy.value))
         for seed in range(4):
             problem = _random_problem(seed, num_ports, policy)
@@ -201,7 +223,7 @@ class TestPricing:
             layouts = [
                 anchored_layout(view, view.first_touch),
                 proximity_layout(view),
-                packed_layout(view, view.chain),
+                Layout(view.chain, np.arange(view.k)[None, :]),
                 multi_port_layout(view, view.by_heat),
             ]
             table = price_layouts(view, layouts, kernel_tier)
@@ -209,7 +231,7 @@ class TestPricing:
             for c, layout in enumerate(layouts):
                 for g, group in enumerate(groups):
                     expected = (
-                        GroupTrace(problem, group).cost(_offsets(view, layout, g))
+                        _reference_cost(problem, _offsets(view, layout, g))
                         if group else 0
                     )
                     assert table[c, g] == expected
@@ -222,6 +244,30 @@ class TestPricing:
         table = rng.integers(0, 8, size=(3, 9))
         got = kernel_tier.segment_costs(codes, starts, table, np.asarray(ports))
         for c in range(3):
+            for s in range(starts.size - 1):
+                offsets = table[c, codes[starts[s] : starts[s + 1]]]
+                expected = (
+                    int(kernels.multi_port_access_costs_numpy(offsets, ports).sum())
+                    if offsets.size else 0
+                )
+                assert got[c, s] == expected
+
+
+@pytest.mark.parametrize("limit", [1, 130, 1 << 16])
+@pytest.mark.parametrize("ports", [(0,), (1, 6), (0, 3, 7)])
+def test_numpy_segment_walks_match_row_by_row(ports, limit, monkeypatch):
+    # Rows walked back to back (several per walk, or one when a row alone
+    # passes the limit) must price as walks of one row each.
+    monkeypatch.setattr(kernels, "NUMPY_SEGMENT_ACCESSES", limit)
+    rng = np.random.default_rng(limit + len(ports))
+    codes = rng.integers(0, 9, size=60)
+    table = rng.integers(0, 8, size=(5, 9))
+    for starts in ([0, 0, 7, 8, 8, 31, 60, 60], [5, 5, 12, 40, 58]):
+        starts = np.asarray(starts)
+        got = kernels.NumpyKernels().segment_costs(
+            codes, starts, table, np.asarray(ports)
+        )
+        for c in range(len(table)):
             for s in range(starts.size - 1):
                 offsets = table[c, codes[starts[s] : starts[s + 1]]]
                 expected = (

@@ -427,8 +427,6 @@ class TestPassBounds:
 
 class TestSharedPositionIndex:
     def test_evaluators_and_group_views_share_one_index(self):
-        from repro.core.ordering import GroupTrace
-
         trace = markov_trace(22, 400, locality=0.75, seed=4)
         lazy, eager = (
             build_problem(
@@ -448,8 +446,9 @@ class TestSharedPositionIndex:
             assert state.item_pos is item_pos
             assert state.item_start is item_start
         # Another geometry over the same trace reads the same index.
-        view = GroupTrace(eager, [eager.items[0]])
-        assert view.positions.base is item_pos
+        # One group's positions (what the exact solvers walk) are a view
+        # of that index.
+        assert eager.resolved.positions_of([0]).base is item_pos
         assert eager.frequencies == dict(
             zip(trace.items, [int(n) for n in item_start[1:] - item_start[:-1]])
         )

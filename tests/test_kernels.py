@@ -303,18 +303,6 @@ class TestKernelParity:
                 ports, kernels.ScanState(1),
             )
 
-    def test_bind_chain_prices_current_offsets(self, tier):
-        positions = np.array([0, 2, 3], dtype=np.int64)
-        item_at = np.array([0, 1, 1, 0], dtype=np.int64)
-        offset_of = np.zeros(2, dtype=np.int64)
-        ports = np.array([0, 4], dtype=np.int64)
-        walk = tier.bind_chain(positions, item_at, offset_of, ports)
-        for layout in ([1, 6], [5, 2], [0, 0]):
-            offset_of[:] = layout
-            assert walk() == tier.lazy_chain_cost(
-                positions, item_at, offset_of, ports
-            )
-
 
 class TestCollapsedConditionedScan:
     """The cc tier's conditioned scan steps converged lanes once; it must

@@ -399,6 +399,25 @@ class TestTypedErrors:
                     )
 
 
+    def test_exact_size_guard_is_typed_400(self):
+        # No kwarg lifts the brute force's 7-item guard: 14 items at two
+        # ports are refused at once, not enumerated on an executor thread.
+        from repro.trace.synthetic import markov_trace
+
+        accesses = [(access.item, "R") for access in markov_trace(14, 300, seed=1)]
+        with running_server() as (_, client):
+            trace_id = client.upload_trace("exact", accesses)["trace_id"]
+            start = time.perf_counter()
+            with pytest.raises(BadRequest, match="at most 7 items"):
+                client.optimize(
+                    trace_id,
+                    method="exact",
+                    config={"words_per_dbc": 8, "num_ports": 2},
+                    kwargs={"max_items": 1000},
+                )
+            assert time.perf_counter() - start < 1.0
+
+
 class TestRefinementBudgets:
     @pytest.mark.parametrize("kernel_tier", ["active", "numpy"], indirect=True)
     def test_any_int_budget_answers_200(self, kernel_tier):
