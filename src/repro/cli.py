@@ -414,9 +414,12 @@ def cmd_experiments(args) -> int:
     from repro.analysis.parallel import TaskFailure
 
     outputs = [o for o in outputs if not isinstance(o, TaskFailure)]
-    for output in outputs:
+    for index, output in enumerate(outputs):
+        # A blank line separates sections; the last ends with the table, so
+        # a one-experiment run prints exactly what results/<id>.txt holds.
+        if index:
+            print()
         print(output.rendered)
-        print()
         sections.append(
             f"## {output.experiment_id.upper()} — {output.title}\n\n"
             f"```\n{output.rendered}\n```\n"

@@ -22,10 +22,14 @@ Local search runs as refinement passes: ``swap_pass`` and
 ``reversal_pass`` scan ``swap_refinement``'s / ``two_opt_refinement``'s
 candidates one probe at a time, applying each improving move before the
 next probe.  On the cc tier a pass is one compiled call over the trace's
-per-item position index and a per-DBC position CSR it lays out itself,
-after which the evaluator adopts the new assignment once; elsewhere it is
+per-item position index and a per-DBC position CSR and head trajectories
+it lays out itself, pricing each lazy probe by a rejoin walk (it walks
+from each changed access only until the head meets the cached
+trajectory), after which the evaluator adopts the new assignment once;
+the pass's probes, accepted moves and walked steps are counted in the
+``repro.obs`` registry (``core.refine.*``).  Elsewhere it is
 the single-probe scan ``scan_swaps`` / ``scan_reversals`` over the probes
-below, which defines the trajectory both reproduce.
+below, which defines the sequence of moves both reproduce.
 
 The evaluator maintains the current assignment mutably with ``apply_*`` /
 ``undo`` (no :class:`Placement` dict rebuild per candidate) and materialises
@@ -44,6 +48,7 @@ from repro.core.problem import PlacementProblem
 from repro.dwm.config import PortPolicy
 from repro.dwm.dbc import rest_table
 from repro.errors import PlacementError
+from repro.obs.metrics import get_registry
 
 
 def multi_port_access_costs(offsets, ports):
@@ -451,14 +456,16 @@ class CostEvaluator:
         both leave the same assignment, total and ``delta_evaluations``.
         """
         self._refine(
-            self._kernel.swap_pass, self.scan_swaps, max_passes, max_evaluations
+            "swap", self._kernel.swap_pass, self.scan_swaps, max_passes,
+            max_evaluations,
         )
 
     def reversal_pass(self, max_passes: int, max_evaluations: int) -> None:
         """Run :func:`~repro.core.local_search.two_opt_refinement`'s scan,
         as :meth:`swap_pass` does."""
         self._refine(
-            self._kernel.reversal_pass, self.scan_reversals, max_passes, max_evaluations
+            "two_opt", self._kernel.reversal_pass, self.scan_reversals,
+            max_passes, max_evaluations,
         )
 
     def scan_swaps(self, max_passes: int, max_evaluations: int) -> None:
@@ -536,7 +543,11 @@ class CostEvaluator:
         self._undo.clear()
         self._probe = None
 
-    def _refine(self, compiled, scan, max_passes, max_evaluations) -> None:
+    def _refine(self, name, compiled, scan, max_passes, max_evaluations) -> None:
+        """Run one refiner's scan and count it in the metrics registry:
+        ``core.refine.probes`` and ``core.refine.accepted`` on every tier,
+        ``core.refine.steps`` (lazy steps walked) for a compiled pass; all
+        labelled ``pass=name``."""
         config = self._config
         for dbc, offset in self._occupied:
             # A compiled pass indexes its per-DBC and per-slot arrays with
@@ -545,22 +556,29 @@ class CostEvaluator:
                 raise PlacementError(
                     f"slot {Slot(dbc, offset)} is outside the geometry"
                 )
+        registry = get_registry()
+        label = {"pass": name}
+        start = self.delta_evaluations, self.applied_moves
         if compiled is None:
             scan(max_passes, max_evaluations)
-            return
-        state = self._refine_state()
-        probes, accepted, delta = compiled(
-            state, _pass_budget(max_passes), _probe_budget(max_evaluations)
-        )
-        self.delta_evaluations += probes
-        if accepted:
-            self._resync(state, accepted, delta)
-        self._end_pass()
+        else:
+            state = self._refine_state()
+            probes, accepted, delta, steps = compiled(
+                state, _pass_budget(max_passes), _probe_budget(max_evaluations)
+            )
+            self.delta_evaluations += probes
+            if accepted:
+                self._resync(state, accepted, delta)
+            self._end_pass()
+            registry.inc("core.refine.steps", steps, **label)
+        registry.inc("core.refine.probes", self.delta_evaluations - start[0], **label)
+        registry.inc("core.refine.accepted", self.applied_moves - start[1], **label)
 
     def _refine_state(self) -> kernels.RefineState:
         """The current (in-geometry) assignment laid out for a compiled pass."""
         np = self._np
         num_dbcs, words = self._config.num_dbcs, self._config.words_per_dbc
+        trace_len = self._item_at.size
         item_dbc = np.asarray(self._dbc, dtype=np.int64)
         extra_dbc = [dbc for dbc, _ in self._extra.values()]
         load = np.bincount(
@@ -584,9 +602,11 @@ class CostEvaluator:
             dbc_cost=dbc_cost,
             load=load,
             occupied=occupied,
-            dbc_pos=np.empty(self._item_at.size, dtype=np.int64),
+            dbc_pos=np.empty(trace_len, dtype=np.int64),
             dbc_start=np.empty(num_dbcs + 1, dtype=np.int64),
-            scratch=np.empty((num_dbcs + 2) * words, dtype=np.int64),
+            dbc_head=np.empty(trace_len, dtype=np.int64),
+            rank=np.empty(trace_len, dtype=np.int64),
+            scratch=np.empty((num_dbcs + 2) * words + 2 * trace_len, dtype=np.int64),
             num_items=len(self._items),
             num_dbcs=num_dbcs,
             words=words,

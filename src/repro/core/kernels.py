@@ -84,12 +84,16 @@ The grouping phase (:mod:`repro.core.grouping`) is one more:
 The cc tier also runs local search's two refinement scans whole, one
 call each (``swap_pass`` for ``swap_refinement``, ``reversal_pass`` for
 ``two_opt_refinement``).  A pass reads and updates a :class:`RefineState`
-— the assignment, per-item and per-DBC position CSRs and the DBCs'
-current costs — probes candidates one at a time in the refiners' order
-with the chain and merge walks above, applies every improving move in
-place and stops when its budget is spent.  The numpy tier has no pass:
-there :class:`~repro.core.incremental.CostEvaluator` runs the same scan
-over its single probes, which is the trajectory both tiers reproduce.
+— the assignment, per-item and per-DBC position CSRs, each DBC's head
+trajectory and its current cost — probes candidates one at a time in the
+refiners' order, applies every improving move in place and stops when its
+budget is spent.  A lazy probe is priced by a rejoin walk: from each
+access the move changes it walks on from the cached head before it, only
+until its head meets the cached trajectory again (docs/COST_MODEL.md §5).
+The numpy tier has no pass: there
+:class:`~repro.core.incremental.CostEvaluator` runs the same scan over its
+single probes (full replays through ``lazy_merge_cost``), which is the
+trajectory both tiers reproduce.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ NUMPY_SEGMENT_ACCESSES = 1 << 16
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 /* Branchless |v|: the greedy pick below is data-dependent, so any branch
    on it mispredicts ~50% on low-locality traces. */
@@ -319,9 +324,12 @@ int64_t repro_lazy_scan(const void *codes, int64_t n, int64_t records,
    each improving move in place before the next probe.  Layout: item i's
    ascending trace positions are item_pos[item_start[i] ..
    item_start[i+1]), it sits at offset_of[i] on DBC item_dbc[i], and DBC
-   d's merged positions are dbc_pos[dbc_start[d] .. dbc_start[d+1]) with
-   lazy cost dbc_cost[d].  A probe writes the candidate's offsets into
-   offset_of, walks only the affected DBCs (COST_MODEL.md §2) and restores
+   d's chain (its merged positions) is dbc_pos[dbc_start[d] ..
+   dbc_start[d+1]) with lazy cost dbc_cost[d].  The pass also keeps every
+   chain's trajectory: dbc_head[k] is the head after the access at
+   dbc_pos[k], and rank[t] is the chain index k of trace position t.  A
+   probe writes the candidate's offsets into offset_of, prices only the
+   affected DBCs (COST_MODEL.md §2) with a rejoin walk and restores
    offset_of; under the eager policy an item costs counts[i] *
    rest[offset_of[i]] and no walk runs.  CcKernels mirrors this struct
    from RefineState.ARRAYS: keep the field order in step. */
@@ -331,17 +339,41 @@ typedef struct {
     int64_t *load;      /* items per DBC, untraced placement entries too */
     int64_t *occupied;  /* slot d * words + o: 1 when some item holds it */
     int64_t *dbc_pos, *dbc_start;  /* laid out by the pass */
-    int64_t *scratch;   /* (num_dbcs + 2) * words entries */
+    int64_t *dbc_head, *rank;      /* the trajectories, likewise */
+    int64_t *scratch;   /* (num_dbcs + 2) * words + 2 * trace_len entries */
     int64_t num_ports, num_items, trace_len, num_dbcs, words, eager;
     int64_t max_passes, max_probes;  /* the budget */
-    int64_t probes, accepted, delta; /* results */
+    int64_t probes, accepted, delta, steps; /* results */
 } refine_state;
 
+/* Item i's ascending trace positions and their count. */
+#define POSITIONS(s, i) ((s)->item_pos + (s)->item_start[i])
+#define NUM_POSITIONS(s, i) ((s)->item_start[(i) + 1] - (s)->item_start[i])
+
+/* Re-walk DBC d's trajectory at the offsets offset_of holds now. */
+static void walk_trajectory(refine_state *s, int64_t d)
+{
+    int64_t head = 0, k, lo = s->dbc_start[d], hi = s->dbc_start[d + 1];
+    for (k = lo; k < hi; ++k) {
+        lazy_step(s->offset_of[s->item_at[s->dbc_pos[k]]], &head, s->ports,
+                  s->num_ports);
+        s->dbc_head[k] = head;
+    }
+    s->steps += hi - lo;
+}
+
 /* Re-lay the DBC position CSR from item_dbc in O(T): a counting sort of
-   the trace positions by DBC, ascending within each DBC. */
-static void lay_out_dbcs(refine_state *s)
+   the trace positions by DBC, ascending within each DBC, recording each
+   position's rank.  With p < 0 every DBC's trajectory is walked afresh;
+   otherwise only DBCs p and q changed members since the last layout, so
+   the DBCs between them keep their trajectories, moved along with their
+   chains, and only p's and q's are walked. */
+static void lay_out_dbcs(refine_state *s, int64_t p, int64_t q)
 {
     int64_t *start = s->dbc_start, sum = 0, d, t;
+    int64_t lo = p < q ? p : q, hi = p < q ? q : p;
+    int64_t from = p < 0 ? 0 : start[lo + 1];
+    int64_t kept = p < 0 ? 0 : start[hi] - from;
     for (d = 0; d < s->num_dbcs; ++d) start[d] = 0;
     for (t = 0; t < s->trace_len; ++t) ++start[s->item_dbc[s->item_at[t]]];
     for (d = 0; d < s->num_dbcs; ++d) {
@@ -349,84 +381,332 @@ static void lay_out_dbcs(refine_state *s)
         start[d] = sum;
         sum += size;
     }
-    for (t = 0; t < s->trace_len; ++t)
-        s->dbc_pos[start[s->item_dbc[s->item_at[t]]]++] = t;
+    for (t = 0; t < s->trace_len; ++t) {
+        int64_t k = start[s->item_dbc[s->item_at[t]]]++;
+        s->dbc_pos[k] = t;
+        s->rank[t] = k;
+    }
     /* start[d] now ends DBC d: shift it to start DBC d + 1. */
     for (d = s->num_dbcs; d > 0; --d) start[d] = start[d - 1];
     start[0] = 0;
+    if (p < 0) {
+        for (d = 0; d < s->num_dbcs; ++d) walk_trajectory(s, d);
+        return;
+    }
+    memmove(s->dbc_head + start[lo + 1], s->dbc_head + from,
+            kept * sizeof *s->dbc_head);
+    walk_trajectory(s, p);
+    walk_trajectory(s, q);
 }
 
-/* Lazy cost of DBC d's chain with item skip (when >= 0) taken out and
-   item add (when >= 0) merged in, at the offsets offset_of holds now. */
-static int64_t dbc_walk(const refine_state *s, int64_t d, int64_t skip,
-                        int64_t add)
+/* Rejoin walks.  A probe changes some accesses of a chain: it gives them
+   new offsets, removes them, or inserts accesses of another DBC.  A rejoin
+   walk prices that change from the chain's cached trajectory: from each
+   changed access (an event) it walks on from the cached head before the
+   event, and it stops as soon as its head equals the cached head at the
+   same point of the chain.  From there the unmoved accesses up to the
+   next event pay what they paid before, so the walk jumps to that event.
+   The cached cost of chain access k is |head[k] - head[k - 1]|, with head
+   0 before the chain starts. */
+
+/* A chain: ascending trace positions pos[0 .. n) and the head after each
+   access, head[0 .. n).  On a DBC's chain, rank[t] - first is the index
+   of position t. */
+typedef struct {
+    const int64_t *pos, *head;
+    int64_t n, first;
+} chain;
+
+static inline chain dbc_chain(const refine_state *s, int64_t d)
 {
-    const int64_t *base = s->dbc_pos + s->dbc_start[d];
-    int64_t nb = s->dbc_start[d + 1] - s->dbc_start[d];
-    if (skip < 0 && add < 0)
-        return repro_lazy_chain_cost(base, nb, s->item_at, s->offset_of,
-                                     s->ports, s->num_ports);
-    return repro_lazy_merge_cost(
-        base, nb,
-        s->item_pos + (skip < 0 ? 0 : s->item_start[skip]),
-        skip < 0 ? 0 : s->item_start[skip + 1] - s->item_start[skip],
-        s->item_pos + (add < 0 ? 0 : s->item_start[add]),
-        add < 0 ? 0 : s->item_start[add + 1] - s->item_start[add],
-        s->item_at, s->offset_of, s->ports, s->num_ports);
+    int64_t lo = s->dbc_start[d];
+    chain c = {s->dbc_pos + lo, s->dbc_head + lo, s->dbc_start[d + 1] - lo,
+               lo};
+    return c;
 }
 
-/* Delta of exchanging the slots of items a and b; the new lazy costs of
-   a's and b's DBCs go to cost[0] and cost[1]. */
+typedef struct {
+    int64_t k;       /* the next chain index */
+    int64_t h;       /* the walk's head */
+    int64_t before;  /* the cached head before chain index k */
+    int64_t delta, steps;
+} rejoin;
+
+/* Move a walk whose head has rejoined to chain index k. */
+static inline __attribute__((always_inline))
+void rejoin_jump(const chain *c, rejoin *w, int64_t k)
+{
+    w->k = k;
+    w->h = w->before = k > 0 ? c->head[k - 1] : 0;
+}
+
+/* Walk chain access w->k: re-priced at the offset offset_of holds now, or
+   dropped when removed. */
+static inline __attribute__((always_inline))
+void rejoin_access(const refine_state *s, const chain *c, rejoin *w,
+                   int64_t removed, int64_t num_ports)
+{
+    int64_t cached = c->head[w->k];
+    int64_t old = iabs64(cached - w->before);
+    if (removed) {
+        w->delta -= old;
+    } else {
+        w->delta += lazy_step(s->offset_of[s->item_at[c->pos[w->k]]], &w->h,
+                              s->ports, num_ports) - old;
+        ++w->steps;
+    }
+    w->before = cached;
+    ++w->k;
+}
+
+/* Cost change of a chain when its accesses at positions r1 and r2 (each
+   ascending) take the offsets offset_of holds now. */
+static inline __attribute__((always_inline))
+int64_t rejoin_moved(refine_state *s, chain c, const int64_t *r1,
+                     int64_t n1, const int64_t *r2, int64_t n2,
+                     int64_t num_ports)
+{
+    int64_t i1 = 0, i2 = 0, next;
+    rejoin w = {0, 0, 0, 0, 0};
+#define NEXT_EVENT                                                         \
+    (i2 == n2 ? (i1 == n1 ? INT64_MAX : r1[i1++])                          \
+              : (i1 < n1 && r1[i1] < r2[i2] ? r1[i1++] : r2[i2++]))
+    next = NEXT_EVENT;
+    while (next != INT64_MAX) {
+        /* One run: from the event at next, walk while the heads differ or
+           the next access is an event. */
+        rejoin_jump(&c, &w, s->rank[next] - c.first);
+        do {
+            if (c.pos[w.k] == next) next = NEXT_EVENT;
+            rejoin_access(s, &c, &w, 0, num_ports);
+        } while (w.k < c.n && (w.h != w.before || c.pos[w.k] == next));
+    }
+#undef NEXT_EVENT
+    s->steps += w.steps;
+    return w.delta;
+}
+
+/* Walk the unmoved chain accesses before index end while the heads
+   differ. */
+static inline __attribute__((always_inline))
+void rejoin_until(const refine_state *s, const chain *c, rejoin *w,
+                  int64_t end, int64_t num_ports)
+{
+    while (w->h != w->before && w->k < end)
+        rejoin_access(s, c, w, 0, num_ports);
+}
+
+/* Cost change of a chain when its accesses at positions out (ascending)
+   leave it and the accesses at positions in (ascending, none on the
+   chain) join it at the offsets offset_of holds now. */
+static inline __attribute__((always_inline))
+int64_t rejoin_exchanged(refine_state *s, chain c, const int64_t *out,
+                         int64_t n_out, const int64_t *in, int64_t n_in,
+                         int64_t num_ports)
+{
+    int64_t i = 0, j = 0;
+    rejoin w = {0, 0, 0, 0, 0};
+    while (i < n_out || j < n_in) {
+        int64_t t;
+        if (j == n_in || (i < n_out && out[i] < in[j])) {
+            int64_t k = s->rank[out[i++]] - c.first;
+            rejoin_until(s, &c, &w, k, num_ports);
+            if (w.h == w.before) rejoin_jump(&c, &w, k);
+            rejoin_access(s, &c, &w, 1, num_ports);
+            continue;
+        }
+        t = in[j++];
+        while (w.h != w.before && w.k < c.n && c.pos[w.k] < t)
+            rejoin_access(s, &c, &w, 0, num_ports);
+        if (w.h == w.before) {
+            /* The inserted access goes before the first later chain
+               access: gallop from where the walk stopped, then bisect. */
+            int64_t k = w.k, b = k, step = 1;
+            while (b < c.n && c.pos[b] < t) {
+                k = b + 1;
+                b = k + step;
+                step <<= 1;
+            }
+            if (b > c.n) b = c.n;
+            while (k < b) {
+                int64_t m = k + (b - k) / 2;
+                if (c.pos[m] < t) k = m + 1; else b = m;
+            }
+            rejoin_jump(&c, &w, k);
+        }
+        w.delta += lazy_step(s->offset_of[s->item_at[t]], &w.h, s->ports,
+                             num_ports);
+        ++w.steps;
+    }
+    rejoin_until(s, &c, &w, c.n, num_ports);
+    s->steps += w.steps;
+    return w.delta;
+}
+
+/* The first set bit of bits at or after bit k, or n when none is. */
+static inline __attribute__((always_inline))
+int64_t next_bit(const uint64_t *bits, int64_t k, int64_t n)
+{
+    int64_t i = k >> 6;
+    uint64_t word;
+    if (k >= n) return n;
+    word = bits[i] & (~(uint64_t)0 << (k & 63));
+    while (!word) {
+        if (++i << 6 >= n) return n;
+        word = bits[i];
+    }
+    return (i << 6) + __builtin_ctzll(word);
+}
+
+/* Cost change of a chain when its accesses whose bits (chain indices) are
+   set take the offsets offset_of holds now. */
+static inline __attribute__((always_inline))
+int64_t rejoin_marked(refine_state *s, chain c, const uint64_t *bits,
+                      int64_t num_ports)
+{
+    int64_t k;
+    rejoin w = {0, 0, 0, 0, 0};
+    for (k = next_bit(bits, 0, c.n); k < c.n; k = next_bit(bits, w.k, c.n)) {
+        /* One run, as in rejoin_moved. */
+        rejoin_jump(&c, &w, k);
+        do {
+            rejoin_access(s, &c, &w, 0, num_ports);
+        } while (w.k < c.n
+                 && (w.h != w.before || (bits[w.k >> 6] >> (w.k & 63) & 1)));
+    }
+    s->steps += w.steps;
+    return w.delta;
+}
+
+static int64_t moved_walk(refine_state *s, chain c, const int64_t *r1,
+                          int64_t n1, const int64_t *r2, int64_t n2)
+{
+    int64_t num_ports = s->num_ports;
+    return BY_PORTS(rejoin_moved, s, c, r1, n1, r2, n2);
+}
+
+static int64_t exchanged_walk(refine_state *s, chain c, const int64_t *out,
+                              int64_t n_out, const int64_t *in, int64_t n_in)
+{
+    int64_t num_ports = s->num_ports;
+    return BY_PORTS(rejoin_exchanged, s, c, out, n_out, in, n_in);
+}
+
+static int64_t marked_walk(refine_state *s, chain c, const uint64_t *bits)
+{
+    int64_t num_ports = s->num_ports;
+    return BY_PORTS(rejoin_marked, s, c, bits);
+}
+
+/* One item's DBC chain without the item, with its trajectory, laid out
+   in scratch space (pos and head hold trace_len entries each): every
+   cross-DBC probe of the item walks its insertions against this chain.
+   item is -1 while nothing is laid out. */
+typedef struct {
+    int64_t item, n;
+    int64_t delta;  /* cost of the chain without item, less its DBC's */
+    int64_t *pos, *head;
+} without;
+
+/* Lay out item a's DBC chain without a into w, unless it already is;
+   returns that chain. */
+static chain lay_out_without(refine_state *s, int64_t a, without *w)
+{
+    int64_t d = s->item_dbc[a], head = 0, cost = 0, n = 0, k;
+    chain c;
+    if (w->item != a) {
+        for (k = s->dbc_start[d]; k < s->dbc_start[d + 1]; ++k) {
+            int64_t t = s->dbc_pos[k];
+            if (s->item_at[t] == a) continue;
+            cost += lazy_step(s->offset_of[s->item_at[t]], &head, s->ports,
+                              s->num_ports);
+            w->pos[n] = t;
+            w->head[n++] = head;
+        }
+        s->steps += n;
+        w->item = a;
+        w->n = n;
+        w->delta = cost - s->dbc_cost[d];
+    }
+    c.pos = w->pos;
+    c.head = w->head;
+    c.n = w->n;
+    c.first = 0;
+    return c;
+}
+
+/* Delta of exchanging the slots of items a and b; the cost changes of
+   a's and b's DBCs go to change[0] and change[1].  wa caches a's DBC
+   without a. */
 static int64_t price_swap(refine_state *s, int64_t a, int64_t b,
-                          int64_t *cost)
+                          without *wa, int64_t *change)
 {
     int64_t da = s->item_dbc[a], db = s->item_dbc[b];
-    int64_t off_a = s->offset_of[a], off_b = s->offset_of[b], delta;
+    int64_t off_a = s->offset_of[a], off_b = s->offset_of[b];
+    const int64_t *pos_a = POSITIONS(s, a), *pos_b = POSITIONS(s, b);
+    int64_t n_a = NUM_POSITIONS(s, a), n_b = NUM_POSITIONS(s, b);
     if (s->eager)
         return (s->counts[a] - s->counts[b])
                * (s->rest[off_b] - s->rest[off_a]);
     s->offset_of[a] = off_b;
     s->offset_of[b] = off_a;
     if (da == db) {
-        cost[0] = dbc_walk(s, da, -1, -1);
-        delta = cost[0] - s->dbc_cost[da];
+        change[0] = moved_walk(s, dbc_chain(s, da), pos_a, n_a, pos_b, n_b);
+        change[1] = 0;
     } else {
-        cost[0] = dbc_walk(s, da, a, b);
-        cost[1] = dbc_walk(s, db, b, a);
-        delta = cost[0] + cost[1] - s->dbc_cost[da] - s->dbc_cost[db];
+        /* b's accesses join a's DBC without a; on b's DBC, b's accesses
+           leave and a's join. */
+        chain without_a = lay_out_without(s, a, wa);
+        change[0] = wa->delta
+                    + exchanged_walk(s, without_a, 0, 0, pos_b, n_b);
+        change[1] = exchanged_walk(s, dbc_chain(s, db), pos_b, n_b, pos_a,
+                                   n_a);
     }
     s->offset_of[a] = off_a;
     s->offset_of[b] = off_b;
-    return delta;
+    return change[0] + change[1];
 }
 
-/* Delta of moving item a to the free slot (d, o); cost as in price_swap.
-   *without_a caches a's DBC without a (-1 until priced): it is the same
-   for every cross-DBC target of one item. */
+/* Delta of moving item a to the free slot (d, o); change and wa as in
+   price_swap. */
 static int64_t price_move(refine_state *s, int64_t a, int64_t d, int64_t o,
-                          int64_t *without_a, int64_t *cost)
+                          without *wa, int64_t *change)
 {
-    int64_t da = s->item_dbc[a], off_a = s->offset_of[a], delta;
+    int64_t da = s->item_dbc[a], off_a = s->offset_of[a];
+    const int64_t *pos_a = POSITIONS(s, a);
+    int64_t n_a = NUM_POSITIONS(s, a);
     if (s->eager) return s->counts[a] * (s->rest[o] - s->rest[off_a]);
     s->offset_of[a] = o;
     if (d == da) {
-        cost[0] = dbc_walk(s, da, -1, -1);
-        delta = cost[0] - s->dbc_cost[da];
+        change[0] = moved_walk(s, dbc_chain(s, da), pos_a, n_a, 0, 0);
+        change[1] = 0;
     } else {
-        if (*without_a < 0) *without_a = dbc_walk(s, da, a, -1);
-        cost[0] = *without_a;
-        cost[1] = dbc_walk(s, d, -1, a);
-        delta = cost[0] + cost[1] - s->dbc_cost[da] - s->dbc_cost[d];
+        lay_out_without(s, a, wa);
+        change[0] = wa->delta;
+        change[1] = exchanged_walk(s, dbc_chain(s, d), 0, 0, pos_a, n_a);
     }
     s->offset_of[a] = off_a;
-    return delta;
+    return change[0] + change[1];
+}
+
+/* Set the bits of item x's chain indices (from lo) in a chain bitset. */
+static void mark_item(const refine_state *s, uint64_t *bits, int64_t lo,
+                      int64_t x)
+{
+    const int64_t *t = POSITIONS(s, x);
+    int64_t n = NUM_POSITIONS(s, x), i;
+    for (i = 0; i < n; ++i) {
+        int64_t k = s->rank[t[i]] - lo;
+        bits[k >> 6] |= (uint64_t)1 << (k & 63);
+    }
 }
 
 /* Delta of reversing seg[i .. j] on DBC d: item seg[k], now at offs[k],
-   moves to offs[i + j - k]; the new lazy cost goes to cost[0]. */
+   moves to offs[i + j - k]; bits marks those items' chain accesses.  The
+   cost change goes to change[0]. */
 static int64_t price_reversal(refine_state *s, int64_t d, const int64_t *seg,
                               const int64_t *offs, int64_t i, int64_t j,
-                              int64_t *cost)
+                              const uint64_t *bits, int64_t *change)
 {
     int64_t delta = 0, k;
     if (s->eager) {
@@ -436,21 +716,22 @@ static int64_t price_reversal(refine_state *s, int64_t d, const int64_t *seg,
         return delta;
     }
     for (k = i; k <= j; ++k) s->offset_of[seg[k]] = offs[i + j - k];
-    cost[0] = dbc_walk(s, d, -1, -1);
+    change[0] = marked_walk(s, dbc_chain(s, d), bits);
     for (k = i; k <= j; ++k) s->offset_of[seg[k]] = offs[k];
-    return cost[0] - s->dbc_cost[d];
+    return change[0];
 }
 
 /* Commit a priced swap or move whose offsets are already written: item a
    goes to DBC to_a and, for a swap, item b (-1 for a move) to DBC to_b;
-   cost[] holds the new lazy costs as price_swap / price_move leave them. */
+   change[] holds the DBCs' cost changes as price_swap / price_move leave
+   them.  The touched trajectories are walked afresh. */
 static void commit(refine_state *s, int64_t a, int64_t to_a, int64_t b,
-                   int64_t to_b, int64_t delta, const int64_t *cost)
+                   int64_t to_b, int64_t delta, const int64_t *change)
 {
     int64_t from_a = s->item_dbc[a];
     if (!s->eager) {
-        s->dbc_cost[from_a] = cost[0];
-        if (to_a != from_a) s->dbc_cost[to_a] = cost[1];
+        s->dbc_cost[from_a] += change[0];
+        if (to_a != from_a) s->dbc_cost[to_a] += change[1];
     }
     if (to_a != from_a) {
         s->item_dbc[a] = to_a;
@@ -460,7 +741,9 @@ static void commit(refine_state *s, int64_t a, int64_t to_a, int64_t b,
             --s->load[from_a];
             ++s->load[to_a];
         }
-        if (!s->eager) lay_out_dbcs(s);
+        if (!s->eager) lay_out_dbcs(s, from_a, to_a);
+    } else if (!s->eager) {
+        walk_trajectory(s, from_a);
     }
     s->delta += delta;
     ++s->accepted;
@@ -483,9 +766,11 @@ static int64_t list_free(const refine_state *s, int64_t *out)
    pass without an accepted move or when the budget is spent. */
 void repro_swap_pass(refine_state *s)
 {
-    int64_t *free_slots = s->scratch, cost[2], pass, a, b, j;
-    s->probes = s->accepted = s->delta = 0;
-    if (!s->eager) lay_out_dbcs(s);
+    int64_t *free_slots = s->scratch, change[2], pass, a, b, j;
+    int64_t *spare = free_slots + (s->num_dbcs + 2) * s->words;
+    without wa = {-1, 0, 0, spare, spare + s->trace_len};
+    s->probes = s->accepted = s->delta = s->steps = 0;
+    if (!s->eager) lay_out_dbcs(s, -1, -1);
     for (pass = 0; pass < s->max_passes; ++pass) {
         int64_t before = s->accepted, num_free = 0, dirty = 1;
         for (a = 0; a < s->num_items; ++a) {
@@ -493,18 +778,18 @@ void repro_swap_pass(refine_state *s)
                 int64_t delta, da, db, off;
                 if (s->probes >= s->max_probes) return;
                 ++s->probes;
-                delta = price_swap(s, a, b, cost);
+                delta = price_swap(s, a, b, &wa, change);
                 if (delta >= 0) continue;
                 da = s->item_dbc[a];
                 db = s->item_dbc[b];
                 off = s->offset_of[a];
                 s->offset_of[a] = s->offset_of[b];
                 s->offset_of[b] = off;
-                commit(s, a, db, b, da, delta, cost);
+                commit(s, a, db, b, da, delta, change);
+                wa.item = -1;
             }
         }
         for (a = 0; a < s->num_items; ++a) {
-            int64_t without_a = -1;
             if (dirty) {
                 num_free = list_free(s, free_slots);
                 dirty = 0;
@@ -514,15 +799,15 @@ void repro_swap_pass(refine_state *s)
                 int64_t o = free_slots[j] % s->words, delta;
                 if (s->probes >= s->max_probes) return;
                 ++s->probes;
-                delta = price_move(s, a, d, o, &without_a, cost);
+                delta = price_move(s, a, d, o, &wa, change);
                 if (delta >= 0) continue;
                 s->occupied[s->item_dbc[a] * s->words + s->offset_of[a]] = 0;
                 s->occupied[free_slots[j]] = 1;
                 s->offset_of[a] = o;
-                commit(s, a, d, -1, -1, delta, cost);
+                commit(s, a, d, -1, -1, delta, change);
+                wa.item = -1;
                 /* The rest of this list is still free; the next item
                    lists the slots afresh. */
-                without_a = -1;
                 dirty = 1;
             }
         }
@@ -532,20 +817,23 @@ void repro_swap_pass(refine_state *s)
 
 /* two_opt_refinement: each pass walks every DBC's traced items in offset
    order and probes reversing seg[i .. j] for i < j; a reversal keeps the
-   occupied offsets, so the scan resumes at j + 1. */
+   occupied offsets, so the scan resumes at j + 1 (and the items of
+   seg[i .. j], so their marks stay). */
 void repro_reversal_pass(refine_state *s)
 {
-    int64_t *slot_item = s->scratch, cost[1], pass, d, o, i, j, k;
+    int64_t *slot_item = s->scratch, change[1] = {0}, pass, d, o, i, j, k;
     int64_t *seg = slot_item + s->num_dbcs * s->words, *offs = seg + s->words;
-    s->probes = s->accepted = s->delta = 0;
-    if (!s->eager) lay_out_dbcs(s);
+    uint64_t *bits = (uint64_t *)(offs + s->words);
+    s->probes = s->accepted = s->delta = s->steps = 0;
+    if (!s->eager) lay_out_dbcs(s, -1, -1);
     for (pass = 0; pass < s->max_passes; ++pass) {
         int64_t before = s->accepted;
         for (k = 0; k < s->num_dbcs * s->words; ++k) slot_item[k] = -1;
         for (k = 0; k < s->num_items; ++k)
             slot_item[s->item_dbc[k] * s->words + s->offset_of[k]] = k;
         for (d = 0; d < s->num_dbcs; ++d) {
-            int64_t length = 0;
+            int64_t length = 0, lo = s->dbc_start[d];
+            int64_t words = (s->dbc_start[d + 1] - lo + 63) >> 6;
             for (o = 0; o < s->words; ++o) {
                 int64_t item = slot_item[d * s->words + o];
                 if (item < 0) continue;
@@ -553,11 +841,17 @@ void repro_reversal_pass(refine_state *s)
                 offs[length++] = o;
             }
             for (i = 0; i < length; ++i) {
+                if (!s->eager) {
+                    for (k = 0; k < words; ++k) bits[k] = 0;
+                    mark_item(s, bits, lo, seg[i]);
+                }
                 for (j = i + 1; j < length; ++j) {
                     int64_t delta;
                     if (s->probes >= s->max_probes) return;
                     ++s->probes;
-                    delta = price_reversal(s, d, seg, offs, i, j, cost);
+                    if (!s->eager) mark_item(s, bits, lo, seg[j]);
+                    delta = price_reversal(s, d, seg, offs, i, j, bits,
+                                           change);
                     if (delta >= 0) continue;
                     for (k = i; k <= j; ++k)
                         s->offset_of[seg[k]] = offs[i + j - k];
@@ -566,7 +860,10 @@ void repro_reversal_pass(refine_state *s)
                         seg[i + k] = seg[j - k];
                         seg[j - k] = item;
                     }
-                    if (!s->eager) s->dbc_cost[d] = cost[0];
+                    if (!s->eager) {
+                        s->dbc_cost[d] += change[0];
+                        walk_trajectory(s, d);
+                    }
                     s->delta += delta;
                     ++s->accepted;
                 }
@@ -1397,7 +1694,9 @@ class RefineState:
     ``dbc_cost`` (lazy cost per DBC), ``load`` (items per DBC, untraced
     placement entries included) and ``occupied`` (1 per held slot
     ``dbc * words + offset``).  ``dbc_pos``/``dbc_start`` (the DBC
-    position CSR) and ``scratch`` are work space the pass lays out
+    position CSR), the trajectories ``dbc_head`` (the head after each
+    access of ``dbc_pos``) and ``rank`` (the ``dbc_pos`` index of each
+    trace position), and ``scratch`` are work space the pass lays out
     itself.  Every array is C-contiguous ``int64``; the caller guarantees
     that every slot lies inside the ``num_dbcs`` × ``words`` geometry.
     """
@@ -1405,7 +1704,7 @@ class RefineState:
     ARRAYS = (
         "item_at", "item_pos", "item_start", "ports", "counts", "rest",
         "offset_of", "item_dbc", "dbc_cost", "load", "occupied", "dbc_pos",
-        "dbc_start", "scratch",
+        "dbc_start", "dbc_head", "rank", "scratch",
     )
     SIZES = ("num_items", "num_dbcs", "words", "eager")
     __slots__ = ARRAYS + SIZES
@@ -1696,7 +1995,7 @@ class CcKernels:
                     for name in (
                         "num_ports", "num_items", "trace_len", "num_dbcs",
                         "words", "eager", "max_passes", "max_probes",
-                        "probes", "accepted", "delta",
+                        "probes", "accepted", "delta", "steps",
                     )
                 ]
             },
@@ -1882,17 +2181,20 @@ class CcKernels:
         return members, sizes
 
     def _run_pass(self, entry, state, max_passes, max_probes):
-        """One compiled pass over ``state``; ``(probes, accepted, delta)``."""
+        """One compiled pass over ``state``; ``(probes, accepted, delta,
+        steps)``, ``steps`` being the lazy steps it walked."""
         import ctypes
 
         np = self._np
         items, dbcs, words = state.num_items, state.num_dbcs, state.words
+        trace_len = state.item_at.size
         sizes = {
-            "item_pos": state.item_at.size, "item_start": items + 1,
+            "item_pos": trace_len, "item_start": items + 1,
             "counts": items, "rest": words, "offset_of": items,
             "item_dbc": items, "dbc_cost": dbcs, "load": dbcs,
-            "occupied": dbcs * words, "dbc_pos": state.item_at.size,
-            "dbc_start": dbcs + 1, "scratch": (dbcs + 2) * words,
+            "occupied": dbcs * words, "dbc_pos": trace_len,
+            "dbc_start": dbcs + 1, "dbc_head": trace_len, "rank": trace_len,
+            "scratch": (dbcs + 2) * words + 2 * trace_len,
         }
         for name in RefineState.ARRAYS:
             array = getattr(state, name)
@@ -1904,7 +2206,7 @@ class CcKernels:
             *(getattr(state, name).ctypes.data for name in RefineState.ARRAYS),
             state.ports.size,
             state.num_items,
-            state.item_at.size,
+            trace_len,
             state.num_dbcs,
             state.words,
             int(state.eager),
@@ -1912,11 +2214,11 @@ class CcKernels:
             max_probes,
         )
         entry(ctypes.byref(struct))
-        return struct.probes, struct.accepted, struct.delta
+        return struct.probes, struct.accepted, struct.delta, struct.steps
 
     def swap_pass(self, state, max_passes, max_probes):
         """``swap_refinement``'s scan: at most ``max_passes`` passes and
-        ``max_probes`` probes; returns ``(probes, accepted, delta)``."""
+        ``max_probes`` probes; returns ``(probes, accepted, delta, steps)``."""
         return self._run_pass(self._lib.repro_swap_pass, state, max_passes, max_probes)
 
     def reversal_pass(self, state, max_passes, max_probes):

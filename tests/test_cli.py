@@ -11,6 +11,8 @@ import pytest
 
 from repro.cli import load_placement_json, main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(capsys, *argv):
     """Invoke the CLI and return (exit_code, stdout, stderr)."""
@@ -149,6 +151,20 @@ class TestExperimentsCommand:
         code, out, _err = run_cli(capsys, "experiments", "e1")
         assert code == 0
         assert "Benchmark characteristics" in out
+
+    def test_stdout_is_the_rendered_tables(self, capsys):
+        # One experiment prints its table and nothing after it, which is
+        # what results/<id>.txt holds; sections are one blank line apart.
+        from repro.analysis.experiments import run_experiments
+
+        e1, e2 = (output.rendered for output in run_experiments(["e1", "e2"]))
+        code, out, _err = run_cli(capsys, "experiments", "e1", "--no-cache")
+        assert code == 0
+        assert out == e1 + "\n"
+        assert out == (ROOT / "results" / "e1.txt").read_text()
+        code, out, _err = run_cli(capsys, "experiments", "e1", "e2", "--no-cache")
+        assert code == 0
+        assert out == e1 + "\n\n" + e2 + "\n"
 
     def test_jobs_flag(self, capsys):
         code, out, _err = run_cli(capsys, "experiments", "e1", "--jobs", "2")
